@@ -15,6 +15,7 @@ any engine error (bad input, failed validation, exceeded budget).
 """
 
 import argparse
+import functools
 import sys
 
 from . import io
@@ -43,7 +44,7 @@ from .groupoid import (
     quotient_groupoid,
     stabilizer,
 )
-from .kan import classify, horn_fillers, horn_generators, horn_maps
+from .kan import classify, horn_tuples
 from .sset import enumerate_maps
 
 
@@ -106,19 +107,19 @@ def cmd_sset_check_kan(args):
 
 def cmd_sset_fillers(args):
     x = io.sset_from_json(io.load_path(args.sset))
-    maps = horn_maps(x, args.n, args.k, budget=_budget(args))
-    _, gen_ids = horn_generators(args.n, args.k)
+    tuples = horn_tuples(x, args.n, args.k, budget=_budget(args))
+    index = x.filler_index(args.n, args.k)
     profile = {}
-    for m in maps:
-        count = len(horn_fillers(x, args.n, args.k, m, gen_ids=gen_ids))
+    for t in tuples:
+        count = len(index.get(t, ()))
         profile[count] = profile.get(count, 0) + 1
     data = {
         "n": args.n,
         "k": args.k,
-        "horn_maps": len(maps),
+        "horn_maps": len(tuples),
         "filler_profile": {str(c): profile[c] for c in sorted(profile)},
     }
-    lines = [f"horn ({args.n},{args.k}): {len(maps)} maps"] + [
+    lines = [f"horn ({args.n},{args.k}): {len(tuples)} maps"] + [
         f"{v} horn maps with {c} fillers" for c, v in sorted(profile.items())
     ]
     _emit(args, data, lines)
@@ -352,7 +353,9 @@ def _common(sub):
                      help="search budget (overrides HORNFILL_BUDGET)")
 
 
+@functools.cache
 def build_parser():
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hornfill",
         description="exact horn filling, nerves, and descent over finite data",

@@ -1,10 +1,16 @@
 """Horn-filling classification of truncated simplicial sets.
 
-For each horn shape (n, k) with 2 <= n <= the inspection cap, every horn
-map into the target is enumerated, and its fillers are found by indexing
-the target's n-simplices by their restrictions to the horn's generators.
-The four classical characterizations then read off existence/uniqueness
-patterns:
+A map from the horn Lambda^n_k into X is the same thing as a tuple
+(y_i), i != k, of (n-1)-simplices of X with d_i y_j = d_{j-1} y_i for
+i < j (May, Simplicial Objects in Algebraic Topology, Def. 1.3): y_i is
+the image of the horn face d_i, and the equations glue the faces along
+their common (n-2)-faces.  Such compatible face tuples are enumerated by
+a join over the (n-1)-simplices, choosing y_i in increasing i and looking
+each one up by the faces it shares with the entries already chosen.  The
+fillers of a horn map are the n-simplices whose face tuple with d_k
+dropped is the map's tuple, read off an index of x's n-simplices that x
+caches per (n, k).  The four classical characterizations then read off
+existence/uniqueness patterns:
 
     weak Kan            inner horns fill
     Kan                 all horns fill
@@ -17,42 +23,118 @@ Everything is relative to the truncation: verdicts quantify over the
 inspected range only, which the report records.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from .config import DEFAULT_BUDGET
-from .errors import ConsistencyError, InputError
-from .sset import SimplexRef, enumerate_maps, subcomplex_of_simplex
+from .errors import CapacityError, ConsistencyError, InputError
+from .sset import SimplexRef, SimplicialMap, subcomplex_of_simplex
 
 
+@functools.cache
 def horn_generators(n, k):
-    """Generator ids of the (n, k)-horn in (dimension, id) order."""
+    """The (n, k)-horn and its generator ids in (dimension, id) order.
+
+    Built once per (n, k); every caller shares the returned horn.
+    """
     horn = subcomplex_of_simplex(n, "horn", k=k, dim_cap=n - 1)
-    return horn, [g for d in range(n) for g in horn.generators(d)]
+    return horn, tuple(g for d in range(n) for g in horn.generators(d))
+
+
+@functools.cache
+def _horn_charts(n, k):
+    """Where each horn generator's image sits in a compatible face tuple.
+
+    Slot s of a tuple holds the image of the horn face d_i, for i the s-th
+    index other than k.  A generator lies in the face of the least such i
+    it misses; its image is that slot restricted along the generator's
+    vertex positions within the face.  One (slot, positions) pair per
+    generator, in (dimension, id) order.
+    """
+    _, gen_ids = horn_generators(n, k)
+    faces = [i for i in range(n + 1) if i != k]
+    charts = []
+    for g in gen_ids:
+        verts = [int(c) for c in g]
+        slot = next(s for s, i in enumerate(faces) if i not in verts)
+        charts.append((slot, tuple(v - (v > faces[slot]) for v in verts)))
+    return tuple(charts)
+
+
+def _images(x, n, k, tup):
+    """Images of the horn generators, in (dimension, id) order, of a tuple."""
+    return tuple(x.restrict(tup[slot], alpha) for slot, alpha in _horn_charts(n, k))
+
+
+def _join(x, n, k, budget, spent=0, shapes_done=0):
+    """Compatible face tuples of the (n, k)-horn in x, and the trials spent.
+
+    Every candidate tried for a slot is one trial; `spent` trials are
+    already used up when the call starts.  Past `budget` a CapacityError
+    reports `shapes_done` horn shapes as completed.
+    """
+    faces = [i for i in range(n + 1) if i != k]
+    # the candidates for y_j are indexed by d_i y_j for the earlier slots i
+    indexes = [x.face_index(n - 1, faces[:s]) for s in range(len(faces))]
+    face_of = x._face
+    out = []
+    chosen = []
+
+    def extend(s):
+        nonlocal spent
+        if s == len(faces):
+            out.append(tuple(chosen))
+            return
+        j = faces[s]
+        key = tuple(face_of(y, j - 1) for y in chosen)
+        for y in indexes[s].get(key, ()):
+            spent += 1
+            if spent > budget:
+                raise CapacityError(
+                    f"horn census exceeded budget {budget}", partial=shapes_done
+                )
+            chosen.append(y)
+            extend(s + 1)
+            chosen.pop()
+
+    extend(0)
+    return out, spent
+
+
+def horn_tuples(x, n, k, budget=DEFAULT_BUDGET):
+    """All maps from the (n, k)-horn into x, as compatible face tuples.
+
+    The tuple of a map lists the images of the horn faces d_i, i != k, in
+    increasing i.  Raises CapacityError when more than `budget` join
+    trials are spent.
+    """
+    if n > x.dim_cap:
+        raise InputError(f"horn dimension {n} above target cap {x.dim_cap}")
+    horn_generators(n, k)  # rejects a bad n or k
+    return _join(x, n, k, budget)[0]
 
 
 def horn_maps(x, n, k, budget=DEFAULT_BUDGET):
-    """All simplicial maps from the (n, k)-horn into x."""
-    if n > x.dim_cap:
-        raise InputError(f"horn dimension {n} above target cap {x.dim_cap}")
-    horn, _ = horn_generators(n, k)
-    return enumerate_maps(horn, x, budget=budget)
+    """All simplicial maps from the (n, k)-horn into x.
+
+    Sorted by the images of the horn generators in (dimension, id) order.
+    """
+    horn, gen_ids = horn_generators(n, k)
+    images = sorted(_images(x, n, k, t) for t in horn_tuples(x, n, k, budget))
+    return [
+        SimplicialMap(horn, x, dict(zip(gen_ids, imgs)), up_to=n - 1, check=False)
+        for imgs in images
+    ]
 
 
-def _restriction_key(x, top, gen_ids):
-    return tuple(
-        x.restrict(top, tuple(int(c) for c in g)) for g in gen_ids
+def horn_fillers(x, n, k, horn_map):
+    """The n-simplices of x extending the given horn map."""
+    key = tuple(
+        horn_map.assignment["".join(str(v) for v in range(n + 1) if v != i)]
+        for i in range(n + 1)
+        if i != k
     )
-
-
-def horn_fillers(x, n, k, horn_map, gen_ids=None):
-    """The n-simplices of x restricting to the given horn map."""
-    if gen_ids is None:
-        _, gen_ids = horn_generators(n, k)
-    key = tuple(horn_map.assignment[g] for g in gen_ids)
-    index = {}
-    for top in x.simplices(n):
-        index.setdefault(_restriction_key(x, top, gen_ids), []).append(top)
-    return tuple(index.get(key, ()))
+    return tuple(x.filler_index(n, k).get(key, ()))
 
 
 @dataclass
@@ -107,43 +189,53 @@ class KanReport:
         }
 
 
-def _serialize_horn_map(m):
-    return {g: str(ref) for g, ref in sorted(m.assignment.items())}
+def _serialize_horn_map(gen_ids, images):
+    return {g: str(ref) for g, ref in sorted(zip(gen_ids, images))}
 
 
 def classify(x, dim_cap=None, budget=DEFAULT_BUDGET):
-    """Full horn census of x up to the cap, with the four flags."""
+    """Full horn census of x up to the cap, with the four flags.
+
+    One budget of join trials covers the whole census; a CapacityError
+    carries the number of horn shapes completed before it ran out.  The
+    example maps are the least unfilled and the least ambiguous horn map
+    in the order of `horn_maps`.
+    """
     cap = x.dim_cap if dim_cap is None else min(dim_cap, x.dim_cap)
     if cap < 2:
         raise InputError("horn classification needs dimension cap >= 2")
     verdicts = []
+    spent = 0
     for n in range(2, cap + 1):
         for k in range(n + 1):
-            horn, gen_ids = horn_generators(n, k)
-            maps = enumerate_maps(horn, x, budget=budget)
-            index = {}
-            for top in x.simplices(n):
-                index.setdefault(_restriction_key(x, top, gen_ids), []).append(top)
+            tuples, spent = _join(x, n, k, budget, spent, len(verdicts))
+            index = x.filler_index(n, k)
             unfilled = ambiguous = 0
-            no_ex = {}
-            multi_ex = {}
-            for m in maps:
-                key = tuple(m.assignment[g] for g in gen_ids)
-                fillers = index.get(key, ())
+            no_images = multi = None
+            for t in tuples:
+                fillers = index.get(t, ())
+                if len(fillers) == 1:
+                    continue
+                images = _images(x, n, k, t)
                 if not fillers:
                     unfilled += 1
-                    if not no_ex:
-                        no_ex = _serialize_horn_map(m)
-                elif len(fillers) > 1:
+                    if no_images is None or images < no_images:
+                        no_images = images
+                else:
                     ambiguous += 1
-                    if not multi_ex:
-                        multi_ex = dict(
-                            _serialize_horn_map(m),
-                            fillers=[str(t) for t in fillers],
-                        )
+                    if multi is None or images < multi[0]:
+                        multi = (images, fillers)
+            _, gen_ids = horn_generators(n, k)
+            no_ex = _serialize_horn_map(gen_ids, no_images) if no_images else {}
+            multi_ex = {}
+            if multi:
+                multi_ex = dict(
+                    _serialize_horn_map(gen_ids, multi[0]),
+                    fillers=[str(t) for t in multi[1]],
+                )
             verdicts.append(
                 HornVerdict(
-                    n, k, len(maps),
+                    n, k, len(tuples),
                     all_fill=(unfilled == 0),
                     all_unique=(unfilled == 0 and ambiguous == 0),
                     unfilled=unfilled,

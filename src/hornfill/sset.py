@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_BUDGET, DEFAULT_DIM_CAP, MAX_STANDARD_DIM
-from .errors import CapacityError, InputError, ValidationError
+from .errors import CapacityError, ConsistencyError, InputError, ValidationError
 
 
 @dataclass(frozen=True, order=True)
@@ -252,14 +252,24 @@ class SimplicialSet:
         n = self.dim_of(ref)
         return tuple(self._face(ref, i) for i in range(n + 1))
 
-    def face_index(self, n):
-        """Index of n-simplices by their tuple of faces (n >= 1)."""
-        if n not in self._face_index:
+    def face_index(self, n, positions=None):
+        """Index of n-simplices by their faces d_i, i in `positions`.
+
+        All faces by default (then n >= 1).  Cached per (n, positions);
+        each key's list follows the order of `simplices(n)`.
+        """
+        positions = tuple(range(n + 1)) if positions is None else tuple(positions)
+        key = (n, positions)
+        if key not in self._face_index:
             idx = {}
             for t in self.simplices(n):
-                idx.setdefault(self.face_tuple(t), []).append(t)
-            self._face_index[n] = idx
-        return self._face_index[n]
+                idx.setdefault(tuple(self._face(t, i) for i in positions), []).append(t)
+            self._face_index[key] = idx
+        return self._face_index[key]
+
+    def filler_index(self, n, k):
+        """Index of n-simplices by their face tuple with d_k dropped."""
+        return self.face_index(n, tuple(i for i in range(n + 1) if i != k))
 
     # -- validation ----------------------------------------------------------
 
@@ -484,17 +494,6 @@ class SimplicialMap:
             out = self.tgt.degeneracy(out, j)
         return out
 
-    def compose(self, other):
-        """self o other."""
-        if other.tgt is not self.src and other.tgt != self.src:
-            raise InputError("maps not composable")
-        assignment = {
-            g: self.apply(other.assignment[g])
-            for g in other.assignment
-            if self.src.gen_dim.get(other.assignment[g].gen) is not None
-        }
-        return SimplicialMap(other.src, self.tgt, assignment, up_to=other.up_to, check=False)
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialMap)
@@ -535,13 +534,14 @@ def enumerate_maps(src, tgt, dim_cap=None, budget=DEFAULT_BUDGET, fixed=None):
     results = []
     nodes = 0
     vertex_candidates = tuple(tgt.simplices(0)) if cap >= 0 else ()
+    src_faces = {g: src.face_tuple(SimplexRef(g)) for g in order if src.gen_dim[g] > 0}
 
     def candidates(g):
         d = src.gen_dim[g]
         if d == 0:
             return vertex_candidates
         key = tuple(assignment[f.gen] if not f.degs else _image_of(f)
-                    for f in src.face_tuple(SimplexRef(g)))
+                    for f in src_faces[g])
         return tuple(tgt.face_index(d).get(key, ()))
 
     def _image_of(ref):
@@ -553,7 +553,7 @@ def enumerate_maps(src, tgt, dim_cap=None, budget=DEFAULT_BUDGET, fixed=None):
     def ready(g):
         if src.gen_dim[g] == 0:
             return True
-        return all(f.gen in assignment for f in src.face_tuple(SimplexRef(g)))
+        return all(f.gen in assignment for f in src_faces[g])
 
     def search():
         nonlocal nodes
@@ -571,7 +571,8 @@ def enumerate_maps(src, tgt, dim_cap=None, budget=DEFAULT_BUDGET, fixed=None):
                 best, best_cands = g, cands
                 if not cands:
                     break
-        assert best is not None, "no ready generator; face data is inconsistent"
+        if best is None:
+            raise ConsistencyError("no ready generator; face data is inconsistent")
         for ref in sorted(best_cands):
             nodes += 1
             if nodes > budget:
@@ -594,9 +595,9 @@ def enumerate_maps(src, tgt, dim_cap=None, budget=DEFAULT_BUDGET, fixed=None):
 
 
 def is_isomorphic(a, b, budget=DEFAULT_BUDGET):
-    """Generator bijection commuting with faces; (witness map or None, verdict).
+    """A generator bijection commuting with faces, as a map, or None.
 
-    Exhaustive at the common dimension cap, so a None witness is a proof of
+    Exhaustive at the common dimension cap, so None is a proof of
     non-isomorphism for truncated sets of equal cap.
     """
     if a.dim_cap != b.dim_cap:
@@ -707,7 +708,8 @@ class LevelModel:
             word.append(i)
             x = self._face(n, i, x)
             n -= 1
-        assert all(a > b for a, b in zip(word, word[1:])), "strip order broke normal form"
+        if any(a <= b for a, b in zip(word, word[1:])):
+            raise ConsistencyError("strip order broke normal form")
         return SimplexRef(self._gen_of_elem[(n, x)], tuple(word))
 
     def _cross_check(self):

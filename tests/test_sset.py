@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hornfill.errors import CapacityError, InputError, ValidationError
+from hornfill.errors import CapacityError, ConsistencyError, InputError, ValidationError
 from hornfill.sset import (
+    LevelModel,
     SimplexRef,
     SimplicialSet,
     decreasing_words,
@@ -182,6 +183,21 @@ def test_enumerate_maps_counts_into_standard_targets():
     fixed = {"0": SimplexRef("0"), "1": SimplexRef("0")}
     pinned = enumerate_maps(d1, d2, fixed=fixed)
     assert len(pinned) == 1 and pinned[0].assignment["01"] == SimplexRef("0", (0,))
+
+
+def test_inconsistent_face_data_raises_not_asserts():
+    # an edge whose face names no generator is never ready to be mapped
+    broken = SimplicialSet(
+        1, {0: ["a"], 1: ["e"]}, {"e": (SimplexRef("a"), SimplexRef("zz"))}, check=False
+    )
+    with pytest.raises(ConsistencyError):
+        enumerate_maps(broken, standard_simplex(1, dim_cap=1))
+    # s_0 d_0 recovers both the 1- and the 2-simplex, so stripping
+    # degeneracies would give the word s_0 s_0, which is not in normal form
+    face = lambda n, i, x: "v" if n == 1 else "e"
+    deg = lambda n, i, x: "e" if n == 0 else ("t" if i == 0 else "u")
+    with pytest.raises(ConsistencyError):
+        LevelModel(2, [["v"], ["e"], ["t", "u"]], face, deg, namer=lambda n, x: x, check=False)
 
 
 def test_simplicial_map_validation_checks_faces():
