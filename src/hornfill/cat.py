@@ -26,6 +26,25 @@ from .errors import CapacityError, ConsistencyError, InputError, ValidationError
 from .sset import LevelModel, SimplexRef, SimplicialSet
 
 
+class UnionFind:
+    """Disjoint classes of comparable items; each root is its class's least member."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[max(rx, ry)] = min(rx, ry)
+
+
 class FiniteCategory:
     """Objects, morphisms with endpoints, identities, full composition table."""
 
@@ -528,7 +547,8 @@ def _walking(two_cell_invertible):
             if ft != gs:
                 continue
             comp[(g, f)] = f if g in ("ix", "iy") else (g if f in ("ix", "iy") else None)
-    assert None not in comp.values()
+    if None in comp.values():
+        raise ConsistencyError("walking 2-cell: a 1-cell composite is undefined")
     two = {"=ix": ("ix", "ix"), "=iy": ("iy", "iy"), "=u": ("u", "u"), "=v": ("v", "v"),
            "m": ("u", "v")}
     two_id = {"ix": "=ix", "iy": "=iy", "u": "=u", "v": "=v"}
@@ -557,7 +577,7 @@ def _walking(two_cell_invertible):
             elif b.startswith("=") and bs in ("iy",):
                 hcomp[(b, a)] = a
             else:
-                raise AssertionError("unexpected horizontal pair")
+                raise ConsistencyError("walking 2-cell: unexpected horizontal pair")
     return Finite2Category(objects, ones, identity, comp, two, two_id, vcomp, hcomp)
 
 
@@ -847,19 +867,7 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
 
     def congruence(universe):
         index = {w: i for i, w in enumerate(universe)}
-        parent = list(range(len(universe)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def union(i, j):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
+        classes = UnionFind(range(len(universe)))
         for w in universe:
             v0, es = w
             for (v, lhs, rhs) in rules:
@@ -873,8 +881,8 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
                         w2 = (v0, es[:p] + b + es[p + la :])
                         j = index.get(w2)
                         if j is not None:
-                            union(index[w], j)
-        return index, find
+                            classes.union(index[w], j)
+        return index, classes.find
 
     length = 2
     while True:
@@ -1000,14 +1008,8 @@ def homotopy_category(x):
     # the relation must already be an equivalence relation on each hom-set
     pairs = 0
     idx = {f: i for i, f in enumerate(edges)}
-    parent = list(range(len(edges)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    linked = UnionFind(range(len(edges)))
+    find = linked.find
     for f in edges:
         if not homotopic(f, f):
             raise InputError(f"homotopy relation not reflexive at {f}; missing s1-degeneracies")
@@ -1020,9 +1022,7 @@ def homotopy_category(x):
                 raise ConsistencyError(f"homotopy relation not symmetric at ({f}, {g})")
             if fg:
                 pairs += 1
-                ri, rj = find(idx[f]), find(idx[g])
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+                linked.union(idx[f], idx[g])
     # transitivity: union-find closure must not outrun the raw relation
     for f in edges:
         for g in edges:
@@ -1089,6 +1089,7 @@ def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
         product_structure,
         standard_ref_of_vertices,
         standard_simplex,
+        vertices_of_standard_ref,
     )
 
     prods = [
@@ -1096,19 +1097,14 @@ def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
         for n in range(dim_cap + 1)
     ]
 
-    def _std_verts(ra):
-        verts = tuple(int(c) for c in ra.gen)
-        for j in reversed(ra.degs):
-            verts = verts[: j + 1] + verts[j:]
-        return verts
-
     def induced(n_from, n_to, alpha, f):
         """Precompose f: x * D^{n_to} -> y with id * alpha."""
         p_from, p_to = prods[n_from], prods[n_to]
         assignment = {}
         for g in p_from.sset.all_generators():
             rx, ra = p_from.pair_of_gen(g)
-            moved = standard_ref_of_vertices(tuple(alpha[v] for v in _std_verts(ra)))
+            verts = vertices_of_standard_ref(p_from.right, ra)
+            moved = standard_ref_of_vertices(tuple(alpha[v] for v in verts))
             dim = p_from.sset.gen_dim[g]
             ref = p_to.model.ref_of[(dim, (rx, moved))]
             assignment[g] = f.apply(ref)
@@ -1121,7 +1117,7 @@ def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
         fixed = {}
         for xv, img in pin.items():
             for j in range(n + 1):
-                g = p.model._gen_of_elem[(0, (SimplexRef(xv), SimplexRef(str(j))))]
+                g = p.model.ref_of[(0, (SimplexRef(xv), SimplexRef(str(j))))].gen
                 fixed[g] = img
         return fixed
 

@@ -5,7 +5,6 @@ the ones the reports stamp when the caller does not override them.
 """
 
 import os
-from dataclasses import dataclass
 
 DEFAULT_DIM_CAP = 4        # simplicial dimension cap for Kan/nerve checks
 DEFAULT_LEVEL_CAP = 3      # level cap for simplicial objects (Cech, bar)
@@ -14,13 +13,6 @@ DEFAULT_PATH_BUDGET = 100_000  # path universe cap for congruence closure
 MAX_STANDARD_DIM = 6       # largest standard simplex the engine will build
 
 BUDGET_ENV = "HORNFILL_BUDGET"
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    dim_cap: int = DEFAULT_DIM_CAP
-    level_cap: int = DEFAULT_LEVEL_CAP
-    budget: int = DEFAULT_BUDGET
 
 
 def budget_from_env(default=DEFAULT_BUDGET):

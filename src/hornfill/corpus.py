@@ -13,6 +13,7 @@ import itertools
 from .cat import (
     Finite2Category,
     FiniteCategory,
+    nerve,
     one_object_two_group,
     split_two_group,
     two_category_from_category,
@@ -28,9 +29,11 @@ from .groupoid import (
     cech_nerve,
     cyclic_group,
     direct_product,
+    evaluate_word,
     FinMap,
     symmetric_group,
     trivial_group,
+    word_table,
 )
 
 
@@ -273,23 +276,6 @@ def all_small_groups():
     }
 
 
-def _word_expressions(group):
-    gens = group.generating_sequence()
-    words = {group.identity(): ()}
-    frontier = [group.identity()]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for i, g in enumerate(gens):
-                b = group.mul[(g, a)]
-                if b not in words:
-                    words[b] = (i,) + words[a]
-                    nxt.append(b)
-        frontier = nxt
-    assert len(words) == group.order()
-    return gens, words
-
-
 def all_actions(group, n_points):
     """Every action of the group on x0..x{n-1}, one per homomorphism.
 
@@ -298,11 +284,11 @@ def all_actions(group, n_points):
     homomorphism outright, so nothing depends on a chosen presentation.
     """
     sym = symmetric_group(n_points)
-    gens, words = _word_expressions(group)
+    gens, words = word_table(group)
     points = tuple(f"x{i}" for i in range(n_points))
     out = []
     for images in itertools.product(sym.elements, repeat=len(gens)):
-        f = {a: _eval_word(sym, images, word) for a, word in words.items()}
+        f = {a: evaluate_word(sym, images, word) for a, word in words.items()}
         if any(
             f[group.mul[(a, b)]] != sym.mul[(f[a], f[b])]
             for a in group.elements
@@ -316,13 +302,6 @@ def all_actions(group, n_points):
                 act[(a, x)] = points[int(perm[i])]
         out.append(GroupAction(group, points, act))
     return out
-
-
-def _eval_word(sym, images, word):
-    p = sym.identity()
-    for i in reversed(word):
-        p = sym.mul[(images[i], p)]
-    return p
 
 
 def free_transitive_action(group):
@@ -425,44 +404,10 @@ def cover_shapes(max_points=5, max_parts=None):
 
 
 def nerve_object_of_category(c, level_cap=3):
-    """The nerve of a category as a set-valued simplicial object.
-
-    Level n is the set of composable strings of n morphisms in diagram
-    order (earliest arrow first); the inner faces compose adjacent
-    entries and the outer faces drop an end.
-    """
-
-    def extend(prefixes):
-        out = []
-        for s, src, tgt in prefixes:
-            for m in c.morphism_ids():
-                if c.src(m) == tgt:
-                    out.append((s + (m,), src, c.tgt(m)))
-        return out
-
-    levels = {0: tuple(sorted((x,) for x in c.objects))}
-    cur = [((), x, x) for x in c.objects]
-    for n in range(1, level_cap + 1):
-        cur = extend(cur)
-        levels[n] = tuple(sorted(s for s, _, _ in cur))
-
-    def face(n, i, x):
-        if n == 1:
-            return (c.tgt(x[0]),) if i == 0 else (c.src(x[0]),)
-        if i == 0:
-            return x[1:]
-        if i == n:
-            return x[:-1]
-        return x[: i - 1] + (c.compose(x[i], x[i - 1]),) + x[i + 1:]
-
-    def deg(n, i, x):
-        if n == 0:
-            return (c.identity[x[0]],)
-        if i == 0:
-            return (c.identity[c.src(x[0])],) + x
-        return x[:i] + (c.identity[c.tgt(x[i - 1])],) + x[i:]
-
-    return SimplicialObject(level_cap, levels, face, deg)
+    """The nerve of a category as a set-valued simplicial object: the
+    level table of `cat.nerve`, whose level n is the composable strings of
+    n morphisms in diagram order (earliest arrow first)."""
+    return nerve(c, dim_cap=level_cap).model
 
 
 def punctured_cech_object():

@@ -977,11 +977,16 @@ def cech_cocycles(group, cover, budget=DEFAULT_BUDGET):
             table.update(local)
         for xs in fibers:
             for x in xs:
-                assert table[(x, x)] == e
+                if table[(x, x)] != e:
+                    raise ConsistencyError(f"reconstructed cocycle is not the identity at {x!r}")
                 for y in xs:
                     for z in xs:
                         lhs = group.mul[(table[(y, z)], table[(x, y)])]
-                        assert lhs == table[(x, z)]
+                        if lhs != table[(x, z)]:
+                            raise ConsistencyError(
+                                f"reconstructed cocycle fails g[y,z] g[x,y] = g[x,z]"
+                                f" at ({x!r}, {y!r}, {z!r})"
+                            )
         out.append(tuple(table[p] for p in pairs))
     return out, pairs
 
@@ -1042,7 +1047,8 @@ def _orbits(group, cover, cocycles, pairs):
                     h = {y: e for y in cover.e}
                     h[x] = s
                     nxt = cochain_action(group, pairs, h, c)
-                    assert nxt in index
+                    if nxt not in index:
+                        raise ConsistencyError("a cochain twist left the set of cocycles")
                     if nxt not in orbit:
                         orbit.add(nxt)
                         frontier.append(nxt)

@@ -12,12 +12,14 @@ All checks are exhaustive; cardinalities use exact rationals.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT_BUDGET, DEFAULT_LEVEL_CAP
 from .errors import CapacityError, InputError, ValidationError
-from .cat import FiniteCategory
+from .cat import FiniteCategory, UnionFind
+from .sset import SimplicialObject
 
 
 class FinMap:
@@ -189,6 +191,35 @@ def direct_product(g, h):
     return FiniteGroup(els, mul)
 
 
+def word_table(group):
+    """The generating sequence, and every element as a word in it.
+
+    Breadth first, so each generator gets its one-letter word.  The word
+    (k1, k2, ...) stands for the product gens[k1] gens[k2] ...
+    """
+    gens = group.generating_sequence()
+    words = {group.identity(): ()}
+    frontier = [group.identity()]
+    while frontier:
+        x = frontier.pop(0)
+        for k, gen in enumerate(gens):
+            y = group.mul[(x, gen)]
+            if y not in words:
+                words[y] = words[x] + (k,)
+                frontier.append(y)
+    if len(words) != group.order():
+        raise ValidationError("generating sequence failed to generate")
+    return gens, words
+
+
+def evaluate_word(group, images, word):
+    """The product of images[k] over the letters k of a word, in order."""
+    val = group.identity()
+    for k in word:
+        val = group.mul[(val, images[k])]
+    return val
+
+
 def groups_isomorphic(g, h, budget=DEFAULT_BUDGET):
     """An isomorphism as a dict, or None.  Exhaustive over generator images,
     pruned by element orders; every candidate is verified on the full table."""
@@ -196,28 +227,11 @@ def groups_isomorphic(g, h, budget=DEFAULT_BUDGET):
         return None
     if sorted(map(g.element_order, g.elements)) != sorted(map(h.element_order, h.elements)):
         return None
-    gens = g.generating_sequence()
-    # express every element as a word in the generators, once
-    expr = {g.identity(): ()}
-    frontier = [g.identity()]
-    while frontier:
-        x = frontier.pop(0)
-        for k, gen in enumerate(gens):
-            y = g.mul[(x, gen)]
-            if y not in expr:
-                expr[y] = expr[x] + (k,)
-                frontier.append(y)
-    if len(expr) != g.order():
-        raise ValidationError("generating sequence failed to generate")
+    gens, expr = word_table(g)
     nodes = 0
 
     def build(images):
-        phi = {}
-        for x, word in expr.items():
-            val = h.identity()
-            for k in word:
-                val = h.mul[(val, images[k])]
-            phi[x] = val
+        phi = {x: evaluate_word(h, images, word) for x, word in expr.items()}
         if len(set(phi.values())) != h.order():
             return None
         for a in g.elements:
@@ -326,21 +340,12 @@ class FiniteGroupoid(FiniteCategory):
         return FiniteGroup(els, mul)
 
     def components(self):
-        parent = {x: x for x in self.objects}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        classes = UnionFind(self.objects)
         for (s, t) in self.mor.values():
-            rs, rt = find(s), find(t)
-            if rs != rt:
-                parent[max(rs, rt)] = min(rs, rt)
+            classes.union(s, t)
         comps = {}
         for x in self.objects:
-            comps.setdefault(find(x), []).append(x)
+            comps.setdefault(classes.find(x), []).append(x)
         return {rep: tuple(objs) for rep, objs in sorted(comps.items())}
 
 
@@ -450,77 +455,6 @@ def groupoid_cardinality(gpd):
 # -- simplicial objects in finite sets -------------------------------------------
 
 
-class SimplicialObject:
-    """A truncated simplicial object in finite sets, levels given explicitly."""
-
-    def __init__(self, level_cap, levels, face, deg, check=True):
-        self.level_cap = level_cap
-        self.levels = [tuple(levels[n]) for n in range(level_cap + 1)]
-        self.face = face
-        self.deg = deg
-        if check:
-            self.validate()
-
-    def validate(self):
-        for n, level in enumerate(self.levels):
-            if len(set(level)) != len(level):
-                raise ValidationError(f"duplicate elements at level {n}")
-        for n in range(1, self.level_cap + 1):
-            prev = set(self.levels[n - 1])
-            for x in self.levels[n]:
-                for i in range(n + 1):
-                    if self.face(n, i, x) not in prev:
-                        raise ValidationError(f"face d_{i} leaves level {n - 1}")
-        for n in range(self.level_cap):
-            nxt = set(self.levels[n + 1])
-            for x in self.levels[n]:
-                for i in range(n + 1):
-                    if self.deg(n, i, x) not in nxt:
-                        raise ValidationError(f"degeneracy s_{i} leaves level {n + 1}")
-        for n in range(2, self.level_cap + 1):
-            for x in self.levels[n]:
-                for j in range(n + 1):
-                    for i in range(j):
-                        if self.face(n - 1, i, self.face(n, j, x)) != self.face(
-                            n - 1, j - 1, self.face(n, i, x)
-                        ):
-                            raise ValidationError(f"face identity fails at level {n}")
-        for n in range(self.level_cap):
-            for x in self.levels[n]:
-                for j in range(n + 1):
-                    sx = self.deg(n, j, x)
-                    if self.face(n + 1, j, sx) != x or self.face(n + 1, j + 1, sx) != x:
-                        raise ValidationError(f"unit identity fails at level {n}")
-                    for i in range(n + 2):
-                        if i in (j, j + 1):
-                            continue
-                        got = self.face(n + 1, i, sx)
-                        if i < j:
-                            want = self.deg(n - 1, j - 1, self.face(n, i, x))
-                        else:
-                            want = self.deg(n - 1, j, self.face(n, i - 1, x))
-                        if got != want:
-                            raise ValidationError(f"mixed identity fails at level {n}")
-                if n + 2 <= self.level_cap:
-                    for j in range(n + 1):
-                        for i in range(j + 1):
-                            if self.deg(n + 1, i, self.deg(n, j, x)) != self.deg(
-                                n + 1, j + 1, self.deg(n, i, x)
-                            ):
-                                raise ValidationError(f"degeneracy swap fails at level {n}")
-
-    def restrict(self, n, subset, x):
-        """Restrict an n-simplex along a subset of [n], largest drops first."""
-        subset = tuple(sorted(subset))
-        if not subset or subset[0] < 0 or subset[-1] > n:
-            raise InputError(f"bad subset {subset} of [0, {n}]")
-        cur, m = x, n
-        for v in sorted(set(range(n + 1)) - set(subset), reverse=True):
-            cur = self.face(m, v, cur)
-            m -= 1
-        return cur
-
-
 def cech_nerve(pi, level_cap=DEFAULT_LEVEL_CAP):
     """Levelwise fiber powers of a finite map, with omit/repeat structure."""
     levels = []
@@ -593,20 +527,15 @@ def is_groupoid_object(so, level_cap=None):
                 if s > s2:
                     continue
                 checked += 1
-                pm, pm2 = s.index(m), s2.index(m)
-                pairs = []
-                for x in so.levels[n]:
-                    pairs.append((so.restrict(n, s, x), so.restrict(n, s2, x)))
-                rhs = set()
-                for u in so.levels[len(s) - 1]:
-                    for u2 in so.levels[len(s2) - 1]:
-                        if so.restrict(len(s) - 1, (pm,), u) == so.restrict(
-                            len(s2) - 1, (pm2,), u2
-                        ):
-                            rhs.add((u, u2))
-                if len(pairs) != len(set(pairs)):
+                pairs = set(zip(so.restriction_table(n, s), so.restriction_table(n, s2)))
+                if len(pairs) != len(so.levels[n]):
                     return GroupoidObjectReport(False, cap, (n, s, s2, "not injective"), checked)
-                if set(pairs) != rhs:
+                # onto the pairs agreeing at m: as many pairs as those, all agreeing
+                at_m = so.restriction_table(len(s) - 1, (s.index(m),))
+                at_m2 = so.restriction_table(len(s2) - 1, (s2.index(m),))
+                over = Counter(at_m2)
+                agreeing = sum(k * over[v] for v, k in Counter(at_m).items())
+                if len(pairs) != agreeing or any(at_m[u] != at_m2[u2] for u, u2 in pairs):
                     return GroupoidObjectReport(False, cap, (n, s, s2, "not surjective"), checked)
     return GroupoidObjectReport(True, cap, (), checked)
 

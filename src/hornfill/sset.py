@@ -314,37 +314,12 @@ class SimplicialSet:
 
     def _validate_deep(self):
         """Check the full identity suite on every represented simplex."""
-        for n in range(self.dim_cap + 1):
-            for t in self.simplices(n):
-                if n >= 2:
-                    for j in range(n + 1):
-                        for i in range(j):
-                            if self._face(self._face(t, j), i) != self._face(
-                                self._face(t, i), j - 1
-                            ):
-                                raise ValidationError(f"face-face identity fails at {t}")
-                if n + 1 <= self.dim_cap:
-                    for j in range(n + 1):
-                        sj = self.degeneracy(t, j)
-                        if self._face(sj, j) != t or self._face(sj, j + 1) != t:
-                            raise ValidationError(f"face-degeneracy unit fails at {t}")
-                        for i in range(n + 2):
-                            if i == j or i == j + 1:
-                                continue
-                            got = self._face(sj, i)
-                            if i < j:
-                                want = self.degeneracy(self._face(t, i), j - 1)
-                            else:
-                                want = self.degeneracy(self._face(t, i - 1), j)
-                            if got != want:
-                                raise ValidationError(f"face-degeneracy identity fails at {t}")
-                if n + 2 <= self.dim_cap:
-                    for j in range(n + 1):
-                        for i in range(j + 1):
-                            if self.degeneracy(self.degeneracy(t, j), i) != self.degeneracy(
-                                self.degeneracy(t, i), j + 1
-                            ):
-                                raise ValidationError(f"degeneracy swap fails at {t}")
+        SimplicialObject(
+            self.dim_cap,
+            [self.simplices(n) for n in range(self.dim_cap + 1)],
+            lambda n, i, t: self._face(t, i),
+            lambda n, j, t: self.degeneracy(t, j),
+        )
 
 
 def _parse_op(w):
@@ -642,91 +617,178 @@ def is_isomorphic(a, b, budget=DEFAULT_BUDGET):
     return None
 
 
-# -- building simplicial sets from levelwise data -----------------------------
+# -- levelwise simplicial objects ----------------------------------------------
 
 
-class LevelModel:
-    """A simplicial set built from explicit levels of elements.
+class SimplicialObject:
+    """A truncated simplicial object in finite sets, on integer tables.
 
-    Input: lists of hashable elements per level and face/degeneracy callables
-    `face(n, i, x)` / `deg(n, i, x)`.  The model finds the non-degenerate
-    elements, names them, and exposes both the resulting SimplicialSet and
-    the dictionary from level elements to normal forms.
+    The elements of each level are numbered in the order given.  The
+    callables `face(n, i, x)` and `deg(n, i, x)` are called once per
+    (n, i, element) and their results kept as positions: `faces[n][i][p]`
+    is the position of d_i of element p of level n in level n - 1, and
+    `degs[n][i][p]` that of s_i in level n + 1.  Everything else reads
+    these tables.
     """
 
-    def __init__(self, dim_cap, levels, face, deg, namer=str, check=True):
-        self.dim_cap = dim_cap
-        self.levels = [tuple(levels[n]) for n in range(dim_cap + 1)]
-        self._face = face
-        self._deg = deg
-        generators = {}
-        names = {}
-        self.elem_of_gen = {}
-        for n in range(dim_cap + 1):
-            ids = []
+    def __init__(self, level_cap, levels, face, deg, check=True):
+        self.level_cap = level_cap
+        self.levels = [tuple(levels[n]) for n in range(level_cap + 1)]
+        self.position = [{x: p for p, x in enumerate(level)} for level in self.levels]
+        for n, level in enumerate(self.levels):
+            if len(self.position[n]) != len(level):
+                raise ValidationError(f"duplicate elements at level {n}")
+        self.faces = [()] + [self._table(n, n - 1, face, "d") for n in range(1, level_cap + 1)]
+        self.degs = [self._table(n, n + 1, deg, "s") for n in range(level_cap)]
+        self._restrictions = {}
+        if check:
+            self.validate()
+
+    def _table(self, n, m, op, kind):
+        into = self.position[m]
+        table = []
+        for i in range(n + 1):
+            row = []
             for x in self.levels[n]:
-                if n > 0 and self._degenerate(n, x):
+                q = into.get(op(n, i, x))
+                if q is None:
+                    raise ValidationError(f"{kind}_{i} of {x!r} leaves level {m}")
+                row.append(q)
+            table.append(row)
+        return table
+
+    def _agree(self, n, got, want, identity):
+        if got != want:
+            p = next(p for p, (a, b) in enumerate(zip(got, want)) if a != b)
+            raise ValidationError(
+                f"{identity} fails at level {n} on {self.levels[n][p]!r}"
+            )
+
+    def validate(self):
+        """The simplicial identities, checked on the tables."""
+        fs, ss = self.faces, self.degs
+        for n in range(2, self.level_cap + 1):
+            for j in range(n + 1):
+                for i in range(j):
+                    self._agree(
+                        n,
+                        [fs[n - 1][i][q] for q in fs[n][j]],
+                        [fs[n - 1][j - 1][q] for q in fs[n][i]],
+                        f"d_{i} d_{j} = d_{j - 1} d_{i}",
+                    )
+        for n in range(self.level_cap):
+            ident = list(range(len(self.levels[n])))
+            for j in range(n + 1):
+                sj = ss[n][j]
+                for i in range(n + 2):
+                    if i == j or i == j + 1:
+                        want, rule = ident, f"d_{i} s_{j} = id"
+                    elif i < j:
+                        want = [ss[n - 1][j - 1][q] for q in fs[n][i]]
+                        rule = f"d_{i} s_{j} = s_{j - 1} d_{i}"
+                    else:
+                        want = [ss[n - 1][j][q] for q in fs[n][i - 1]]
+                        rule = f"d_{i} s_{j} = s_{j} d_{i - 1}"
+                    self._agree(n, [fs[n + 1][i][q] for q in sj], want, rule)
+            if n + 2 <= self.level_cap:
+                for j in range(n + 1):
+                    for i in range(j + 1):
+                        self._agree(
+                            n,
+                            [ss[n + 1][i][q] for q in ss[n][j]],
+                            [ss[n + 1][j + 1][q] for q in ss[n][i]],
+                            f"s_{i} s_{j} = s_{j + 1} s_{i}",
+                        )
+
+    def face(self, n, i, x):
+        return self.levels[n - 1][self.faces[n][i][self.position[n][x]]]
+
+    def deg(self, n, i, x):
+        return self.levels[n + 1][self.degs[n][i][self.position[n][x]]]
+
+    def restriction_table(self, n, subset):
+        """Positions of the restrictions of all of level n along a subset
+        of [n], into level len(subset) - 1; cached per (n, subset)."""
+        subset = tuple(sorted(set(subset)))
+        if not subset or subset[0] < 0 or subset[-1] > n:
+            raise InputError(f"bad subset {subset} of [0, {n}]")
+        key = (n, subset)
+        if key not in self._restrictions:
+            table, m = range(len(self.levels[n])), n
+            for v in sorted(set(range(n + 1)) - set(subset), reverse=True):
+                table = [self.faces[m][v][p] for p in table]
+                m -= 1
+            self._restrictions[key] = list(table)
+        return self._restrictions[key]
+
+    def restrict(self, n, subset, x):
+        """Restrict an n-simplex along a subset of [n], largest drops first."""
+        table = self.restriction_table(n, subset)
+        return self.levels[len(set(subset)) - 1][table[self.position[n][x]]]
+
+
+class LevelModel(SimplicialObject):
+    """A simplicial set presented by a levelwise simplicial object.
+
+    An element is degenerate when it is s_i of its own d_i; the largest
+    such i is the outermost letter of its normal form (Eilenberg-Zilber),
+    so normal forms are read off the tables one level at a time.  The
+    non-degenerate elements are the generators, named by `namer(n, x)`.
+    `ref_of[(n, x)]` is the normal form of a level element, `elem_of_gen`
+    the element of a generator, and `sset` the SimplicialSet they present.
+    """
+
+    def __init__(self, dim_cap, levels, face, deg, namer, check=True):
+        super().__init__(dim_cap, levels, face, deg, check=False)
+        generators = {}
+        faces = {}
+        self.elem_of_gen = {}
+        refs = []
+        for n, level in enumerate(self.levels):
+            row = []
+            for p, x in enumerate(level):
+                i = next(
+                    (i for i in range(n - 1, -1, -1)
+                     if self.degs[n - 1][i][self.faces[n][i][p]] == p),
+                    None,
+                )
+                if i is not None:
+                    base = refs[n - 1][self.faces[n][i][p]]
+                    if base.degs and base.degs[0] >= i:
+                        raise ConsistencyError("strip order broke normal form")
+                    row.append(SimplexRef(base.gen, (i,) + base.degs))
                     continue
                 name = namer(n, x)
-                if name in names:
+                if name in self.elem_of_gen:
                     raise ValidationError(f"level namer collision at {name!r}")
-                names[name] = (n, x)
                 self.elem_of_gen[name] = x
-                ids.append(name)
-            if ids:
-                generators[n] = ids
-        self._gen_of_elem = {(n, x): g for g, (n, x) in names.items()}
-        self.ref_of = {}
-        for n in range(dim_cap + 1):
-            for x in self.levels[n]:
-                self.ref_of[(n, x)] = self._normal_form(n, x)
-        faces = {}
-        for name, (n, x) in names.items():
-            if n >= 1:
-                faces[name] = tuple(
-                    self.ref_of[(n - 1, self._face(n, i, x))] for i in range(n + 1)
-                )
+                generators.setdefault(n, []).append(name)
+                if n >= 1:
+                    faces[name] = tuple(refs[n - 1][d_i[p]] for d_i in self.faces[n])
+                row.append(SimplexRef(name))
+            refs.append(row)
+        self.ref_of = {
+            (n, x): ref
+            for n, level in enumerate(self.levels)
+            for x, ref in zip(level, refs[n])
+        }
         self.sset = SimplicialSet(dim_cap, generators, faces, check=check)
         if check:
-            self._cross_check()
+            self._cross_check(refs)
 
-    def _degenerate_index(self, n, x):
-        for i in range(n - 1, -1, -1):
-            if self._deg(n - 1, i, self._face(n, i, x)) == x:
-                return i
-        return None
-
-    def _degenerate(self, n, x):
-        return self._degenerate_index(n, x) is not None
-
-    def _normal_form(self, n, x):
-        word = []
-        while n > 0:
-            i = self._degenerate_index(n, x)
-            if i is None:
-                break
-            word.append(i)
-            x = self._face(n, i, x)
-            n -= 1
-        if any(a <= b for a, b in zip(word, word[1:])):
-            raise ConsistencyError("strip order broke normal form")
-        return SimplexRef(self._gen_of_elem[(n, x)], tuple(word))
-
-    def _cross_check(self):
+    def _cross_check(self, refs):
         """Levelwise structure must agree with the normal-form calculus."""
-        for n in range(1, self.dim_cap + 1):
-            for x in self.levels[n]:
-                ref = self.ref_of[(n, x)]
-                for i in range(n + 1):
-                    if self.ref_of[(n - 1, self._face(n, i, x))] != self.sset._face(ref, i):
+        for n in range(1, self.level_cap + 1):
+            for i, row in enumerate(self.faces[n]):
+                for p, q in enumerate(row):
+                    if refs[n - 1][q] != self.sset._face(refs[n][p], i):
                         raise ValidationError(
                             f"levelwise face disagrees with calculus at level {n}, d_{i}"
                         )
-        for n in range(self.dim_cap):
-            for x in self.levels[n]:
-                ref = self.ref_of[(n, x)]
-                for i in range(n + 1):
-                    if self.ref_of[(n + 1, self._deg(n, i, x))] != self.sset.degeneracy(ref, i):
+        for n in range(self.level_cap):
+            for i, row in enumerate(self.degs[n]):
+                for p, q in enumerate(row):
+                    if refs[n + 1][q] != self.sset.degeneracy(refs[n][p], i):
                         raise ValidationError(
                             f"levelwise degeneracy disagrees with calculus at level {n}, s_{i}"
                         )

@@ -1,8 +1,16 @@
 """Groups, actions, groupoids, and set-valued simplicial objects."""
 
+import contextlib
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hornfill
+from hornfill import sset
 
 from hornfill.corpus import (
     all_actions,
@@ -14,6 +22,7 @@ from hornfill.corpus import (
     nerve_object_of_category,
     poset_category,
     punctured_cech_object,
+    walking_retraction_category,
     swap_action,
     trivial_action,
 )
@@ -21,6 +30,7 @@ from hornfill.errors import InputError, ValidationError
 from hornfill.groupoid import (
     FinMap,
     GroupAction,
+    SimplicialObject,
     action_bar_object,
     cech_nerve,
     check_torsor,
@@ -240,3 +250,278 @@ def test_finmap_validation():
         FinMap(("a", "b"), ("x",), {"a": "x"})
     with pytest.raises(ValidationError):
         FinMap(("a",), ("x",), {"a": "y"})
+
+
+# -- the table core against the callable-based route it replaced -------------
+
+
+def _oracle_validate(level_cap, levels, face, deg):
+    """The identity suite evaluated through the callables, element by element."""
+    for n, level in enumerate(levels):
+        if len(set(level)) != len(level):
+            raise ValidationError(f"duplicate elements at level {n}")
+    for n in range(1, level_cap + 1):
+        prev = set(levels[n - 1])
+        for x in levels[n]:
+            for i in range(n + 1):
+                if face(n, i, x) not in prev:
+                    raise ValidationError(f"face d_{i} leaves level {n - 1}")
+    for n in range(level_cap):
+        nxt = set(levels[n + 1])
+        for x in levels[n]:
+            for i in range(n + 1):
+                if deg(n, i, x) not in nxt:
+                    raise ValidationError(f"degeneracy s_{i} leaves level {n + 1}")
+    for n in range(2, level_cap + 1):
+        for x in levels[n]:
+            for j in range(n + 1):
+                for i in range(j):
+                    if face(n - 1, i, face(n, j, x)) != face(n - 1, j - 1, face(n, i, x)):
+                        raise ValidationError(f"face identity fails at level {n}")
+    for n in range(level_cap):
+        for x in levels[n]:
+            for j in range(n + 1):
+                sx = deg(n, j, x)
+                if face(n + 1, j, sx) != x or face(n + 1, j + 1, sx) != x:
+                    raise ValidationError(f"unit identity fails at level {n}")
+                for i in range(n + 2):
+                    if i in (j, j + 1):
+                        continue
+                    got = face(n + 1, i, sx)
+                    if i < j:
+                        want = deg(n - 1, j - 1, face(n, i, x))
+                    else:
+                        want = deg(n - 1, j, face(n, i - 1, x))
+                    if got != want:
+                        raise ValidationError(f"mixed identity fails at level {n}")
+            if n + 2 <= level_cap:
+                for j in range(n + 1):
+                    for i in range(j + 1):
+                        if deg(n + 1, i, deg(n, j, x)) != deg(n + 1, j + 1, deg(n, i, x)):
+                            raise ValidationError(f"degeneracy swap fails at level {n}")
+
+
+def _oracle_restrict(face, n, subset, x):
+    cur, m = x, n
+    for v in sorted(set(range(n + 1)) - set(subset), reverse=True):
+        cur = face(m, v, cur)
+        m -= 1
+    return cur
+
+
+def _oracle_is_groupoid_object(level_cap, levels, face):
+    """(holds, witness, checked) with every restriction run through `face`."""
+    if level_cap < 3:
+        raise InputError("groupoid-object check needs level_cap >= 3")
+    checked = 0
+    for n in range(2, level_cap + 1):
+        for m in range(n + 1):
+            rest = [v for v in range(n + 1) if v != m]
+            for bits in itertools.product((0, 1), repeat=len(rest)):
+                a = [v for v, b in zip(rest, bits) if b == 0]
+                bb = [v for v, b in zip(rest, bits) if b == 1]
+                if not a or not bb:
+                    continue
+                s = tuple(sorted(a + [m]))
+                s2 = tuple(sorted(bb + [m]))
+                if s > s2:
+                    continue
+                checked += 1
+                pm, pm2 = s.index(m), s2.index(m)
+                pairs = [
+                    (_oracle_restrict(face, n, s, x), _oracle_restrict(face, n, s2, x))
+                    for x in levels[n]
+                ]
+                rhs = set()
+                for u in levels[len(s) - 1]:
+                    for u2 in levels[len(s2) - 1]:
+                        if _oracle_restrict(face, len(s) - 1, (pm,), u) == _oracle_restrict(
+                            face, len(s2) - 1, (pm2,), u2
+                        ):
+                            rhs.add((u, u2))
+                if len(pairs) != len(set(pairs)):
+                    return False, (n, s, s2, "not injective"), checked
+                if set(pairs) != rhs:
+                    return False, (n, s, s2, "not surjective"), checked
+    return True, (), checked
+
+
+@contextlib.contextmanager
+def _recorded_callables():
+    """Record (level_cap, levels, face, deg) of every SimplicialObject built."""
+    built = []
+    init = SimplicialObject.__init__
+
+    def record(self, level_cap, levels, face, deg, check=True):
+        built.append((level_cap, [tuple(levels[n]) for n in range(level_cap + 1)], face, deg))
+        init(self, level_cap, levels, face, deg, check)
+
+    SimplicialObject.__init__ = record
+    try:
+        yield built
+    finally:
+        SimplicialObject.__init__ = init
+
+
+def _built_with_callables(build):
+    with _recorded_callables() as built:
+        obj = build()
+    return obj, built[-1]
+
+
+def _gluing_objects():
+    for prof in cover_shapes():
+        cover = cover_of_shape(prof)
+        pi = FinMap(cover.e, cover.b, dict(cover.pi))
+        yield f"cech {prof}", lambda pi=pi: cech_nerve(pi, level_cap=3)
+    for gname, g in GROUPS.items():
+        for n in (1, 2, 3):
+            for i, act in enumerate(all_actions(g, n)):
+                yield f"bar {gname} {n} {i}", lambda act=act: action_bar_object(act, level_cap=3)
+    yield "poset1 nerve", lambda: nerve_object_of_category(poset_category(1))
+    yield "idempotent nerve", lambda: nerve_object_of_category(idempotent_monoid_category())
+    yield "punctured cech", punctured_cech_object
+
+
+def test_one_simplicial_object_class():
+    assert SimplicialObject is sset.SimplicialObject is hornfill.SimplicialObject
+    assert issubclass(sset.LevelModel, SimplicialObject)
+    assert "restrict" in vars(SimplicialObject)
+
+
+def test_gluing_matches_the_callable_route_on_every_object():
+    count = 0
+    for name, build in _gluing_objects():
+        obj, (level_cap, levels, face, deg) = _built_with_callables(build)
+        _oracle_validate(level_cap, levels, face, deg)
+        rep = is_groupoid_object(obj)
+        assert (rep.holds, rep.witness, rep.checked) == _oracle_is_groupoid_object(
+            level_cap, levels, face
+        ), name
+        count += 1
+    assert count == 18 + sum(len(all_actions(g, n)) for g in GROUPS.values() for n in (1, 2, 3)) + 3
+
+
+def test_face_degeneracy_and_restriction_are_table_lookups():
+    for name, build in _gluing_objects():
+        obj, (level_cap, levels, face, deg) = _built_with_callables(build)
+        assert obj.levels == levels
+        for n in range(level_cap + 1):
+            for x in levels[n]:
+                for i in range(n + 1):
+                    if n:
+                        assert obj.face(n, i, x) == face(n, i, x)
+                    if n < level_cap:
+                        assert obj.deg(n, i, x) == deg(n, i, x)
+                for subset in itertools.chain.from_iterable(
+                    itertools.combinations(range(n + 1), k) for k in range(1, n + 2)
+                ):
+                    assert obj.restrict(n, subset, x) == _oracle_restrict(face, n, subset, x)
+
+
+def test_callables_run_once_per_entry():
+    calls = {}
+    pi = FinMap(("a", "b", "c"), ("u", "v"), {"a": "u", "b": "u", "c": "v"})
+
+    def counted(op):
+        def call(n, i, x):
+            calls[(op, n, i, x)] = calls.get((op, n, i, x), 0) + 1
+            return x[:i] + x[i + 1:] if op == "d" else x[: i + 1] + x[i:]
+        return call
+
+    base = cech_nerve(pi, level_cap=3)
+    obj = SimplicialObject(3, base.levels, counted("d"), counted("s"))
+    assert set(calls.values()) == {1}
+    assert len(calls) == sum(
+        (n + 1) * len(base.levels[n]) for n in range(1, 4)
+    ) + sum((n + 1) * len(base.levels[n]) for n in range(3))
+    assert obj.faces == base.faces and obj.degs == base.degs
+
+
+def test_table_checker_names_the_failing_element():
+    base = cech_nerve(FinMap(("a", "b"), ("*",), {"a": "*", "b": "*"}), level_cap=2)
+
+    def face(n, i, x):
+        if x == ("a", "b", "b") and i == 0:
+            return ("a", "a")
+        return x[:i] + x[i + 1:]
+
+    with pytest.raises(ValidationError, match=r"\('a', 'b', 'b'\)"):
+        SimplicialObject(2, base.levels, face, lambda n, i, x: x[: i + 1] + x[i:])
+    with pytest.raises(ValidationError, match="duplicate"):
+        SimplicialObject(0, [("a", "a")], None, None)
+    with pytest.raises(ValidationError, match="leaves level 0"):
+        SimplicialObject(1, [("a",), (("a", "a"),)], lambda n, i, x: "z", lambda n, i, x: ("a", "a"))
+    with pytest.raises(InputError):
+        base.restrict(2, (0, 3), ("a", "b", "b"))
+
+
+def _redirect(obj, kind, n, i, x, y):
+    """`obj` with the entry d_i x (kind "d") or s_i x (kind "s") sent to y."""
+    level_cap, levels, face, deg = obj
+    op = face if kind == "d" else deg
+    moved = lambda m, j, z: y if (m, j, z) == (n, i, x) else op(m, j, z)
+    return (level_cap, levels, moved, deg) if kind == "d" else (level_cap, levels, face, moved)
+
+
+@st.composite
+def _redirected(draw):
+    """A small Cech, bar or nerve object with one face or degeneracy entry
+    sent somewhere else, possibly out of its level."""
+    obj = draw(st.sampled_from(_SMALL_OBJECTS))
+    level_cap, levels = obj[:2]
+    kind = draw(st.sampled_from("ds"))
+    n = draw(st.integers(1, level_cap) if kind == "d" else st.integers(0, level_cap - 1))
+    i = draw(st.integers(0, n))
+    x = draw(st.sampled_from(levels[n]))
+    y = draw(st.sampled_from(levels[n - 1 if kind == "d" else n + 1] + (("outside",),)))
+    return _redirect(obj, kind, n, i, x, y)
+
+
+def _record_small_objects():
+    small = [
+        lambda: cech_nerve(FinMap(("a", "b", "c"), ("u", "v"), {"a": "u", "b": "u", "c": "v"}), 3),
+        lambda: action_bar_object(swap_action(), 3),
+        lambda: action_bar_object(trivial_action(cyclic_group(3), 1), 3),
+        lambda: nerve_object_of_category(walking_retraction_category(), 3),
+    ]
+    return [_built_with_callables(build)[1] for build in small]
+
+
+_SMALL_OBJECTS = _record_small_objects()
+
+
+def _accepts(check, *args):
+    try:
+        check(*args)
+    except ValidationError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(_redirected())
+def test_redirected_entry_is_caught_by_both_checkers(obj):
+    assert _accepts(SimplicialObject, *obj) == _accepts(_oracle_validate, *obj)
+
+
+def test_each_identity_family_is_checked_on_its_own():
+    # each object breaks one family of identities and satisfies the others
+    cech, retraction = _SMALL_OBJECTS[0], _SMALL_OBJECTS[3]
+    swap_only = (
+        3,
+        [("v",), ("e",), ("t",), ("a", "b")],
+        lambda n, i, x: ("v", "e", "t")[n - 1],
+        lambda n, i, x: ("e", "t", "b" if i == 1 else "a")[n],
+    )
+    cases = [
+        (_redirect(cech, "d", 3, 0, ("a", "b", "a", "b"), ("a", "a", "a")), "d_0 d_1 = d_0 d_0"),
+        (_redirect(retraction, "s", 2, 0, ("e", "e"), ("ib", "e", "ib")), "d_0 s_0 = id"),
+        (_redirect(retraction, "s", 2, 2, ("e", "e"), ("e", "e", "e")), "d_0 s_2 = s_1 d_0"),
+        (_redirect(retraction, "s", 2, 0, ("e", "e"), ("e", "e", "e")), "d_2 s_0 = s_0 d_1"),
+        (swap_only, "s_0 s_0 = s_1 s_0"),
+    ]
+    for obj, rule in cases:
+        with pytest.raises(ValidationError, match=re.escape(rule)):
+            SimplicialObject(*obj)
+        assert not _accepts(_oracle_validate, *obj)

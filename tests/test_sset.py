@@ -1,5 +1,6 @@
 """Simplex calculus: normal forms, standard simplices, maps, products."""
 
+import contextlib
 import math
 import random
 
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hornfill.cat import duskin_nerve, mapping_space, nerve
+from hornfill.corpus import all_categories, all_two_categories, bg_category, poset_category
 from hornfill.errors import CapacityError, ConsistencyError, InputError, ValidationError
+from hornfill.groupoid import cyclic_group
 from hornfill.sset import (
     LevelModel,
     SimplexRef,
@@ -268,3 +272,99 @@ def test_simplex_ref_json_round_trip():
         assert SimplexRef.from_json(ref.to_json()) == ref
     with pytest.raises(InputError):
         SimplexRef.from_json({"gen": "x", "degs": [0, 2]})
+
+
+# -- level models against the callable-based strip they replaced ---------------
+
+
+def _oracle_level_model(dim_cap, levels, face, deg, namer):
+    """(sset, ref_of, elem_of_gen) found by calling face/deg again and again."""
+    levels = [tuple(levels[n]) for n in range(dim_cap + 1)]
+
+    def degenerate_index(n, x):
+        for i in range(n - 1, -1, -1):
+            if deg(n - 1, i, face(n, i, x)) == x:
+                return i
+        return None
+
+    generators, names = {}, {}
+    for n in range(dim_cap + 1):
+        for x in levels[n]:
+            if n == 0 or degenerate_index(n, x) is None:
+                name = namer(n, x)
+                assert name not in names
+                names[name] = (n, x)
+                generators.setdefault(n, []).append(name)
+    gen_of_elem = {v: g for g, v in names.items()}
+
+    def normal_form(n, x):
+        word = []
+        while n > 0:
+            i = degenerate_index(n, x)
+            if i is None:
+                break
+            word.append(i)
+            x = face(n, i, x)
+            n -= 1
+        if any(a <= b for a, b in zip(word, word[1:])):
+            raise ConsistencyError("strip order broke normal form")
+        return SimplexRef(gen_of_elem[(n, x)], tuple(word))
+
+    ref_of = {(n, x): normal_form(n, x) for n in range(dim_cap + 1) for x in levels[n]}
+    faces = {
+        name: tuple(ref_of[(n - 1, face(n, i, x))] for i in range(n + 1))
+        for name, (n, x) in names.items()
+        if n >= 1
+    }
+    elem_of_gen = {name: x for name, (n, x) in names.items()}
+    return SimplicialSet(dim_cap, generators, faces), ref_of, elem_of_gen
+
+
+@contextlib.contextmanager
+def _recorded_level_models():
+    """Record every LevelModel built, with the callables it was given."""
+    built = []
+    init = LevelModel.__init__
+
+    def record(self, dim_cap, levels, face, deg, namer, check=True):
+        init(self, dim_cap, levels, face, deg, namer, check)
+        built.append((self, (dim_cap, levels, face, deg, namer)))
+
+    LevelModel.__init__ = record
+    try:
+        yield built
+    finally:
+        LevelModel.__init__ = init
+
+
+def _level_model_sources():
+    for c in all_categories().values():
+        yield lambda c=c: nerve(c, dim_cap=4)
+    for c2 in all_two_categories().values():
+        yield lambda c2=c2: duskin_nerve(c2, dim_cap=4)
+    for a in range(3):
+        for b in range(3):
+            yield lambda a=a, b=b: product_structure(
+                standard_simplex(a, dim_cap=3), standard_simplex(b, dim_cap=3)
+            )
+    yield lambda: product(subcomplex_of_simplex(2, "horn", k=1, dim_cap=2), standard_simplex(1))
+    d1 = standard_simplex(1, dim_cap=2)
+    for y in (nerve(bg_category(cyclic_group(2)), dim_cap=2).sset,
+              nerve(poset_category(1), dim_cap=2).sset):
+        yield lambda y=y: mapping_space(d1, y, dim_cap=2)
+        yield lambda y=y: mapping_space(d1, y, dim_cap=1, pin={"0": y.simplices(0)[0]})
+
+
+def test_level_models_match_the_callable_strip():
+    count = 0
+    for build in _level_model_sources():
+        with _recorded_level_models() as built:
+            build()
+        for model, args in built:
+            x, ref_of, elem_of_gen = _oracle_level_model(*args)
+            assert model.sset == x
+            assert model.ref_of == ref_of
+            assert model.elem_of_gen == elem_of_gen
+            count += 1
+    # 22 nerves, 7 Duskin nerves, 10 products, 4 mapping spaces and their 10 cylinders
+    assert count == 53
