@@ -1082,7 +1082,15 @@ def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
     the cylinder), e.g. to carve out path components of the space of maps.
     Faces and degeneracies precompose with the evident cylinder inclusions
     and collapses.  Returns a LevelModel; elements are SimplicialMap values.
+    The target's dim_cap must be at least the source's: maps are only
+    enumerated up to y.dim_cap, so the faces of a cylinder map could not
+    be found otherwise.
     """
+    if y.dim_cap < x.dim_cap:
+        raise InputError(
+            f"mapping_space needs the target's dim_cap {y.dim_cap} to be at least"
+            f" the source's dim_cap {x.dim_cap}"
+        )
     from .sset import (
         SimplicialMap,
         enumerate_maps,

@@ -327,8 +327,10 @@ def cmd_descent_refine(args):
     cover = io.cover_from_json(io.load_path(args.cover))
     refined = io.cover_from_json(io.load_path(args.refined))
     r = io.load_path(args.map)
-    if not isinstance(r, dict):
-        raise InputError("refinement map file must be a JSON object")
+    if not isinstance(r, dict) or not all(isinstance(v, str) for v in r.values()):
+        raise InputError(
+            "refinement map file must be a JSON object from refined points to cover points"
+        )
     group = io.group_from_json(io.load_path(args.group))
     report = refinement_invariance(group, cover, refined, r, budget=_budget(args))
     lines = [

@@ -19,12 +19,19 @@ cocycle and normalization conditions) is an equivalence.
 Presheaves are function-backed and values on large fibre powers are
 never enumerated: checks only ever materialize single elements there.
 For the presheaf of G-valued cochains the descent groupoid is handled
-in a parametrized skeletal form (cocycles per fiber, orbit search under
-coboundaries, stabilizers by direct enumeration), which keeps covers
-with |E| around five and |G| around six exact and fast.
+in skeletal form, fibre by fibre: the cochain group G^E and the set of
+cocycles are products over the fibres of pi, so each fibre gets its
+cocycles (rebuilt from the root row), its coboundary orbits (search
+under generator twists) and its stabilizers (one candidate per value
+at the root, each verified), on an integer table of G.  Components,
+stabilizer orders and the groupoid cardinality are products of the
+fibre counts.  One such census is built per call and shared by every
+check the call makes; the materialized descent_groupoid stays as the
+independent route for small covers.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -135,6 +142,18 @@ class Cover:
 # set-valued presheaves on the surjection site
 
 
+def _functions(keys, values):
+    """Every function keys -> values, each as a key-sorted tuple of pairs.
+
+    Functions come in the order of itertools.product over the values,
+    the first key varying slowest.
+    """
+    return tuple(
+        tuple(sorted(zip(keys, vs)))
+        for vs in itertools.product(values, repeat=len(keys))
+    )
+
+
 class SetPresheaf:
     """Function-backed presheaf of finite sets.
 
@@ -157,10 +176,7 @@ class MapPresheaf(SetPresheaf):
         self.values = tuple(values)
 
     def value(self, obj):
-        out = []
-        for vs in itertools.product(self.values, repeat=len(obj)):
-            out.append(tuple(sorted(zip(obj, vs))))
-        return tuple(out)
+        return _functions(obj, self.values)
 
     def restrict(self, alpha, cod, elem):
         table = dict(elem)
@@ -184,29 +200,25 @@ class ConstantPresheaf(SetPresheaf):
         return elem
 
 
-class DoubledGlobalPresheaf(SetPresheaf):
+class DoubledGlobalPresheaf(MapPresheaf):
     """Functions everywhere, but F(B) = values x values, forgetting the
     second coordinate on restriction.  Passes the parts condition and
     fails the equalizer condition: the comparison map is not injective.
     """
 
     def __init__(self, values, b):
-        self.values = tuple(values)
+        super().__init__(values)
         self.b = tuple(b)
 
     def value(self, obj):
         if tuple(obj) == self.b:
             return tuple(itertools.product(self.values, repeat=2))
-        out = []
-        for vs in itertools.product(self.values, repeat=len(obj)):
-            out.append(tuple(sorted(zip(obj, vs))))
-        return tuple(out)
+        return super().value(obj)
 
     def restrict(self, alpha, cod, elem):
         if tuple(cod) == self.b:
             return tuple(sorted((s, elem[0]) for s in alpha))
-        table = dict(elem)
-        return tuple(sorted((s, table[t]) for s, t in alpha.items()))
+        return super().restrict(alpha, cod, elem)
 
 
 @dataclass
@@ -398,11 +410,7 @@ class OpensMapPresheaf(OpensPresheaf):
         self.values = tuple(values)
 
     def value(self, space, name):
-        pts = sorted(space.opens[name])
-        out = []
-        for vs in itertools.product(self.values, repeat=len(pts)):
-            out.append(tuple(sorted(zip(pts, vs))))
-        return tuple(out)
+        return _functions(sorted(space.opens[name]), self.values)
 
     def restrict(self, space, sup, sub, elem):
         table = dict(elem)
@@ -436,7 +444,9 @@ def check_sheaf_opens(presheaf, space, target, part_names, budget=DEFAULT_BUDGET
     for vs in part_values:
         total *= len(vs)
     if total > budget:
-        raise CapacityError(f"{total} candidate families exceed budget {budget}")
+        raise CapacityError(
+            f"{total} candidate families exceed budget {budget}", partial=0
+        )
     inters = {}
     for i, p in enumerate(part_names):
         for j in range(i + 1, len(part_names)):
@@ -517,11 +527,7 @@ class TorsorPresheaf(GroupoidPresheaf):
         return ("*",)
 
     def homs(self, s, a, b):
-        out = []
-        keys = tuple(s)
-        for vs in itertools.product(self.group.elements, repeat=len(keys)):
-            out.append(tuple(sorted(zip(keys, vs))))
-        return tuple(out)
+        return _functions(tuple(s), self.group.elements)
 
     def compose(self, s, g2, g1):
         d2, d1 = dict(g2), dict(g1)
@@ -649,7 +655,8 @@ def _descent_objects(presheaf, cover, depth, budget):
             steps += 1
             if steps > budget:
                 raise CapacityError(
-                    f"descent object search passed {budget} candidates"
+                    f"descent object search passed {budget} candidates",
+                    partial=len(out),
                 )
             if presheaf.restrict_mor(diag, cod_diag, phi) != presheaf.identity(e, a):
                 continue
@@ -696,7 +703,9 @@ def descent_groupoid(presheaf, cover, depth=2, budget=DEFAULT_BUDGET):
     at depth 3, the redundant quadruple conditions).  Morphisms are the
     morphisms of F(E) commuting with the gluings.  Everything is listed
     explicitly, so this is for small presheaves; the cochain presheaf at
-    scale goes through cech_descent_skeleton instead.
+    scale goes through cech_descent_skeleton instead.  The budget caps
+    the candidates of each search; a CapacityError carries the objects
+    (in the morphism search, the morphisms) found so far as partial.
     """
     if depth not in (2, 3):
         raise InputError("descent depth must be 2 or 3")
@@ -716,7 +725,8 @@ def descent_groupoid(presheaf, cover, depth=2, budget=DEFAULT_BUDGET):
                 steps += 1
                 if steps > budget:
                     raise CapacityError(
-                        f"descent morphism search passed {budget} candidates"
+                        f"descent morphism search passed {budget} candidates",
+                        partial=len(morphisms),
                     )
                 left = presheaf.compose(
                     e2, presheaf.restrict_mor(d0_1, cod0_1, h), phi
@@ -804,7 +814,9 @@ def _products_condition(presheaf, cover, budget):
     for objs in part_objs:
         total *= len(objs)
     if total > budget or len(objs_e) * max(len(p) + 1 for p in part_objs) > budget:
-        raise CapacityError("parts condition would materialize too many objects")
+        raise CapacityError(
+            "parts condition would materialize too many objects", partial=0
+        )
 
     part_components = []
     for p, objs in zip(parts, part_objs):
@@ -938,56 +950,250 @@ def _same_fiber_pairs(cover):
     return tuple(sorted(pairs))
 
 
+class _IntGroup:
+    """A finite group on the integers 0..n-1, numbered in element order.
+
+    mul[a][b] is the index of a.b and col[b][a] the same product read by
+    its right factor; inv, e and gens are the inverses, the identity and
+    the group's generating sequence as indices.
+    """
+
+    def __init__(self, group):
+        index = {a: i for i, a in enumerate(group.elements)}
+        self.elements = group.elements
+        self.mul = [
+            [index[group.mul[(a, b)]] for b in group.elements] for a in group.elements
+        ]
+        self.col = [list(column) for column in zip(*self.mul)]
+        self.inv = [index[group.inverse(a)] for a in group.elements]
+        self.e = index[group.identity()]
+        self.gens = [index[s] for s in group.generating_sequence()]
+
+
+class _Fibre:
+    """Cocycles, coboundary orbits and stabilizers on one fibre of a cover.
+
+    With the fibre's points x_0..x_{k-1} (x_0 is the root), a cocycle is a
+    tuple of k*k group indices, position i*k + j holding g[x_i, x_j], and a
+    cochain is a tuple of k indices.  A cocycle is the coboundary of its
+    root row, g[x, y] = g[r, y] g[r, x]^-1, so the cocycles are listed by
+    root row and each table is verified once.  A cochain h fixes a cocycle
+    exactly when h[y] = g[r, y] h[r] g[r, y]^-1, so a stabilizer has one
+    candidate per value of h[r], each verified by the twist.
+    """
+
+    def __init__(self, ig, points, spend):
+        self.ig = ig
+        self.points = points
+        k = len(points)
+        n = len(ig.elements)
+        mul, inv, e = ig.mul, ig.inv, ig.e
+        spend(n ** (k - 1), "cocycles")
+        self.cocycles = []
+        for rest in itertools.product(range(n), repeat=k - 1):
+            row = (e,) + rest
+            self.cocycles.append(tuple(mul[b][inv[a]] for a in row for b in row))
+        self._verify()
+        self.index = {c: i for i, c in enumerate(self.cocycles)}
+        self.orbits, self.orbit_of = self._orbits()
+        spend(n * (len(self.orbits) + 1), "stabilizer candidates")
+        self.orbit_stabilizer_orders = [
+            len(self.stabilizer(self.cocycles[orbit[0]])) for orbit in self.orbits
+        ]
+        self.trivial_stabilizer = self.stabilizer((e,) * (k * k))
+
+    def _verify(self):
+        """Normalization, and g[y,z] g[x,y] = g[x,z] as row x = row y . g[x,y]."""
+        k = len(self.points)
+        col, e = self.ig.col, self.ig.e
+        for c in self.cocycles:
+            rows = [c[i * k:(i + 1) * k] for i in range(k)]
+            for x in range(k):
+                if rows[x][x] != e:
+                    raise ConsistencyError(
+                        f"reconstructed cocycle is not the identity at {self.points[x]!r}"
+                    )
+                for y in range(k):
+                    composed = tuple(map(col[rows[x][y]].__getitem__, rows[y]))
+                    if composed != rows[x]:
+                        z = next(z for z in range(k) if composed[z] != rows[x][z])
+                        names = tuple(self.points[i] for i in (x, y, z))
+                        raise ConsistencyError(
+                            "reconstructed cocycle fails g[y,z] g[x,y] = g[x,z]"
+                            " at (%r, %r, %r)" % names
+                        )
+
+    def twist(self, h, c):
+        """The cochain h acting on the cocycle c: g[x,y] -> h[y] g[x,y] h[x]^-1."""
+        k = len(self.points)
+        mul, inv = self.ig.mul, self.ig.inv
+        return tuple(
+            mul[mul[h[j]][c[i * k + j]]][inv[h[i]]] for i in range(k) for j in range(k)
+        )
+
+    def _orbits(self):
+        """Coboundary orbits by search under generator twists at one point.
+
+        The twist by s at x multiplies row x by s^-1 on the right and
+        column x by s on the left; each move is kept as one value table
+        per position, so a twist is one pass over the cocycle.
+        """
+        k = len(self.points)
+        ig = self.ig
+        unmoved = list(range(len(ig.elements)))
+        moves = []
+        for x in range(k):
+            for s in ig.gens:
+                left, right = ig.mul[s], ig.col[ig.inv[s]]
+                both = [right[v] for v in left]
+                moves.append([
+                    both if i == j == x else right if i == x else left if j == x else unmoved
+                    for i in range(k) for j in range(k)
+                ])
+        at = list.__getitem__
+        orbit_of = [None] * len(self.cocycles)
+        orbits = []
+        for start in range(len(self.cocycles)):
+            if orbit_of[start] is not None:
+                continue
+            label = len(orbits)
+            orbit_of[start] = label
+            orbit = [start]
+            frontier = [start]
+            while frontier:
+                c = self.cocycles[frontier.pop()]
+                for tables in moves:
+                    nxt = self.index.get(tuple(map(at, tables, c)))
+                    if nxt is None:
+                        raise ConsistencyError("a cochain twist left the set of cocycles")
+                    if orbit_of[nxt] is None:
+                        orbit_of[nxt] = label
+                        orbit.append(nxt)
+                        frontier.append(nxt)
+            orbits.append(orbit)
+        return orbits, orbit_of
+
+    def stabilizer(self, c):
+        """The cochains on the fibre that fix the cocycle c."""
+        mul, inv = self.ig.mul, self.ig.inv
+        root_row = c[:len(self.points)]
+        out = []
+        for a in range(len(self.ig.elements)):
+            h = tuple(mul[mul[g][a]][inv[g]] for g in root_row)
+            if self.twist(h, c) == c:
+                out.append(h)
+        return out
+
+    def quadruples_hold(self, c):
+        """g[w,z] = g[x,z] g[w,x] = g[y,z] g[x,y] g[w,x] on every quadruple."""
+        k = len(self.points)
+        mul, col = self.ig.mul, self.ig.col
+        rows = [c[i * k:(i + 1) * k] for i in range(k)]
+        for w in range(k):
+            for x in range(k):
+                gwx = c[w * k + x]
+                if tuple(map(col[gwx].__getitem__, rows[x])) != rows[w]:
+                    return False
+                for y in range(k):
+                    via = col[mul[c[x * k + y]][gwx]]
+                    if tuple(map(via.__getitem__, rows[y])) != rows[w]:
+                        return False
+        return True
+
+
+class _CechCensus:
+    """The descent groupoid of the cochain presheaf on one cover, by fibres.
+
+    The cochain group G^E and the set of cocycles are both products over
+    the fibres of pi, and the twist acts fibre by fibre, so coboundary
+    orbits and stabilizers are products too: the census keeps one _Fibre
+    per base point, in the order of cover.b, and reads every count off as
+    a product.  The budget caps the candidates enumerated, that is fibre
+    cocycles, stabilizer candidates (|G| per stabilizer) and any product
+    list built on top; CapacityError.partial is the number of fibres done.
+    """
+
+    def __init__(self, group, cover, budget):
+        self.ig = _IntGroup(group)
+        self.budget = budget
+        self.spent = 0
+        self.fibres = []
+        for points in cover.fibers().values():
+            self.fibres.append(_Fibre(self.ig, points, self.spend))
+
+    def spend(self, candidates, what):
+        self.spent += candidates
+        if self.spent > self.budget:
+            raise CapacityError(
+                f"descent census passed budget {self.budget} at {what}"
+                f" after {len(self.fibres)} complete fibres",
+                partial=len(self.fibres),
+            )
+
+    @property
+    def cocycle_count(self):
+        return math.prod(len(f.cocycles) for f in self.fibres)
+
+    @property
+    def components(self):
+        return math.prod(len(f.orbits) for f in self.fibres)
+
+    def skeleton(self):
+        order = len(self.ig.elements)
+        components = self.components
+        stabilizer_order = math.prod(len(f.trivial_stabilizer) for f in self.fibres)
+        fiber_constant = all(
+            len(set(h)) == 1 for f in self.fibres for h in f.trivial_stabilizer
+        )
+        expected_order = order ** len(self.fibres)
+        cardinality = math.prod(
+            (sum(Fraction(1, s) for s in f.orbit_stabilizer_orders) for f in self.fibres),
+            start=Fraction(1),
+        )
+        return CechSkeletonReport(
+            cocycle_count=self.cocycle_count,
+            components=components,
+            stabilizer_order=stabilizer_order,
+            stabilizer_fiber_constant=fiber_constant,
+            equivalent_to_bg_power=(
+                components == 1
+                and stabilizer_order == expected_order
+                and fiber_constant
+            ),
+            cardinality=cardinality,
+            expected_cardinality=Fraction(1, expected_order),
+            fiber_count=len(self.fibres),
+        )
+
+
+def _restriction_is_bijective(images, stabilizer):
+    """A list of restricted cochains hits each cochain of a stabilizer once."""
+    return len(set(images)) == len(images) and set(images) == set(stabilizer)
+
+
 def cech_cocycles(group, cover, budget=DEFAULT_BUDGET):
     """All G-valued cocycles on a cover, as tuples over same-fiber pairs.
 
     A cocycle assigns g[x,y] to each same-fiber pair with g[y,z] g[x,y]
     = g[x,z]; it is determined by its values against a root per fiber.
-    Every reconstruction is re-verified against the defining equations.
+    The list is the product of the per-fibre cocycles, first fibre
+    outermost, each fibre's cocycles in the order of their root rows.
     """
+    census = _CechCensus(group, cover, budget)
     pairs = _same_fiber_pairs(cover)
-    pos = {p: i for i, p in enumerate(pairs)}
-    fibers = [xs for xs in cover.fibers().values() if xs]
-    e = group.identity()
-    count = 1
-    for xs in fibers:
-        count *= group.order() ** (len(xs) - 1)
-    if count > budget:
-        raise CapacityError(f"{count} cocycles exceed budget {budget}")
-    per_fiber = []
-    for xs in fibers:
-        root = xs[0]
-        rest = xs[1:]
-        choices = []
-        for vals in itertools.product(group.elements, repeat=len(rest)):
-            to_root = {root: e}
-            to_root.update(zip(rest, vals))
-            local = {}
-            for x in xs:
-                for y in xs:
-                    local[(x, y)] = group.mul[
-                        (to_root[y], group.inverse(to_root[x]))
-                    ]
-            choices.append(local)
-        per_fiber.append(choices)
-    out = []
-    for combo in itertools.product(*per_fiber):
-        table = {}
-        for local in combo:
-            table.update(local)
-        for xs in fibers:
-            for x in xs:
-                if table[(x, x)] != e:
-                    raise ConsistencyError(f"reconstructed cocycle is not the identity at {x!r}")
-                for y in xs:
-                    for z in xs:
-                        lhs = group.mul[(table[(y, z)], table[(x, y)])]
-                        if lhs != table[(x, z)]:
-                            raise ConsistencyError(
-                                f"reconstructed cocycle fails g[y,z] g[x,y] = g[x,z]"
-                                f" at ({x!r}, {y!r}, {z!r})"
-                            )
-        out.append(tuple(table[p] for p in pairs))
+    slot = {}
+    for fi, f in enumerate(census.fibres):
+        k = len(f.points)
+        for i, x in enumerate(f.points):
+            for j, y in enumerate(f.points):
+                slot[(x, y)] = (fi, i * k + j)
+    slots = [slot[p] for p in pairs]
+    census.spend(census.cocycle_count, "the cocycle list")
+    elements = group.elements
+    out = [
+        tuple(elements[combo[fi][p]] for fi, p in slots)
+        for combo in itertools.product(*(f.cocycles for f in census.fibres))
+    ]
     return out, pairs
 
 
@@ -1029,84 +1235,18 @@ class CechSkeletonReport:
         }
 
 
-def _orbits(group, cover, cocycles, pairs):
-    gens = group.generating_sequence()
-    index = {c: i for i, c in enumerate(cocycles)}
-    seen = set()
-    orbits = []
-    e = group.identity()
-    for start in cocycles:
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            c = frontier.pop()
-            for x in cover.e:
-                for s in gens:
-                    h = {y: e for y in cover.e}
-                    h[x] = s
-                    nxt = cochain_action(group, pairs, h, c)
-                    if nxt not in index:
-                        raise ConsistencyError("a cochain twist left the set of cocycles")
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        frontier.append(nxt)
-        seen |= orbit
-        orbits.append(orbit)
-    return orbits
-
-
-def _stabilizer(group, cover, pairs, cocycle):
-    out = []
-    for vals in itertools.product(group.elements, repeat=len(cover.e)):
-        h = dict(zip(cover.e, vals))
-        if cochain_action(group, pairs, h, cocycle) == cocycle:
-            out.append(h)
-    return out
-
-
 def cech_descent_skeleton(group, cover, budget=DEFAULT_BUDGET):
     """Skeletal census of the descent groupoid of the cochain presheaf.
 
-    Components are coboundary orbits of cocycles; the stabilizer of the
-    trivial cocycle is computed by direct enumeration and compared with
-    the fiber-constant functions, which carry the canonical product group
-    structure over the base.  The groupoid cardinality comes out exactly
-    as sum of 1/|stabilizer| over orbits.
+    Components are coboundary orbits of cocycles and the groupoid
+    cardinality is the exact sum of 1/|stabilizer| over orbits.  Both are
+    computed fibre by fibre and multiplied: cocycles from root rows,
+    orbits by search under generator twists, stabilizers from one
+    candidate per value at the root.  The stabilizer of the trivial
+    cocycle is compared with the fiber-constant functions, which carry
+    the canonical product group structure over the base.
     """
-    if group.order() ** len(cover.e) > budget:
-        raise CapacityError("cochain group is larger than the budget")
-    cocycles, pairs = cech_cocycles(group, cover, budget=budget)
-    orbits = _orbits(group, cover, cocycles, pairs)
-    fibers = [xs for xs in cover.fibers().values() if xs]
-    e = group.identity()
-    trivial = tuple(e for _ in pairs)
-    stab = _stabilizer(group, cover, pairs, trivial)
-    fiber_constant = all(
-        len({h[x] for x in xs}) == 1 for h in stab for xs in fibers
-    )
-    expected_order = group.order() ** len(fibers)
-    card = Fraction(0)
-    for orbit in orbits:
-        rep = sorted(orbit)[0]
-        card += Fraction(1, len(_stabilizer(group, cover, pairs, rep)))
-    expected = Fraction(1, expected_order)
-    equivalent = (
-        len(orbits) == 1
-        and len(stab) == expected_order
-        and fiber_constant
-    )
-    return CechSkeletonReport(
-        cocycle_count=len(cocycles),
-        components=len(orbits),
-        stabilizer_order=len(stab),
-        stabilizer_fiber_constant=fiber_constant,
-        equivalent_to_bg_power=equivalent,
-        cardinality=card,
-        expected_cardinality=expected,
-        fiber_count=len(fibers),
-    )
+    return _CechCensus(group, cover, budget).skeleton()
 
 
 def cech_stack_report(group, cover, budget=DEFAULT_BUDGET):
@@ -1114,33 +1254,30 @@ def cech_stack_report(group, cover, budget=DEFAULT_BUDGET):
 
     The parts condition for this presheaf is the canonical regrouping of
     G-valued functions along a partition of E, so it reduces to the
-    partition being one (which the cover validates); the descent side is
-    read off the skeletal census plus an explicit check that the base
-    cochains biject onto the stabilizer of the trivial cocycle.
+    partition being one (which the cover validates).  The descent side is
+    read off the census of the cover: essential surjectivity is one
+    coboundary orbit, and full faithfulness is the base cochains mapping
+    bijectively onto the stabilizer of the trivial cocycle, checked on
+    each fibre (the constant cochains of the fibre's base point).
     """
-    skel = cech_descent_skeleton(group, cover, budget=budget)
-    cocycles, pairs = cech_cocycles(group, cover, budget=budget)
-    e = group.identity()
-    trivial = tuple(e for _ in pairs)
-    stab = {tuple(sorted(h.items())) for h in _stabilizer(group, cover, pairs, trivial)}
-    images = set()
-    injective = True
-    for vals in itertools.product(group.elements, repeat=len(cover.b)):
-        hb = dict(zip(cover.b, vals))
-        h = tuple(sorted((x, hb[cover.pi[x]]) for x in cover.e))
-        if h in images:
-            injective = False
-        images.add(h)
-    ff = injective and images == stab
-    ess = skel.components == 1
+    census = _CechCensus(group, cover, budget)
+    order = len(census.ig.elements)
+    ff = all(
+        _restriction_is_bijective(
+            [(a,) * len(f.points) for a in range(order)], f.trivial_stabilizer
+        )
+        for f in census.fibres
+    )
+    components = census.components
+    ess = components == 1
     return StackReport(
         products_ok=True,
         essentially_surjective=ess,
         fully_faithful=ff,
         is_stack=ess and ff,
         base_objects=1,
-        descent_objects=skel.cocycle_count,
-        descent_components=skel.components,
+        descent_objects=census.cocycle_count,
+        descent_components=components,
         witness="",
     )
 
@@ -1168,6 +1305,8 @@ def refinement_invariance(group, cover, refined, r, budget=DEFAULT_BUDGET):
     induced restriction of descent data is checked to be essentially
     surjective (on coboundary orbits) and fully faithful (on stabilizers
     of the trivial cocycle), and the two skeletal censuses are compared.
+    r sends each refined fibre into the original fibre over the same base
+    point, so both checks run fibre by fibre on the two censuses.
     """
     if tuple(refined.b) != tuple(cover.b):
         raise InputError("refinement must keep the base")
@@ -1178,38 +1317,22 @@ def refinement_invariance(group, cover, refined, r, budget=DEFAULT_BUDGET):
             raise InputError(f"r({x}) leaves the original cover")
         if cover.pi[r[x]] != refined.pi[x]:
             raise InputError(f"r does not commute with the projections at {x}")
-    cocycles, pairs = cech_cocycles(group, cover, budget=budget)
-    cocycles2, pairs2 = cech_cocycles(group, refined, budget=budget)
-    pos = {p: i for i, p in enumerate(pairs)}
-
-    def pull(coc):
-        return tuple(coc[pos[(r[x], r[y])]] for (x, y) in pairs2)
-
-    orbits2 = _orbits(group, refined, cocycles2, pairs2)
-    orbit_of = {}
-    for i, orbit in enumerate(orbits2):
-        for c in orbit:
-            orbit_of[c] = i
-    hit = {orbit_of[pull(c)] for c in cocycles}
-    ess = len(hit) == len(orbits2)
-    e = group.identity()
-    trivial = tuple(e for _ in pairs)
-    trivial2 = tuple(e for _ in pairs2)
-    stab = _stabilizer(group, cover, pairs, trivial)
-    stab2 = {
-        tuple(sorted(h.items()))
-        for h in _stabilizer(group, refined, pairs2, trivial2)
-    }
-    images = set()
-    injective = True
-    for h in stab:
-        hr = tuple(sorted((x, h[r[x]]) for x in refined.e))
-        if hr in images:
-            injective = False
-        images.add(hr)
-    ff = injective and images == stab2
-    skel1 = cech_descent_skeleton(group, cover, budget=budget)
-    skel2 = cech_descent_skeleton(group, refined, budget=budget)
+    census = _CechCensus(group, cover, budget)
+    census2 = _CechCensus(group, refined, budget)
+    ess = ff = True
+    for f, f2 in zip(census.fibres, census2.fibres):
+        at = {x: i for i, x in enumerate(f.points)}
+        rpos = [at[r[x]] for x in f2.points]
+        k = len(f.points)
+        hit = {
+            f2.orbit_of[f2.index[tuple(c[i * k + j] for i in rpos for j in rpos)]]
+            for c in f.cocycles
+        }
+        ess = ess and len(hit) == len(f2.orbits)
+        images = [tuple(h[i] for i in rpos) for h in f.trivial_stabilizer]
+        ff = ff and _restriction_is_bijective(images, f2.trivial_stabilizer)
+    skel1 = census.skeleton()
+    skel2 = census2.skeleton()
     agree = (
         skel1.components == skel2.components
         and skel1.stabilizer_order == skel2.stabilizer_order
@@ -1228,21 +1351,16 @@ def refinement_invariance(group, cover, refined, r, budget=DEFAULT_BUDGET):
 
 
 def truncation_agreement_cech(group, cover, budget=DEFAULT_BUDGET):
-    """Depth-2 descent data already satisfy every quadruple condition."""
-    cocycles, pairs = cech_cocycles(group, cover, budget=budget)
-    pos = {p: i for i, p in enumerate(pairs)}
-    agree = True
-    for coc in cocycles:
-        for xs in cover.fibers().values():
-            for w, x, y, z in itertools.product(xs, repeat=4):
-                direct = coc[pos[(w, z)]]
-                via_x = group.mul[(coc[pos[(x, z)]], coc[pos[(w, x)]])]
-                via_both = group.mul[
-                    (coc[pos[(y, z)]], group.mul[(coc[pos[(x, y)]], coc[pos[(w, x)]])])
-                ]
-                if direct != via_x or direct != via_both:
-                    agree = False
-    return TruncationReport({2: len(cocycles), 3: len(cocycles) if agree else -1}, agree)
+    """Depth-2 descent data already satisfy every quadruple condition.
+
+    Every quadruple of E^4 lies in one fibre and every cocycle restricts
+    to a cocycle on each fibre, so the conditions are checked once per
+    fibre-local cocycle instead of once per cocycle of the whole cover.
+    """
+    census = _CechCensus(group, cover, budget)
+    agree = all(f.quadruples_hold(c) for f in census.fibres for c in f.cocycles)
+    count = census.cocycle_count
+    return TruncationReport({2: count, 3: count if agree else -1}, agree)
 
 
 def truncation_agreement_groupoids(presheaf, cover, budget=DEFAULT_BUDGET):

@@ -21,10 +21,14 @@ def dumps(data):
 
 def load_path(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
 
@@ -35,6 +39,19 @@ def _require(data, keys, what):
     missing = [k for k in keys if k not in data]
     if missing:
         raise InputError(f"{what} is missing keys {missing}")
+
+
+def _only(data, keys, what):
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise InputError(f"{what} has unknown keys {unknown}")
+
+
+def _ids(value, what):
+    """A JSON list of string ids."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InputError(f"{what} must be a list of string ids")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +178,16 @@ def group_to_json(g):
 
 def group_from_json(data):
     _require(data, ("elements", "mul"), "group")
+    _only(data, ("elements", "mul"), "group")
+    elements = _ids(data["elements"], "group elements")
+    if not isinstance(data["mul"], list):
+        raise InputError("group mul must be a list of [a, b, ab] rows")
     mul = {}
     for row in data["mul"]:
-        if len(row) != 3:
+        if len(_ids(row, "a mul row")) != 3:
             raise InputError(f"mul rows are [a, b, ab], got {row!r}")
         mul[(row[0], row[1])] = row[2]
-    return FiniteGroup(tuple(data["elements"]), mul)
+    return FiniteGroup(tuple(elements), mul)
 
 
 def action_to_json(a):
@@ -202,6 +223,19 @@ def cover_to_json(cover):
 
 def cover_from_json(data):
     _require(data, ("E", "B", "pi"), "cover")
+    _only(data, ("E", "B", "pi", "parts"), "cover")
+    _ids(data["E"], "cover E")
+    _ids(data["B"], "cover B")
+    if not isinstance(data["pi"], dict) or not all(
+        isinstance(v, str) for v in data["pi"].values()
+    ):
+        raise InputError("cover pi must be a JSON object from points to base points")
+    parts = data.get("parts")
+    if parts is not None:
+        if not isinstance(parts, list):
+            raise InputError("cover parts must be a list of point lists")
+        for part in parts:
+            _ids(part, "cover part")
     return Cover.from_json(data)
 
 

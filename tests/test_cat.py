@@ -213,6 +213,14 @@ def test_mapping_space_levels_count_cylinders():
     assert len(pinned.levels[0]) == len(m.levels[0])
 
 
+def test_mapping_space_rejects_a_target_capped_below_the_source():
+    y = nerve(bg_category(cyclic_group(2)), dim_cap=1).sset
+    with pytest.raises(InputError, match="dim_cap 1 .* dim_cap 2"):
+        mapping_space(standard_simplex(1, dim_cap=2), y, dim_cap=1)
+    # equal caps are fine
+    assert len(mapping_space(standard_simplex(1, dim_cap=1), y, dim_cap=1).levels[0]) == 2
+
+
 def test_pair_groupoid_nerve_counts():
     c = pair_groupoid_category(3)
     x = nerve(c, dim_cap=3).sset

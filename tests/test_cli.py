@@ -226,3 +226,69 @@ def test_text_format_is_not_json(files, capsys):
     assert out.splitlines()[0] == "parts condition: True"
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+def _exits_2_without_traceback(argv, capsys):
+    assert main(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+def test_malformed_covers_exit_2(files, capsys, tmp_path):
+    good = io.cover_to_json(cover_of_shape((2, 1)))
+    bad = {
+        "pi_list": {**good, "pi": [[x, b] for x, b in good["pi"].items()]},
+        "pi_string": {**good, "pi": "e0_0"},
+        "e_string": {"E": "ab", "B": ["u"], "pi": {"a": "u", "b": "u"}},
+        "b_string": {"E": ["a"], "B": "u", "pi": {"a": "u"}},
+        "integer_ids": {"E": ["a"], "B": [0], "pi": {"a": 0}},
+        "unknown_key": {**good, "fibres": 2},
+        "parts_string": {**good, "parts": "e0_0"},
+        "part_string": {**good, "parts": ["e0_0", "e0_1", "e1_0"]},
+    }
+    for name, data in bad.items():
+        path = _write(tmp_path, f"{name}.json", data)
+        _exits_2_without_traceback(["descent", "sheaf", path], capsys)
+        _exits_2_without_traceback(["grpd", "cech", path], capsys)
+        _exits_2_without_traceback(
+            ["descent", "cocycles", path, "--group", files["c2"]], capsys
+        )
+
+
+def test_malformed_groups_exit_2(files, capsys, tmp_path):
+    good = io.group_to_json(all_small_groups()["c2"])
+    bad = {
+        "unknown_key": {**good, "order": 2},
+        "elements_string": {**good, "elements": "c0c1"},
+        "integer_ids": {"elements": [0], "mul": [[0, 0, 0]]},
+        "short_row": {**good, "mul": good["mul"][:-1] + [["c1", "c1"]]},
+        "string_row": {"elements": ["abc"], "mul": ["abc"]},
+        "mul_object": {**good, "mul": {"c0": "c0"}},
+    }
+    for name, data in bad.items():
+        path = _write(tmp_path, f"{name}.json", data)
+        _exits_2_without_traceback(
+            ["descent", "cocycles", files["cover"], "--group", path], capsys
+        )
+        _exits_2_without_traceback(
+            ["descent", "stack", files["cover"], "--group", path], capsys
+        )
+
+
+def test_unreadable_inputs_exit_2(files, capsys, tmp_path):
+    _exits_2_without_traceback(["sset", "info", str(tmp_path)], capsys)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"E": ["\xe9"]}')
+    _exits_2_without_traceback(["descent", "sheaf", str(latin)], capsys)
+    listed = _write(tmp_path, "listed_map.json", {"cb0_0": ["e0_0"]})
+    _exits_2_without_traceback(
+        ["descent", "refine", files["cover"], files["refined"], listed,
+         "--group", files["c2"]], capsys
+    )
+
+
+def test_descent_budget_exits_2(files, capsys):
+    _exits_2_without_traceback(
+        ["descent", "cocycles", files["cover"], "--group", files["c2"], "--budget", "1"],
+        capsys,
+    )
