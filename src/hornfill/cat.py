@@ -10,6 +10,15 @@ and 2-cells carry vertical and horizontal composition satisfying the
 middle-four interchange.  Their nerve remembers composition up to a
 chosen 2-cell witness per triangle and is 3-coskeletal from level 4 on.
 
+`FiniteCategory.validate` is the one checker of composition laws:
+identities, a table entry for exactly the composable pairs landing on a
+morphism with the right endpoints, the unit laws and associativity.
+`Finite2Category.validate` runs it on the vertical category (1-cells and
+`vcompose`) and the horizontal category (0-cells and `hcompose`), runs
+`Functor.validate` on source, target and `two_identity`, and checks
+interchange; each failure names its structure.  `FiniteGroup` (in
+`groupoid`) checks its table as a one-object category.
+
 The two quotient constructions at the bottom go the other way, from a
 simplicial set to a category: the path category modulo triangle
 relations (exact, via a finite word universe with a stability
@@ -43,6 +52,14 @@ class UnionFind:
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[max(rx, ry)] = min(rx, ry)
+
+
+def _within(structure, check):
+    """Run `check`, naming `structure` in any ValidationError it raises."""
+    try:
+        check()
+    except ValidationError as exc:
+        raise ValidationError(f"{structure}: {exc}") from None
 
 
 class FiniteCategory:
@@ -87,36 +104,45 @@ class FiniteCategory:
             i = self.identity.get(x)
             if i is None or i not in self.mor or self.mor[i] != (x, x):
                 raise ValidationError(f"bad identity at {x!r}")
-        mors = sorted(self.mor)
+        mor, table = self.mor, self.compose_table
+        mors = sorted(mor)
+        # into[x]: the morphisms ending at x, so (g, f) is composable
+        # exactly when f is in into[src g]
+        into = {x: [] for x in self.objects}
+        for m in mors:
+            into[mor[m][1]].append(m)
+        pairs = 0
         for g in mors:
-            for f in mors:
-                composable = self.mor[f][1] == self.mor[g][0]
-                if composable != ((g, f) in self.compose_table):
+            for f in into[mor[g][0]]:
+                pairs += 1
+                if (g, f) not in table:
                     raise ValidationError(
-                        f"composition table wrong at ({g!r}, {f!r}):"
-                        f" {'missing' if composable else 'spurious'} entry"
+                        f"composition table wrong at ({g!r}, {f!r}): missing entry"
                     )
-                if composable:
-                    gf = self.compose_table[(g, f)]
-                    if gf not in self.mor:
-                        raise ValidationError(f"({g!r}, {f!r}) composes to unknown {gf!r}")
-                    if self.mor[gf] != (self.mor[f][0], self.mor[g][1]):
-                        raise ValidationError(f"({g!r}, {f!r}) composes with wrong endpoints")
+                gf = table[(g, f)]
+                if gf not in mor:
+                    raise ValidationError(f"({g!r}, {f!r}) composes to unknown {gf!r}")
+                if mor[gf] != (mor[f][0], mor[g][1]):
+                    raise ValidationError(f"({g!r}, {f!r}) composes with wrong endpoints")
+        if len(table) != pairs:
+            g, f = min(
+                (g, f) for g, f in table
+                if g not in mor or f not in mor or mor[f][1] != mor[g][0]
+            )
+            raise ValidationError(
+                f"composition table wrong at ({g!r}, {f!r}): spurious entry"
+            )
         for f in mors:
-            s, t = self.mor[f]
-            if self.compose_table[(f, self.identity[s])] != f:
+            s, t = mor[f]
+            if table[(f, self.identity[s])] != f:
                 raise ValidationError(f"right unit fails at {f!r}")
-            if self.compose_table[(self.identity[t], f)] != f:
+            if table[(self.identity[t], f)] != f:
                 raise ValidationError(f"left unit fails at {f!r}")
         for h in mors:
-            for g in mors:
-                if self.mor[g][1] != self.mor[h][0]:
-                    continue
-                hg = self.compose_table[(h, g)]
-                for f in mors:
-                    if self.mor[f][1] != self.mor[g][0]:
-                        continue
-                    if self.compose_table[(h, self.compose_table[(g, f)])] != self.compose_table[(hg, f)]:
+            for g in into[mor[h][0]]:
+                hg = table[(h, g)]
+                for f in into[mor[g][0]]:
+                    if table[(h, table[(g, f)])] != table[(hg, f)]:
                         raise ValidationError(f"associativity fails at ({h!r},{g!r},{f!r})")
 
     def inverse(self, f):
@@ -191,7 +217,8 @@ class Functor:
 
 def enumerate_functors(c, d, budget=DEFAULT_BUDGET):
     """All functors c -> d, ordered by image tuples; backtracking with
-    composition pruning on already-assigned triples."""
+    composition pruning on already-assigned triples.  A CapacityError
+    carries the number of functors found as partial."""
     objs = list(c.objects)
     mors = sorted(c.mor)
     results = []
@@ -217,7 +244,8 @@ def enumerate_functors(c, d, budget=DEFAULT_BUDGET):
         for fm in cands:
             nodes += 1
             if nodes > budget:
-                raise CapacityError(f"functor search exceeded budget {budget}")
+                raise CapacityError(f"functor search exceeded budget {budget}",
+                                    partial=len(results))
             on_mor[m] = fm
             ok = True
             for (g, f, gf) in triples:
@@ -385,84 +413,36 @@ class Finite2Category:
         return all(self.two_inverse(a) is not None for a in self.two)
 
     def validate(self):
-        for a, (f, g) in self.two.items():
-            if f not in self.one or g not in self.one:
-                raise ValidationError(f"2-cell {a!r} between unknown 1-cells")
-            if self.one[f] != self.one[g]:
-                raise ValidationError(f"2-cell {a!r} between non-parallel 1-cells")
-        for f in self.one:
-            i = self.two_identity.get(f)
-            if i is None or self.two.get(i) != (f, f):
-                raise ValidationError(f"bad 2-identity at {f!r}")
-        cells = sorted(self.two)
-        for b in cells:
-            for a in cells:
-                vc = self.two[a][1] == self.two[b][0]
-                if vc != ((b, a) in self.vcompose):
-                    raise ValidationError(f"vertical table wrong at ({b!r},{a!r})")
-                if vc:
-                    c = self.vcompose[(b, a)]
-                    if self.two.get(c) != (self.two[a][0], self.two[b][1]):
-                        raise ValidationError(f"vertical composite ({b!r},{a!r}) malformed")
-                hc = self.one[self.two[a][0]][1] == self.one[self.two[b][0]][0]
-                if hc != ((b, a) in self.hcompose):
-                    raise ValidationError(f"horizontal table wrong at ({b!r},{a!r})")
-                if hc:
-                    c = self.hcompose[(b, a)]
-                    want = (
-                        self.cat.compose_table[(self.two[b][0], self.two[a][0])],
-                        self.cat.compose_table[(self.two[b][1], self.two[a][1])],
+        """Vertical and horizontal categories, three functors, interchange
+        (see the module docstring); each failure names its structure."""
+        one, two, v, h = self.one, self.two, self.vcompose, self.hcompose
+        vertical = FiniteCategory(one, two, self.two_identity, v, check=False)
+        _within("vertical", vertical.validate)
+        horizontal = FiniteCategory(
+            self.objects,
+            {a: one[f] for a, (f, g) in two.items()},
+            {x: self.two_identity[i] for x, i in self.cat.identity.items()},
+            h,
+            check=False,
+        )
+        _within("horizontal", horizontal.validate)
+        objects = {x: x for x in self.objects}
+        for name, functor in (
+            ("source functor", Functor(horizontal, self.cat, objects,
+                                       {a: f for a, (f, g) in two.items()})),
+            ("target functor", Functor(horizontal, self.cat, objects,
+                                       {a: g for a, (f, g) in two.items()})),
+            ("two_identity functor", Functor(self.cat, horizontal, objects,
+                                             self.two_identity)),
+        ):
+            _within(name, functor.validate)
+        # middle-four interchange: (b2 . b1) * (a2 . a1) = (b2 * a2) . (b1 * a1)
+        for (b2, b1), b in v.items():
+            for (a2, a1), a in v.items():
+                if (b2, a2) in h and h[(b, a)] != v[(h[(b2, a2)], h[(b1, a1)])]:
+                    raise ValidationError(
+                        f"interchange fails at ({b2!r},{b1!r}) * ({a2!r},{a1!r})"
                     )
-                    if self.two.get(c) != want:
-                        raise ValidationError(f"horizontal composite ({b!r},{a!r}) malformed")
-        for a in cells:
-            f, g = self.two[a]
-            if self.vcompose[(a, self.two_identity[f])] != a:
-                raise ValidationError(f"vertical right unit fails at {a!r}")
-            if self.vcompose[(self.two_identity[g], a)] != a:
-                raise ValidationError(f"vertical left unit fails at {a!r}")
-        for c in cells:
-            for b in cells:
-                if self.two[b][1] != self.two[c][0]:
-                    continue
-                cb = self.vcompose[(c, b)]
-                for a in cells:
-                    if self.two[a][1] != self.two[b][0]:
-                        continue
-                    if self.vcompose[(c, self.vcompose[(b, a)])] != self.vcompose[(cb, a)]:
-                        raise ValidationError("vertical associativity fails")
-        for (g, f), gf in self.cat.compose_table.items():
-            if self.hcompose[(self.two_identity[g], self.two_identity[f])] != self.two_identity[gf]:
-                raise ValidationError(f"horizontal identity fails at ({g!r},{f!r})")
-        # middle-four interchange, over all vertically composable pairs that
-        # are horizontally adjacent
-        for b2 in cells:
-            for b1 in cells:
-                if self.two[b1][1] != self.two[b2][0]:
-                    continue
-                for a2 in cells:
-                    if self.one[self.two[a2][0]][1] != self.one[self.two[b2][0]][0]:
-                        continue
-                    for a1 in cells:
-                        if self.two[a1][1] != self.two[a2][0]:
-                            continue
-                        lhs = self.hcompose[(self.vcompose[(b2, b1)], self.vcompose[(a2, a1)])]
-                        rhs = self.vcompose[
-                            (self.hcompose[(b2, a2)], self.hcompose[(b1, a1)])
-                        ]
-                        if lhs != rhs:
-                            raise ValidationError("interchange fails")
-        # horizontal associativity on 2-cells
-        for c in cells:
-            for b in cells:
-                if self.one[self.two[b][0]][1] != self.one[self.two[c][0]][0]:
-                    continue
-                cb = self.hcompose[(c, b)]
-                for a in cells:
-                    if self.one[self.two[a][0]][1] != self.one[self.two[b][0]][0]:
-                        continue
-                    if self.hcompose[(c, self.hcompose[(b, a)])] != self.hcompose[(cb, a)]:
-                        raise ValidationError("horizontal associativity fails")
 
     def __repr__(self):
         return (
@@ -628,7 +608,8 @@ def _tetra_holds(c2, edges, tris, quad):
 
 def _enumerate_duskin_level(c2, n, budget):
     """All n-simplices (n >= 2): vertex tuples, edge and triangle labelings
-    satisfying every tetrahedron condition."""
+    satisfying every tetrahedron condition.  A CapacityError carries the
+    number of n-simplices found as partial."""
     order = _cells_in_order(n)
     out = []
     nodes = 0
@@ -641,8 +622,13 @@ def _enumerate_duskin_level(c2, n, budget):
         j, k, l = t
         return [(i, j, k, l) for i in range(j)]
 
-    def rec(pos):
+    def spend():
         nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise CapacityError(f"2-nerve enumeration exceeded budget {budget}", partial=len(out))
+
+    def rec(pos):
         if pos == len(order):
             e = tuple(edges[p] for p in sorted(edges))
             t = tuple(tris[p] for p in sorted(tris))
@@ -653,9 +639,7 @@ def _enumerate_duskin_level(c2, n, budget):
             i, j = cell
             cands = c2.cat.hom(verts[i], verts[j])
             for f in cands:
-                nodes += 1
-                if nodes > budget:
-                    raise CapacityError(f"2-nerve enumeration exceeded budget {budget}")
+                spend()
                 edges[cell] = f
                 rec(pos + 1)
                 del edges[cell]
@@ -663,9 +647,7 @@ def _enumerate_duskin_level(c2, n, budget):
             i, j, k = cell
             composite = c2.cat.compose_table[(edges[(j, k)], edges[(i, j)])]
             for m in c2.two_hom(composite, edges[(i, k)]):
-                nodes += 1
-                if nodes > budget:
-                    raise CapacityError(f"2-nerve enumeration exceeded budget {budget}")
+                spend()
                 tris[cell] = m
                 if all(
                     _tetra_holds(c2, edges, tris, q) for q in tetra_ready_checks(cell)
@@ -825,7 +807,8 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
     independent result and (b) the classes are unchanged when the bound
     grows by one.  Raises CapacityError when the universe outgrows
     `path_budget` or the bound outgrows `max_length` first - e.g. a loop
-    with no relations has no finite quotient at all.
+    with no relations has no finite quotient at all.  Its partial is the
+    longest word length whose universe was built.
     """
     verts = list(x.generators(0))
     edges = list(x.generators(1))
@@ -856,7 +839,8 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
             if total > path_budget:
                 raise CapacityError(
                     f"path universe exceeded budget {path_budget};"
-                    " the quotient category may be infinite"
+                    " the quotient category may be infinite",
+                    partial=len(words) - 1,
                 )
             words.append(nxt)
         return [w for level in words for w in level]
@@ -889,7 +873,8 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
         if length > max_length:
             raise CapacityError(
                 f"path quotient not stable within length bound {max_length};"
-                " the quotient category may be infinite"
+                " the quotient category may be infinite",
+                partial=length,
             )
         universe = grow(length)
         index, find = congruence(universe)

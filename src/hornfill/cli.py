@@ -20,7 +20,9 @@ import sys
 
 from . import io
 from .cat import duskin_nerve, fundamental_category, homotopy_category, nerve
-from .config import DEFAULT_DIM_CAP, DEFAULT_LEVEL_CAP, budget_from_env
+from .config import (
+    DEFAULT_BUDGET, DEFAULT_DIM_CAP, DEFAULT_LEVEL_CAP, DEFAULT_PATH_BUDGET, budget_from_env,
+)
 from .descent import (
     ConstantPresheaf,
     DoubledGlobalPresheaf,
@@ -48,10 +50,10 @@ from .kan import classify, horn_tuples
 from .sset import enumerate_maps
 
 
-def _budget(args):
+def _budget(args, default=DEFAULT_BUDGET):
     if getattr(args, "budget", None) is not None:
         return args.budget
-    return budget_from_env()
+    return budget_from_env(default)
 
 
 def _emit(args, data, lines):
@@ -154,7 +156,7 @@ def cmd_cat_duskin(args):
 
 def cmd_cat_tau(args):
     x = io.sset_from_json(io.load_path(args.sset))
-    result = fundamental_category(x, path_budget=_budget(args))
+    result = fundamental_category(x, path_budget=_budget(args, DEFAULT_PATH_BUDGET))
     data = io.category_to_json(result.category)
     data["universe_length"] = result.universe_length
     _emit(args, data, _category_lines(result.category))
@@ -348,11 +350,10 @@ def cmd_descent_refine(args):
 # parser
 
 
-def _common(sub):
+def _common(sub, budget_help="search budget (overrides HORNFILL_BUDGET)"):
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument("--output", help="write result to this file instead of stdout")
-    sub.add_argument("--budget", type=int, default=None,
-                     help="search budget (overrides HORNFILL_BUDGET)")
+    sub.add_argument("--budget", type=int, default=None, help=budget_help)
 
 
 @functools.cache
@@ -398,7 +399,8 @@ def build_parser():
     p.set_defaults(func=cmd_cat_duskin)
     p = cat.add_parser("tau", help="fundamental category of a simplicial set")
     p.add_argument("sset")
-    _common(p)
+    _common(p, budget_help="path budget: edge words the path universe may hold"
+            f" (default {DEFAULT_PATH_BUDGET}; overrides HORNFILL_BUDGET)")
     p.set_defaults(func=cmd_cat_tau)
     p = cat.add_parser("hcat", help="homotopy category of a weak Kan complex")
     p.add_argument("sset")

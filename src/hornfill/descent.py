@@ -37,6 +37,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_BUDGET
 from .errors import CapacityError, ConsistencyError, InputError
+from .cat import UnionFind
 from .groupoid import FiniteGroupoid
 
 
@@ -142,16 +143,24 @@ class Cover:
 # set-valued presheaves on the surjection site
 
 
-def _functions(keys, values):
+class _Functions:
     """Every function keys -> values, each as a key-sorted tuple of pairs.
 
-    Functions come in the order of itertools.product over the values,
-    the first key varying slowest.
+    Functions come in the order of itertools.product over the values, the
+    first key varying slowest.  They are generated as they are iterated,
+    so a budgeted search over them can refuse before building them all;
+    len() is |values| ** |keys|.
     """
-    return tuple(
-        tuple(sorted(zip(keys, vs)))
-        for vs in itertools.product(values, repeat=len(keys))
-    )
+
+    def __init__(self, keys, values):
+        self.keys, self.values = tuple(keys), tuple(values)
+
+    def __len__(self):
+        return len(self.values) ** len(self.keys)
+
+    def __iter__(self):
+        for vs in itertools.product(self.values, repeat=len(self.keys)):
+            yield tuple(sorted(zip(self.keys, vs)))
 
 
 class SetPresheaf:
@@ -176,7 +185,7 @@ class MapPresheaf(SetPresheaf):
         self.values = tuple(values)
 
     def value(self, obj):
-        return _functions(obj, self.values)
+        return _Functions(obj, self.values)
 
     def restrict(self, alpha, cod, elem):
         table = dict(elem)
@@ -410,7 +419,7 @@ class OpensMapPresheaf(OpensPresheaf):
         self.values = tuple(values)
 
     def value(self, space, name):
-        return _functions(sorted(space.opens[name]), self.values)
+        return _Functions(sorted(space.opens[name]), self.values)
 
     def restrict(self, space, sup, sub, elem):
         table = dict(elem)
@@ -527,7 +536,7 @@ class TorsorPresheaf(GroupoidPresheaf):
         return ("*",)
 
     def homs(self, s, a, b):
-        return _functions(tuple(s), self.group.elements)
+        return _Functions(tuple(s), self.group.elements)
 
     def compose(self, s, g2, g1):
         d2, d1 = dict(g2), dict(g1)
@@ -796,19 +805,15 @@ def _products_condition(presheaf, cover, budget):
     objs_e = presheaf.objects(e)
     part_objs = [presheaf.objects(p) for p in parts]
 
-    def component_key(s, objs, a):
-        # component of a via reachability through nonempty hom sets
-        reach = {a}
-        frontier = [a]
-        while frontier:
-            x = frontier.pop()
-            for y in objs:
-                if y in reach:
-                    continue
-                if presheaf.homs(s, x, y) or presheaf.homs(s, y, x):
-                    reach.add(y)
-                    frontier.append(y)
-        return frozenset(reach)
+    def components(s, objs):
+        # each object's component root, joining objects with a nonempty hom set
+        objs = tuple(objs)
+        classes = UnionFind(range(len(objs)))
+        for i, x in enumerate(objs):
+            for j in range(i + 1, len(objs)):
+                if presheaf.homs(s, x, objs[j]) or presheaf.homs(s, objs[j], x):
+                    classes.union(i, j)
+        return {x: classes.find(i) for i, x in enumerate(objs)}
 
     total = 1
     for objs in part_objs:
@@ -818,24 +823,14 @@ def _products_condition(presheaf, cover, budget):
             "parts condition would materialize too many objects", partial=0
         )
 
-    part_components = []
-    for p, objs in zip(parts, part_objs):
-        comp = {}
-        for a in objs:
-            comp[a] = component_key(p, objs, a)
-        part_components.append(comp)
+    part_components = [components(p, objs) for p, objs in zip(parts, part_objs)]
     image_keys = set()
     for a in objs_e:
         img = tuple(
             presheaf.restrict_obj(alpha, cod, a) for alpha, cod in incls
         )
         image_keys.add(tuple(comp[x] for comp, x in zip(part_components, img)))
-    all_keys = set(
-        itertools.product(*[
-            sorted({frozenset(v) for v in comp.values()}, key=sorted)
-            for comp in part_components
-        ])
-    )
+    all_keys = set(itertools.product(*[set(comp.values()) for comp in part_components]))
     ess = image_keys == all_keys
     ff = True
     witness = ""

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_BUDGET, DEFAULT_LEVEL_CAP
 from .errors import CapacityError, InputError, ValidationError
-from .cat import FiniteCategory, UnionFind
+from .cat import FiniteCategory, UnionFind, _within
 from .sset import SimplicialObject
 
 
@@ -65,26 +65,26 @@ class FiniteGroup:
             self.validate()
 
     def validate(self):
+        """Distinct elements, an identity, the table as a one-object
+        category (closure, units, associativity), then inverses."""
         es = self.elements
         if len(set(es)) != len(es):
             raise ValidationError("duplicate group elements")
-        for a in es:
-            for b in es:
-                if (a, b) not in self.mul or self.mul[(a, b)] not in set(es):
-                    raise ValidationError(f"multiplication not closed at ({a!r},{b!r})")
-        self.identity()
-        for a in es:
-            for b in es:
-                for c in es:
-                    if self.mul[(self.mul[(a, b)], c)] != self.mul[(a, self.mul[(b, c)])]:
-                        raise ValidationError(f"associativity fails at ({a!r},{b!r},{c!r})")
+        one_object = FiniteCategory(
+            ("*",), {a: ("*", "*") for a in es}, {"*": self.identity()}, self.mul,
+            check=False,
+        )
+        _within("group table", one_object.validate)
         for a in es:
             self.inverse(a)
 
     def identity(self):
         if self._identity is None:
             for e in self.elements:
-                if all(self.mul[(e, x)] == x and self.mul[(x, e)] == x for x in self.elements):
+                if all(
+                    self.mul.get((e, x)) == x and self.mul.get((x, e)) == x
+                    for x in self.elements
+                ):
                     self._identity = e
                     break
             else:
@@ -142,16 +142,8 @@ class FiniteGroup:
         return gens
 
     def subgroup(self, elements):
-        elements = tuple(sorted(elements))
-        table = {}
-        s = set(elements)
-        for a in elements:
-            for b in elements:
-                c = self.mul[(a, b)]
-                if c not in s:
-                    raise ValidationError(f"subset not closed under multiplication at ({a!r},{b!r})")
-                table[(a, b)] = c
-        return FiniteGroup(elements, table)
+        """The subgroup on `elements`; validation rejects a subset that is not one."""
+        return FiniteGroup(elements, {(a, b): self.mul[(a, b)] for a in elements for b in elements})
 
     def __repr__(self):
         return f"FiniteGroup(order {len(self.elements)})"
@@ -222,7 +214,9 @@ def evaluate_word(group, images, word):
 
 def groups_isomorphic(g, h, budget=DEFAULT_BUDGET):
     """An isomorphism as a dict, or None.  Exhaustive over generator images,
-    pruned by element orders; every candidate is verified on the full table."""
+    pruned by element orders; every candidate is verified on the full table.
+    A CapacityError carries the number of generator images fixed when the
+    budget ran out as partial."""
     if g.order() != h.order():
         return None
     if sorted(map(g.element_order, g.elements)) != sorted(map(h.element_order, h.elements)):
@@ -250,7 +244,7 @@ def groups_isomorphic(g, h, budget=DEFAULT_BUDGET):
                 continue
             nodes += 1
             if nodes > budget:
-                raise CapacityError(f"group isomorphism search exceeded budget {budget}")
+                raise CapacityError(f"group isomorphism search exceeded budget {budget}", partial=i)
             got = rec(i + 1, images + [y])
             if got is not None:
                 return got

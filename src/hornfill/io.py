@@ -68,13 +68,19 @@ def sset_to_json(x):
 
 
 def sset_from_json(data):
-    _require(data, ("dim_cap", "generators", "faces"), "simplicial set")
+    keys = ("dim_cap", "generators", "faces")
+    _require(data, keys, "simplicial set")
+    _only(data, keys, "simplicial set")
+    if not isinstance(data["generators"], dict) or not isinstance(data["faces"], dict):
+        raise InputError("simplicial set generators and faces must be JSON objects")
     try:
-        generators = {int(d): list(ids) for d, ids in data["generators"].items()}
-    except (TypeError, ValueError, AttributeError):
+        generators = {int(d): _ids(ids, "generators") for d, ids in data["generators"].items()}
+    except ValueError:
         raise InputError("generators must map dimensions to id lists")
     faces = {}
     for g, refs in data["faces"].items():
+        if not isinstance(refs, list):
+            raise InputError(f"faces of {g!r} must be a list")
         faces[g] = [SimplexRef.from_json(r) for r in refs]
     return SimplicialSet(data["dim_cap"], generators, faces)
 

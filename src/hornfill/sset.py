@@ -51,7 +51,10 @@ class SimplexRef:
     def from_json(obj):
         if isinstance(obj, str):
             return SimplexRef(obj)
-        if isinstance(obj, dict) and set(obj) == {"gen", "deg"}:
+        if (
+            isinstance(obj, dict) and set(obj) == {"gen", "deg"}
+            and isinstance(obj["gen"], str) and isinstance(obj["deg"], list)
+        ):
             degs = tuple(obj["deg"])
             if not all(isinstance(j, int) and j >= 0 for j in degs):
                 raise InputError(f"bad degeneracy word {obj['deg']!r}")
@@ -111,7 +114,10 @@ class SimplicialSet:
                 if g in self.gen_dim:
                     raise ValidationError(f"duplicate generator id {g!r}")
                 self.gen_dim[g] = d
-        self.gen_faces = {g: tuple(faces[g]) for g in faces if g in self.gen_dim}
+        unknown = [g for g in faces if g not in self.gen_dim]
+        if unknown:
+            raise ValidationError(f"face list keyed by unknown generator {unknown[0]!r}")
+        self.gen_faces = {g: tuple(faces[g]) for g in faces}
         self._simplices = {}
         self._face_index = {}
         if check:
@@ -573,7 +579,9 @@ def is_isomorphic(a, b, budget=DEFAULT_BUDGET):
     """A generator bijection commuting with faces, as a map, or None.
 
     Exhaustive at the common dimension cap, so None is a proof of
-    non-isomorphism for truncated sets of equal cap.
+    non-isomorphism for truncated sets of equal cap.  A CapacityError
+    carries the number of generators matched when the budget ran out as
+    partial.
     """
     if a.dim_cap != b.dim_cap:
         return None
@@ -603,7 +611,8 @@ def is_isomorphic(a, b, budget=DEFAULT_BUDGET):
         for h in sorted(images(g)):
             nodes += 1
             if nodes > budget:
-                raise CapacityError(f"isomorphism search exceeded budget {budget}")
+                raise CapacityError(f"isomorphism search exceeded budget {budget}",
+                                    partial=len(phi))
             phi[g] = h
             used.add(h)
             if search(i + 1):

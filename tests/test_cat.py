@@ -5,6 +5,7 @@ import math
 import pytest
 
 from hornfill.cat import (
+    Finite2Category,
     FiniteCategory,
     categories_isomorphic,
     duskin_nerve,
@@ -26,9 +27,15 @@ from hornfill.corpus import (
     pair_groupoid_category,
     poset_category,
 )
-from hornfill.errors import InputError, ValidationError
+from hornfill.errors import CapacityError, InputError, ValidationError
 from hornfill.groupoid import cyclic_group, symmetric_group
-from hornfill.sset import is_isomorphic, standard_simplex, subcomplex_of_simplex
+from hornfill.sset import (
+    SimplexRef,
+    SimplicialSet,
+    is_isomorphic,
+    standard_simplex,
+    subcomplex_of_simplex,
+)
 
 
 def test_category_validation_rejects_partial_composition():
@@ -137,6 +144,11 @@ def test_opposite_is_an_involution():
 def test_two_category_validation_catches_bad_vertical_units():
     c2 = one_object_two_group(cyclic_group(2))
     c2.validate()
+    with pytest.raises(ValidationError, match="^vertical: left unit fails at 'ac1'$"):
+        Finite2Category(
+            c2.objects, c2.one, c2.cat.identity, c2.cat.compose_table, c2.two,
+            c2.two_identity, {**c2.vcompose, ("ac0", "ac1"): "ac0"}, c2.hcompose,
+        )
     w = walking_two_cell()
     w.validate()
     assert not w.all_two_invertible()
@@ -226,3 +238,30 @@ def test_pair_groupoid_nerve_counts():
     x = nerve(c, dim_cap=3).sset
     for n in range(4):
         assert x.count(n) == 3 ** (n + 1)
+
+
+def test_search_capacity_errors_report_partial_progress():
+    bs3 = all_categories()["bs3"]
+    for budget, found in ((1, 0), (10, 1)):
+        with pytest.raises(CapacityError) as info:
+            enumerate_functors(bs3, bs3, budget=budget)
+        assert info.value.partial == found
+    c2 = one_object_two_group(cyclic_group(2))
+    for budget, found in ((1, 0), (10, 1)):
+        with pytest.raises(CapacityError) as info:
+            duskin_nerve(c2, dim_cap=3, budget=budget)
+        assert info.value.partial == found
+    loops = SimplicialSet(
+        1, {0: ["v"], 1: ["a", "b"]},
+        {"a": (SimplexRef("v"), SimplexRef("v")), "b": (SimplexRef("v"), SimplexRef("v"))},
+    )
+    # the longest word length whose universe was built
+    with pytest.raises(CapacityError) as info:
+        fundamental_category(loops, path_budget=1)
+    assert info.value.partial == 0
+    with pytest.raises(CapacityError) as info:
+        fundamental_category(loops, path_budget=100)
+    assert info.value.partial == 5  # 1 + 2 + 4 + ... + 32 = 63 words, 127 > 100
+    with pytest.raises(CapacityError) as info:
+        fundamental_category(loops, max_length=3)
+    assert info.value.partial == 4

@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through main()."""
 
 import json
+import time
 
 import pytest
 
@@ -292,3 +293,34 @@ def test_descent_budget_exits_2(files, capsys):
         ["descent", "cocycles", files["cover"], "--group", files["c2"], "--budget", "1"],
         capsys,
     )
+
+
+def test_tau_without_a_budget_uses_the_path_budget(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("HORNFILL_BUDGET", raising=False)
+    loops = _write(tmp_path, "loops.json", {
+        "dim_cap": 1,
+        "generators": {"0": ["v"], "1": ["a", "b"]},
+        "faces": {"a": ["v", "v"], "b": ["v", "v"]},
+    })
+    start = time.perf_counter()
+    assert main(["cat", "tau", loops]) == 2
+    assert time.perf_counter() - start < 20
+    assert "path universe exceeded budget 100000" in capsys.readouterr().err
+
+
+def test_malformed_simplicial_sets_exit_2(files, capsys, tmp_path):
+    good = io.sset_to_json(standard_simplex(1))
+    bad = {
+        "unknown_key": {**good, "name": "d1"},
+        "integer_ids": {**good, "generators": {"0": [0, 1], "1": ["01"]}},
+        "integer_face": {**good, "faces": {"01": [1, "0"]}},
+        "integer_face_gen": {**good, "faces": {"01": [{"gen": 1, "deg": []}, "0"]}},
+        "face_string": {**good, "faces": {"01": "10"}},
+        "ghost_faces": {**good, "faces": {**good["faces"], "ghost": ["0", "1"]}},
+        "generators_list": {**good, "generators": [["0", "1"], ["01"]]},
+        "deg_integer": {**good, "faces": {"01": [{"gen": "1", "deg": 0}, "0"]}},
+    }
+    for name, data in bad.items():
+        path = _write(tmp_path, f"{name}.json", data)
+        _exits_2_without_traceback(["sset", "info", path], capsys)
+        _exits_2_without_traceback(["cat", "tau", path], capsys)

@@ -1,6 +1,8 @@
 """Sheaf and stack conditions on finite sites, and Cech descent."""
 
 import itertools
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -635,6 +637,36 @@ class _TwoObjectBG(GroupoidPresheaf):
 
     def restrict_mor(self, alpha, cod, m):
         return m
+
+
+class _CollapsingBG(_TwoObjectBG):
+    """Both objects restrict to "*", so the parts condition is met only
+    because "*" and "o" lie in one component of each part."""
+
+    def restrict_obj(self, alpha, cod, a):
+        return "*"
+
+
+def test_products_condition_puts_connected_objects_in_one_component():
+    for shape in ((2,), (2, 1)):
+        report = check_stack_groupoids(_CollapsingBG(GROUPS["c2"]), cover_of_shape(shape))
+        assert report.products_ok and report.is_stack, shape
+
+
+def test_descent_object_search_refuses_before_building_its_candidates():
+    # 3 ** 10 gluing candidates over E x_B E; budget 1 must not build them
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CapacityError) as info:
+            descent_groupoid(torsor_presheaf(GROUPS["c3"]), cover_of_shape((3, 1)), budget=1)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.partial == 1  # the first candidate, all identities, is a cocycle
+    assert elapsed < 0.5, elapsed
+    assert peak < 1_000_000, peak
 
 
 def test_every_descent_capacity_error_reports_partial_progress():

@@ -26,7 +26,7 @@ from hornfill.corpus import (
     swap_action,
     trivial_action,
 )
-from hornfill.errors import InputError, ValidationError
+from hornfill.errors import CapacityError, InputError, ValidationError
 from hornfill.groupoid import (
     FinMap,
     GroupAction,
@@ -72,6 +72,13 @@ def test_group_isomorphism_classifier():
     assert groups_isomorphic(GROUPS["c4"], GROUPS["v4"]) is None
     assert groups_isomorphic(GROUPS["s3"], GROUPS["c6"]) is None
     assert groups_isomorphic(GROUPS["s3"], symmetric_group(3)) is not None
+
+
+def test_group_isomorphism_budget_reports_generator_images_fixed():
+    # s3 has two generators: the budget runs out choosing the second image
+    with pytest.raises(CapacityError) as info:
+        groups_isomorphic(GROUPS["s3"], symmetric_group(3), budget=1)
+    assert info.value.partial == 1
 
 
 # one action per homomorphism into the symmetric group of the carrier

@@ -258,6 +258,19 @@ def test_is_isomorphic_finds_relabelings_and_respects_orientation():
     assert is_isomorphic(horn, subcomplex_of_simplex(2, "boundary", dim_cap=1)) is None
 
 
+def test_isomorphism_budget_reports_generators_matched():
+    x = nerve(bg_category(cyclic_group(3)), dim_cap=2).sset
+    for budget in (1, 4):
+        with pytest.raises(CapacityError) as info:
+            is_isomorphic(x, x, budget=budget)
+        assert info.value.partial == budget
+
+
+def test_face_list_of_an_unknown_generator_is_rejected():
+    with pytest.raises(ValidationError, match="unknown generator 'ghost'"):
+        SimplicialSet(1, {0: ["v"]}, {"ghost": (SimplexRef("v"), SimplexRef("v"))})
+
+
 def test_validate_catches_inconsistent_faces():
     with pytest.raises(ValidationError):
         SimplicialSet(
