@@ -27,6 +27,7 @@ certificate) and the homotopy category of edge classes (requires inner
 instance by instance rather than assumed).
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -307,9 +308,6 @@ class NerveResult:
         """Normal form of the composable string (f_1, ..., f_n)."""
         return self.model.ref_of[(len(fs), tuple(fs))]
 
-    def ref_of_object(self, x):
-        return self.model.ref_of[(0, x)]
-
 
 def nerve(c, dim_cap=DEFAULT_DIM_CAP):
     """Nerve of a finite category as a truncated simplicial set."""
@@ -380,24 +378,12 @@ class Finite2Category:
     def hcomp(self, b, a):
         return self.hcompose[(b, a)]
 
-    def two_src(self, a):
-        return self.two[a][0]
-
-    def two_tgt(self, a):
-        return self.two[a][1]
-
     def two_hom(self, f, g):
         """2-cells f => g (f, g parallel 1-cells)."""
         if not self._two_hom:
             for a in sorted(self.two):
                 self._two_hom.setdefault(self.two[a], []).append(a)
         return tuple(self._two_hom.get((f, g), ()))
-
-    def whisker_left(self, g, a):
-        return self.hcompose[(self.two_identity[g], a)]
-
-    def whisker_right(self, b, f):
-        return self.hcompose[(b, self.two_identity[f])]
 
     def two_inverse(self, a):
         f, g = self.two[a]
@@ -668,6 +654,33 @@ def _enumerate_duskin_level(c2, n, budget):
     return out
 
 
+@functools.cache
+def _duskin_recipe(n_from, alpha):
+    """Where each edge and triangle of an alpha-relabelled simplex comes from.
+
+    For alpha: [n_to] -> [n_from], edges and triangles in lex order.  An
+    edge entry is the position of the source edge (alpha i, alpha j), or ~a
+    for the identity 1-cell at source vertex a = alpha i = alpha j.  A
+    triangle entry is the position of the source triangle, or ~q for the
+    identity 2-cell on the new edge at position q: (j, k) when alpha i =
+    alpha j, else (i, j).  Memoised: one entry per monotone map in use.
+    """
+    epos = {p: q for q, p in enumerate(itertools.combinations(range(n_from + 1), 2))}
+    tpos = {p: q for q, p in enumerate(itertools.combinations(range(n_from + 1), 3))}
+    new_epos = {p: q for q, p in enumerate(itertools.combinations(range(len(alpha)), 2))}
+    edges = tuple(
+        ~alpha[i] if alpha[i] == alpha[j] else epos[(alpha[i], alpha[j])]
+        for i, j in new_epos
+    )
+    tris = tuple(
+        ~new_epos[(j, k)] if alpha[i] == alpha[j]
+        else ~new_epos[(i, j)] if alpha[j] == alpha[k]
+        else tpos[(alpha[i], alpha[j], alpha[k])]
+        for i, j, k in itertools.combinations(range(len(alpha)), 3)
+    )
+    return edges, tris
+
+
 def _duskin_reindex(c2, n_from, elem, alpha):
     """Relabel an n_from-simplex along a monotone alpha: [n_to] -> [n_from].
 
@@ -675,40 +688,11 @@ def _duskin_reindex(c2, n_from, elem, alpha):
     where strictness of the 2-category is used.
     """
     verts, e, t = elem
-    n_to = len(alpha) - 1
-    epos = {p: idx for idx, p in enumerate(sorted(
-        (i, j) for j in range(n_from + 1) for i in range(j)))}
-    tpos = {p: idx for idx, p in enumerate(sorted(
-        (i, j, k) for k in range(n_from + 1) for j in range(k) for i in range(j)))}
-
-    def edge_at(i, j):
-        a, b = alpha[i], alpha[j]
-        if a == b:
-            return c2.cat.identity[verts[a]]
-        return e[epos[(a, b)]]
-
-    def tri_at(i, j, k):
-        a, b, c = alpha[i], alpha[j], alpha[k]
-        if a == b == c:
-            return c2.two_identity[c2.cat.identity[verts[a]]]
-        if a == b:
-            return c2.two_identity[e[epos[(b, c)]]]
-        if b == c:
-            return c2.two_identity[e[epos[(a, b)]]]
-        return t[tpos[(a, b, c)]]
-
-    new_verts = tuple(verts[alpha[i]] for i in range(n_to + 1))
-    new_e = tuple(
-        edge_at(i, j)
-        for (i, j) in sorted((i, j) for j in range(n_to + 1) for i in range(j))
-    )
-    new_t = tuple(
-        tri_at(i, j, k)
-        for (i, j, k) in sorted(
-            (i, j, k) for k in range(n_to + 1) for j in range(k) for i in range(j)
-        )
-    )
-    return new_verts, new_e, new_t
+    edges, tris = _duskin_recipe(n_from, alpha)
+    identity, id2 = c2.cat.identity, c2.two_identity
+    new_e = tuple(e[p] if p >= 0 else identity[verts[~p]] for p in edges)
+    new_t = tuple(t[p] if p >= 0 else id2[new_e[~p]] for p in tris)
+    return tuple(verts[a] for a in alpha), new_e, new_t
 
 
 def _duskin_pack(n, elem):
@@ -721,6 +705,13 @@ def _duskin_pack(n, elem):
     return (e, t)
 
 
+@functools.cache
+def _consecutive_edges(n):
+    """Positions of the edges (i, i + 1) of the n-simplex in lex order."""
+    epos = {p: q for q, p in enumerate(itertools.combinations(range(n + 1), 2))}
+    return tuple(epos[(i, i + 1)] for i in range(n))
+
+
 def _duskin_unpack(c2, n, x):
     if n == 0:
         return ((x,), (), ())
@@ -728,22 +719,9 @@ def _duskin_unpack(c2, n, x):
         s, t = c2.one[x]
         return ((s, t), (x,), ())
     e, t = x
-    verts = [c2.one[e[0]][0]]
-    # consecutive edges (i, i+1) live at a known position in lex pair order
-    pos = {p: idx for idx, p in enumerate(sorted(
-        (i, j) for j in range(_npts(e)) for i in range(j)))}
-    n_ = _npts(e) - 1
-    for i in range(n_):
-        verts.append(c2.one[e[pos[(i, i + 1)]]][1])
-    return (tuple(verts), e, t)
-
-
-def _npts(edge_tuple):
-    # len(e) == C(m+1, 2) determines the number of vertices m + 1
-    m = 1
-    while m * (m + 1) // 2 < len(edge_tuple):
-        m += 1
-    return m + 1
+    one = c2.one
+    verts = (one[e[0]][0],) + tuple(one[e[q]][1] for q in _consecutive_edges(n))
+    return (verts, e, t)
 
 
 def duskin_nerve(c2, dim_cap=DEFAULT_DIM_CAP, budget=DEFAULT_BUDGET):

@@ -158,10 +158,6 @@ def pair_groupoid_category(n):
     return FiniteCategory(objs, mors, ident, comp)
 
 
-def walking_iso_category():
-    return pair_groupoid_category(2)
-
-
 def walking_parallel_pair_category():
     """a => b: two parallel arrows, no relations."""
     objs = ("a", "b")

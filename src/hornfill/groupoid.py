@@ -45,12 +45,6 @@ class FinMap:
     def fiber(self, b):
         return tuple(x for x in self.dom if self.table[x] == b)
 
-    def is_surjective(self):
-        return set(self.table.values()) == set(self.cod)
-
-    def is_injective(self):
-        return len(set(self.table.values())) == len(self.dom)
-
     def __repr__(self):
         return f"FinMap({len(self.dom)} -> {len(self.cod)})"
 

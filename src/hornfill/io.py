@@ -102,19 +102,48 @@ def category_to_json(c):
     }
 
 
+def _cells(rows, what):
+    """{id: (src, tgt)} from a JSON list of {"id", "src", "tgt"} rows."""
+    if not isinstance(rows, list):
+        raise InputError(f"{what}s must be a list of {{id, src, tgt}} rows")
+    out = {}
+    for row in rows:
+        _require(row, ("id", "src", "tgt"), what)
+        cell, src, tgt = row["id"], row["src"], row["tgt"]
+        if not all(isinstance(v, str) for v in (cell, src, tgt)):
+            raise InputError(f"{what} id, src and tgt must be string ids, got {row!r}")
+        out[cell] = (src, tgt)
+    return out
+
+
+def _table(rows, what):
+    """{(b, a): ba} from a JSON list of [b, a, ba] rows of string ids."""
+    if not isinstance(rows, list):
+        raise InputError(f"{what} must be a list of [b, a, ba] rows")
+    out = {}
+    for row in rows:
+        if len(_ids(row, f"a {what} row")) != 3:
+            raise InputError(f"{what} rows are [b, a, ba], got {row!r}")
+        out[(row[0], row[1])] = row[2]
+    return out
+
+
+def _id_map(value, what):
+    """A JSON object from string ids to string ids."""
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise InputError(f"{what} must be a JSON object from ids to ids")
+    return dict(value)
+
+
 def category_from_json(data):
-    _require(data, ("objects", "morphisms", "identities", "compose"), "category")
-    morphisms = {}
-    for row in data["morphisms"]:
-        _require(row, ("id", "src", "tgt"), "morphism")
-        morphisms[row["id"]] = (row["src"], row["tgt"])
-    compose = {}
-    for row in data["compose"]:
-        if len(row) != 3:
-            raise InputError(f"compose rows are [g, f, gf], got {row!r}")
-        compose[(row[0], row[1])] = row[2]
+    keys = ("objects", "morphisms", "identities", "compose")
+    _require(data, keys, "category")
+    _only(data, keys, "category")
     return FiniteCategory(
-        tuple(data["objects"]), morphisms, dict(data["identities"]), compose
+        tuple(_ids(data["objects"], "category objects")),
+        _cells(data["morphisms"], "morphism"),
+        _id_map(data["identities"], "category identities"),
+        _table(data["compose"], "compose"),
     )
 
 
@@ -135,39 +164,21 @@ def two_category_to_json(c2):
 
 
 def two_category_from_json(data):
-    _require(
-        data,
-        (
-            "objects", "morphisms", "identities", "compose",
-            "two_cells", "two_identities", "vcompose", "hcompose",
-        ),
-        "two-category",
+    keys = (
+        "objects", "morphisms", "identities", "compose",
+        "two_cells", "two_identities", "vcompose", "hcompose",
     )
-    one_cells = {}
-    for row in data["morphisms"]:
-        _require(row, ("id", "src", "tgt"), "one-cell")
-        one_cells[row["id"]] = (row["src"], row["tgt"])
-    two_cells = {}
-    for row in data["two_cells"]:
-        _require(row, ("id", "src", "tgt"), "two-cell")
-        two_cells[row["id"]] = (row["src"], row["tgt"])
-    def table(rows, what):
-        out = {}
-        for row in rows:
-            if len(row) != 3:
-                raise InputError(f"{what} rows are [b, a, ba], got {row!r}")
-            out[(row[0], row[1])] = row[2]
-        return out
-    compose = table(data["compose"], "compose")
+    _require(data, keys, "two-category")
+    _only(data, keys, "two-category")
     return Finite2Category(
-        tuple(data["objects"]),
-        one_cells,
-        dict(data["identities"]),
-        compose,
-        two_cells,
-        dict(data["two_identities"]),
-        table(data["vcompose"], "vcompose"),
-        table(data["hcompose"], "hcompose"),
+        tuple(_ids(data["objects"], "two-category objects")),
+        _cells(data["morphisms"], "one-cell"),
+        _id_map(data["identities"], "two-category identities"),
+        _table(data["compose"], "compose"),
+        _cells(data["two_cells"], "two-cell"),
+        _id_map(data["two_identities"], "two-category two_identities"),
+        _table(data["vcompose"], "vcompose"),
+        _table(data["hcompose"], "hcompose"),
     )
 
 

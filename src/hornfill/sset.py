@@ -20,18 +20,21 @@ Operator identities used by the calculus (operators act on the left):
 """
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_BUDGET, DEFAULT_DIM_CAP, MAX_STANDARD_DIM
 from .errors import CapacityError, ConsistencyError, InputError, ValidationError
 
 
-@dataclass(frozen=True, order=True)
-class SimplexRef:
-    """A simplex in normal form: degeneracy word over a generator."""
+class SimplexRef(namedtuple("SimplexRef", ("gen", "degs"), defaults=((),))):
+    """A simplex in normal form: degeneracy word over a generator.
 
-    gen: str
-    degs: tuple = ()
+    A plain tuple (gen, degs) underneath, so equality, hashing and order
+    are the tuple's and run in C.
+    """
+
+    __slots__ = ()
 
     def __str__(self):
         if not self.degs:
@@ -280,6 +283,9 @@ class SimplicialSet:
     # -- validation ----------------------------------------------------------
 
     def validate(self, deep=False):
+        # Each distinct face (d, ref) is checked once per call, and its own
+        # face tuple derived once: generators share most of their faces.
+        checked = set()
         for g, d in self.gen_dim.items():
             if d == 0:
                 if g in self.gen_faces:
@@ -291,6 +297,8 @@ class SimplicialSet:
             if len(fs) != d + 1:
                 raise ValidationError(f"{g!r} has {len(fs)} faces, expected {d + 1}")
             for i, ref in enumerate(fs):
+                if (d, ref) in checked:
+                    continue
                 if ref.gen not in self.gen_dim:
                     raise ValidationError(f"face d_{i} of {g!r} hits unknown {ref.gen!r}")
                 if any(a <= b for a, b in zip(ref.degs, ref.degs[1:])):
@@ -301,17 +309,24 @@ class SimplicialSet:
                     )
                 if ref.degs and ref.degs[0] > d - 2:
                     raise ValidationError(f"face d_{i} of {g!r} has out-of-range word")
+                checked.add((d, ref))
         # d_i d_j = d_{j-1} d_i for i < j, on generators; together with the
         # normal-form calculus this forces all identities on all simplices.
+        # Every face now has dimension d - 1, so a ref fixes its face row.
+        face = self._face
+        rows_of = {}
         for g, d in self.gen_dim.items():
             if d < 2:
                 continue
-            ref = SimplexRef(g)
+            rows = []
+            for ref in self.gen_faces[g]:
+                row = rows_of.get(ref)
+                if row is None:
+                    row = rows_of[ref] = tuple(face(ref, i) for i in range(d))
+                rows.append(row)
             for j in range(d + 1):
                 for i in range(j):
-                    lhs = self._face(self._face(ref, j), i)
-                    rhs = self._face(self._face(ref, i), j - 1)
-                    if lhs != rhs:
+                    if rows[j][i] != rows[i][j - 1]:
                         raise ValidationError(
                             f"d_{i} d_{j} != d_{j - 1} d_{i} on generator {g!r}"
                         )

@@ -324,3 +324,45 @@ def test_malformed_simplicial_sets_exit_2(files, capsys, tmp_path):
         path = _write(tmp_path, f"{name}.json", data)
         _exits_2_without_traceback(["sset", "info", path], capsys)
         _exits_2_without_traceback(["cat", "tau", path], capsys)
+
+
+def _malformed_categories(good):
+    """Category-level mutations of a category or two-category JSON file."""
+    first = good["morphisms"][0]
+    return {
+        "unknown_key": {**good, "name": "c"},
+        "list_object": {**good, "objects": [good["objects"][:1]] + good["objects"][1:]},
+        "objects_string": {**good, "objects": "".join(good["objects"])},
+        "integer_morphism": {**good, "morphisms": [{**first, "id": 0}]},
+        "list_src": {**good, "morphisms": [{**first, "src": [first["src"]]}]},
+        "morphisms_object": {**good, "morphisms": {first["id"]: first}},
+        "integer_identity": {
+            **good, "identities": {x: 0 for x in good["identities"]}
+        },
+        "identities_list": {**good, "identities": list(good["identities"].items())},
+        "integer_compose": {**good, "compose": [[0, 0, 0]]},
+        "compose_string": {**good, "compose": "".join(good["compose"][0])},
+        "short_compose_row": {**good, "compose": [good["compose"][0][:2]]},
+    }
+
+
+def test_malformed_categories_exit_2(tmp_path, capsys):
+    good = io.category_to_json(all_categories()["poset1"])
+    for name, data in _malformed_categories(good).items():
+        path = _write(tmp_path, f"{name}.cat.json", data)
+        _exits_2_without_traceback(["cat", "nerve", path], capsys)
+    good2 = io.two_category_to_json(all_two_categories()["walking_cell"])
+    cell = good2["two_cells"][0]
+    bad2 = {
+        **_malformed_categories(good2),
+        "integer_two_cell": {**good2, "two_cells": [{**cell, "id": 1}]},
+        "list_two_cell_src": {**good2, "two_cells": [{**cell, "src": [cell["src"]]}]},
+        "integer_two_identity": {
+            **good2, "two_identities": {f: 1 for f in good2["two_identities"]}
+        },
+        "integer_vcompose": {**good2, "vcompose": [[1, 1, 1]]},
+        "hcompose_object": {**good2, "hcompose": {cell["id"]: cell["id"]}},
+    }
+    for name, data in bad2.items():
+        path = _write(tmp_path, f"{name}.cat2.json", data)
+        _exits_2_without_traceback(["cat", "duskin", path], capsys)

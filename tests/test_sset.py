@@ -3,6 +3,8 @@
 import contextlib
 import math
 import random
+import re
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,12 @@ def test_simplex_ref_json_rejects_bad_degeneracy_words():
         SimplexRef.from_json({"gen": "x", "deg": [0, 2]})
     with pytest.raises(InputError):
         SimplexRef.from_json({"gen": "x", "deg": [1, 1]})
+    for bad in ([-1], ["0"], [1.5], [None], 0, "0"):
+        with pytest.raises(InputError):
+            SimplexRef.from_json({"gen": "x", "deg": bad})
+    for bad in ({"gen": 1, "deg": []}, {"gen": ["x"], "deg": [0]}, ["x", []], 1, None):
+        with pytest.raises(InputError):
+            SimplexRef.from_json(bad)
 
 
 def test_standard_simplex_counts_match_binomials():
@@ -381,3 +389,158 @@ def test_level_models_match_the_callable_strip():
             count += 1
     # 22 nerves, 7 Duskin nerves, 10 products, 4 mapping spaces and their 10 cylinders
     assert count == 53
+
+
+# -- SimplexRef against the frozen dataclass it was ------------------------------
+
+
+@dataclass(frozen=True, order=True)
+class _DataclassRef:
+    """SimplexRef as a frozen dataclass: the reference for hash, order, str."""
+
+    gen: str
+    degs: tuple = ()
+
+    def __str__(self):
+        if not self.degs:
+            return self.gen
+        return self.gen + "".join(f".s{j}" for j in self.degs)
+
+    def to_json(self):
+        if not self.degs:
+            return self.gen
+        return {"gen": self.gen, "deg": list(self.degs)}
+
+
+def _reference_face(x, ref, i):
+    """d_i in normal form, on _DataclassRef values."""
+    degs = ref.degs
+    pending = []
+    for pos, j in enumerate(degs):
+        if i < j:
+            pending.append(j - 1)
+        elif i == j or i == j + 1:
+            return _DataclassRef(ref.gen, tuple(pending) + degs[pos + 1:])
+        else:
+            pending.append(j)
+            i -= 1
+    out = _DataclassRef(*x.gen_faces[ref.gen][i])
+    for j in reversed(pending):
+        out = _DataclassRef(out.gen, insert_degeneracy(out.degs, j))
+    return out
+
+
+def test_simplex_refs_hash_order_and_index_like_the_frozen_dataclass():
+    for name, c in all_categories().items():
+        x = nerve(c, dim_cap=4).sset
+        for n in range(5):
+            refs = x.simplices(n)
+            old = [_DataclassRef(*r) for r in refs]
+            assert [hash(r) for r in refs] == [hash(r) for r in old], name
+            assert [str(r) for r in refs] == [str(r) for r in old], name
+            assert [r.to_json() for r in refs] == [r.to_json() for r in old], name
+            assert [_DataclassRef(*r) for r in sorted(refs)] == sorted(old), name
+            assert [_DataclassRef(*r) for r in set(refs)] == list(set(old)), name
+            for r in refs:
+                back = SimplexRef.from_json(r.to_json())
+                assert back == r and type(back) is SimplexRef
+            if n == 0:
+                continue
+            index = {}
+            for t in old:
+                key = tuple(_reference_face(x, t, i) for i in range(n + 1))
+                index.setdefault(key, []).append(t)
+            got = {
+                tuple(_DataclassRef(*f) for f in key): [_DataclassRef(*t) for t in ts]
+                for key, ts in x.face_index(n).items()
+            }
+            assert list(got.items()) == list(index.items()), name
+
+
+# -- validate against the generator loop it replaced -----------------------------
+
+
+def _oracle_validate(x):
+    """validate without the deep check, deriving every face afresh."""
+    for g, d in x.gen_dim.items():
+        if d == 0:
+            if g in x.gen_faces:
+                raise ValidationError(f"vertex {g!r} must not carry faces")
+            continue
+        if g not in x.gen_faces:
+            raise ValidationError(f"generator {g!r} has no face list")
+        fs = x.gen_faces[g]
+        if len(fs) != d + 1:
+            raise ValidationError(f"{g!r} has {len(fs)} faces, expected {d + 1}")
+        for i, ref in enumerate(fs):
+            if ref.gen not in x.gen_dim:
+                raise ValidationError(f"face d_{i} of {g!r} hits unknown {ref.gen!r}")
+            if any(a <= b for a, b in zip(ref.degs, ref.degs[1:])):
+                raise ValidationError(f"face d_{i} of {g!r} not in normal form")
+            if x.dim_of(ref) != d - 1:
+                raise ValidationError(
+                    f"face d_{i} of {g!r} has dimension {x.dim_of(ref)}, expected {d - 1}"
+                )
+            if ref.degs and ref.degs[0] > d - 2:
+                raise ValidationError(f"face d_{i} of {g!r} has out-of-range word")
+    for g, d in x.gen_dim.items():
+        if d < 2:
+            continue
+        ref = SimplexRef(g)
+        for j in range(d + 1):
+            for i in range(j):
+                lhs = x._face(x._face(ref, j), i)
+                rhs = x._face(x._face(ref, i), j - 1)
+                if lhs != rhs:
+                    raise ValidationError(
+                        f"d_{i} d_{j} != d_{j - 1} d_{i} on generator {g!r}"
+                    )
+
+
+_KINDS = re.compile("hits unknown|has dimension|!=")
+
+
+def _verdict(check, x):
+    try:
+        check(x)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _spread(seq, k):
+    """k entries spread evenly over seq, or all of seq when it is shorter."""
+    if len(seq) <= k:
+        return list(seq)
+    return [seq[s * len(seq) // k] for s in range(k)]
+
+
+def test_validate_matches_the_generator_loop_on_single_face_mutations():
+    sets = [nerve(c, dim_cap=4).sset for c in all_categories().values()]
+    sets += [duskin_nerve(c2, dim_cap=4).sset for c2 in all_two_categories().values()]
+    ghost = SimplexRef("ghost")
+    seen = set()
+    for x in sets:
+        mutations = sum(
+            len(x.generators(d)) * (d + 1) * (x.count(d - 1) + x.count(d) + 1)
+            for d in range(1, x.dim_cap + 1)
+        )
+        # every mutation of the smaller sets; an even spread on the larger
+        every = mutations <= 1000
+        for d in range(1, x.dim_cap + 1):
+            gens = x.generators(d) if every else _spread(x.generators(d), 2)
+            below, level = x.simplices(d - 1), x.simplices(d)
+            if not every:
+                below, level = _spread(below, 2), _spread(level, 1)
+            # one face two dimensions down, which a lower generator may have passed
+            lower = _spread(x.simplices(d - 2), 1) if d >= 2 else []
+            for g in gens:
+                fs = x.gen_faces[g]
+                for i in range(d + 1):
+                    for r in (ghost, *lower, *below, *level):
+                        x.gen_faces[g] = fs[:i] + (r,) + fs[i + 1:]
+                        want = _verdict(_oracle_validate, x)
+                        assert _verdict(SimplicialSet.validate, x) == want, (x, g, i, r)
+                        seen.add(want and _KINDS.search(want).group())
+                x.gen_faces[g] = fs
+    assert seen == {None, "hits unknown", "has dimension", "!="}
