@@ -954,85 +954,76 @@ def homotopy_category(x):
     """
     if x.dim_cap < 2:
         raise InputError("homotopy category needs 2-simplices")
-    edges = list(x.simplices(1))
-    tri = set()
-    for s in x.simplices(2):
-        tri.add((x._face(s, 0), x._face(s, 1), x._face(s, 2)))
-
-    def endpoints(f):
-        return (x._face(f, 1).gen, x._face(f, 0).gen)
+    # edges and vertices by position in x's level table; a 2-simplex is
+    # known by its face triple (d0, d1, d2) of edge positions
+    table = x.table(2)
+    edges = table.levels[1]
+    vertex = [v.gen for v in table.levels[0]]
+    tri = table.face_index(2)
+    ends = list(zip(table.faces[1][1], table.faces[1][0]))
+    s0 = table.degs[0][0]
+    every = range(len(edges))
 
     def homotopic(f, g):
-        if endpoints(f) != endpoints(g):
-            return False
-        y = endpoints(f)[1]
-        return (SimplexRef(y, (0,)), g, f) in tri
+        return ends[f] == ends[g] and (s0[ends[f][1]], g, f) in tri
 
     # the relation must already be an equivalence relation on each hom-set
     pairs = 0
-    idx = {f: i for i, f in enumerate(edges)}
-    linked = UnionFind(range(len(edges)))
+    linked = UnionFind(every)
     find = linked.find
-    for f in edges:
+    for f in every:
         if not homotopic(f, f):
-            raise InputError(f"homotopy relation not reflexive at {f}; missing s1-degeneracies")
-    for f in edges:
-        for g in edges:
-            if endpoints(f) != endpoints(g):
+            raise InputError(f"homotopy relation not reflexive at {edges[f]}; missing s1-degeneracies")
+    for f in every:
+        for g in every:
+            if ends[f] != ends[g]:
                 continue
             fg, gf = homotopic(f, g), homotopic(g, f)
             if fg != gf:
-                raise ConsistencyError(f"homotopy relation not symmetric at ({f}, {g})")
+                raise ConsistencyError(f"homotopy relation not symmetric at ({edges[f]}, {edges[g]})")
             if fg:
                 pairs += 1
-                linked.union(idx[f], idx[g])
+                linked.union(f, g)
     # transitivity: union-find closure must not outrun the raw relation
-    for f in edges:
-        for g in edges:
-            if endpoints(f) == endpoints(g) and find(idx[f]) == find(idx[g]):
-                if not homotopic(f, g):
-                    raise ConsistencyError(
-                        f"homotopy relation not transitive: ({f}, {g}) linked but unrelated"
-                    )
+    for f in every:
+        for g in every:
+            if ends[f] == ends[g] and find(f) == find(g) and not homotopic(f, g):
+                raise ConsistencyError(
+                    f"homotopy relation not transitive: ({edges[f]}, {edges[g]}) linked but unrelated"
+                )
 
     classes = {}
-    for f in edges:
-        classes.setdefault(find(idx[f]), []).append(f)
-    rep = {r: min(fs) for r, fs in classes.items()}
-    name = {r: str(rep[r]) for r in classes}
+    for f in every:
+        classes.setdefault(find(f), []).append(f)
+    rep = {r: min(fs, key=edges.__getitem__) for r, fs in classes.items()}
+    name = {r: str(edges[rep[r]]) for r in classes}
 
-    composite_index = {}
-    for (d0, d1, d2) in tri:
-        composite_index.setdefault((d2, d0), set()).add(d1)
-
-    table = {}
+    # the 2-simplices over each composable pair (d2, d0), and their d1
+    over_pair, d1 = table.face_index(2, (2, 0)), table.faces[2][1]
+    comp = {}
     for r2, gs in classes.items():
         for r1, fs in classes.items():
-            if endpoints(rep[r1])[1] != endpoints(rep[r2])[0]:
+            if ends[rep[r1]][1] != ends[rep[r2]][0]:
                 continue
             found = set()
             for f in fs:
                 for g in gs:
-                    outs = composite_index.get((f, g))
+                    outs = over_pair.get((f, g))
                     if not outs:
                         raise InputError(
-                            f"no inner 2-horn filler for ({f}, {g}); not a weak Kan complex"
+                            f"no inner 2-horn filler for ({edges[f]}, {edges[g]}); not a weak Kan complex"
                         )
-                    found.update(find(idx[h]) for h in outs)
+                    found.update(find(d1[p]) for p in outs)
             if len(found) > 1:
                 raise ConsistencyError(
-                    f"composite of ({rep[r1]}, {rep[r2]}) depends on the filler chosen"
+                    f"composite of ({edges[rep[r1]]}, {edges[rep[r2]]}) depends on the filler chosen"
                 )
-            table[(name[r2], name[r1])] = name[next(iter(found))]
+            comp[(name[r2], name[r1])] = name[next(iter(found))]
 
-    objects = list(x.generators(0))
-    mor = {name[r]: endpoints(rep[r]) for r in classes}
-    identity = {}
-    for v in objects:
-        f = SimplexRef(v, (0,))
-        identity[v] = name[find(idx[f])]
-    cat = FiniteCategory(objects, mor, identity, table)
-    return HomotopyCategoryResult(cat, {f: name[find(idx[f])] for f in edges}, pairs)
+    mor = {name[r]: tuple(vertex[v] for v in ends[rep[r]]) for r in classes}
+    identity = {v: name[find(s0[p])] for p, v in enumerate(vertex)}
+    cat = FiniteCategory(vertex, mor, identity, comp)
+    return HomotopyCategoryResult(cat, {f: name[find(p)] for p, f in enumerate(edges)}, pairs)
 
 
 # -- simplicial mapping spaces ---------------------------------------------------

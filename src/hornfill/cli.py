@@ -46,7 +46,7 @@ from .groupoid import (
     quotient_groupoid,
     stabilizer,
 )
-from .kan import classify, horn_tuples
+from .kan import classify, filler_profile
 from .sset import enumerate_maps
 
 
@@ -109,19 +109,15 @@ def cmd_sset_check_kan(args):
 
 def cmd_sset_fillers(args):
     x = io.sset_from_json(io.load_path(args.sset))
-    tuples = horn_tuples(x, args.n, args.k, budget=_budget(args))
-    index = x.filler_index(args.n, args.k)
-    profile = {}
-    for t in tuples:
-        count = len(index.get(t, ()))
-        profile[count] = profile.get(count, 0) + 1
+    profile = filler_profile(x, args.n, args.k, budget=_budget(args))
+    horn_maps = sum(profile.values())
     data = {
         "n": args.n,
         "k": args.k,
-        "horn_maps": len(tuples),
+        "horn_maps": horn_maps,
         "filler_profile": {str(c): profile[c] for c in sorted(profile)},
     }
-    lines = [f"horn ({args.n},{args.k}): {len(tuples)} maps"] + [
+    lines = [f"horn ({args.n},{args.k}): {horn_maps} maps"] + [
         f"{v} horn maps with {c} fillers" for c, v in sorted(profile.items())
     ]
     _emit(args, data, lines)

@@ -116,14 +116,14 @@ def _cells(rows, what):
     return out
 
 
-def _table(rows, what):
-    """{(b, a): ba} from a JSON list of [b, a, ba] rows of string ids."""
+def _table(rows, what, shape="[b, a, ba]"):
+    """{(b, a): ba} from a JSON list of `shape` rows of three string ids."""
     if not isinstance(rows, list):
-        raise InputError(f"{what} must be a list of [b, a, ba] rows")
+        raise InputError(f"{what} must be a list of {shape} rows")
     out = {}
     for row in rows:
         if len(_ids(row, f"a {what} row")) != 3:
-            raise InputError(f"{what} rows are [b, a, ba], got {row!r}")
+            raise InputError(f"{what} rows are {shape}, got {row!r}")
         out[(row[0], row[1])] = row[2]
     return out
 
@@ -197,14 +197,7 @@ def group_from_json(data):
     _require(data, ("elements", "mul"), "group")
     _only(data, ("elements", "mul"), "group")
     elements = _ids(data["elements"], "group elements")
-    if not isinstance(data["mul"], list):
-        raise InputError("group mul must be a list of [a, b, ab] rows")
-    mul = {}
-    for row in data["mul"]:
-        if len(_ids(row, "a mul row")) != 3:
-            raise InputError(f"mul rows are [a, b, ab], got {row!r}")
-        mul[(row[0], row[1])] = row[2]
-    return FiniteGroup(tuple(elements), mul)
+    return FiniteGroup(tuple(elements), _table(data["mul"], "group mul", "[a, b, ab]"))
 
 
 def action_to_json(a):
@@ -221,17 +214,17 @@ def action_to_json(a):
 
 def action_from_json(data):
     _require(data, ("group", "carrier", "act"), "action")
+    _only(data, ("group", "carrier", "act", "base"), "action")
     group = group_from_json(data["group"])
-    act = {}
-    for row in data["act"]:
-        if len(row) != 3:
-            raise InputError(f"act rows are [g, x, gx], got {row!r}")
-        act[(row[0], row[1])] = row[2]
+    carrier = _ids(data["carrier"], "action carrier")
+    act = _table(data["act"], "action act", "[g, x, gx]")
     base = None
-    if "base" in data and data["base"] is not None:
+    if data.get("base") is not None:
         _require(data["base"], ("set", "pi"), "action base")
-        base = (tuple(data["base"]["set"]), dict(data["base"]["pi"]))
-    return GroupAction(group, tuple(data["carrier"]), act, base=base)
+        _only(data["base"], ("set", "pi"), "action base")
+        b_set = _ids(data["base"]["set"], "action base set")
+        base = (tuple(b_set), _id_map(data["base"]["pi"], "action base pi"))
+    return GroupAction(group, tuple(carrier), act, base=base)
 
 
 def cover_to_json(cover):
@@ -243,10 +236,7 @@ def cover_from_json(data):
     _only(data, ("E", "B", "pi", "parts"), "cover")
     _ids(data["E"], "cover E")
     _ids(data["B"], "cover B")
-    if not isinstance(data["pi"], dict) or not all(
-        isinstance(v, str) for v in data["pi"].values()
-    ):
-        raise InputError("cover pi must be a JSON object from points to base points")
+    _id_map(data["pi"], "cover pi")
     parts = data.get("parts")
     if parts is not None:
         if not isinstance(parts, list):

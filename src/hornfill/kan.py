@@ -9,8 +9,10 @@ a join over the (n-1)-simplices, choosing y_i in increasing i and looking
 each one up by the faces it shares with the entries already chosen.  The
 fillers of a horn map are the n-simplices whose face tuple with d_k
 dropped is the map's tuple, read off an index of x's n-simplices that x
-caches per (n, k).  The four classical characterizations then read off
-existence/uniqueness patterns:
+caches per (n, k).  The join and both indexes work on positions in x's
+level table (`SimplicialSet.table`); simplices become `SimplexRef` values
+only in what the public functions return.  The four classical
+characterizations then read off existence/uniqueness patterns:
 
     weak Kan            inner horns fill
     Kan                 all horns fill
@@ -24,11 +26,12 @@ inspected range only, which the report records.
 """
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
 from .config import DEFAULT_BUDGET
 from .errors import CapacityError, ConsistencyError, InputError
-from .sset import SimplexRef, SimplicialMap, subcomplex_of_simplex
+from .sset import SimplicialMap, subcomplex_of_simplex
 
 
 @functools.cache
@@ -61,22 +64,31 @@ def _horn_charts(n, k):
     return tuple(charts)
 
 
-def _images(x, n, k, tup):
-    """Images of the horn generators, in (dimension, id) order, of a tuple."""
-    return tuple(x.restrict(tup[slot], alpha) for slot, alpha in _horn_charts(n, k))
+def _images(x, n, k):
+    """Images of the horn generators, in (dimension, id) order, as a
+    function of a compatible face tuple of positions."""
+    table = x.table(n - 1)
+    charts = [(slot, table.levels[len(alpha) - 1], table.restriction_table(n - 1, alpha))
+              for slot, alpha in _horn_charts(n, k)]
+    return lambda tup: tuple(level[row[tup[slot]]] for slot, level, row in charts)
 
 
 def _join(x, n, k, budget, spent=0, shapes_done=0):
-    """Compatible face tuples of the (n, k)-horn in x, and the trials spent.
+    """Compatible face tuples of the (n, k)-horn in x, as positions in
+    level n - 1, and the trials spent.
 
     Every candidate tried for a slot is one trial; `spent` trials are
     already used up when the call starts.  Past `budget` a CapacityError
     reports `shapes_done` horn shapes as completed.
     """
+    if n > x.dim_cap:
+        raise InputError(f"horn dimension {n} above target cap {x.dim_cap}")
+    horn_generators(n, k)  # rejects a bad n or k
+    table = x.table(n)
     faces = [i for i in range(n + 1) if i != k]
     # the candidates for y_j are indexed by d_i y_j for the earlier slots i
-    indexes = [x.face_index(n - 1, faces[:s]) for s in range(len(faces))]
-    face_of = x._face
+    indexes = [table.face_index(n - 1, faces[:s]) for s in range(len(faces))]
+    face_rows = table.faces[n - 1]
     out = []
     chosen = []
 
@@ -86,7 +98,7 @@ def _join(x, n, k, budget, spent=0, shapes_done=0):
             out.append(tuple(chosen))
             return
         j = faces[s]
-        key = tuple(face_of(y, j - 1) for y in chosen)
+        key = tuple(face_rows[j - 1][y] for y in chosen)
         for y in indexes[s].get(key, ()):
             spent += 1
             if spent > budget:
@@ -108,10 +120,9 @@ def horn_tuples(x, n, k, budget=DEFAULT_BUDGET):
     increasing i.  Raises CapacityError when more than `budget` join
     trials are spent.
     """
-    if n > x.dim_cap:
-        raise InputError(f"horn dimension {n} above target cap {x.dim_cap}")
-    horn_generators(n, k)  # rejects a bad n or k
-    return _join(x, n, k, budget)[0]
+    tuples = _join(x, n, k, budget)[0]
+    level = x.simplices(n - 1)
+    return [tuple(level[p] for p in t) for t in tuples]
 
 
 def horn_maps(x, n, k, budget=DEFAULT_BUDGET):
@@ -119,8 +130,9 @@ def horn_maps(x, n, k, budget=DEFAULT_BUDGET):
 
     Sorted by the images of the horn generators in (dimension, id) order.
     """
+    tuples = _join(x, n, k, budget)[0]
     horn, gen_ids = horn_generators(n, k)
-    images = sorted(_images(x, n, k, t) for t in horn_tuples(x, n, k, budget))
+    images = sorted(map(_images(x, n, k), tuples))
     return [
         SimplicialMap(horn, x, dict(zip(gen_ids, imgs)), up_to=n - 1, check=False)
         for imgs in images
@@ -129,12 +141,21 @@ def horn_maps(x, n, k, budget=DEFAULT_BUDGET):
 
 def horn_fillers(x, n, k, horn_map):
     """The n-simplices of x extending the given horn map."""
+    at = x.table(n).position[n - 1]
     key = tuple(
-        horn_map.assignment["".join(str(v) for v in range(n + 1) if v != i)]
+        at.get(horn_map.assignment["".join(str(v) for v in range(n + 1) if v != i)])
         for i in range(n + 1)
         if i != k
     )
-    return tuple(x.filler_index(n, k).get(key, ()))
+    level = x.simplices(n)
+    return tuple(level[p] for p in x.filler_index(n, k).get(key, ()))
+
+
+def filler_profile(x, n, k, budget=DEFAULT_BUDGET):
+    """{number of fillers: number of (n, k)-horn maps with that many}."""
+    tuples = _join(x, n, k, budget)[0]
+    index = x.filler_index(n, k)
+    return dict(Counter(len(index.get(t, ())) for t in tuples))
 
 
 @dataclass
@@ -210,13 +231,14 @@ def classify(x, dim_cap=None, budget=DEFAULT_BUDGET):
         for k in range(n + 1):
             tuples, spent = _join(x, n, k, budget, spent, len(verdicts))
             index = x.filler_index(n, k)
+            images_of = _images(x, n, k)
             unfilled = ambiguous = 0
             no_images = multi = None
             for t in tuples:
                 fillers = index.get(t, ())
                 if len(fillers) == 1:
                     continue
-                images = _images(x, n, k, t)
+                images = images_of(t)
                 if not fillers:
                     unfilled += 1
                     if no_images is None or images < no_images:
@@ -231,7 +253,7 @@ def classify(x, dim_cap=None, budget=DEFAULT_BUDGET):
             if multi:
                 multi_ex = dict(
                     _serialize_horn_map(gen_ids, multi[0]),
-                    fillers=[str(t) for t in multi[1]],
+                    fillers=[str(x.simplices(n)[p]) for p in multi[1]],
                 )
             verdicts.append(
                 HornVerdict(
@@ -275,21 +297,20 @@ def is_isomorphism_edge(x, edge, check_homotopy_category=True):
     is invertible in the homotopy category.  On a weak Kan complex the two
     must agree; any disagreement raises instead of picking a side.
     """
-    if x.dim_of(edge) != 1:
+    table = x.table(2)
+    tri = table.face_index(2)
+    e = table.position[1].get(edge)
+    if e is None:
         raise InputError(f"{edge} is not an edge")
-    tri = set()
-    for s in x.simplices(2):
-        tri.add((x._face(s, 0), x._face(s, 1), x._face(s, 2)))
-    src_v = x._face(edge, 1).gen
-    tgt_v = x._face(edge, 0).gen
+    d0, d1 = table.faces[1]
+    s0 = table.degs[0][0]
+    src_v, tgt_v = d1[e], d0[e]
     witness = ""
-    for g in x.simplices(1):
-        if x._face(g, 1).gen != tgt_v or x._face(g, 0).gen != src_v:
+    for g in range(len(d0)):
+        if d1[g] != tgt_v or d0[g] != src_v:
             continue
-        left = (edge, SimplexRef(tgt_v, (0,)), g) in tri
-        right = (g, SimplexRef(src_v, (0,)), edge) in tri
-        if left and right:
-            witness = str(g)
+        if (e, s0[tgt_v], g) in tri and (g, s0[src_v], e) in tri:
+            witness = str(table.levels[1][g])
             break
     route_direct = bool(witness)
     route_homotopy = route_direct

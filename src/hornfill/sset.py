@@ -1,11 +1,13 @@
 """Finite truncated simplicial sets, exactly.
 
-A simplicial set is stored by its non-degenerate simplices only.  Every
-simplex has a unique normal form: a strictly decreasing degeneracy word
-applied to a non-degenerate generator (Eilenberg-Zilber).  `SimplexRef`
-names a simplex that way; `(g, (i1, ..., ik))` with `i1 > ... > ik` stands
-for `s_{i1} s_{i2} ... s_{ik} g`.  Degenerate simplices are never stored,
-they are enumerated on demand.
+A simplicial set is presented by its non-degenerate simplices and their
+face lists.  Every simplex has a unique normal form: a strictly decreasing
+degeneracy word applied to a non-degenerate generator (Eilenberg-Zilber).
+`SimplexRef` names a simplex that way, in JSON and in reports;
+`(g, (i1, ..., ik))` with `i1 > ... > ik` stands for
+`s_{i1} s_{i2} ... s_{ik} g`.  Internally each set keeps one integer level
+table, `SimplicialSet.table()`, whose level n is `simplices(n)`; the
+calculus below fills it once, and everything else reads positions in it.
 
 All sets are truncated at `dim_cap`.  Everything here is exact enumeration
 over finite data; there is no tolerance parameter anywhere.
@@ -41,10 +43,6 @@ class SimplexRef(namedtuple("SimplexRef", ("gen", "degs"), defaults=((),))):
             return self.gen
         return self.gen + "".join(f".s{j}" for j in self.degs)
 
-    @property
-    def degenerate(self):
-        return bool(self.degs)
-
     def to_json(self):
         if not self.degs:
             return self.gen
@@ -59,7 +57,7 @@ class SimplexRef(namedtuple("SimplexRef", ("gen", "degs"), defaults=((),))):
             and isinstance(obj["gen"], str) and isinstance(obj["deg"], list)
         ):
             degs = tuple(obj["deg"])
-            if not all(isinstance(j, int) and j >= 0 for j in degs):
+            if not all(type(j) is int and j >= 0 for j in degs):
                 raise InputError(f"bad degeneracy word {obj['deg']!r}")
             if any(a <= b for a, b in zip(degs, degs[1:])):
                 raise InputError(f"degeneracy word not strictly decreasing: {obj['deg']!r}")
@@ -101,7 +99,7 @@ class SimplicialSet:
     """
 
     def __init__(self, dim_cap, generators, faces, check=True):
-        if not isinstance(dim_cap, int) or dim_cap < 0:
+        if type(dim_cap) is not int or dim_cap < 0:
             raise InputError(f"dim_cap must be a non-negative integer, got {dim_cap!r}")
         self.dim_cap = dim_cap
         self.gens = {}
@@ -121,8 +119,7 @@ class SimplicialSet:
         if unknown:
             raise ValidationError(f"face list keyed by unknown generator {unknown[0]!r}")
         self.gen_faces = {g: tuple(faces[g]) for g in faces}
-        self._simplices = {}
-        self._face_index = {}
+        self._level_table = SimplicialObject(-1, [], None, None, check=False)
         if check:
             self.validate()
 
@@ -140,9 +137,6 @@ class SimplicialSet:
         if ref.gen not in self.gen_dim:
             raise InputError(f"unknown generator {ref.gen!r}")
         return self.gen_dim[ref.gen] + len(ref.degs)
-
-    def size(self):
-        return sum(len(v) for v in self.gens.values())
 
     def __eq__(self, other):
         return (
@@ -211,8 +205,8 @@ class SimplicialSet:
     def restrict(self, ref, alpha):
         """Pull `ref` back along a monotone map, alpha: [m] -> [dim ref].
 
-        Factors alpha into codegeneracies and cofaces and applies the
-        corresponding operators; the result is the alpha-reindexed simplex.
+        The injective part of alpha is read off the table's restriction
+        table; each repeated value of alpha is then a degeneracy.
         """
         n = self.dim_of(ref)
         alpha = tuple(alpha)
@@ -220,71 +214,55 @@ class SimplicialSet:
             raise InputError("empty reindexing map")
         if any(a > b for a, b in zip(alpha, alpha[1:])) or alpha[0] < 0 or alpha[-1] > n:
             raise InputError(f"{alpha} is not monotone into [0, {n}]")
-        a = list(alpha)
-        s_stack = []
-        while True:
-            dup = next((i for i in range(len(a) - 1) if a[i] == a[i + 1]), None)
-            if dup is None:
-                break
-            s_stack.append(dup)
-            del a[dup + 1]
-        cur = ref
-        vals = a
-        while len(vals) - 1 < self.dim_of(cur):
-            present = set(vals)
-            i = next(v for v in range(self.dim_of(cur) + 1) if v not in present)
-            cur = self._face(cur, i)
-            vals = [v - 1 if v > i else v for v in vals]
-        for i in reversed(s_stack):
-            cur = self.degeneracy(cur, i)
+        table = self.table(min(n, self.dim_cap))
+        p = table.position[n].get(ref) if n <= self.dim_cap else None
+        if p is None:
+            raise InputError(f"{ref} is not a simplex of {self!r}")
+        image = sorted(set(alpha))
+        cur = table.levels[len(image) - 1][table.restriction_table(n, image)[p]]
+        for j in range(len(alpha) - 1):
+            if alpha[j] == alpha[j + 1]:
+                cur = self.degeneracy(cur, j)
         return cur
 
     # -- enumeration ---------------------------------------------------------
 
     def simplices(self, n):
-        """All n-simplices in normal form, non-degenerate generators first."""
-        if not 0 <= n <= self.dim_cap:
-            raise InputError(f"dimension {n} outside [0, {self.dim_cap}]")
-        if n not in self._simplices:
-            out = []
-            for m in range(n, -1, -1):
-                for g in self.gens.get(m, ()):
-                    for word in decreasing_words(n - m, n):
-                        out.append(SimplexRef(g, word))
-            self._simplices[n] = tuple(out)
-        return self._simplices[n]
+        """All n-simplices in normal form, non-degenerate generators first:
+        level n of the table."""
+        return self.table(n).levels[n]
 
     def count(self, n):
         return len(self.simplices(n))
 
-    def face_tuple(self, ref):
-        n = self.dim_of(ref)
-        return tuple(self._face(ref, i) for i in range(n + 1))
-
-    def face_index(self, n, positions=None):
-        """Index of n-simplices by their faces d_i, i in `positions`.
-
-        All faces by default (then n >= 1).  Cached per (n, positions);
-        each key's list follows the order of `simplices(n)`.
+    def table(self, through=None):
+        """The one SimplicialObject whose level n is simplices(n), built
+        level by level through `through` (dim_cap by default) on first
+        need: the one place the normal-form calculus runs for every simplex.
         """
-        positions = tuple(range(n + 1)) if positions is None else tuple(positions)
-        key = (n, positions)
-        if key not in self._face_index:
-            idx = {}
-            for t in self.simplices(n):
-                idx.setdefault(tuple(self._face(t, i) for i in positions), []).append(t)
-            self._face_index[key] = idx
-        return self._face_index[key]
+        top = self.dim_cap if through is None else through
+        if not 0 <= top <= self.dim_cap:
+            raise InputError(f"dimension {top} outside [0, {self.dim_cap}]")
+        table = self._level_table
+        while table.level_cap < top:
+            n = table.level_cap + 1
+            table.add_level(
+                [SimplexRef(g, word) for m in range(n, -1, -1) for g in self.gens.get(m, ())
+                 for word in decreasing_words(n - m, n)],
+                lambda n, i, t: self._face(t, i),
+                lambda n, j, t: SimplexRef(t.gen, insert_degeneracy(t.degs, j)),
+            )
+        return table
 
     def filler_index(self, n, k):
-        """Index of n-simplices by their face tuple with d_k dropped."""
-        return self.face_index(n, tuple(i for i in range(n + 1) if i != k))
+        """`face_index` of level n of the table with d_k dropped."""
+        return self.table(n).face_index(n, tuple(i for i in range(n + 1) if i != k))
 
     # -- validation ----------------------------------------------------------
 
     def validate(self, deep=False):
         # Each distinct face (d, ref) is checked once per call, and its own
-        # face tuple derived once: generators share most of their faces.
+        # face row derived once: generators share most of their faces.
         checked = set()
         for g, d in self.gen_dim.items():
             if d == 0:
@@ -313,7 +291,11 @@ class SimplicialSet:
         # d_i d_j = d_{j-1} d_i for i < j, on generators; together with the
         # normal-form calculus this forces all identities on all simplices.
         # Every face now has dimension d - 1, so a ref fixes its face row.
-        face = self._face
+        if deep:
+            table = self.table()
+            face = lambda ref, i: table.face(self.dim_of(ref), i, ref)
+        else:
+            face = self._face
         rows_of = {}
         for g, d in self.gen_dim.items():
             if d < 2:
@@ -331,16 +313,7 @@ class SimplicialSet:
                             f"d_{i} d_{j} != d_{j - 1} d_{i} on generator {g!r}"
                         )
         if deep:
-            self._validate_deep()
-
-    def _validate_deep(self):
-        """Check the full identity suite on every represented simplex."""
-        SimplicialObject(
-            self.dim_cap,
-            [self.simplices(n) for n in range(self.dim_cap + 1)],
-            lambda n, i, t: self._face(t, i),
-            lambda n, j, t: self.degeneracy(t, j),
-        )
+            table.validate()
 
 
 def _parse_op(w):
@@ -529,16 +502,17 @@ def enumerate_maps(src, tgt, dim_cap=None, budget=DEFAULT_BUDGET, fixed=None):
             assignment[g] = ref
     results = []
     nodes = 0
-    vertex_candidates = tuple(tgt.simplices(0)) if cap >= 0 else ()
-    src_faces = {g: src.face_tuple(SimplexRef(g)) for g in order if src.gen_dim[g] > 0}
+    vertex_candidates = tgt.simplices(0)
+    table = tgt.table(cap)
 
     def candidates(g):
         d = src.gen_dim[g]
         if d == 0:
             return vertex_candidates
-        key = tuple(assignment[f.gen] if not f.degs else _image_of(f)
-                    for f in src_faces[g])
-        return tuple(tgt.face_index(d).get(key, ()))
+        at, level = table.position[d - 1], table.levels[d]
+        key = tuple(at.get(assignment[f.gen] if not f.degs else _image_of(f))
+                    for f in src.gen_faces[g])
+        return tuple(level[p] for p in table.face_index(d).get(key, ()))
 
     def _image_of(ref):
         out = assignment[ref.gen]
@@ -549,7 +523,7 @@ def enumerate_maps(src, tgt, dim_cap=None, budget=DEFAULT_BUDGET, fixed=None):
     def ready(g):
         if src.gen_dim[g] == 0:
             return True
-        return all(f.gen in assignment for f in src_faces[g])
+        return all(f.gen in assignment for f in src.gen_faces[g])
 
     def search():
         nonlocal nodes
@@ -608,15 +582,16 @@ def is_isomorphic(a, b, budget=DEFAULT_BUDGET):
     used = set()
     nodes = 0
     order = [g for d in dims for g in a.generators(d)]
+    table = b.table()
 
     def images(g):
         d = a.gen_dim[g]
         if d == 0:
             return [h for h in b.generators(0) if h not in used]
-        key = tuple(
-            SimplexRef(phi[f.gen], f.degs) for f in a.face_tuple(SimplexRef(g))
-        )
-        return [t.gen for t in b.face_index(d).get(key, ()) if not t.degs and t.gen not in used]
+        at, level = table.position[d - 1], table.levels[d]
+        key = tuple(at.get(SimplexRef(phi[f.gen], f.degs)) for f in a.gen_faces[g])
+        found = (level[p] for p in table.face_index(d).get(key, ()))
+        return [t.gen for t in found if not t.degs and t.gen not in used]
 
     def search(i):
         nonlocal nodes
@@ -644,6 +619,18 @@ def is_isomorphic(a, b, budget=DEFAULT_BUDGET):
 # -- levelwise simplicial objects ----------------------------------------------
 
 
+def _op_table(op, kind, n, level, into):
+    """[[position in `into` of op(n, i, x) for x in level] for each i]."""
+    table = []
+    for i in range(n + 1):
+        row = [into.get(op(n, i, x)) for x in level]
+        if None in row:
+            x, m = level[row.index(None)], n - 1 if kind == "d" else n + 1
+            raise ValidationError(f"{kind}_{i} of {x!r} leaves level {m}")
+        table.append(row)
+    return table
+
+
 class SimplicialObject:
     """A truncated simplicial object in finite sets, on integer tables.
 
@@ -656,30 +643,29 @@ class SimplicialObject:
     """
 
     def __init__(self, level_cap, levels, face, deg, check=True):
-        self.level_cap = level_cap
-        self.levels = [tuple(levels[n]) for n in range(level_cap + 1)]
-        self.position = [{x: p for p, x in enumerate(level)} for level in self.levels]
-        for n, level in enumerate(self.levels):
-            if len(self.position[n]) != len(level):
-                raise ValidationError(f"duplicate elements at level {n}")
-        self.faces = [()] + [self._table(n, n - 1, face, "d") for n in range(1, level_cap + 1)]
-        self.degs = [self._table(n, n + 1, deg, "s") for n in range(level_cap)]
-        self._restrictions = {}
+        self.level_cap = -1
+        self.levels, self.position, self.faces, self.degs = [], [], [], []
+        self._restrictions, self._indexes = {}, {}
+        for n in range(level_cap + 1):
+            self.add_level(levels[n], face, deg)
         if check:
             self.validate()
 
-    def _table(self, n, m, op, kind):
-        into = self.position[m]
-        table = []
-        for i in range(n + 1):
-            row = []
-            for x in self.levels[n]:
-                q = into.get(op(n, i, x))
-                if q is None:
-                    raise ValidationError(f"{kind}_{i} of {x!r} leaves level {m}")
-                row.append(q)
-            table.append(row)
-        return table
+    def add_level(self, level, face, deg):
+        """Append level level_cap + 1, its face table and the degeneracy
+        table into it; nothing is appended if a table fails."""
+        n = self.level_cap + 1
+        level = tuple(level)
+        position = {x: p for p, x in enumerate(level)}
+        if len(position) != len(level):
+            raise ValidationError(f"duplicate elements at level {n}")
+        faces = _op_table(face, "d", n, level, self.position[n - 1]) if n else ()
+        if n:
+            self.degs.append(_op_table(deg, "s", n - 1, self.levels[n - 1], position))
+        self.levels.append(level)
+        self.position.append(position)
+        self.faces.append(faces)
+        self.level_cap = n
 
     def _agree(self, n, got, want, identity):
         if got != want:
@@ -750,6 +736,20 @@ class SimplicialObject:
         table = self.restriction_table(n, subset)
         return self.levels[len(set(subset)) - 1][table[self.position[n][x]]]
 
+    def face_index(self, n, positions=None):
+        """Positions in level n keyed by the positions of their faces d_i,
+        i in `positions` (all by default); cached, lists in level order."""
+        positions = tuple(range(n + 1)) if positions is None else tuple(positions)
+        key = (n, positions)
+        if key not in self._indexes:
+            index = {}
+            rows = [self.faces[n][i] for i in positions]
+            keys = zip(*rows) if rows else [()] * len(self.levels[n])
+            for p, face_key in enumerate(keys):
+                index.setdefault(face_key, []).append(p)
+            self._indexes[key] = index
+        return self._indexes[key]
+
 
 class LevelModel(SimplicialObject):
     """A simplicial set presented by a levelwise simplicial object.
@@ -801,20 +801,19 @@ class LevelModel(SimplicialObject):
             self._cross_check(refs)
 
     def _cross_check(self, refs):
-        """Levelwise structure must agree with the normal-form calculus."""
-        for n in range(1, self.level_cap + 1):
-            for i, row in enumerate(self.faces[n]):
-                for p, q in enumerate(row):
-                    if refs[n - 1][q] != self.sset._face(refs[n][p], i):
+        """Levelwise structure must agree with the sset's own table, which
+        the normal-form calculus built."""
+        table = self.sset.table()
+        at = [[table.position[n][ref] for ref in row] for n, row in enumerate(refs)]
+        for kind, op, step, ours, want in (
+            ("face", "d", -1, self.faces, table.faces),
+            ("degeneracy", "s", 1, self.degs, table.degs),
+        ):
+            for n, rows in enumerate(ours):
+                for i, row in enumerate(rows):
+                    if [at[n + step][q] for q in row] != [want[n][i][p] for p in at[n]]:
                         raise ValidationError(
-                            f"levelwise face disagrees with calculus at level {n}, d_{i}"
-                        )
-        for n in range(self.level_cap):
-            for i, row in enumerate(self.degs[n]):
-                for p, q in enumerate(row):
-                    if refs[n + 1][q] != self.sset.degeneracy(refs[n][p], i):
-                        raise ValidationError(
-                            f"levelwise degeneracy disagrees with calculus at level {n}, s_{i}"
+                            f"levelwise {kind} disagrees with calculus at level {n}, {op}_{i}"
                         )
 
 
@@ -845,11 +844,13 @@ def product_structure(x, y, dim_cap=None):
         for n in range(cap + 1)
     ]
 
+    tx, ty = x.table(cap), y.table(cap)
+
     def face(n, i, p):
-        return (x._face(p[0], i), y._face(p[1], i))
+        return (tx.face(n, i, p[0]), ty.face(n, i, p[1]))
 
     def deg(n, i, p):
-        return (x.degeneracy(p[0], i), y.degeneracy(p[1], i))
+        return (tx.deg(n, i, p[0]), ty.deg(n, i, p[1]))
 
     model = LevelModel(cap, levels, face, deg, namer=lambda n, p: f"<{p[0]}|{p[1]}>")
     return ProductStructure(model.sset, x, y, model)

@@ -319,11 +319,36 @@ def test_malformed_simplicial_sets_exit_2(files, capsys, tmp_path):
         "ghost_faces": {**good, "faces": {**good["faces"], "ghost": ["0", "1"]}},
         "generators_list": {**good, "generators": [["0", "1"], ["01"]]},
         "deg_integer": {**good, "faces": {"01": [{"gen": "1", "deg": 0}, "0"]}},
+        "dim_cap_bool": {**good, "dim_cap": True},
     }
     for name, data in bad.items():
         path = _write(tmp_path, f"{name}.json", data)
         _exits_2_without_traceback(["sset", "info", path], capsys)
         _exits_2_without_traceback(["cat", "tau", path], capsys)
+
+
+def test_malformed_actions_exit_2(tmp_path, capsys):
+    c2 = all_small_groups()["c2"]
+    free = free_transitive_action(c2)
+    good = io.action_to_json(
+        GroupAction(c2, free.carrier, free.act, base=({"pt"}, {x: "pt" for x in free.carrier}))
+    )
+    bad = {
+        "list_point": {**good, "carrier": [["c0"]] + good["carrier"][1:]},
+        "carrier_string": {**good, "carrier": "c0c1"},
+        "act_object": {**good, "act": {"c0": "c0"}},
+        "list_act_entry": {**good, "act": [[["c0"], "c0", "c0"]] + good["act"][1:]},
+        "integer_act_entry": {**good, "act": [[0, 0, 0]]},
+        "short_act_row": {**good, "act": [good["act"][0][:2]]},
+        "list_base_point": {**good, "base": {**good["base"], "set": [["pt"]]}},
+        "base_pi_list": {**good, "base": {**good["base"], "pi": [["c0", "pt"]]}},
+        "unknown_key": {**good, "name": "free"},
+    }
+    for name, data in bad.items():
+        path = _write(tmp_path, f"{name}.json", data)
+        _exits_2_without_traceback(["grpd", "quotient", path], capsys)
+        _exits_2_without_traceback(["grpd", "torsor", path], capsys)
+        _exits_2_without_traceback(["grpd", "stabilizer", path, "--point", "c0"], capsys)
 
 
 def _malformed_categories(good):

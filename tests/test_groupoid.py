@@ -355,12 +355,14 @@ def _oracle_is_groupoid_object(level_cap, levels, face):
 
 @contextlib.contextmanager
 def _recorded_callables():
-    """Record (level_cap, levels, face, deg) of every SimplicialObject built."""
+    """Record each SimplicialObject built, with its (level_cap, levels,
+    face, deg)."""
     built = []
     init = SimplicialObject.__init__
 
     def record(self, level_cap, levels, face, deg, check=True):
-        built.append((level_cap, [tuple(levels[n]) for n in range(level_cap + 1)], face, deg))
+        levels = [tuple(levels[n]) for n in range(level_cap + 1)]
+        built.append((self, (level_cap, levels, face, deg)))
         init(self, level_cap, levels, face, deg, check)
 
     SimplicialObject.__init__ = record
@@ -371,9 +373,10 @@ def _recorded_callables():
 
 
 def _built_with_callables(build):
+    # a nerve's LevelModel also builds the level table of its sset
     with _recorded_callables() as built:
         obj = build()
-    return obj, built[-1]
+    return obj, next(args for made, args in built if made is obj)
 
 
 def _gluing_objects():

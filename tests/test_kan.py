@@ -1,5 +1,7 @@
 """Horn classification and edge invertibility."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,9 @@ from hornfill.corpus import all_categories, all_two_categories, bg_category, mon
 from hornfill.errors import CapacityError, InputError
 from hornfill.groupoid import cyclic_group, symmetric_group
 from hornfill.kan import (
+    _horn_charts,
     classify,
+    filler_profile,
     horn_fillers,
     horn_generators,
     horn_maps,
@@ -20,6 +24,7 @@ from hornfill.kan import (
 )
 from hornfill.sset import (
     SimplexRef,
+    SimplicialMap,
     enumerate_maps,
     product,
     standard_simplex,
@@ -369,10 +374,225 @@ def test_corpus_censuses_match_the_generic_map_search():
         assert classify(x, 3).to_json() == _oracle_census(x, 3), repr(x)
 
 
+# -- the SimplexRef route the level table replaced, kept as the oracle --------
+
+
+class _RefRoute:
+    """The horn census on SimplexRef values: an index keyed by faces from
+    the normal-form calculus, and restriction by stripping faces."""
+
+    def __init__(self, x):
+        self.x = x
+        self._indexes = {}
+        self._restricted = {}
+
+    def face_index(self, n, positions=None):
+        positions = tuple(range(n + 1)) if positions is None else tuple(positions)
+        key = (n, positions)
+        if key not in self._indexes:
+            index = {}
+            for t in self.x.simplices(n):
+                index.setdefault(tuple(self.x._face(t, i) for i in positions), []).append(t)
+            self._indexes[key] = index
+        return self._indexes[key]
+
+    def filler_index(self, n, k):
+        return self.face_index(n, tuple(i for i in range(n + 1) if i != k))
+
+    def restrict(self, ref, alpha):
+        key = (ref, tuple(alpha))
+        if key not in self._restricted:
+            self._restricted[key] = _strip_restrict(self.x, ref, alpha)
+        return self._restricted[key]
+
+    def join(self, n, k):
+        faces = [i for i in range(n + 1) if i != k]
+        indexes = [self.face_index(n - 1, faces[:s]) for s in range(len(faces))]
+        out, chosen = [], []
+
+        def extend(s):
+            if s == len(faces):
+                out.append(tuple(chosen))
+                return
+            key = tuple(self.x._face(y, faces[s] - 1) for y in chosen)
+            for y in indexes[s].get(key, ()):
+                chosen.append(y)
+                extend(s + 1)
+                chosen.pop()
+
+        extend(0)
+        return out
+
+    def images(self, n, k, tup):
+        return tuple(self.restrict(tup[slot], alpha) for slot, alpha in _horn_charts(n, k))
+
+    def horn_maps(self, n, k):
+        horn, gen_ids = horn_generators(n, k)
+        return [
+            SimplicialMap(horn, self.x, dict(zip(gen_ids, imgs)), up_to=n - 1, check=False)
+            for imgs in sorted(self.images(n, k, t) for t in self.join(n, k))
+        ]
+
+    def horn_fillers(self, n, k, horn_map):
+        key = tuple(
+            horn_map.assignment["".join(str(v) for v in range(n + 1) if v != i)]
+            for i in range(n + 1)
+            if i != k
+        )
+        return tuple(self.filler_index(n, k).get(key, ()))
+
+    def filler_profile(self, n, k):
+        index = self.filler_index(n, k)
+        profile = {}
+        for t in self.join(n, k):
+            count = len(index.get(t, ()))
+            profile[count] = profile.get(count, 0) + 1
+        return profile
+
+    def classify(self, cap):
+        verdicts = []
+        for n in range(2, cap + 1):
+            for k in range(n + 1):
+                tuples = self.join(n, k)
+                index = self.filler_index(n, k)
+                unfilled = ambiguous = 0
+                no_images = multi = None
+                for t in tuples:
+                    fillers = index.get(t, ())
+                    if len(fillers) == 1:
+                        continue
+                    images = self.images(n, k, t)
+                    if not fillers:
+                        unfilled += 1
+                        if no_images is None or images < no_images:
+                            no_images = images
+                    else:
+                        ambiguous += 1
+                        if multi is None or images < multi[0]:
+                            multi = (images, fillers)
+                _, gen_ids = horn_generators(n, k)
+                shown = lambda images: {g: str(r) for g, r in sorted(zip(gen_ids, images))}
+                verdicts.append({
+                    "n": n,
+                    "k": k,
+                    "horns": len(tuples),
+                    "all_fill": unfilled == 0,
+                    "all_unique": unfilled == 0 and ambiguous == 0,
+                    "unfilled": unfilled,
+                    "ambiguous": ambiguous,
+                    "no_filler_example": shown(no_images) if no_images else None,
+                    "multi_filler_example": dict(
+                        shown(multi[0]), fillers=[str(t) for t in multi[1]]
+                    ) if multi else None,
+                })
+        inner = [v for v in verdicts if 0 < v["k"] < v["n"]]
+        return {
+            "inspected_cap": cap,
+            "verdicts": verdicts,
+            "weak_kan": all(v["all_fill"] for v in inner),
+            "kan": all(v["all_fill"] for v in verdicts),
+            "nerve_of_category": all(v["all_unique"] for v in inner),
+            "nerve_of_groupoid": all(v["all_unique"] for v in verdicts),
+        }
+
+
+def _strip_restrict(x, ref, alpha):
+    """restrict by factoring alpha into codegeneracies and cofaces and
+    stripping one face at a time."""
+    a = list(alpha)
+    s_stack = []
+    while True:
+        dup = next((i for i in range(len(a) - 1) if a[i] == a[i + 1]), None)
+        if dup is None:
+            break
+        s_stack.append(dup)
+        del a[dup + 1]
+    cur = ref
+    vals = a
+    while len(vals) - 1 < x.dim_of(cur):
+        present = set(vals)
+        i = next(v for v in range(x.dim_of(cur) + 1) if v not in present)
+        cur = x._face(cur, i)
+        vals = [v - 1 if v > i else v for v in vals]
+    for i in reversed(s_stack):
+        cur = x.degeneracy(cur, i)
+    return cur
+
+
+def _assert_routes_agree(x, cap, horn_maps_up_to):
+    """The position route and the SimplexRef route give the same census,
+    face indexes, horn maps in order, fillers and filler profiles."""
+    ref = _RefRoute(x)
+    assert classify(x, cap).to_json() == ref.classify(cap), repr(x)
+    for n in range(1, cap + 1):
+        level, below = x.simplices(n), x.simplices(n - 1)
+        positions = [None] + [tuple(i for i in range(n + 1) if i != k) for k in range(n + 1)]
+        for pos in positions:
+            got = {
+                tuple(below[p] for p in key): [level[p] for p in ps]
+                for key, ps in x.table(n).face_index(n, pos).items()
+            }
+            assert list(got.items()) == list(ref.face_index(n, pos).items()), (n, pos)
+        for k in range(n + 1):
+            assert filler_profile(x, n, k) == ref.filler_profile(n, k), (n, k)
+            if n > horn_maps_up_to:
+                continue
+            maps = horn_maps(x, n, k)
+            assert maps == ref.horn_maps(n, k), (n, k)
+            assert horn_tuples(x, n, k) == ref.join(n, k), (n, k)
+            for m in maps:
+                assert horn_fillers(x, n, k, m) == ref.horn_fillers(n, k, m)
+
+
+def _corpus_nerves(cap):
+    for name, c in all_categories().items():
+        yield name, nerve(c, dim_cap=cap).sset
+    for name, c2 in all_two_categories().items():
+        yield name, duskin_nerve(c2, dim_cap=cap).sset
+
+
+def test_position_route_matches_the_simplex_ref_route_on_the_corpus():
+    for name, x in _corpus_nerves(4):
+        _assert_routes_agree(x, 4, horn_maps_up_to=3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_random_target())
+def test_position_route_matches_the_simplex_ref_route_on_random_targets(target):
+    x, cap = target
+    _assert_routes_agree(x, cap, horn_maps_up_to=cap)
+
+
+def _monotone_maps(m, n):
+    """Every monotone map [m] -> [n], as a tuple of values."""
+    return [tuple(sorted(c)) for c in itertools.combinations_with_replacement(range(n + 1), m + 1)]
+
+
+def _spread(seq, k):
+    """k entries spread evenly over seq, or all of seq when it is shorter."""
+    if len(seq) <= k:
+        return list(seq)
+    return [seq[s * len(seq) // k] for s in range(k)]
+
+
+def test_restrict_matches_face_stripping_over_every_monotone_map():
+    count = 0
+    for name, x in _corpus_nerves(4):
+        for n in range(5):
+            alphas = [a for m in range(5) for a in _monotone_maps(m, n)]
+            for ref in _spread(x.simplices(n), 3):
+                for alpha in alphas:
+                    assert x.restrict(ref, alpha) == _strip_restrict(x, ref, alpha), (name, ref)
+                    count += 1
+    assert count > 30_000
+
+
 def test_horn_generators_and_filler_indexes_are_cached():
     assert horn_generators(3, 1) is horn_generators(3, 1)
     x = nerve(all_categories()["poset2"], dim_cap=3).sset
     assert x.filler_index(3, 1) is x.filler_index(3, 1)
+    # one level table per set, grown in place, with its indexes cached on it
+    assert x.table(1) is x.table() and x.table().face_index(2) is x.table(2).face_index(2)
 
 
 def test_horn_tuples_reject_bad_shapes():

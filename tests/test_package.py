@@ -1,6 +1,7 @@
 """Properties of the package source as a whole."""
 
 import ast
+import importlib
 import pathlib
 
 import hornfill
@@ -17,3 +18,21 @@ def test_no_check_lives_in_an_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_name_the_benchmark_wraps_resolves():
+    # the benchmark's tracer wraps these names from outside the package;
+    # a rename in src/ would break traced benchmark runs silently
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = {}
+    exec(compile(path.read_text(), str(path), "exec"), spans)
+    names = list(spans["SPANNED"]) + list(spans["COUNTED"].values())
+    assert len(names) > 20
+    missing = []
+    for module, path in names:
+        owner = importlib.import_module(f"hornfill.{module}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(f"{module}.{path}")
+    assert missing == []

@@ -1,6 +1,7 @@
 """Simplex calculus: normal forms, standard simplices, maps, products."""
 
 import contextlib
+import itertools
 import math
 import random
 import re
@@ -10,13 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hornfill.cat import duskin_nerve, mapping_space, nerve
+from hornfill import io
+from hornfill.cat import duskin_nerve, homotopy_category, mapping_space, nerve
 from hornfill.corpus import all_categories, all_two_categories, bg_category, poset_category
 from hornfill.errors import CapacityError, ConsistencyError, InputError, ValidationError
 from hornfill.groupoid import cyclic_group
+from hornfill.kan import classify, horn_fillers, horn_maps, horn_tuples, is_isomorphism_edge
 from hornfill.sset import (
     LevelModel,
     SimplexRef,
+    SimplicialObject,
     SimplicialSet,
     decreasing_words,
     enumerate_maps,
@@ -85,7 +89,7 @@ def test_simplex_ref_json_rejects_bad_degeneracy_words():
         SimplexRef.from_json({"gen": "x", "deg": [0, 2]})
     with pytest.raises(InputError):
         SimplexRef.from_json({"gen": "x", "deg": [1, 1]})
-    for bad in ([-1], ["0"], [1.5], [None], 0, "0"):
+    for bad in ([-1], ["0"], [1.5], [None], [True], [False], [2, True], 0, "0"):
         with pytest.raises(InputError):
             SimplexRef.from_json({"gen": "x", "deg": bad})
     for bad in ({"gen": 1, "deg": []}, {"gen": ["x"], "deg": [0]}, ["x", []], 1, None):
@@ -450,9 +454,10 @@ def test_simplex_refs_hash_order_and_index_like_the_frozen_dataclass():
             for t in old:
                 key = tuple(_reference_face(x, t, i) for i in range(n + 1))
                 index.setdefault(key, []).append(t)
+            below = x.simplices(n - 1)
             got = {
-                tuple(_DataclassRef(*f) for f in key): [_DataclassRef(*t) for t in ts]
-                for key, ts in x.face_index(n).items()
+                tuple(_DataclassRef(*below[f]) for f in key): [_DataclassRef(*refs[t]) for t in ts]
+                for key, ts in x.table(n).face_index(n).items()
             }
             assert list(got.items()) == list(index.items()), name
 
@@ -544,3 +549,157 @@ def test_validate_matches_the_generator_loop_on_single_face_mutations():
                         seen.add(want and _KINDS.search(want).group())
                 x.gen_faces[g] = fs
     assert seen == {None, "hits unknown", "has dimension", "!="}
+
+
+# -- the level table against the SimplexRef routes it replaced -------------------
+
+
+def _oracle_simplices(x, n):
+    """simplices(n) by enumeration, without the level table."""
+    return [
+        SimplexRef(g, word)
+        for m in range(n, -1, -1)
+        for g in x.gens.get(m, ())
+        for word in decreasing_words(n - m, n)
+    ]
+
+
+def _oracle_deep_validate(x):
+    """validate(deep=True) as it was: the shallow check, then a throwaway
+    table built through the calculus and checked."""
+    x.validate()
+    SimplicialObject(
+        x.dim_cap,
+        [_oracle_simplices(x, n) for n in range(x.dim_cap + 1)],
+        lambda n, i, t: x._face(t, i),
+        lambda n, j, t: x.degeneracy(t, j),
+    )
+
+
+class _OracleLevelModel(LevelModel):
+    """LevelModel with the per-element calculus cross-check it had."""
+
+    def _cross_check(self, refs):
+        for n in range(1, self.level_cap + 1):
+            for i, row in enumerate(self.faces[n]):
+                for p, q in enumerate(row):
+                    if refs[n - 1][q] != self.sset._face(refs[n][p], i):
+                        raise ValidationError(
+                            f"levelwise face disagrees with calculus at level {n}, d_{i}"
+                        )
+        for n in range(self.level_cap):
+            for i, row in enumerate(self.degs[n]):
+                for p, q in enumerate(row):
+                    if refs[n + 1][q] != self.sset.degeneracy(refs[n][p], i):
+                        raise ValidationError(
+                            f"levelwise degeneracy disagrees with calculus at level {n}, s_{i}"
+                        )
+
+
+def _outcome(build):
+    try:
+        build()
+    except (ValidationError, ConsistencyError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def _corpus_sets(cap):
+    sets = [nerve(c, dim_cap=cap).sset for c in all_categories().values()]
+    return sets + [duskin_nerve(c2, dim_cap=cap).sset for c2 in all_two_categories().values()]
+
+
+def test_deep_validation_matches_the_callable_table_on_single_face_mutations():
+    ghost = SimplexRef("ghost")
+    seen = set()
+    for x in _corpus_sets(4):
+        gens = {d: x.generators(d) for d in range(x.dim_cap + 1)}
+        # the first and last face of one generator per dimension, sent to an
+        # unknown generator and to simplices of dimension d - 2, d - 1 and d
+        mutants = [dict(x.gen_faces)]
+        for d in range(1, x.dim_cap + 1):
+            lower = _spread(x.simplices(d - 2), 1) if d >= 2 else []
+            for g in _spread(x.generators(d), 1):
+                fs = x.gen_faces[g]
+                for i in (0, d):
+                    for r in (ghost, *lower, x.simplices(d - 1)[-1], x.simplices(d)[0]):
+                        mutants.append({**x.gen_faces, g: fs[:i] + (r,) + fs[i + 1:]})
+        for faces in mutants:
+            y = SimplicialSet(x.dim_cap, gens, faces, check=False)
+            want = _outcome(lambda: _oracle_deep_validate(y))
+            assert _outcome(lambda: y.validate(deep=True)) == want, (x, want)
+            seen.add(want and _KINDS.search(want).group())
+    assert seen == {None, "hits unknown", "has dimension", "!="}
+
+
+def _moved(op, n, i, x, y):
+    """op with its (n, i, x) entry sent to y."""
+    return lambda m, j, z: y if (m, j, z) == (n, i, x) else op(m, j, z)
+
+
+def test_level_model_checks_match_the_calculus_cross_check_on_single_mutations():
+    seen = set()
+    with _recorded_level_models() as built:
+        _corpus_sets(4)
+    for model, (cap, levels, face, deg, namer) in built:
+        # one face entry at each of the top two levels and one degeneracy
+        # entry into the top level, each sent to another element
+        for kind, n in (("d", cap), ("d", cap - 1), ("s", cap - 1)):
+            op = face if kind == "d" else deg
+            x, i = _spread(model.levels[n], 2)[-1], n // 2
+            into = model.levels[n - 1 if kind == "d" else n + 1]
+            y = next((z for z in reversed(into) if z != op(n, i, x)), None)
+            if y is None:
+                continue
+            moved = _moved(op, n, i, x, y)
+            f, s = (moved, deg) if kind == "d" else (face, moved)
+            want = _outcome(lambda: _OracleLevelModel(cap, levels, f, s, namer))
+            assert _outcome(lambda: LevelModel(cap, levels, f, s, namer)) == want, want
+            seen.add(want and re.sub(r" at level .*", "", want))
+    assert {
+        "ValidationError: levelwise face disagrees with calculus",
+        "ValidationError: levelwise degeneracy disagrees with calculus",
+    } <= seen, seen
+
+
+def test_each_face_is_derived_once():
+    calls = []
+    face = SimplicialSet._face
+
+    def counted(self, ref, i):
+        calls.append((self, ref, i))
+        return face(self, ref, i)
+
+    # read back from JSON, so that no table is built yet
+    sets = [io.sset_from_json(io.sset_to_json(x)) for x in _corpus_sets(3)]
+    SimplicialSet._face = counted
+    try:
+        for x in sets:
+            table = x.table()
+            derived = [(ref, i) for y, ref, i in calls if y is x]
+            assert len(derived) == len(set(derived)) == sum(
+                (n + 1) * len(table.levels[n]) for n in range(1, x.dim_cap + 1)
+            )
+            calls.clear()
+            x.validate(deep=True)
+            classify(x)
+            for n in range(1, x.dim_cap + 1):
+                for k in range(n + 1):
+                    horn_tuples(x, n, k)
+                    maps = horn_maps(x, n, k)
+                    for m in maps[:3]:
+                        horn_fillers(x, n, k, m)
+                    x.filler_index(n, k)
+                table.face_index(n)
+            with contextlib.suppress(InputError, ConsistencyError):
+                homotopy_category(x)  # refuses sets that are not weak Kan
+            for edge in x.simplices(1)[:3]:
+                is_isomorphism_edge(x, edge, check_homotopy_category=False)
+            for n in range(x.dim_cap + 1):
+                for ref in x.simplices(n)[:5]:
+                    for m in range(n + 1):
+                        for alpha in itertools.combinations(range(n + 1), m + 1):
+                            x.restrict(ref, alpha)
+            assert not any(y is x for y, _, _ in calls), x
+    finally:
+        SimplicialSet._face = face
