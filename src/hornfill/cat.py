@@ -19,6 +19,10 @@ morphism with the right endpoints, the unit laws and associativity.
 interchange; each failure names its structure.  `FiniteGroup` (in
 `groupoid`) checks its table as a one-object category.
 
+Functors c -> d are the simplicial maps of the 2-truncated nerves
+N(c) -> N(d), since the nerve is fully faithful and 2-coskeletal, so
+`enumerate_functors` runs the one map search of `sset`.
+
 The two quotient constructions at the bottom go the other way, from a
 simplicial set to a category: the path category modulo triangle
 relations (exact, via a finite word universe with a stability
@@ -33,7 +37,17 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_BUDGET, DEFAULT_DIM_CAP, DEFAULT_PATH_BUDGET
 from .errors import CapacityError, ConsistencyError, InputError, ValidationError
-from .sset import LevelModel, SimplexRef, SimplicialSet
+from .sset import (
+    LevelModel,
+    SimplexRef,
+    SimplicialMap,
+    SimplicialSet,
+    enumerate_maps,
+    product_structure,
+    standard_ref_of_vertices,
+    standard_simplex,
+    vertices_of_standard_ref,
+)
 
 
 class UnionFind:
@@ -217,65 +231,24 @@ class Functor:
 
 
 def enumerate_functors(c, d, budget=DEFAULT_BUDGET):
-    """All functors c -> d, ordered by image tuples; backtracking with
-    composition pruning on already-assigned triples.  A CapacityError
-    carries the number of functors found as partial."""
-    objs = list(c.objects)
-    mors = sorted(c.mor)
-    results = []
-    on_obj = {}
-    on_mor = {}
-    nodes = 0
-    triples = [
-        (g, f, gf)
-        for (g, f), gf in sorted(c.compose_table.items())
-    ]
+    """All functors c -> d, ordered by image tuples.
 
-    def assign_morphisms(i):
-        nonlocal nodes
-        if i == len(mors):
-            results.append((dict(on_obj), dict(on_mor)))
-            return
-        m = mors[i]
-        s, t = c.mor[m]
-        if m == c.identity.get(s) and s == t:
-            cands = (d.identity[on_obj[s]],)
-        else:
-            cands = d.hom(on_obj[s], on_obj[t])
-        for fm in cands:
-            nodes += 1
-            if nodes > budget:
-                raise CapacityError(f"functor search exceeded budget {budget}",
-                                    partial=len(results))
-            on_mor[m] = fm
-            ok = True
-            for (g, f, gf) in triples:
-                if g in on_mor and f in on_mor and gf in on_mor:
-                    if d.compose_table[(on_mor[g], on_mor[f])] != on_mor[gf]:
-                        ok = False
-                        break
-            if ok:
-                assign_morphisms(i + 1)
-            del on_mor[m]
-
-    def assign_objects(i):
-        if i == len(objs):
-            assign_morphisms(0)
-            return
-        x = objs[i]
-        for y in d.objects:
-            on_obj[x] = y
-            if all(
-                not c.hom(a, b) or d.hom(on_obj[a], on_obj[b])
-                for a in objs[: i + 1]
-                for b in objs[: i + 1]
-                if a in on_obj and b in on_obj
-            ):
-                assign_objects(i + 1)
-            del on_obj[x]
-
-    assign_objects(0)
-    out = [Functor(c, d, o, m) for o, m in results]
+    The nerve is fully faithful and 2-coskeletal, so these are the
+    simplicial maps N(c) -> N(d) of the 2-truncated nerves, found by
+    `enumerate_maps`: the budget counts its trials, and a CapacityError
+    carries the number of functors found as partial.
+    """
+    nc, nd = nerve(c, dim_cap=2), nerve(d, dim_cap=2)
+    elem = {ref: x for (n, x), ref in nd.model.ref_of.items() if n < 2}
+    out = []
+    for f in enumerate_maps(nc.sset, nd.sset, budget=budget):
+        obj = {x: elem[f.assignment[nc.model.ref_of[(0, x)].gen]] for x in c.objects}
+        mor = {}
+        for m, (s, _) in c.mor.items():
+            ref = nc.model.ref_of[(1, (m,))]
+            mor[m] = d.identity[obj[s]] if ref.degs else elem[f.assignment[ref.gen]][0]
+        out.append(Functor(c, d, obj, mor))
+    objs, mors = list(c.objects), sorted(c.mor)
     out.sort(key=lambda F: (tuple(F.on_objects[x] for x in objs), tuple(F.on_morphisms[m] for m in mors)))
     return out
 
@@ -368,15 +341,6 @@ class Finite2Category:
         self._two_hom = {}
         if check:
             self.validate()
-
-    def id2(self, f):
-        return self.two_identity[f]
-
-    def vcomp(self, b, a):
-        return self.vcompose[(b, a)]
-
-    def hcomp(self, b, a):
-        return self.hcompose[(b, a)]
 
     def two_hom(self, f, g):
         """2-cells f => g (f, g parallel 1-cells)."""
@@ -1045,15 +1009,6 @@ def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
             f"mapping_space needs the target's dim_cap {y.dim_cap} to be at least"
             f" the source's dim_cap {x.dim_cap}"
         )
-    from .sset import (
-        SimplicialMap,
-        enumerate_maps,
-        product_structure,
-        standard_ref_of_vertices,
-        standard_simplex,
-        vertices_of_standard_ref,
-    )
-
     prods = [
         product_structure(x, standard_simplex(n, dim_cap=max(x.dim_cap, n)))
         for n in range(dim_cap + 1)

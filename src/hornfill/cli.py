@@ -34,7 +34,6 @@ from .descent import (
     constant_bg_presheaf,
     DoubledBGPresheaf,
     refinement_invariance,
-    torsor_presheaf,
 )
 from .errors import EngineError, InputError
 from .groupoid import (

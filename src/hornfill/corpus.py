@@ -11,7 +11,6 @@ simplicial objects whose failure points are known in advance.
 import itertools
 
 from .cat import (
-    Finite2Category,
     FiniteCategory,
     nerve,
     one_object_two_group,
@@ -23,7 +22,6 @@ from .cat import (
 from .descent import Cover
 from .errors import InputError
 from .groupoid import (
-    FiniteGroup,
     GroupAction,
     SimplicialObject,
     cech_nerve,

@@ -8,6 +8,9 @@ degeneracy word applied to a non-degenerate generator (Eilenberg-Zilber).
 `s_{i1} s_{i2} ... s_{ik} g`.  Internally each set keeps one integer level
 table, `SimplicialSet.table()`, whose level n is `simplices(n)`; the
 calculus below fills it once, and everything else reads positions in it.
+Maps, isomorphisms and (through nerves) functors are found by one search,
+`_map_search`, that gives each source generator a target simplex by one
+face-index lookup on those positions.
 
 All sets are truncated at `dim_cap`.  Everything here is exact enumeration
 over finite data; there is no tolerance parameter anywhere.
@@ -427,7 +430,8 @@ class SimplicialMap:
 
     `assignment` sends every source generator of dimension <= up_to to a
     simplex reference of the target of the same dimension; compatibility
-    with faces is checked, degeneracies then commute by normal form.
+    with faces is checked on the target's level table, degeneracies then
+    commute by normal form.
     """
 
     def __init__(self, src, tgt, assignment, up_to=None, check=True):
@@ -439,6 +443,11 @@ class SimplicialMap:
             self.validate()
 
     def validate(self):
+        """Source faces from `gen_faces`, image faces from the target's
+        table; an image must be a simplex of the truncated target."""
+        cap = min(self.up_to, self.tgt.dim_cap)
+        table = self.tgt.table(cap)
+        at = {}
         for d in range(self.up_to + 1):
             for g in self.src.generators(d):
                 if g not in self.assignment:
@@ -448,14 +457,15 @@ class SimplicialMap:
                     raise ValidationError(f"image of {g!r} hits unknown {img.gen!r}")
                 if self.tgt.dim_of(img) != d:
                     raise ValidationError(f"image of {g!r} has wrong dimension")
-                if d >= 1:
-                    for i in range(d + 1):
-                        want = self.apply(self.src._face(SimplexRef(g), i))
-                        got = self.tgt._face(img, i)
-                        if want != got:
-                            raise ValidationError(
-                                f"map does not commute with d_{i} at {g!r}"
-                            )
+                p = at[g] = table.position[d].get(img) if d <= cap else None
+                if p is None:
+                    raise ValidationError(f"image of {g!r} is not a simplex of {self.tgt!r}")
+                for i, f in enumerate(self.src.gen_faces[g] if d else ()):
+                    q, m = at[f.gen], self.src.gen_dim[f.gen]
+                    for j in reversed(f.degs):
+                        q, m = table.degs[m][j][q], m + 1
+                    if table.faces[d][i][p] != q:
+                        raise ValidationError(f"map does not commute with d_{i} at {g!r}")
 
     def apply(self, ref):
         out = self.assignment[ref.gen]
@@ -477,143 +487,155 @@ class SimplicialMap:
         return f"SimplicialMap({len(self.assignment)} generators)"
 
 
+def _search_order(src, cap):
+    """Source generators through `cap` in search order: edges in id order,
+    each after its vertices not yet placed, then the vertices on no edge;
+    every generator of dimension >= 2 right after the last of its faces."""
+    waiting, dependents = {}, {}
+    for d in range(2, cap + 1):
+        for g in src.generators(d):
+            below = {f.gen for f in src.gen_faces[g]}
+            waiting[g] = len(below)
+            for h in below:
+                dependents.setdefault(h, []).append(g)
+    order, placed = [], set()
+
+    def place(g):
+        order.append(g)
+        placed.add(g)
+        for h in dependents.get(g, ()):
+            waiting[h] -= 1
+            if not waiting[h]:
+                place(h)
+
+    for e in src.generators(1) if cap >= 1 else ():
+        ends = sorted({f.gen for f in src.gen_faces[e]})
+        for v in ends:
+            if v not in placed and src.gen_dim.get(v) == 0:
+                place(v)
+        if placed.issuperset(ends):
+            place(e)
+    for v in src.generators(0):
+        if v not in placed:
+            place(v)
+    if len(order) != sum(len(src.generators(d)) for d in range(cap + 1)):
+        raise ConsistencyError("no ready generator; face data is inconsistent")
+    return order
+
+
+def _map_search(src, tgt, cap, budget, fixed=None, bijective=False):
+    """The one map search: assignments of the source generators through
+    `cap` to simplices of tgt, commuting with faces.
+
+    Each generator is given a simplex of its dimension by one face-index
+    lookup in `tgt.table(cap)`, keyed on the positions of its faces'
+    images; a degenerate face's image is read from the degeneracy table.
+    `fixed` pins are one-candidate sets.  The bijective case takes unused
+    non-degenerate simplices only (they come first in each level) and
+    stops at the first hit.  Every candidate tried is one trial; past
+    `budget` a CapacityError carries the assignments found as partial, or
+    in the bijective case the generators matched.
+    """
+    order = _search_order(src, cap)
+    table = tgt.table(cap)
+    slot = {g: i for i, g in enumerate(order)}
+    dims = [src.gen_dim[g] for g in order]
+    recipes = [
+        tuple(
+            (slot[f.gen], [table.degs[src.gen_dim[f.gen] + k][j]
+                           for k, j in enumerate(reversed(f.degs))])
+            for f in src.gen_faces[g]
+        ) if d else ()
+        for g, d in zip(order, dims)
+    ]
+    indexes = {d: table.face_index(d) for d in set(dims) if d}
+    pins = {slot[g]: table.position[src.gen_dim[g]][ref] for g, ref in (fixed or {}).items()}
+    free = [len(tgt.generators(d)) for d in range(cap + 1)]
+    pos = [None] * len(order)
+    used, hits, trials = set(), [], 0
+
+    def candidates(i):
+        d = dims[i]
+        if not d:
+            found = range(len(table.levels[0]))
+        else:
+            key = []
+            for s, rows in recipes[i]:
+                q = pos[s]
+                for row in rows:
+                    q = row[q]
+                key.append(q)
+            found = indexes[d].get(tuple(key), ())
+        if i in pins:
+            return [pins[i]] if pins[i] in found else []
+        if bijective:
+            return [p for p in found if p < free[d] and (d, p) not in used]
+        return found
+
+    def extend(i):
+        nonlocal trials
+        if i == len(order):
+            hits.append({g: table.levels[d][p] for g, d, p in zip(order, dims, pos)})
+            return bijective
+        for p in candidates(i):
+            trials += 1
+            if trials > budget:
+                raise CapacityError(
+                    f"{'isomorphism' if bijective else 'map'} search exceeded budget {budget}",
+                    partial=i if bijective else len(hits),
+                )
+            pos[i] = p
+            used.add((dims[i], p))
+            if extend(i + 1):
+                return True
+            used.discard((dims[i], p))
+        return False
+
+    extend(0)
+    return hits
+
+
 def enumerate_maps(src, tgt, dim_cap=None, budget=DEFAULT_BUDGET, fixed=None):
     """All simplicial maps src -> tgt on the <= dim_cap skeleton.
 
     Deterministic: the result list is sorted by the images of the source
-    generators taken in (dimension, id) order.  Internally the search picks
-    the next generator by fewest candidates; output order does not depend on
-    that.  Raises CapacityError when more than `budget` candidate trials are
-    spent.
+    generators taken in (dimension, id) order, whatever order the search
+    (`_map_search`) takes them in.  Raises CapacityError when more than
+    `budget` candidate trials are spent.
     """
     cap = min(src.dim_cap, tgt.dim_cap)
     if dim_cap is not None:
         if dim_cap < 0:
             raise InputError(f"bad dim_cap {dim_cap}")
         cap = min(cap, dim_cap)
+    for g, ref in (fixed or {}).items():
+        if g not in src.gen_dim or src.gen_dim[g] > cap:
+            raise InputError(f"fixed generator {g!r} unknown or above cap")
+        if tgt.dim_of(ref) != src.gen_dim[g]:
+            raise InputError(f"fixed image for {g!r} has wrong dimension")
+        if ref not in tgt.table(cap).position[src.gen_dim[g]]:
+            raise InputError(f"fixed image for {g!r} is not a simplex of {tgt!r}")
     order = [g for d in range(cap + 1) for g in src.generators(d)]
-    assignment = {}
-    if fixed:
-        for g, ref in fixed.items():
-            if g not in src.gen_dim or src.gen_dim[g] > cap:
-                raise InputError(f"fixed generator {g!r} unknown or above cap")
-            if tgt.dim_of(ref) != src.gen_dim[g]:
-                raise InputError(f"fixed image for {g!r} has wrong dimension")
-            assignment[g] = ref
-    results = []
-    nodes = 0
-    vertex_candidates = tgt.simplices(0)
-    table = tgt.table(cap)
-
-    def candidates(g):
-        d = src.gen_dim[g]
-        if d == 0:
-            return vertex_candidates
-        at, level = table.position[d - 1], table.levels[d]
-        key = tuple(at.get(assignment[f.gen] if not f.degs else _image_of(f))
-                    for f in src.gen_faces[g])
-        return tuple(level[p] for p in table.face_index(d).get(key, ()))
-
-    def _image_of(ref):
-        out = assignment[ref.gen]
-        for j in reversed(ref.degs):
-            out = tgt.degeneracy(out, j)
-        return out
-
-    def ready(g):
-        if src.gen_dim[g] == 0:
-            return True
-        return all(f.gen in assignment for f in src.gen_faces[g])
-
-    def search():
-        nonlocal nodes
-        todo = [g for g in order if g not in assignment]
-        if not todo:
-            results.append(dict(assignment))
-            return
-        best = None
-        best_cands = None
-        for g in todo:
-            if not ready(g):
-                continue
-            cands = candidates(g)
-            if best is None or len(cands) < len(best_cands):
-                best, best_cands = g, cands
-                if not cands:
-                    break
-        if best is None:
-            raise ConsistencyError("no ready generator; face data is inconsistent")
-        for ref in sorted(best_cands):
-            nodes += 1
-            if nodes > budget:
-                raise CapacityError(
-                    f"map search exceeded budget {budget}", partial=len(results)
-                )
-            assignment[best] = ref
-            search()
-            del assignment[best]
-
-    # fixed assignments must already satisfy face compatibility between them
-    for g in list(assignment):
-        d = src.gen_dim[g]
-        if d >= 1 and ready(g) and assignment[g] not in candidates(g):
-            return []
-    search()
-    maps = [SimplicialMap(src, tgt, a, up_to=cap, check=False) for a in results]
-    maps.sort(key=lambda m: tuple(m.assignment[g] for g in order))
-    return maps
+    hits = _map_search(src, tgt, cap, budget, fixed)
+    hits.sort(key=lambda a: tuple(a[g] for g in order))
+    return [SimplicialMap(src, tgt, a, up_to=cap, check=False) for a in hits]
 
 
 def is_isomorphic(a, b, budget=DEFAULT_BUDGET):
     """A generator bijection commuting with faces, as a map, or None.
 
     Exhaustive at the common dimension cap, so None is a proof of
-    non-isomorphism for truncated sets of equal cap.  A CapacityError
-    carries the number of generators matched when the budget ran out as
-    partial.
+    non-isomorphism for truncated sets of equal cap: the bijective case of
+    `_map_search`.  A CapacityError carries the number of generators
+    matched when the budget ran out as partial.
     """
     if a.dim_cap != b.dim_cap:
         return None
-    dims = sorted(set(a.gens) | set(b.gens))
-    for d in dims:
+    for d in set(a.gens) | set(b.gens):
         if len(a.generators(d)) != len(b.generators(d)):
             return None
-    phi = {}
-    used = set()
-    nodes = 0
-    order = [g for d in dims for g in a.generators(d)]
-    table = b.table()
-
-    def images(g):
-        d = a.gen_dim[g]
-        if d == 0:
-            return [h for h in b.generators(0) if h not in used]
-        at, level = table.position[d - 1], table.levels[d]
-        key = tuple(at.get(SimplexRef(phi[f.gen], f.degs)) for f in a.gen_faces[g])
-        found = (level[p] for p in table.face_index(d).get(key, ()))
-        return [t.gen for t in found if not t.degs and t.gen not in used]
-
-    def search(i):
-        nonlocal nodes
-        if i == len(order):
-            return True
-        g = order[i]
-        for h in sorted(images(g)):
-            nodes += 1
-            if nodes > budget:
-                raise CapacityError(f"isomorphism search exceeded budget {budget}",
-                                    partial=len(phi))
-            phi[g] = h
-            used.add(h)
-            if search(i + 1):
-                return True
-            used.discard(h)
-            del phi[g]
-        return False
-
-    if search(0):
-        return SimplicialMap(a, b, {g: SimplexRef(h) for g, h in phi.items()})
-    return None
+    hits = _map_search(a, b, a.dim_cap, budget, bijective=True)
+    return SimplicialMap(a, b, hits[0]) if hits else None
 
 
 # -- levelwise simplicial objects ----------------------------------------------

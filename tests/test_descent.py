@@ -40,7 +40,7 @@ from hornfill.descent import (
     _CechCensus,
 )
 from hornfill.errors import CapacityError, InputError
-from hornfill.groupoid import FiniteGroup, cyclic_group, symmetric_group
+from hornfill.groupoid import FiniteGroup, symmetric_group
 
 GROUPS = all_small_groups()
 

@@ -36,3 +36,23 @@ def test_every_name_the_benchmark_wraps_resolves():
         if owner is None:
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports names to re-export them; every other module
+    # must use each name its module-level imports bind
+    package = pathlib.Path(hornfill.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {
+            (alias.asname or alias.name).split(".")[0]: node.lineno
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+    assert unused == []
