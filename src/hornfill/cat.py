@@ -8,7 +8,9 @@ two arrows meeting at vertex i, and s_i inserts an identity there.
 2-categories are strict: 1-cell composition is associative on the nose
 and 2-cells carry vertical and horizontal composition satisfying the
 middle-four interchange.  Their nerve remembers composition up to a
-chosen 2-cell witness per triangle and is 3-coskeletal from level 4 on.
+chosen 2-cell witness per triangle and is 3-coskeletal (Duskin, TAC
+2002), so levels >= 3 come from the boundary join that the horn census
+also runs (`SimplicialObject.join`).
 
 `FiniteCategory.validate` is the one checker of composition laws:
 identities, a table entry for exactly the composable pairs landing on a
@@ -31,8 +33,8 @@ certificate) and the homotopy category of edge classes (requires inner
 instance by instance rather than assumed).
 """
 
-import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_BUDGET, DEFAULT_DIM_CAP, DEFAULT_PATH_BUDGET
@@ -41,6 +43,7 @@ from .sset import (
     LevelModel,
     SimplexRef,
     SimplicialMap,
+    SimplicialObject,
     SimplicialSet,
     enumerate_maps,
     product_structure,
@@ -556,170 +559,117 @@ def _tetra_holds(c2, edges, tris, quad):
     return route1 == route2
 
 
-def _enumerate_duskin_level(c2, n, budget):
-    """All n-simplices (n >= 2): vertex tuples, edge and triangle labelings
-    satisfying every tetrahedron condition.  A CapacityError carries the
-    number of n-simplices found as partial."""
-    order = _cells_in_order(n)
-    out = []
-    nodes = 0
-    verts = {}
-    edges = {}
-    tris = {}
+def _duskin_table(c2, dim_cap, budget):
+    """The Duskin nerve through `dim_cap`: a SimplicialObject and the value
+    of every element, both in level order.
 
-    def tetra_ready_checks(t):
-        # quads whose lexicographically last triangle is t = (j, k, l)
-        j, k, l = t
-        return [(i, j, k, l) for i in range(j)]
-
-    def spend():
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise CapacityError(f"2-nerve enumeration exceeded budget {budget}", partial=len(out))
-
-    def rec(pos):
-        if pos == len(order):
-            e = tuple(edges[p] for p in sorted(edges))
-            t = tuple(tris[p] for p in sorted(tris))
-            out.append((tuple(verts[i] for i in range(n + 1)), e, t))
-            return
-        cell = order[pos]
-        if len(cell) == 2:
-            i, j = cell
-            cands = c2.cat.hom(verts[i], verts[j])
-            for f in cands:
-                spend()
-                edges[cell] = f
-                rec(pos + 1)
-                del edges[cell]
-        else:
-            i, j, k = cell
-            composite = c2.cat.compose_table[(edges[(j, k)], edges[(i, j)])]
-            for m in c2.two_hom(composite, edges[(i, k)]):
-                spend()
-                tris[cell] = m
-                if all(
-                    _tetra_holds(c2, edges, tris, q) for q in tetra_ready_checks(cell)
-                ):
-                    rec(pos + 1)
-                del tris[cell]
-
-    def rec_verts(i):
-        if i == n + 1:
-            rec(0)
-            return
-        for x in c2.objects:
-            verts[i] = x
-            rec_verts(i + 1)
-            del verts[i]
-
-    rec_verts(0)
-    return out
-
-
-@functools.cache
-def _duskin_recipe(n_from, alpha):
-    """Where each edge and triangle of an alpha-relabelled simplex comes from.
-
-    For alpha: [n_to] -> [n_from], edges and triangles in lex order.  An
-    edge entry is the position of the source edge (alpha i, alpha j), or ~a
-    for the identity 1-cell at source vertex a = alpha i = alpha j.  A
-    triangle entry is the position of the source triangle, or ~q for the
-    identity 2-cell on the new edge at position q: (j, k) when alpha i =
-    alpha j, else (i, j).  Memoised: one entry per monotone map in use.
+    Levels 0-2 come from the 2-category; each level n >= 3 is the boundary
+    join over level n - 1 (level 3 filtered by `_tetra_holds`), whose
+    elements are their own face tuples, so s_j x is looked up by its faces.
+    A value (edges, 2-cells) is read through `restriction_table` off a face
+    holding each cell; a level is sorted by vertices, then labels in
+    `_cells_in_order(n)` order.  One budget of trials covers the build, and
+    a CapacityError carries the simplices found at the level that ran out.
     """
-    epos = {p: q for q, p in enumerate(itertools.combinations(range(n_from + 1), 2))}
-    tpos = {p: q for q, p in enumerate(itertools.combinations(range(n_from + 1), 3))}
-    new_epos = {p: q for q, p in enumerate(itertools.combinations(range(len(alpha)), 2))}
-    edges = tuple(
-        ~alpha[i] if alpha[i] == alpha[j] else epos[(alpha[i], alpha[j])]
-        for i, j in new_epos
+    one, ident, id2 = c2.one, c2.cat.identity, c2.two_identity
+    message = f"Duskin nerve exceeded budget {budget}"
+    trials = 0
+    triangles = []
+    for f in sorted(one) if dim_cap >= 2 else ():
+        a, b = one[f]
+        for c in c2.objects:
+            for g in c2.cat.hom(b, c):
+                composite = c2.cat.compose_table[(g, f)]
+                for e in c2.cat.hom(a, c):
+                    for t in c2.two_hom(composite, e):
+                        trials += 1
+                        if trials > budget:
+                            raise CapacityError(message, partial=len(triangles))
+                        triangles.append(((f, e, g), (t,)))
+    triangles.sort(key=lambda x: (one[x[0][0]] + (one[x[0][2]][1],), x[0], x[1]))
+
+    def face(n, i, x):
+        if n == 1:
+            return one[x][1 - i]
+        if n == 2:
+            return x[0][2 - i]
+        return table.levels[n - 1][x[i]]
+
+    def deg(n, j, x):
+        if n == 0:
+            return ident[x]
+        if n == 1:
+            a, b = one[x]
+            return ((ident[a], x, x) if j == 0 else (x, x, ident[b]), (id2[x],))
+        p, fs, ss = table.position[n][x], table.faces[n], table.degs[n - 1]
+        return tuple(
+            ss[j - 1][fs[i][p]] if i < j else p if i <= j + 1 else ss[j][fs[i - 1][p]]
+            for i in range(n + 2)
+        )
+
+    table = SimplicialObject(
+        min(dim_cap, 2), [c2.objects, sorted(one), triangles], face, deg, check=False
     )
-    tris = tuple(
-        ~new_epos[(j, k)] if alpha[i] == alpha[j]
-        else ~new_epos[(i, j)] if alpha[j] == alpha[k]
-        else tpos[(alpha[i], alpha[j], alpha[k])]
-        for i, j, k in itertools.combinations(range(len(alpha)), 3)
-    )
-    return edges, tris
+    values = list(table.levels)
+    names = values[:2] + [[t for _, (t,) in triangles]]
 
+    def tetrahedron(ys):
+        (e0, (t0,)), (_, (t1,)), (_, (t2,)), (e3, (t3,)) = (triangles[y] for y in ys)
+        edges = {(0, 1): e3[0], (2, 3): e0[2]}
+        tris = {(1, 2, 3): t0, (0, 2, 3): t1, (0, 1, 3): t2, (0, 1, 2): t3}
+        return _tetra_holds(c2, edges, tris, (0, 1, 2, 3))
 
-def _duskin_reindex(c2, n_from, elem, alpha):
-    """Relabel an n_from-simplex along a monotone alpha: [n_to] -> [n_from].
-
-    Repeated vertices receive identity 1-cells and identity 2-cells; this is
-    where strictness of the 2-category is used.
-    """
-    verts, e, t = elem
-    edges, tris = _duskin_recipe(n_from, alpha)
-    identity, id2 = c2.cat.identity, c2.two_identity
-    new_e = tuple(e[p] if p >= 0 else identity[verts[~p]] for p in edges)
-    new_t = tuple(t[p] if p >= 0 else id2[new_e[~p]] for p in tris)
-    return tuple(verts[a] for a in alpha), new_e, new_t
-
-
-def _duskin_pack(n, elem):
-    """Down-convert the uniform (verts, edges, tris) shape to the level type."""
-    verts, e, t = elem
-    if n == 0:
-        return verts[0]
-    if n == 1:
-        return e[0]
-    return (e, t)
-
-
-@functools.cache
-def _consecutive_edges(n):
-    """Positions of the edges (i, i + 1) of the n-simplex in lex order."""
-    epos = {p: q for q, p in enumerate(itertools.combinations(range(n + 1), 2))}
-    return tuple(epos[(i, i + 1)] for i in range(n))
-
-
-def _duskin_unpack(c2, n, x):
-    if n == 0:
-        return ((x,), (), ())
-    if n == 1:
-        s, t = c2.one[x]
-        return ((s, t), (x,), ())
-    e, t = x
-    one = c2.one
-    verts = (one[e[0]][0],) + tuple(one[e[q]][1] for q in _consecutive_edges(n))
-    return (verts, e, t)
+    for n in range(3, dim_cap + 1):
+        try:
+            tuples, trials = table.join(
+                n, range(n + 1), budget, trials, tetrahedron if n == 3 else None
+            )
+        except CapacityError as exc:
+            raise CapacityError(message, partial=exc.partial) from None
+        # one key column per vertex, then per cell in `_cells_in_order`
+        cells = [(v,) for v in range(n + 1)] + _cells_in_order(n)
+        columns = []
+        for cell in cells:
+            m = next(v for v in range(n + 1) if v not in cell)
+            row = table.restriction_table(n - 1, [v - (v > m) for v in cell])
+            name = names[len(cell) - 1]
+            columns.append([name[row[t[m]]] for t in tuples])
+        keys = sorted(zip(*columns, tuples))
+        table.add_level([k[-1] for k in keys], face, deg)
+        edges = operator.itemgetter(
+            *(cells.index(c) for c in itertools.combinations(range(n + 1), 2)))
+        tris = operator.itemgetter(
+            *(cells.index(c) for c in itertools.combinations(range(n + 1), 3)))
+        values.append([(edges(k), tris(k)) for k in keys])
+    return table, values
 
 
 def duskin_nerve(c2, dim_cap=DEFAULT_DIM_CAP, budget=DEFAULT_BUDGET):
-    """Nerve of a strict 2-category; 3-coskeletal above level 3.
+    """Nerve of a strict 2-category; 3-coskeletal.
 
     Level 2 collects one 2-cell witness per triangle of 1-cells; level 3
-    keeps those quadruples whose two contraction routes agree; higher
-    levels are full edge/triangle labelings with every tetrahedron checked.
+    keeps the compatible quadruples of triangles whose two contraction
+    routes agree; each higher level is every compatible tuple of faces,
+    found by the boundary join (`_duskin_table`).  An n-simplex, n >= 2,
+    is its edge and triangle labels in lex order.  The budget counts the
+    candidate triangles and join trials of the whole build.
     """
-    levels = [list(c2.objects), sorted(c2.one)]
-    for n in range(2, dim_cap + 1):
-        levels.append(
-            [_duskin_pack(n, x) for x in _enumerate_duskin_level(c2, n, budget)]
-        )
+    table, values = _duskin_table(c2, dim_cap, budget)
+    at = [{x: p for p, x in enumerate(level)} for level in values]
 
     def face(n, i, x):
-        full = _duskin_unpack(c2, n, x)
-        alpha = tuple(v for v in range(n + 1) if v != i)
-        return _duskin_pack(n - 1, _duskin_reindex(c2, n, full, alpha))
+        return values[n - 1][table.faces[n][i][at[n][x]]]
 
     def deg(n, i, x):
-        full = _duskin_unpack(c2, n, x)
-        alpha = tuple(range(i + 1)) + tuple(range(i, n + 1))
-        return _duskin_pack(n + 1, _duskin_reindex(c2, n, full, alpha))
+        return values[n + 1][table.degs[n][i][at[n][x]]]
 
     def namer(n, x):
-        if n == 0:
-            return str(x)
-        if n == 1:
+        if n < 2:
             return str(x)
         e, t = x
         return "{" + ",".join(e) + "|" + ",".join(t) + "}"
 
-    model = LevelModel(dim_cap, levels, face, deg, namer=namer)
+    model = LevelModel(dim_cap, values, face, deg, namer=namer)
     return DuskinResult(model.sset, c2, model)
 
 

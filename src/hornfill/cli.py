@@ -7,11 +7,15 @@ Sixteen subcommands over four groups:
     grpd     quotient, stabilizer, torsor, cech
     descent  sheaf, stack, cocycles, refine
 
-Inputs are JSON files in the formats of the io module.  Output goes to
-stdout (or --output) as deterministic JSON, or as a short text summary
-with --format text.  Exit codes: 0 on success (and the checked property
-holds, for checking commands), 1 when a checked property fails, 2 on
-any engine error (bad input, failed validation, exceeded budget).
+Run as `hornfill` once installed, or as `python -m hornfill` from a
+checkout.  Inputs are JSON files in the formats of the io module.
+Output goes to stdout (or --output) as deterministic JSON, or as a short
+text summary with --format text.  Exit codes: 0 on success (and the
+checked property holds, for checking commands), 1 when a checked
+property fails, 2 on any engine error (bad input, failed validation,
+exceeded budget).  `--budget` is offered only by the eight subcommands
+that run a search (check-kan, fillers, duskin, tau, maps, stack,
+cocycles, refine) and, like HORNFILL_BUDGET, must be positive.
 """
 
 import argparse
@@ -22,6 +26,7 @@ from . import io
 from .cat import duskin_nerve, fundamental_category, homotopy_category, nerve
 from .config import (
     DEFAULT_BUDGET, DEFAULT_DIM_CAP, DEFAULT_LEVEL_CAP, DEFAULT_PATH_BUDGET, budget_from_env,
+    positive_budget,
 )
 from .descent import (
     ConstantPresheaf,
@@ -50,8 +55,9 @@ from .sset import enumerate_maps
 
 
 def _budget(args, default=DEFAULT_BUDGET):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
+    """--budget, else HORNFILL_BUDGET, else the default; either must be positive."""
+    if args.budget is not None:
+        return positive_budget(args.budget, "--budget")
     return budget_from_env(default)
 
 
@@ -345,10 +351,16 @@ def cmd_descent_refine(args):
 # parser
 
 
-def _common(sub, budget_help="search budget (overrides HORNFILL_BUDGET)"):
+_SEARCH_BUDGET = ("search budget: candidates the search may try in this call"
+                  f" (positive, default {DEFAULT_BUDGET}; overrides HORNFILL_BUDGET)")
+
+
+def _common(sub, budget_help=None):
+    """--format and --output, and --budget where a search runs."""
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument("--output", help="write result to this file instead of stdout")
-    sub.add_argument("--budget", type=int, default=None, help=budget_help)
+    if budget_help:
+        sub.add_argument("--budget", type=int, default=None, help=budget_help)
 
 
 @functools.cache
@@ -370,13 +382,13 @@ def build_parser():
     p = sset.add_parser("check-kan", help="full horn census and the four flags")
     p.add_argument("sset")
     p.add_argument("--dim-cap", type=int, default=None)
-    _common(p)
+    _common(p, _SEARCH_BUDGET)
     p.set_defaults(func=cmd_sset_check_kan)
     p = sset.add_parser("fillers", help="filler profile of one horn shape")
     p.add_argument("sset")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _common(p)
+    _common(p, _SEARCH_BUDGET)
     p.set_defaults(func=cmd_sset_fillers)
 
     cat = top.add_parser("cat", help="category commands").add_subparsers(
@@ -390,12 +402,12 @@ def build_parser():
     p = cat.add_parser("duskin", help="nerve of a strict two-category")
     p.add_argument("two_category")
     p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP)
-    _common(p)
+    _common(p, _SEARCH_BUDGET)
     p.set_defaults(func=cmd_cat_duskin)
     p = cat.add_parser("tau", help="fundamental category of a simplicial set")
     p.add_argument("sset")
     _common(p, budget_help="path budget: edge words the path universe may hold"
-            f" (default {DEFAULT_PATH_BUDGET}; overrides HORNFILL_BUDGET)")
+            f" (positive, default {DEFAULT_PATH_BUDGET}; overrides HORNFILL_BUDGET)")
     p.set_defaults(func=cmd_cat_tau)
     p = cat.add_parser("hcat", help="homotopy category of a weak Kan complex")
     p.add_argument("sset")
@@ -404,7 +416,7 @@ def build_parser():
     p = cat.add_parser("maps", help="all simplicial maps between two sets")
     p.add_argument("src")
     p.add_argument("tgt")
-    _common(p)
+    _common(p, _SEARCH_BUDGET)
     p.set_defaults(func=cmd_cat_maps)
 
     grpd = top.add_parser("grpd", help="groupoid commands").add_subparsers(
@@ -444,19 +456,19 @@ def build_parser():
     p.add_argument("--group", required=True, help="group JSON file")
     p.add_argument("--presheaf", default="torsor",
                    choices=("torsor", "constant", "doubled"))
-    _common(p)
+    _common(p, _SEARCH_BUDGET)
     p.set_defaults(func=cmd_descent_stack)
     p = desc.add_parser("cocycles", help="skeletal census of cover cocycles")
     p.add_argument("cover")
     p.add_argument("--group", required=True)
-    _common(p)
+    _common(p, _SEARCH_BUDGET)
     p.set_defaults(func=cmd_descent_cocycles)
     p = desc.add_parser("refine", help="descent along a refinement of a cover")
     p.add_argument("cover")
     p.add_argument("refined")
     p.add_argument("map", help="JSON object sending refined points to cover points")
     p.add_argument("--group", required=True)
-    _common(p)
+    _common(p, _SEARCH_BUDGET)
     p.set_defaults(func=cmd_descent_refine)
 
     return parser

@@ -6,13 +6,22 @@ the ones the reports stamp when the caller does not override them.
 
 import os
 
+from .errors import InputError
+
 DEFAULT_DIM_CAP = 4        # simplicial dimension cap for Kan/nerve checks
 DEFAULT_LEVEL_CAP = 3      # level cap for simplicial objects (Cech, bar)
-DEFAULT_BUDGET = 10_000_000  # node budget for backtracking searches
+DEFAULT_BUDGET = 10_000_000  # candidates a search may try
 DEFAULT_PATH_BUDGET = 100_000  # path universe cap for congruence closure
 MAX_STANDARD_DIM = 6       # largest standard simplex the engine will build
 
 BUDGET_ENV = "HORNFILL_BUDGET"
+
+
+def positive_budget(value, source):
+    """A budget must be positive; `source` names where it came from."""
+    if value <= 0:
+        raise InputError(f"{source} must be positive, got {value}")
+    return value
 
 
 def budget_from_env(default=DEFAULT_BUDGET):
@@ -23,11 +32,5 @@ def budget_from_env(default=DEFAULT_BUDGET):
     try:
         value = int(raw)
     except ValueError:
-        from .errors import InputError
-
-        raise InputError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
-    if value <= 0:
-        from .errors import InputError
-
-        raise InputError(f"{BUDGET_ENV} must be positive, got {value}")
-    return value
+        raise InputError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from None
+    return positive_budget(value, BUDGET_ENV)

@@ -591,35 +591,27 @@ class ComparisonReport:
 def torsor_comparison(action, level_cap=DEFAULT_LEVEL_CAP):
     """The canonical map from the bar construction to the Cech nerve of the
     anchor: (g_1 ... g_n, x) |-> (x, g_1 x, g_2 g_1 x, ...).  Reports whether
-    it commutes with all structure maps and is a levelwise bijection."""
+    it commutes with all structure maps and is a levelwise bijection,
+    compared on positions in the two level tables."""
     if action.base is None:
         raise InputError("comparison needs an anchored action")
     bar = action_bar_object(action, level_cap)
     b_set, pi = action.base
     cech = cech_nerve(FinMap(action.carrier, b_set, pi), level_cap)
 
-    def cmp_n(n, z):
-        gs, x = z
-        out = [x]
-        for g in gs:
-            out.append(action.act[(g, out[-1])])
-        return tuple(out)
-
-    commutes = True
-    for n in range(1, level_cap + 1):
-        for z in bar.levels[n]:
-            for i in range(n + 1):
-                if cmp_n(n - 1, bar.face(n, i, z)) != cech.face(n, i, cmp_n(n, z)):
-                    commutes = False
-    for n in range(level_cap):
-        for z in bar.levels[n]:
-            for i in range(n + 1):
-                if cmp_n(n + 1, bar.deg(n, i, z)) != cech.deg(n, i, cmp_n(n, z)):
-                    commutes = False
-    levelwise = {}
-    for n in range(level_cap + 1):
-        images = [cmp_n(n, z) for z in bar.levels[n]]
-        levelwise[n] = (
-            len(images) == len(set(images)) and set(images) == set(cech.levels[n])
-        )
+    # the Cech position of each bar element's image; the anchor is
+    # validated as fibre-preserving, so every image lies in the Cech level
+    at = []
+    for n, level in enumerate(bar.levels):
+        row = []
+        for gs, x in level:
+            image = [x]
+            for g in gs:
+                image.append(action.act[(g, image[-1])])
+            row.append(cech.position[n][tuple(image)])
+        at.append(row)
+    commutes = bar.first_disagreement(cech, at) is None
+    levelwise = {
+        n: len(set(row)) == len(row) == len(cech.levels[n]) for n, row in enumerate(at)
+    }
     return ComparisonReport(commutes, levelwise, commutes and all(levelwise.values()))

@@ -5,8 +5,10 @@ A map from the horn Lambda^n_k into X is the same thing as a tuple
 i < j (May, Simplicial Objects in Algebraic Topology, Def. 1.3): y_i is
 the image of the horn face d_i, and the equations glue the faces along
 their common (n-2)-faces.  Such compatible face tuples are enumerated by
-a join over the (n-1)-simplices, choosing y_i in increasing i and looking
-each one up by the faces it shares with the entries already chosen.  The
+`SimplicialObject.join` over the slots i != k of x's (n-1)-simplices,
+choosing y_i in increasing i and looking each one up by the faces it
+shares with the entries already chosen; the Duskin nerve builds its
+levels >= 3 with the same join over every slot.  The
 fillers of a horn map are the n-simplices whose face tuple with d_k
 dropped is the map's tuple, read off an index of x's n-simplices that x
 caches per (n, k).  The join and both indexes work on positions in x's
@@ -73,44 +75,21 @@ def _images(x, n, k):
     return lambda tup: tuple(level[row[tup[slot]]] for slot, level, row in charts)
 
 
-def _join(x, n, k, budget, spent=0, shapes_done=0):
+def _horn_join(x, n, k, budget, spent=0, shapes_done=0):
     """Compatible face tuples of the (n, k)-horn in x, as positions in
-    level n - 1, and the trials spent.
-
-    Every candidate tried for a slot is one trial; `spent` trials are
-    already used up when the call starts.  Past `budget` a CapacityError
-    reports `shapes_done` horn shapes as completed.
+    level n - 1, and the trials spent (`SimplicialObject.join`); past
+    `budget` a CapacityError reports `shapes_done` horn shapes completed.
     """
     if n > x.dim_cap:
         raise InputError(f"horn dimension {n} above target cap {x.dim_cap}")
     horn_generators(n, k)  # rejects a bad n or k
     table = x.table(n)
-    faces = [i for i in range(n + 1) if i != k]
-    # the candidates for y_j are indexed by d_i y_j for the earlier slots i
-    indexes = [table.face_index(n - 1, faces[:s]) for s in range(len(faces))]
-    face_rows = table.faces[n - 1]
-    out = []
-    chosen = []
-
-    def extend(s):
-        nonlocal spent
-        if s == len(faces):
-            out.append(tuple(chosen))
-            return
-        j = faces[s]
-        key = tuple(face_rows[j - 1][y] for y in chosen)
-        for y in indexes[s].get(key, ()):
-            spent += 1
-            if spent > budget:
-                raise CapacityError(
-                    f"horn census exceeded budget {budget}", partial=shapes_done
-                )
-            chosen.append(y)
-            extend(s + 1)
-            chosen.pop()
-
-    extend(0)
-    return out, spent
+    try:
+        return table.join(n, [i for i in range(n + 1) if i != k], budget, spent)
+    except CapacityError:
+        raise CapacityError(
+            f"horn census exceeded budget {budget}", partial=shapes_done
+        ) from None
 
 
 def horn_tuples(x, n, k, budget=DEFAULT_BUDGET):
@@ -120,7 +99,7 @@ def horn_tuples(x, n, k, budget=DEFAULT_BUDGET):
     increasing i.  Raises CapacityError when more than `budget` join
     trials are spent.
     """
-    tuples = _join(x, n, k, budget)[0]
+    tuples = _horn_join(x, n, k, budget)[0]
     level = x.simplices(n - 1)
     return [tuple(level[p] for p in t) for t in tuples]
 
@@ -130,7 +109,7 @@ def horn_maps(x, n, k, budget=DEFAULT_BUDGET):
 
     Sorted by the images of the horn generators in (dimension, id) order.
     """
-    tuples = _join(x, n, k, budget)[0]
+    tuples = _horn_join(x, n, k, budget)[0]
     horn, gen_ids = horn_generators(n, k)
     images = sorted(map(_images(x, n, k), tuples))
     return [
@@ -153,7 +132,7 @@ def horn_fillers(x, n, k, horn_map):
 
 def filler_profile(x, n, k, budget=DEFAULT_BUDGET):
     """{number of fillers: number of (n, k)-horn maps with that many}."""
-    tuples = _join(x, n, k, budget)[0]
+    tuples = _horn_join(x, n, k, budget)[0]
     index = x.filler_index(n, k)
     return dict(Counter(len(index.get(t, ())) for t in tuples))
 
@@ -229,7 +208,7 @@ def classify(x, dim_cap=None, budget=DEFAULT_BUDGET):
     spent = 0
     for n in range(2, cap + 1):
         for k in range(n + 1):
-            tuples, spent = _join(x, n, k, budget, spent, len(verdicts))
+            tuples, spent = _horn_join(x, n, k, budget, spent, len(verdicts))
             index = x.filler_index(n, k)
             images_of = _images(x, n, k)
             unfilled = ambiguous = 0

@@ -732,6 +732,21 @@ class SimplicialObject:
                             f"s_{i} s_{j} = s_{j + 1} s_{i}",
                         )
 
+    def first_disagreement(self, other, at):
+        """The first (kind, n, i), kind "face" or "degeneracy", at which
+        this object's tables and `other`'s disagree under the levelwise map
+        `at` (at[n][p]: the position in other's level n of element p of
+        level n here), or None when the map commutes with every d_i, s_i."""
+        for kind, step, ours, theirs in (
+            ("face", -1, self.faces, other.faces),
+            ("degeneracy", 1, self.degs, other.degs),
+        ):
+            for n, rows in enumerate(ours):
+                for i, row in enumerate(rows):
+                    if [at[n + step][q] for q in row] != [theirs[n][i][p] for p in at[n]]:
+                        return kind, n, i
+        return None
+
     def face(self, n, i, x):
         return self.levels[n - 1][self.faces[n][i][self.position[n][x]]]
 
@@ -740,17 +755,21 @@ class SimplicialObject:
 
     def restriction_table(self, n, subset):
         """Positions of the restrictions of all of level n along a subset
-        of [n], into level len(subset) - 1; cached per (n, subset)."""
+        of [n], into level len(subset) - 1; cached per (n, subset).  The
+        largest vertex missing from the subset is dropped first, and the
+        rest is the cached restriction of level n - 1."""
         subset = tuple(sorted(set(subset)))
         if not subset or subset[0] < 0 or subset[-1] > n:
             raise InputError(f"bad subset {subset} of [0, {n}]")
         key = (n, subset)
         if key not in self._restrictions:
-            table, m = range(len(self.levels[n])), n
-            for v in sorted(set(range(n + 1)) - set(subset), reverse=True):
-                table = [self.faces[m][v][p] for p in table]
-                m -= 1
-            self._restrictions[key] = list(table)
+            missing = [v for v in range(n + 1) if v not in subset]
+            if missing:
+                v = missing[-1]
+                below = self.restriction_table(n - 1, [u - (u > v) for u in subset])
+                self._restrictions[key] = [below[p] for p in self.faces[n][v]]
+            else:
+                self._restrictions[key] = list(range(len(self.levels[n])))
         return self._restrictions[key]
 
     def restrict(self, n, subset, x):
@@ -772,6 +791,40 @@ class SimplicialObject:
             self._indexes[key] = index
         return self._indexes[key]
 
+    def join(self, n, slots, budget, spent=0, keep=None):
+        """Compatible face tuples over level n - 1, as positions, and the
+        trials spent: tuples (y_i), i in `slots` (increasing, in [n]), with
+        d_i y_j = d_{j-1} y_i for i < j (May, Simplicial Objects in
+        Algebraic Topology, Def. 1.3).  Slots i != k give the maps of the
+        (n, k)-horn, all of [n] those of the boundary.  y_j is looked up by
+        the faces it shares with the entries chosen; `keep` filters complete
+        tuples.  Each candidate tried is one trial, `spent` already used;
+        past `budget` a CapacityError carries the tuples kept as partial.
+        """
+        slots = tuple(slots)
+        last = len(slots) - 1
+        indexes = [self.face_index(n - 1, slots[:s]) for s in range(len(slots))]
+        # y_j's key: d_{j-1} of each entry already chosen (none for the first)
+        rows = [None] + [self.faces[n - 1][j - 1].__getitem__ for j in slots[1:]]
+        out = []
+        chosen = []
+
+        def extend(s):
+            nonlocal spent
+            for y in indexes[s].get(tuple(map(rows[s], chosen)), ()):
+                spent += 1
+                if spent > budget:
+                    raise CapacityError(f"join exceeded budget {budget}", partial=len(out))
+                if s < last:
+                    chosen.append(y)
+                    extend(s + 1)
+                    chosen.pop()
+                elif keep is None or keep((*chosen, y)):
+                    out.append((*chosen, y))
+
+        extend(0)
+        return out, spent
+
 
 class LevelModel(SimplicialObject):
     """A simplicial set presented by a levelwise simplicial object.
@@ -791,15 +844,20 @@ class LevelModel(SimplicialObject):
         self.elem_of_gen = {}
         refs = []
         for n, level in enumerate(self.levels):
+            # strip[p]: the largest i with element p = s_i d_i p, if any
+            strip = [None] * len(level)
+            for i in range(n):
+                back = self.degs[n - 1][i]
+                for p, q in enumerate(self.faces[n][i]):
+                    if back[q] == p:
+                        strip[p] = i
+            below = refs[n - 1] if n else ()
+            face_refs = list(zip(*([below[q] for q in d_i] for d_i in self.faces[n])))
             row = []
             for p, x in enumerate(level):
-                i = next(
-                    (i for i in range(n - 1, -1, -1)
-                     if self.degs[n - 1][i][self.faces[n][i][p]] == p),
-                    None,
-                )
+                i = strip[p]
                 if i is not None:
-                    base = refs[n - 1][self.faces[n][i][p]]
+                    base = face_refs[p][i]
                     if base.degs and base.degs[0] >= i:
                         raise ConsistencyError("strip order broke normal form")
                     row.append(SimplexRef(base.gen, (i,) + base.degs))
@@ -810,7 +868,7 @@ class LevelModel(SimplicialObject):
                 self.elem_of_gen[name] = x
                 generators.setdefault(n, []).append(name)
                 if n >= 1:
-                    faces[name] = tuple(refs[n - 1][d_i[p]] for d_i in self.faces[n])
+                    faces[name] = face_refs[p]
                 row.append(SimplexRef(name))
             refs.append(row)
         self.ref_of = {
@@ -827,16 +885,13 @@ class LevelModel(SimplicialObject):
         the normal-form calculus built."""
         table = self.sset.table()
         at = [[table.position[n][ref] for ref in row] for n, row in enumerate(refs)]
-        for kind, op, step, ours, want in (
-            ("face", "d", -1, self.faces, table.faces),
-            ("degeneracy", "s", 1, self.degs, table.degs),
-        ):
-            for n, rows in enumerate(ours):
-                for i, row in enumerate(rows):
-                    if [at[n + step][q] for q in row] != [want[n][i][p] for p in at[n]]:
-                        raise ValidationError(
-                            f"levelwise {kind} disagrees with calculus at level {n}, {op}_{i}"
-                        )
+        found = self.first_disagreement(table, at)
+        if found:
+            kind, n, i = found
+            op = "d" if kind == "face" else "s"
+            raise ValidationError(
+                f"levelwise {kind} disagrees with calculus at level {n}, {op}_{i}"
+            )
 
 
 # -- products -----------------------------------------------------------------

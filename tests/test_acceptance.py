@@ -11,6 +11,7 @@ import functools
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 from hornfill.cat import (
@@ -20,6 +21,7 @@ from hornfill.cat import (
     homotopy_category,
     nerve,
 )
+from hornfill.config import DEFAULT_LEVEL_CAP
 from hornfill.corpus import (
     all_actions,
     all_categories,
@@ -47,7 +49,9 @@ from hornfill.descent import (
     truncation_agreement_groupoids,
     truncation_agreement_sets,
 )
+from hornfill.errors import InputError
 from hornfill.groupoid import (
+    ComparisonReport,
     FinMap,
     GroupAction,
     action_bar_object,
@@ -335,6 +339,59 @@ def test_criterion_7_torsor_acceptance_and_reconstruction():
                         accepted += 1
     assert anchored == 572
     assert accepted == 38
+
+
+# the per-element comparison that the comparison on positions replaced
+
+
+def _oracle_torsor_comparison(action, level_cap=DEFAULT_LEVEL_CAP):
+    """The canonical map from the bar construction to the Cech nerve of the
+    anchor: (g_1 ... g_n, x) |-> (x, g_1 x, g_2 g_1 x, ...).  Reports whether
+    it commutes with all structure maps and is a levelwise bijection."""
+    if action.base is None:
+        raise InputError("comparison needs an anchored action")
+    bar = action_bar_object(action, level_cap)
+    b_set, pi = action.base
+    cech = cech_nerve(FinMap(action.carrier, b_set, pi), level_cap)
+
+    def cmp_n(n, z):
+        gs, x = z
+        out = [x]
+        for g in gs:
+            out.append(action.act[(g, out[-1])])
+        return tuple(out)
+
+    commutes = True
+    for n in range(1, level_cap + 1):
+        for z in bar.levels[n]:
+            for i in range(n + 1):
+                if cmp_n(n - 1, bar.face(n, i, z)) != cech.face(n, i, cmp_n(n, z)):
+                    commutes = False
+    for n in range(level_cap):
+        for z in bar.levels[n]:
+            for i in range(n + 1):
+                if cmp_n(n + 1, bar.deg(n, i, z)) != cech.deg(n, i, cmp_n(n, z)):
+                    commutes = False
+    levelwise = {}
+    for n in range(level_cap + 1):
+        images = [cmp_n(n, z) for z in bar.levels[n]]
+        levelwise[n] = (
+            len(images) == len(set(images)) and set(images) == set(cech.levels[n])
+        )
+    return ComparisonReport(commutes, levelwise, commutes and all(levelwise.values()))
+
+
+def test_torsor_comparison_on_positions_matches_the_per_element_oracle():
+    reports = Counter()
+    for g in all_small_groups().values():
+        for n in range(1, 5):
+            for act in all_actions(g, n):
+                for a in _anchored_variants(act):
+                    rep = torsor_comparison(a, level_cap=3)
+                    assert rep == _oracle_torsor_comparison(a, level_cap=3)
+                    reports[rep.commutes, rep.is_iso] += 1
+    # every variant commutes; only the torsors are isomorphisms
+    assert reports == {(True, False): 572 - 38, (True, True): 38}
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 from hornfill.cat import (
     Finite2Category,
     FiniteCategory,
-    _duskin_pack,
-    _enumerate_duskin_level,
+    _cells_in_order,
+    _tetra_holds,
     categories_isomorphic,
     duskin_nerve,
     enumerate_functors,
@@ -172,6 +172,17 @@ def test_duskin_counts_for_split_two_group():
     assert [x.count(n) for n in range(4)] == [1, 2, 8, 64]
 
 
+def test_duskin_nerves_at_cap_5_have_the_closed_form_counts():
+    two_cats = all_two_categories()
+    for name, counts in (
+        ("two_group_c3", [3 ** math.comb(n, 2) for n in range(6)]),
+        ("split_c2_c2", [1, 2, 8, 64, 1024, 32768]),
+    ):
+        x = duskin_nerve(two_cats[name], dim_cap=5).sset
+        assert [x.count(n) for n in range(6)] == counts, name
+        x.validate(deep=True)
+
+
 def test_duskin_of_discrete_two_category_is_the_nerve():
     for c in (poset_category(1), bg_category(cyclic_group(2))):
         a = duskin_nerve(two_category_from_category(c), dim_cap=3).sset
@@ -253,7 +264,9 @@ def test_search_capacity_errors_report_partial_progress():
             enumerate_functors(bs3, bs3, budget=budget)
         assert info.value.partial == found
     c2 = one_object_two_group(cyclic_group(2))
-    for budget, found in ((1, 0), (10, 1)):
+    # level 2 spends two trials, one per triangle; the boundary join for
+    # level 3 completes its first tetrahedron at trial 6
+    for budget, found in ((5, 0), (6, 1)):
         with pytest.raises(CapacityError) as info:
             duskin_nerve(c2, dim_cap=3, budget=budget)
         assert info.value.partial == found
@@ -274,6 +287,81 @@ def test_search_capacity_errors_report_partial_progress():
 
 
 # -- Duskin levels against the per-element index maps the recipes replaced -----
+
+
+# the per-cell level search and the packing the boundary join replaced
+
+
+def _enumerate_duskin_level(c2, n, budget):
+    """All n-simplices (n >= 2): vertex tuples, edge and triangle labelings
+    satisfying every tetrahedron condition.  A CapacityError carries the
+    number of n-simplices found as partial."""
+    order = _cells_in_order(n)
+    out = []
+    nodes = 0
+    verts = {}
+    edges = {}
+    tris = {}
+
+    def tetra_ready_checks(t):
+        # quads whose lexicographically last triangle is t = (j, k, l)
+        j, k, l = t
+        return [(i, j, k, l) for i in range(j)]
+
+    def spend():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise CapacityError(f"2-nerve enumeration exceeded budget {budget}", partial=len(out))
+
+    def rec(pos):
+        if pos == len(order):
+            e = tuple(edges[p] for p in sorted(edges))
+            t = tuple(tris[p] for p in sorted(tris))
+            out.append((tuple(verts[i] for i in range(n + 1)), e, t))
+            return
+        cell = order[pos]
+        if len(cell) == 2:
+            i, j = cell
+            cands = c2.cat.hom(verts[i], verts[j])
+            for f in cands:
+                spend()
+                edges[cell] = f
+                rec(pos + 1)
+                del edges[cell]
+        else:
+            i, j, k = cell
+            composite = c2.cat.compose_table[(edges[(j, k)], edges[(i, j)])]
+            for m in c2.two_hom(composite, edges[(i, k)]):
+                spend()
+                tris[cell] = m
+                if all(
+                    _tetra_holds(c2, edges, tris, q) for q in tetra_ready_checks(cell)
+                ):
+                    rec(pos + 1)
+                del tris[cell]
+
+    def rec_verts(i):
+        if i == n + 1:
+            rec(0)
+            return
+        for x in c2.objects:
+            verts[i] = x
+            rec_verts(i + 1)
+            del verts[i]
+
+    rec_verts(0)
+    return out
+
+
+def _duskin_pack(n, elem):
+    """Down-convert the uniform (verts, edges, tris) shape to the level type."""
+    verts, e, t = elem
+    if n == 0:
+        return verts[0]
+    if n == 1:
+        return e[0]
+    return (e, t)
 
 
 def _oracle_npts(edge_tuple):

@@ -1,10 +1,15 @@
 """End-to-end command line checks, run in process through main()."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import hornfill
 from hornfill import io
 from hornfill.cat import nerve
 from hornfill.cli import main
@@ -219,6 +224,77 @@ def test_budget_flag_beats_env(files, capsys, monkeypatch):
     ) == 0
     monkeypatch.setenv("HORNFILL_BUDGET", "plenty")
     assert main(["cat", "maps", files["d1"], files["d1"]]) == 2
+
+
+# the eight subcommands that pass --budget to a search, and the eight that
+# run none and so offer no --budget
+SEARCH_ARGV = {
+    "check-kan": ["sset", "check-kan", "{nbc2}"],
+    "fillers": ["sset", "fillers", "{nbc2}", "--n", "2", "--k", "1"],
+    "duskin": ["cat", "duskin", "{tg2}", "--dim-cap", "3"],
+    "tau": ["cat", "tau", "{nbc2}"],
+    "maps": ["cat", "maps", "{d1}", "{d1}"],
+    "stack": ["descent", "stack", "{cover}", "--group", "{c2}"],
+    "cocycles": ["descent", "cocycles", "{cover}", "--group", "{c2}"],
+    "refine": ["descent", "refine", "{cover}", "{refined}", "{rmap}", "--group", "{c2}"],
+}
+PLAIN_ARGV = {
+    "info": ["sset", "info", "{d2}"],
+    "nerve": ["cat", "nerve", "{bc2}"],
+    "hcat": ["cat", "hcat", "{nbc2}"],
+    "quotient": ["grpd", "quotient", "{free}"],
+    "stabilizer": ["grpd", "stabilizer", "{free}", "--point", "{point}"],
+    "torsor": ["grpd", "torsor", "{free}"],
+    "cech": ["grpd", "cech", "{cover}"],
+    "sheaf": ["descent", "sheaf", "{cover}"],
+}
+
+
+def _argv(template, files):
+    point = json.loads(open(files["free"]).read())["carrier"][0]
+    return [a.format(point=point, **files) for a in template]
+
+
+@pytest.mark.parametrize("command", sorted(SEARCH_ARGV))
+def test_budget_must_be_positive(command, files, capsys, monkeypatch):
+    monkeypatch.delenv("HORNFILL_BUDGET", raising=False)
+    argv = _argv(SEARCH_ARGV[command], files)
+    assert main(argv + ["--budget", "10000000"]) in (0, 1)
+    capsys.readouterr()
+    for value in ("0", "-5"):
+        assert main(argv + ["--budget", value]) == 2
+        assert capsys.readouterr().err == f"error: --budget must be positive, got {value}\n"
+    # the flag follows the rule the environment variable already follows
+    monkeypatch.setenv("HORNFILL_BUDGET", "0")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: HORNFILL_BUDGET must be positive, got 0\n"
+
+
+@pytest.mark.parametrize("command", sorted(PLAIN_ARGV))
+def test_commands_without_a_search_offer_no_budget(command, files, capsys):
+    argv = _argv(PLAIN_ARGV[command], files)
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--budget", "5"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(files):
+    # a checkout run with the package on PYTHONPATH and nothing installed
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(hornfill.__file__).parents[1]))
+    env.pop("HORNFILL_BUDGET", None)
+    codes = [
+        subprocess.run(
+            [sys.executable, "-m", "hornfill", "sset", "check-kan", path, "--dim-cap", "2"],
+            env=env, capture_output=True, text=True,
+        )
+        for path in (files["nbc2"], files["horn21"], str(files["tmp"] / "missing.json"))
+    ]
+    assert [c.returncode for c in codes] == [0, 1, 2]
+    assert json.loads(codes[0].stdout)["weak_kan"]
+    assert codes[2].stderr.startswith("error: ")
 
 
 def test_text_format_is_not_json(files, capsys):
