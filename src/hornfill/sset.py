@@ -3,11 +3,11 @@
 A simplicial set is presented by its non-degenerate simplices and their
 face lists.  Every simplex has a unique normal form: a strictly decreasing
 degeneracy word applied to a non-degenerate generator (Eilenberg-Zilber).
-`SimplexRef` names a simplex that way, in JSON and in reports;
-`(g, (i1, ..., ik))` with `i1 > ... > ik` stands for
-`s_{i1} s_{i2} ... s_{ik} g`.  Internally each set keeps one integer level
-table, `SimplicialSet.table()`, whose level n is `simplices(n)`; the
-calculus below fills it once, and everything else reads positions in it.
+`SimplexRef` names a simplex that way, in JSON and in reports:
+`(g, (i1, ..., ik))` with `i1 > ... > ik` is `s_{i1} s_{i2} ... s_{ik} g`.
+Internally each set keeps one integer level table, `SimplicialSet.table()`,
+whose level n is `simplices(n)`.  The calculus below fills it once, or a
+`LevelModel` hands over its own tables; everything else reads positions in it.
 Maps, isomorphisms and (through nerves) functors are found by one search,
 `_map_search`, that gives each source generator a target simplex by one
 face-index lookup on those positions.
@@ -248,14 +248,17 @@ class SimplicialSet:
             raise InputError(f"dimension {top} outside [0, {self.dim_cap}]")
         table = self._level_table
         while table.level_cap < top:
-            n = table.level_cap + 1
             table.add_level(
-                [SimplexRef(g, word) for m in range(n, -1, -1) for g in self.gens.get(m, ())
-                 for word in decreasing_words(n - m, n)],
+                self._normal_forms(table.level_cap + 1),
                 lambda n, i, t: self._face(t, i),
                 lambda n, j, t: SimplexRef(t.gen, insert_degeneracy(t.degs, j)),
             )
         return table
+
+    def _normal_forms(self, n):
+        """Every normal form of dimension n, in `simplices(n)` order."""
+        return tuple(SimplexRef(g, word) for m in range(n, -1, -1) for g in self.gens.get(m, ())
+                     for word in decreasing_words(n - m, n))
 
     def filler_index(self, n, k):
         """`face_index` of level n of the table with d_k dropped."""
@@ -829,20 +832,19 @@ class SimplicialObject:
 class LevelModel(SimplicialObject):
     """A simplicial set presented by a levelwise simplicial object.
 
-    An element is degenerate when it is s_i of its own d_i; the largest
-    such i is the outermost letter of its normal form (Eilenberg-Zilber),
-    so normal forms are read off the tables one level at a time.  The
-    non-degenerate elements are the generators, named by `namer(n, x)`.
-    `ref_of[(n, x)]` is the normal form of a level element, `elem_of_gen`
-    the element of a generator, and `sset` the SimplicialSet they present.
+    `check` checks the identities on the model's tables.  An element is
+    degenerate when it is s_i of its own d_i; the largest such i is the
+    outermost letter of its normal form, read off the tables level by level.
+    The other elements are the generators, named by `namer(n, x)`; a name
+    given twice is an InputError.  `ref_of[(n, x)]` is the normal form of an
+    element, `elem_of_gen` the element of a generator, and `sset` the
+    SimplicialSet they present, whose level table is these tables, renumbered.
     """
 
     def __init__(self, dim_cap, levels, face, deg, namer, check=True):
-        super().__init__(dim_cap, levels, face, deg, check=False)
-        generators = {}
-        faces = {}
-        self.elem_of_gen = {}
-        refs = []
+        super().__init__(dim_cap, levels, face, deg, check=check)
+        generators, faces, refs = {}, {}, []
+        self.elem_of_gen, self.ref_of = {}, {}
         for n, level in enumerate(self.levels):
             # strip[p]: the largest i with element p = s_i d_i p, if any
             strip = [None] * len(level)
@@ -858,40 +860,38 @@ class LevelModel(SimplicialObject):
                 i = strip[p]
                 if i is not None:
                     base = face_refs[p][i]
-                    if base.degs and base.degs[0] >= i:
-                        raise ConsistencyError("strip order broke normal form")
                     row.append(SimplexRef(base.gen, (i,) + base.degs))
                     continue
                 name = namer(n, x)
                 if name in self.elem_of_gen:
-                    raise ValidationError(f"level namer collision at {name!r}")
+                    m = next(m for m, names in generators.items() if name in names)
+                    raise InputError(f"level namer collision at {name!r}: {self.elem_of_gen[name]!r}"
+                                     f" at level {m} and {x!r} at level {n}")
                 self.elem_of_gen[name] = x
                 generators.setdefault(n, []).append(name)
                 if n >= 1:
                     faces[name] = face_refs[p]
                 row.append(SimplexRef(name))
             refs.append(row)
-        self.ref_of = {
-            (n, x): ref
-            for n, level in enumerate(self.levels)
-            for x, ref in zip(level, refs[n])
-        }
-        self.sset = SimplicialSet(dim_cap, generators, faces, check=check)
-        if check:
-            self._cross_check(refs)
-
-    def _cross_check(self, refs):
-        """Levelwise structure must agree with the sset's own table, which
-        the normal-form calculus built."""
-        table = self.sset.table()
-        at = [[table.position[n][ref] for ref in row] for n, row in enumerate(refs)]
-        found = self.first_disagreement(table, at)
-        if found:
-            kind, n, i = found
-            op = "d" if kind == "face" else "s"
-            raise ValidationError(
-                f"levelwise {kind} disagrees with calculus at level {n}, {op}_{i}"
-            )
+            self.ref_of.update(((n, x), ref) for x, ref in zip(level, row))
+        # Tables that satisfy the identities present exactly the set their strip
+        # reads off (Eilenberg-Zilber; Goerss-Jardine, Simplicial Homotopy Theory, I.1).
+        self.sset = SimplicialSet(dim_cap, generators, faces, check=False)
+        table = self.sset._level_table
+        for n, row in enumerate(refs):
+            at = {ref: p for p, ref in enumerate(row)}
+            order = [at.get(t) for t in self.sset._normal_forms(n)]
+            if None in order or len(order) != len(row):
+                raise ConsistencyError(f"level {n} is not in bijection with its normal forms")
+            new = sorted(range(len(order)), key=order.__getitem__)
+            level = tuple(row[p] for p in order)
+            if n:
+                table.degs.append([[new[s_i[p]] for p in prev] for s_i in self.degs[n - 1]])
+            table.faces.append([[old[d_i[p]] for p in order] for d_i in self.faces[n]] if n else ())
+            table.levels.append(level)
+            table.position.append({t: k for k, t in enumerate(level)})
+            old, prev = new, order
+        table.level_cap = dim_cap
 
 
 # -- products -----------------------------------------------------------------

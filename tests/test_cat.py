@@ -109,6 +109,47 @@ def test_nerve_faces_compose_adjacent_morphisms():
     assert res.sset.face(ref, 0) == res.ref_of_string((fs[1],))
 
 
+def _name_clashes():
+    """Two valid categories whose nerve names clash: an object and a
+    morphism both called f, and a morphism x|y = y . x named like the
+    composable string (x, y)."""
+    af = FiniteCategory(
+        ("a", "f"),
+        {"1a": ("a", "a"), "1f": ("f", "f"), "f": ("a", "f")},
+        {"a": "1a", "f": "1f"},
+        {("1a", "1a"): "1a", ("1f", "1f"): "1f", ("f", "1a"): "f", ("1f", "f"): "f"},
+    )
+    units = {f"1{v}": (v, v) for v in "abc"}
+    xy = FiniteCategory(
+        ("a", "b", "c"),
+        {**units, "x": ("a", "b"), "y": ("b", "c"), "x|y": ("a", "c")},
+        {v: f"1{v}" for v in "abc"},
+        {
+            **{(u, u): u for u in units},
+            ("x", "1a"): "x", ("1b", "x"): "x", ("y", "1b"): "y", ("1c", "y"): "y",
+            ("x|y", "1a"): "x|y", ("1c", "x|y"): "x|y", ("y", "x"): "x|y",
+        },
+    )
+    return af, xy
+
+
+def test_nerve_name_clashes_are_input_errors():
+    af, xy = _name_clashes()
+    with pytest.raises(InputError) as info:
+        nerve(af)
+    assert str(info.value) == (
+        "level namer collision at 'f': 'f' at level 0 and ('f',) at level 1"
+    )
+    with pytest.raises(InputError) as info:
+        duskin_nerve(two_category_from_category(af))
+    assert str(info.value) == "level namer collision at 'f': 'f' at level 0 and 'f' at level 1"
+    with pytest.raises(InputError) as info:
+        nerve(xy)
+    assert str(info.value) == (
+        "level namer collision at 'x|y': ('x|y',) at level 1 and ('x', 'y') at level 2"
+    )
+
+
 def test_enumerate_functors_counts():
     bc2 = bg_category(cyclic_group(2))
     assert len(enumerate_functors(bc2, bc2)) == 2

@@ -11,7 +11,7 @@ import pytest
 
 import hornfill
 from hornfill import io
-from hornfill.cat import nerve
+from hornfill.cat import nerve, two_category_from_category
 from hornfill.cli import main
 from hornfill.corpus import (
     all_categories,
@@ -309,6 +309,39 @@ def _exits_2_without_traceback(argv, capsys):
     assert main(argv) == 2, argv
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+def test_nerve_name_clashes_exit_2(capsys, tmp_path):
+    # valid categories whose simplices the nerve would name alike: an
+    # object and a morphism f, and a morphism x|y = y . x
+    def category(objects, arrows, compose):
+        units = {v: f"1{v}" for v in objects}
+        return {
+            "objects": objects,
+            "morphisms": [{"id": m, "src": s, "tgt": t}
+                          for m, s, t in [(u, v, v) for v, u in units.items()] + arrows],
+            "identities": units,
+            "compose": [[u, u, u] for u in units.values()] + compose,
+        }
+
+    af = category(["a", "f"], [("f", "a", "f")], [["f", "1a", "f"], ["1f", "f", "f"]])
+    xy = category(
+        ["a", "b", "c"],
+        [("x", "a", "b"), ("y", "b", "c"), ("x|y", "a", "c")],
+        [["x", "1a", "x"], ["1b", "x", "x"], ["y", "1b", "y"], ["1c", "y", "y"],
+         ["x|y", "1a", "x|y"], ["1c", "x|y", "x|y"], ["y", "x", "x|y"]],
+    )
+    two = io.two_category_to_json(two_category_from_category(io.category_from_json(af)))
+    for argv, message in (
+        (["cat", "nerve", _write(tmp_path, "af.json", af)],
+         "'f': 'f' at level 0 and ('f',) at level 1"),
+        (["cat", "nerve", _write(tmp_path, "xy.json", xy)],
+         "'x|y': ('x|y',) at level 1 and ('x', 'y') at level 2"),
+        (["cat", "duskin", _write(tmp_path, "af2.json", two)],
+         "'f': 'f' at level 0 and 'f' at level 1"),
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: level namer collision at {message}\n"
 
 
 def test_malformed_covers_exit_2(files, capsys, tmp_path):

@@ -56,3 +56,34 @@ def test_no_module_imports_a_name_it_does_not_use():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
     assert unused == []
+
+
+# Renaming or removing a public name is an API change: update this list
+# and say so in CHANGES.md.
+PUBLIC_NAMES = [
+    "CapacityError", "ConsistencyError", "Cover", "EngineError", "FinMap",
+    "Finite2Category", "FiniteCategory", "FiniteGroup", "FiniteGroupoid",
+    "FiniteSpace", "Functor", "GroupAction", "InputError", "KanReport",
+    "LevelModel", "SimplexRef", "SimplicialMap", "SimplicialObject",
+    "SimplicialSet", "ValidationError", "action_bar_object",
+    "categories_isomorphic", "cech_descent_skeleton", "cech_nerve",
+    "cech_stack_report", "check_sheaf_opens", "check_sheaf_sets",
+    "check_stack_groupoids", "check_torsor", "classify",
+    "constant_bg_presheaf", "cyclic_group", "descent_groupoid",
+    "direct_product", "duskin_nerve", "enumerate_functors", "enumerate_maps",
+    "equivalence_check", "fundamental_category", "groupoid_cardinality",
+    "groupoid_of_groups", "groups_isomorphic", "homotopy_category",
+    "horn_fillers", "horn_maps", "horn_tuples", "is_groupoid_object",
+    "is_isomorphic", "is_isomorphism_edge", "mapping_space", "nerve",
+    "normalize", "one_object_two_group", "product", "quotient_groupoid",
+    "refinement_invariance", "skeleton", "split_two_group", "stabilizer",
+    "standard_simplex", "subcomplex_of_simplex", "symmetric_group",
+    "torsor_comparison", "torsor_presheaf", "trivial_group",
+    "truncation_agreement_sets", "two_category_from_category",
+    "walking_invertible_two_cell", "walking_two_cell",
+]
+
+
+def test_public_names_are_frozen():
+    assert sorted(hornfill.__all__) == PUBLIC_NAMES
+    assert [n for n in PUBLIC_NAMES if not hasattr(hornfill, n)] == []
