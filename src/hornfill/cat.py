@@ -42,7 +42,6 @@ from .errors import CapacityError, ConsistencyError, InputError, ValidationError
 from .sset import (
     LevelModel,
     SimplexRef,
-    SimplicialMap,
     SimplicialObject,
     SimplicialSet,
     enumerate_maps,
@@ -242,13 +241,16 @@ def enumerate_functors(c, d, budget=DEFAULT_BUDGET):
     carries the number of functors found as partial.
     """
     nc, nd = nerve(c, dim_cap=2), nerve(d, dim_cap=2)
-    elem = {ref: x for (n, x), ref in nd.model.ref_of.items() if n < 2}
+    # a nerve's level model is in its set's order
+    elem = {ref: x for n in (0, 1) for x, ref in zip(nd.model.levels[n], nd.sset.simplices(n))}
+    vertex = {x: nc.model.ref_of[(0, x)].gen for x in c.objects}
+    edge = {m: nc.model.ref_of[(1, (m,))] for m in c.mor}
     out = []
     for f in enumerate_maps(nc.sset, nd.sset, budget=budget):
-        obj = {x: elem[f.assignment[nc.model.ref_of[(0, x)].gen]] for x in c.objects}
+        obj = {x: elem[f.assignment[vertex[x]]] for x in c.objects}
         mor = {}
         for m, (s, _) in c.mor.items():
-            ref = nc.model.ref_of[(1, (m,))]
+            ref = edge[m]
             mor[m] = d.identity[obj[s]] if ref.degs else elem[f.assignment[ref.gen]][0]
         out.append(Functor(c, d, obj, mor))
     objs, mors = list(c.objects), sorted(c.mor)
@@ -286,36 +288,49 @@ class NerveResult:
 
 
 def nerve(c, dim_cap=DEFAULT_DIM_CAP):
-    """Nerve of a finite category as a truncated simplicial set."""
-    levels = [list(c.objects)]
-    for n in range(1, dim_cap + 1):
-        prev = levels[-1]
-        if n == 1:
-            levels.append([(m,) for m in sorted(c.mor)])
-            continue
-        levels.append(
-            [fs + (g,) for fs in prev for g in sorted(c.mor) if c.mor[g][0] == c.mor[fs[-1]][1]]
-        )
+    """Nerve of a finite category as a truncated simplicial set.
 
-    def face(n, i, x):
-        if n == 1:
-            return c.mor[x[0]][1] if i == 0 else c.mor[x[0]][0]
-        if i == 0:
-            return x[1:]
-        if i == n:
-            return x[:-1]
-        return x[: i - 1] + (c.compose_table[(x[i], x[i - 1])],) + x[i + 1 :]
+    Level n >= 2 lists each string of level n - 1 followed by every arrow
+    out of its target, in id order, so a string is its parent (d_n) and its
+    last arrow, and a string's children are contiguous: child g of q sits at
+    first[n][q] + rank[g], rank[g] the place of g among the arrows out of
+    its source.  d_i, i < n - 1, is the child of d_i of the parent; d_{n-1}
+    composes the last two arrows; s_i inserts an identity.
+    """
+    objects, mors = list(c.objects), sorted(c.mor)
+    at_obj = {x: v for v, x in enumerate(objects)}
+    at_mor = {m: k for k, m in enumerate(mors)}
+    src = [at_obj[c.mor[m][0]] for m in mors]
+    tgt = [at_obj[c.mor[m][1]] for m in mors]
+    ident = [at_mor[c.identity[x]] for x in objects]
+    out = [[k for k, v in enumerate(src) if v == u] for u in range(len(objects))]
+    rank = [out[v].index(k) for k, v in enumerate(src)]
+    comp = {(at_mor[g], at_mor[f]): at_mor[h] for (g, f), h in c.compose_table.items()}
+    # a level-1 string's parent is its source; first[1] is never read
+    levels, parent, first = [objects, [(m,) for m in mors]], [None, src], [None, None]
+    last = [None, list(range(len(mors)))]
+    for n in range(2, dim_cap + 1):
+        arrows = [out[tgt[g]] for g in last[n - 1]]
+        first.append(list(itertools.accumulate(map(len, arrows), initial=0)))
+        parent.append([q for q, gs in enumerate(arrows) for _ in gs])
+        last.append([g for gs in arrows for g in gs])
+        levels.append([levels[n - 1][q] + (mors[g],) for q, g in zip(parent[n], last[n])])
 
-    def deg(n, i, x):
-        if n == 0:
-            return (c.identity[x],)
-        v = c.mor[x[0]][0] if i == 0 else c.mor[x[i - 1]][1]
-        return x[:i] + (c.identity[v],) + x[i:]
+    def child(n, qs, gs):
+        """Positions in level n of the strings with parents qs and last arrows gs."""
+        return list(gs) if n == 1 else [first[n][q] + rank[g] for q, g in zip(qs, gs)]
 
-    def namer(n, x):
-        return str(x) if n == 0 else "|".join(x)
-
-    model = LevelModel(dim_cap, levels, face, deg, namer=namer)
+    faces, degs = [(), [tgt, src]], [[ident]]
+    for n in range(2, dim_cap + 1):
+        par, arrows, below = parent[n], last[n], faces[n - 1]
+        composites = [comp[(g, last[n - 1][q])] for q, g in zip(par, arrows)]
+        faces.append([child(n - 1, [below[i][q] for q in par], arrows) for i in range(n - 1)]
+                     + [child(n - 1, [below[n - 1][q] for q in par], composites), par])
+        ids = [ident[tgt[g]] for g in last[n - 1]]
+        degs.append([child(n, [degs[n - 2][i][q] for q in parent[n - 1]], last[n - 1])
+                     for i in range(n - 1)] + [child(n, range(len(ids)), ids)])
+    model = LevelModel(dim_cap, levels[:dim_cap + 1], faces[:dim_cap + 1], degs[:dim_cap],
+                       namer=lambda n, x: str(x) if n == 0 else "|".join(x))
     return NerveResult(model.sset, c, model)
 
 
@@ -563,9 +578,10 @@ def _duskin_table(c2, dim_cap, budget):
     """The Duskin nerve through `dim_cap`: a SimplicialObject and the value
     of every element, both in level order.
 
-    Levels 0-2 come from the 2-category; each level n >= 3 is the boundary
-    join over level n - 1 (level 3 filtered by `_tetra_holds`), whose
-    elements are their own face tuples, so s_j x is looked up by its faces.
+    Levels 0-2 and their rows are read off the 2-category; each level
+    n >= 3 is the boundary join over level n - 1 (level 3 filtered by
+    `_tetra_holds`), whose elements are their own face tuples and so their
+    own face rows; s_j x is looked up by its faces.
     A value (edges, 2-cells) is read through `restriction_table` off a face
     holding each cell; a level is sorted by vertices, then labels in
     `_cells_in_order(n)` order.  One budget of trials covers the build, and
@@ -587,28 +603,20 @@ def _duskin_table(c2, dim_cap, budget):
                             raise CapacityError(message, partial=len(triangles))
                         triangles.append(((f, e, g), (t,)))
     triangles.sort(key=lambda x: (one[x[0][0]] + (one[x[0][2]][1],), x[0], x[1]))
-
-    def face(n, i, x):
-        if n == 1:
-            return one[x][1 - i]
-        if n == 2:
-            return x[0][2 - i]
-        return table.levels[n - 1][x[i]]
-
-    def deg(n, j, x):
-        if n == 0:
-            return ident[x]
-        if n == 1:
-            a, b = one[x]
-            return ((ident[a], x, x) if j == 0 else (x, x, ident[b]), (id2[x],))
-        p, fs, ss = table.position[n][x], table.faces[n], table.degs[n - 1]
-        return tuple(
-            ss[j - 1][fs[i][p]] if i < j else p if i <= j + 1 else ss[j][fs[i - 1][p]]
-            for i in range(n + 2)
-        )
-
+    # d_0 of an edge is its target; d_i of a triangle (f, e, g) is g, e, f;
+    # s_0 of a vertex is its identity and s_j of an edge a unit triangle
+    cells = sorted(one)
+    at0 = {x: v for v, x in enumerate(c2.objects)}
+    at1 = {f: k for k, f in enumerate(cells)}
+    at2 = {x: p for p, x in enumerate(triangles)}
+    cap = min(dim_cap, 2)
+    faces = [(), [[at0[one[f][1 - i]] for f in cells] for i in range(2)],
+             [[at1[x[0][2 - i]] for x in triangles] for i in range(3)]]
+    degs = [[[at1[ident[x]] for x in c2.objects]],
+            [[at2.get(((ident[one[f][0]], f, f), (id2[f],))) for f in cells],
+             [at2.get(((f, f, ident[one[f][1]]), (id2[f],))) for f in cells]]]
     table = SimplicialObject(
-        min(dim_cap, 2), [c2.objects, sorted(one), triangles], face, deg, check=False
+        cap, [c2.objects, cells, triangles], faces[:cap + 1], degs[:cap], check=False
     )
     values = list(table.levels)
     names = values[:2] + [[t for _, (t,) in triangles]]
@@ -635,7 +643,20 @@ def _duskin_table(c2, dim_cap, budget):
             name = names[len(cell) - 1]
             columns.append([name[row[t[m]]] for t in tuples])
         keys = sorted(zip(*columns, tuples))
-        table.add_level([k[-1] for k in keys], face, deg)
+        level = [k[-1] for k in keys]
+        # an element is its own face tuple, and s_j x is found by its faces
+        at = dict(zip(level, range(len(level))))
+        fs, ss, below = table.faces[n - 1], table.degs[n - 2], range(len(table.levels[n - 1]))
+        deg_rows = [
+            [at.get(t) for t in zip(*(
+                [ss[j - 1][q] for q in fs[i]] if i < j
+                else below if i <= j + 1 else [ss[j][q] for q in fs[i - 1]]
+                for i in range(n + 1)
+            ))]
+            for j in range(n)
+        ]
+        table.add_level(level, [list(map(operator.itemgetter(i), level)) for i in range(n + 1)],
+                        deg_rows)
         edges = operator.itemgetter(
             *(cells.index(c) for c in itertools.combinations(range(n + 1), 2)))
         tris = operator.itemgetter(
@@ -655,13 +676,6 @@ def duskin_nerve(c2, dim_cap=DEFAULT_DIM_CAP, budget=DEFAULT_BUDGET):
     candidate triangles and join trials of the whole build.
     """
     table, values = _duskin_table(c2, dim_cap, budget)
-    at = [{x: p for p, x in enumerate(level)} for level in values]
-
-    def face(n, i, x):
-        return values[n - 1][table.faces[n][i][at[n][x]]]
-
-    def deg(n, i, x):
-        return values[n + 1][table.degs[n][i][at[n][x]]]
 
     def namer(n, x):
         if n < 2:
@@ -669,7 +683,7 @@ def duskin_nerve(c2, dim_cap=DEFAULT_DIM_CAP, budget=DEFAULT_BUDGET):
         e, t = x
         return "{" + ",".join(e) + "|" + ",".join(t) + "}"
 
-    model = LevelModel(dim_cap, values, face, deg, namer=namer)
+    model = LevelModel(dim_cap, values, table.faces, table.degs, namer=namer)
     return DuskinResult(model.sset, c2, model)
 
 
@@ -964,19 +978,6 @@ def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
         for n in range(dim_cap + 1)
     ]
 
-    def induced(n_from, n_to, alpha, f):
-        """Precompose f: x * D^{n_to} -> y with id * alpha."""
-        p_from, p_to = prods[n_from], prods[n_to]
-        assignment = {}
-        for g in p_from.sset.all_generators():
-            rx, ra = p_from.pair_of_gen(g)
-            verts = vertices_of_standard_ref(p_from.right, ra)
-            moved = standard_ref_of_vertices(tuple(alpha[v] for v in verts))
-            dim = p_from.sset.gen_dim[g]
-            ref = p_to.model.ref_of[(dim, (rx, moved))]
-            assignment[g] = f.apply(ref)
-        return SimplicialMap(p_from.sset, y, assignment, check=False)
-
     def fixed_for(n):
         if not pin:
             return None
@@ -992,14 +993,52 @@ def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
         enumerate_maps(prods[n].sset, y, budget=budget, fixed=fixed_for(n))
         for n in range(dim_cap + 1)
     ]
+    # each map as the positions in y's table of the images of its generators
+    table = y.table(x.dim_cap)
+    gens = [list(p.sset.all_generators()) for p in prods]
+    keys = [
+        [tuple(table.position[p.sset.gen_dim[g]][f.assignment[g]] for g in gs) for f in level]
+        for p, gs, level in zip(prods, gens, levels)
+    ]
 
-    def face(n, i, f):
-        alpha = tuple(v for v in range(n + 1) if v != i)
-        return induced(n - 1, n, alpha, f)
+    def rows(n_from, n_to, alpha):
+        """The position in level n_from of f o (id * alpha), for each f of
+        level n_to.  A generator of the cylinder of n_from goes to a simplex
+        of the cylinder of n_to, a generator under a degeneracy word, so its
+        image is read off f's key and the degeneracy rows of y's table."""
+        p_from, p_to = prods[n_from], prods[n_to]
+        slot = {g: k for k, g in enumerate(gens[n_to])}
+        recipe = []
+        for g in gens[n_from]:
+            rx, ra = p_from.pair_of_gen(g)
+            verts = vertices_of_standard_ref(p_from.right, ra)
+            moved = standard_ref_of_vertices(tuple(alpha[v] for v in verts))
+            dim = p_from.sset.gen_dim[g]
+            ref = p_to.model.ref_of[(dim, (rx, moved))]
+            m = dim - len(ref.degs)
+            recipe.append((slot[ref.gen], [table.degs[m + k][j]
+                                           for k, j in enumerate(reversed(ref.degs))]))
+        at = dict(zip(keys[n_from], range(len(keys[n_from]))))
+        out = []
+        for key in keys[n_to]:
+            image = []
+            for k, steps in recipe:
+                q = key[k]
+                for step in steps:
+                    q = step[q]
+                image.append(q)
+            out.append(at.get(tuple(image)))
+        return out
 
-    def deg(n, i, f):
-        alpha = tuple(min(v, i) if v <= i + 1 else v - 1 for v in range(n + 2))
-        return induced(n + 1, n, alpha, f)
+    faces = [()] + [
+        [rows(n - 1, n, tuple(v for v in range(n + 1) if v != i)) for i in range(n + 1)]
+        for n in range(1, dim_cap + 1)
+    ]
+    degs = [
+        [rows(n + 1, n, tuple(min(v, i) if v <= i + 1 else v - 1 for v in range(n + 2)))
+         for i in range(n + 1)]
+        for n in range(dim_cap)
+    ]
 
     def namer(n, f):
         sig = ",".join(
@@ -1007,4 +1046,4 @@ def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
         )
         return f"map{n}[{sig}]"
 
-    return LevelModel(dim_cap, levels, face, deg, namer=namer)
+    return LevelModel(dim_cap, levels, faces, degs, namer=namer)

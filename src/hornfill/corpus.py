@@ -411,16 +411,13 @@ def punctured_cech_object():
     """
     pi = FinMap(("a", "b"), ("*",), {"a": "*", "b": "*"})
     base = cech_nerve(pi, level_cap=3)
-    removed = ("a", "b", "a", "b")
-    levels = {
-        n: tuple(x for x in base.levels[n] if x != removed)
-        for n in range(base.level_cap + 1)
-    }
-
-    def face(n, i, x):
-        return x[:i] + x[i + 1:]
-
-    def deg(n, i, x):
-        return x[: i + 1] + x[i:]
-
-    return SimplicialObject(3, levels, face, deg)
+    top = base.levels[3]
+    r = base.position[3][("a", "b", "a", "b")]
+    # level-3 positions after r move down one; s_j never lands on r
+    renumber = list(range(r)) + [None] + list(range(r, len(top) - 1))
+    return SimplicialObject(
+        3,
+        base.levels[:3] + [top[:r] + top[r + 1:]],
+        base.faces[:3] + [[row[:r] + row[r + 1:] for row in base.faces[3]]],
+        base.degs[:2] + [[[renumber[q] for q in row] for row in base.degs[2]]],
+    )

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .config import DEFAULT_BUDGET, DEFAULT_LEVEL_CAP
 from .errors import CapacityError, InputError, ValidationError
 from .cat import FiniteCategory, UnionFind, _within
-from .sset import SimplicialObject
+from .sset import SimplicialObject, check_level_cap
 
 
 class FinMap:
@@ -444,45 +444,78 @@ def groupoid_cardinality(gpd):
 
 
 def cech_nerve(pi, level_cap=DEFAULT_LEVEL_CAP):
-    """Levelwise fiber powers of a finite map, with omit/repeat structure."""
-    levels = []
-    for n in range(level_cap + 1):
-        level = []
-        for b in pi.cod:
-            fib = pi.fiber(b)
-            level.extend(itertools.product(fib, repeat=n + 1))
-        levels.append(level)
+    """Levelwise fiber powers of a finite map, with omit/repeat structure.
 
-    def face(n, i, x):
-        return x[:i] + x[i + 1 :]
+    Level n is one block per point of the base: the (n + 1)-tuples of its
+    fibre in product order, so a tuple's place in its block is its code in
+    base k, the fibre size.  A face drops a digit, a degeneracy repeats one.
+    """
+    check_level_cap(level_cap)
+    fibres = [pi.fiber(b) for b in pi.cod]
+    levels = [[x for fib in fibres for x in itertools.product(fib, repeat=n + 1)]
+              for n in range(level_cap + 1)]
+    # starts[n][b]: where the block of the b-th base point starts in level n
+    starts = [list(itertools.accumulate((len(fib) ** (n + 1) for fib in fibres), initial=0))
+              for n in range(level_cap + 2)]
 
-    def deg(n, i, x):
-        return x[: i + 1] + x[i:]
+    def rows(n, into, op):
+        return [[start + op(c, k, w) for start, fib in zip(starts[into], fibres)
+                 for k in (len(fib),) for w in (k ** (n - i),) for c in range(k ** (n + 1))]
+                for i in range(n + 1)]
 
-    return SimplicialObject(level_cap, levels, face, deg)
+    # w is the weight of digit i
+    faces = [()] + [rows(n, n - 1, lambda c, k, w: c // (w * k) * w + c % w)
+                    for n in range(1, level_cap + 1)]
+    degs = [rows(n, n + 1, lambda c, k, w: c // w * w * k + c // w % k * w + c % w)
+            for n in range(level_cap)]
+    return SimplicialObject(level_cap, levels, faces, degs)
 
 
 def action_bar_object(action, level_cap=DEFAULT_LEVEL_CAP):
-    """The bar construction of an action: level n is G^n x X."""
-    g = action.group
+    """The bar construction of an action: level n is G^n x X.
+
+    Level n lists (g_1 ... g_n, x) in product order, so an element sits at
+    c * |X| + x, c the code of g_1 ... g_n in base |G|.  d_0 reads the action
+    table, the inner faces the multiplication table, d_n drops the last
+    digit and s_i inserts the identity digit.
+    """
+    check_level_cap(level_cap)
+    g, carrier = action.group, action.carrier
+    order, size = len(g.elements), len(carrier)
+    at_g = {a: k for k, a in enumerate(g.elements)}
+    at_x = {x: k for k, x in enumerate(carrier)}
+    act = [[at_x[action.act[(a, x)]] for x in carrier] for a in g.elements]
+    mul = [[at_g[g.mul[(b, a)]] for a in g.elements] for b in g.elements]  # b after a
+    e = at_g[g.identity()]
     levels = [
-        [(gs, x) for gs in itertools.product(g.elements, repeat=n) for x in action.carrier]
+        [(gs, x) for gs in itertools.product(g.elements, repeat=n) for x in carrier]
         for n in range(level_cap + 1)
     ]
+    xs = range(size)
 
-    def face(n, i, z):
-        gs, x = z
+    def face_row(n, i):
+        codes = range(order ** n)
         if i == 0:
-            return (gs[1:], action.act[(gs[0], x)])
+            w = order ** (n - 1)
+            return [c % w * size + act[c // w][x] for c in codes for x in xs]
         if i == n:
-            return (gs[:-1], x)
-        return (gs[: i - 1] + (g.mul[(gs[i], gs[i - 1])],) + gs[i + 1 :], x)
+            return [c // order * size + x for c in codes for x in xs]
+        # g_i (digit i - 1) and g_{i+1} (digit i, of weight w) merge into one digit
+        w = order ** (n - 1 - i)
+        return [
+            (c // (w * order * order) * w * order
+             + mul[c // w % order][c // (w * order) % order] * w + c % w) * size + x
+            for c in codes for x in xs
+        ]
 
-    def deg(n, i, z):
-        gs, x = z
-        return (gs[:i] + (g.identity(),) + gs[i:], x)
+    def deg_row(n, i):
+        w = order ** (n - i)
+        return [(c // w * w * order + e * w + c % w) * size + x
+                for c in range(order ** n) for x in xs]
 
-    return SimplicialObject(level_cap, levels, face, deg)
+    faces = [()] + [[face_row(n, i) for i in range(n + 1)] for n in range(1, level_cap + 1)]
+    degs = [[deg_row(n, i) for i in range(n + 1)] for n in range(level_cap)]
+    return SimplicialObject(level_cap, levels, faces, degs)
 
 
 @dataclass

@@ -6,11 +6,13 @@ degeneracy word applied to a non-degenerate generator (Eilenberg-Zilber).
 `SimplexRef` names a simplex that way, in JSON and in reports:
 `(g, (i1, ..., ik))` with `i1 > ... > ik` is `s_{i1} s_{i2} ... s_{ik} g`.
 Internally each set keeps one integer level table, `SimplicialSet.table()`,
-whose level n is `simplices(n)`.  The calculus below fills it once, or a
-`LevelModel` hands over its own tables; everything else reads positions in it.
-Maps, isomorphisms and (through nerves) functors are found by one search,
-`_map_search`, that gives each source generator a target simplex by one
-face-index lookup on those positions.
+whose level n is `simplices(n)`: a `SimplicialObject`, built from rows of
+positions (`faces[n][i][p]`, `degs[n][i][p]`), never from callables.  The
+calculus below emits its rows once, a block of degeneracy words at a time,
+or a `LevelModel` shares its own rows; everything else reads positions in
+it.  Maps, isomorphisms and (through nerves) functors are found by one
+search, `_map_search`, that gives each source generator a target simplex
+by one face-index lookup on those positions.
 
 All sets are truncated at `dim_cap`.  Everything here is exact enumeration
 over finite data; there is no tolerance parameter anywhere.
@@ -24,8 +26,10 @@ Operator identities used by the calculus (operators act on the left):
     d_i s_j = s_j d_{i-1}             (i > j + 1)
 """
 
+import functools
 import itertools
 from collections import namedtuple
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_BUDGET, DEFAULT_DIM_CAP, MAX_STANDARD_DIM
@@ -83,6 +87,23 @@ def insert_degeneracy(degs, j):
     return tuple(out)
 
 
+def _face_of_word(degs, i):
+    """d_i of s_degs g by the d_i s_j identities alone: (word, None) when
+    d_i meets a degeneracy, which leaves s_word g, else (word, k) with
+    d_i s_degs g = s_word d_k g."""
+    pending = []
+    for pos, j in enumerate(degs):
+        if i < j:
+            pending.append(j - 1)
+        elif i == j or i == j + 1:
+            return tuple(pending) + degs[pos + 1:], None
+        else:
+            pending.append(j)
+            i -= 1
+    return tuple(pending), i
+
+
+@functools.lru_cache(maxsize=None)
 def decreasing_words(length, bound):
     """All strictly decreasing words of the given length with letters < bound."""
     if length == 0:
@@ -122,7 +143,7 @@ class SimplicialSet:
         if unknown:
             raise ValidationError(f"face list keyed by unknown generator {unknown[0]!r}")
         self.gen_faces = {g: tuple(faces[g]) for g in faces}
-        self._level_table = SimplicialObject(-1, [], None, None, check=False)
+        self._level_table = None
         if check:
             self.validate()
 
@@ -165,19 +186,11 @@ class SimplicialSet:
         return self._face(ref, i)
 
     def _face(self, ref, i):
-        degs = ref.degs
-        pending = []
-        for pos, j in enumerate(degs):
-            if i < j:
-                pending.append(j - 1)
-            elif i == j or i == j + 1:
-                word = tuple(pending) + degs[pos + 1:]
-                return SimplexRef(ref.gen, word)
-            else:
-                pending.append(j)
-                i -= 1
-        out = self.gen_faces[ref.gen][i]
-        for j in reversed(pending):
+        word, k = _face_of_word(ref.degs, i)
+        if k is None:
+            return SimplexRef(ref.gen, word)
+        out = self.gen_faces[ref.gen][k]
+        for j in reversed(word):
             out = SimplexRef(out.gen, insert_degeneracy(out.degs, j))
         return out
 
@@ -241,19 +254,60 @@ class SimplicialSet:
     def table(self, through=None):
         """The one SimplicialObject whose level n is simplices(n), built
         level by level through `through` (dim_cap by default) on first
-        need: the one place the normal-form calculus runs for every simplex.
-        """
+        need, its rows emitted by the calculus (`_rows`)."""
         top = self.dim_cap if through is None else through
         if not 0 <= top <= self.dim_cap:
             raise InputError(f"dimension {top} outside [0, {self.dim_cap}]")
         table = self._level_table
-        while table.level_cap < top:
-            table.add_level(
-                self._normal_forms(table.level_cap + 1),
-                lambda n, i, t: self._face(t, i),
-                lambda n, j, t: SimplexRef(t.gen, insert_degeneracy(t.degs, j)),
+        if table is None:
+            table = self._level_table = SimplicialObject(
+                0, [self._normal_forms(0)], [()], (), check=False
             )
+        while table.level_cap < top:
+            n = table.level_cap + 1
+            table.add_level(self._normal_forms(n), *self._rows(table, n))
         return table
+
+    def _rows(self, table, n):
+        """The face rows of level n and the degeneracy rows into it, from
+        the calculus on degeneracy words.  Level n is one block per
+        dimension m <= n, generator by generator, word by word, and the
+        calculus acts on a block's words alone: d_i of s_w g is s_w' g, at
+        the same place of g's block one level down, or s_w' d_k g, read off
+        the row of d_k at level m (whose generators come first) and the
+        degeneracy rows; s_j of s_w g is s_w' g.  So each row is built one
+        word at a time, for all generators of a dimension at once."""
+        faces, degs = [[] for _ in range(n + 1)], [[] for _ in range(n)]
+        start_below = start = 0  # where block m starts in levels n - 1 and n
+        for m in range(n, -1, -1):
+            gens = self.gens.get(m, ())
+            if m == n:  # the generators' own faces, looked up
+                for i, row in enumerate(faces):
+                    row.extend(table.position[n - 1].get(self.gen_faces[g][i]) for g in gens)
+                start += len(gens)
+                continue
+            words, lower = decreasing_words(n - m, n), decreasing_words(n - 1 - m, n - 1)
+            # the place of word w in each generator's block, as a column
+            spread = lambda first, width: range(first, first + len(gens) * width, width)
+            for i, row in enumerate(faces):
+                columns = []
+                for w in words:
+                    word, k = _face_of_word(w, i)
+                    if k is None:
+                        columns.append(spread(start_below + lower.index(word), len(lower)))
+                        continue
+                    column = table.faces[m][k][:len(gens)]
+                    for d, j in enumerate(reversed(word)):
+                        column = _then(column, table.degs[m - 1 + d][j])
+                    columns.append(column)
+                row.extend(itertools.chain.from_iterable(zip(*columns)))
+            for j, row in enumerate(degs):
+                columns = [spread(start + words.index(insert_degeneracy(w, j)), len(words))
+                           for w in lower]
+                row.extend(itertools.chain.from_iterable(zip(*columns)))
+            start_below += len(gens) * len(lower)
+            start += len(gens) * len(words)
+        return faces, degs
 
     def _normal_forms(self, n):
         """Every normal form of dimension n, in `simplices(n)` order."""
@@ -644,53 +698,96 @@ def is_isomorphic(a, b, budget=DEFAULT_BUDGET):
 # -- levelwise simplicial objects ----------------------------------------------
 
 
-def _op_table(op, kind, n, level, into):
-    """[[position in `into` of op(n, i, x) for x in level] for each i]."""
-    table = []
-    for i in range(n + 1):
-        row = [into.get(op(n, i, x)) for x in level]
-        if None in row:
-            x, m = level[row.index(None)], n - 1 if kind == "d" else n + 1
-            raise ValidationError(f"{kind}_{i} of {x!r} leaves level {m}")
-        table.append(row)
-    return table
+_INT = frozenset((int,))
+
+
+def _then(first, second):
+    """The row of positions `first` followed by the row `second`."""
+    return list(map(second.__getitem__, first))
+
+
+def _checked_rows(kind, n, level, rows, into):
+    """The rows of d_i (kind "d", from level n into n - 1, none at level 0)
+    or of s_i (kind "s", from level n into n + 1), as lists; a
+    ValidationError names the level, the operator and the element of a bad
+    row."""
+    rows, want = [row if type(row) is list else list(row) for row in rows], n + 1
+    if kind == "d" and not n:
+        want = 0
+    if len(rows) != want:
+        raise ValidationError(f"level {n} has {len(rows)} {kind} rows, expected {want}")
+    for i, row in enumerate(rows):
+        if len(row) < len(level):
+            raise ValidationError(f"{kind}_{i} has no entry for {level[len(row)]!r} at level {n}")
+        if len(row) > len(level):
+            raise ValidationError(
+                f"{kind}_{i} has {len(row)} entries for the {len(level)} elements of level {n}"
+            )
+        if row and not (_INT.issuperset(map(type, row)) and min(row) >= 0 and max(row) < len(into)):
+            p = next(p for p, q in enumerate(row) if type(q) is not int or not 0 <= q < len(into))
+            into_level = n - 1 if kind == "d" else n + 1
+            raise ValidationError(f"{kind}_{i} of {level[p]!r} leaves level {into_level}")
+    return rows
+
+
+def check_level_cap(level_cap):
+    """A level cap is a non-negative integer; anything else is an InputError."""
+    if type(level_cap) is not int or level_cap < 0:
+        raise InputError(f"level_cap must be a non-negative integer, got {level_cap!r}")
 
 
 class SimplicialObject:
     """A truncated simplicial object in finite sets, on integer tables.
 
-    The elements of each level are numbered in the order given.  The
-    callables `face(n, i, x)` and `deg(n, i, x)` are called once per
-    (n, i, element) and their results kept as positions: `faces[n][i][p]`
-    is the position of d_i of element p of level n in level n - 1, and
-    `degs[n][i][p]` that of s_i in level n + 1.  Everything else reads
-    these tables.
+    Level n is the sequence `levels[n]`, its elements numbered in the order
+    given (`position[n][x]`).  The structure maps are rows of positions:
+    `faces[n][i][p]` is the position in level n - 1 of d_i of element p of
+    level n (level 0 has no rows), and `degs[n][i][p]` that of s_i in level
+    n + 1, for n < level_cap.  Every row is checked for its length and for
+    entries in range, and `check` checks the simplicial identities; rows
+    given as lists are kept, not copied.  Everything else reads these tables.
     """
 
-    def __init__(self, level_cap, levels, face, deg, check=True):
+    def __init__(self, level_cap, levels, faces, degs, check=True):
+        check_level_cap(level_cap)
         self.level_cap = -1
         self.levels, self.position, self.faces, self.degs = [], [], [], []
         self._restrictions, self._indexes = {}, {}
         for n in range(level_cap + 1):
-            self.add_level(levels[n], face, deg)
+            self.add_level(levels[n], faces[n], degs[n - 1] if n else ())
         if check:
             self.validate()
 
-    def add_level(self, level, face, deg):
-        """Append level level_cap + 1, its face table and the degeneracy
-        table into it; nothing is appended if a table fails."""
+    def add_level(self, level, face_rows, deg_rows):
+        """Append level level_cap + 1 with its face rows into the level
+        below and the degeneracy rows from the level below into it; nothing
+        is appended if a row fails its check."""
         n = self.level_cap + 1
         level = tuple(level)
-        position = {x: p for p, x in enumerate(level)}
+        position = dict(zip(level, range(len(level))))
         if len(position) != len(level):
             raise ValidationError(f"duplicate elements at level {n}")
-        faces = _op_table(face, "d", n, level, self.position[n - 1]) if n else ()
+        faces = _checked_rows("d", n, level, face_rows, self.levels[n - 1] if n else ())
+        degs = _checked_rows("s", n - 1, self.levels[n - 1], deg_rows, level) if n else ()
         if n:
-            self.degs.append(_op_table(deg, "s", n - 1, self.levels[n - 1], position))
+            self.degs.append(degs)
         self.levels.append(level)
         self.position.append(position)
         self.faces.append(faces)
         self.level_cap = n
+
+    def _renamed(self, levels):
+        """A SimplicialObject whose level n is `levels[n]`, in the order of
+        this one's, sharing its tables and caches."""
+        other = SimplicialObject.__new__(SimplicialObject)
+        other.level_cap, other.faces, other.degs = self.level_cap, self.faces, self.degs
+        other._restrictions, other._indexes = self._restrictions, self._indexes
+        other.levels = [tuple(level) for level in levels]
+        # the same int objects as this object's positions
+        other.position = [
+            dict(zip(level, at.values())) for level, at in zip(other.levels, self.position)
+        ]
+        return other
 
     def _agree(self, n, got, want, identity):
         if got != want:
@@ -700,15 +797,16 @@ class SimplicialObject:
             )
 
     def validate(self):
-        """The simplicial identities, checked on the tables."""
+        """The simplicial identities, checked on the tables: each side is a
+        composite of two rows."""
         fs, ss = self.faces, self.degs
         for n in range(2, self.level_cap + 1):
             for j in range(n + 1):
                 for i in range(j):
                     self._agree(
                         n,
-                        [fs[n - 1][i][q] for q in fs[n][j]],
-                        [fs[n - 1][j - 1][q] for q in fs[n][i]],
+                        _then(fs[n][j], fs[n - 1][i]),
+                        _then(fs[n][i], fs[n - 1][j - 1]),
                         f"d_{i} d_{j} = d_{j - 1} d_{i}",
                     )
         for n in range(self.level_cap):
@@ -719,19 +817,19 @@ class SimplicialObject:
                     if i == j or i == j + 1:
                         want, rule = ident, f"d_{i} s_{j} = id"
                     elif i < j:
-                        want = [ss[n - 1][j - 1][q] for q in fs[n][i]]
+                        want = _then(fs[n][i], ss[n - 1][j - 1])
                         rule = f"d_{i} s_{j} = s_{j - 1} d_{i}"
                     else:
-                        want = [ss[n - 1][j][q] for q in fs[n][i - 1]]
+                        want = _then(fs[n][i - 1], ss[n - 1][j])
                         rule = f"d_{i} s_{j} = s_{j} d_{i - 1}"
-                    self._agree(n, [fs[n + 1][i][q] for q in sj], want, rule)
+                    self._agree(n, _then(sj, fs[n + 1][i]), want, rule)
             if n + 2 <= self.level_cap:
                 for j in range(n + 1):
                     for i in range(j + 1):
                         self._agree(
                             n,
-                            [ss[n + 1][i][q] for q in ss[n][j]],
-                            [ss[n + 1][j + 1][q] for q in ss[n][i]],
+                            _then(ss[n][j], ss[n + 1][i]),
+                            _then(ss[n][i], ss[n + 1][j + 1]),
                             f"s_{i} s_{j} = s_{j + 1} s_{i}",
                         )
 
@@ -746,15 +844,29 @@ class SimplicialObject:
         ):
             for n, rows in enumerate(ours):
                 for i, row in enumerate(rows):
-                    if [at[n + step][q] for q in row] != [theirs[n][i][p] for p in at[n]]:
+                    if _then(row, at[n + step]) != _then(at[n], theirs[n][i]):
                         return kind, n, i
         return None
 
+    def _position(self, n, x):
+        if not 0 <= n <= self.level_cap:
+            raise InputError(f"level {n} outside [0, {self.level_cap}]")
+        p = self.position[n].get(x)
+        if p is None:
+            raise InputError(f"{x!r} is not an element of level {n}")
+        return p
+
     def face(self, n, i, x):
-        return self.levels[n - 1][self.faces[n][i][self.position[n][x]]]
+        p = self._position(n, x)
+        if not 0 <= i <= n or not n:
+            raise InputError(f"no face d_{i} at level {n}")
+        return self.levels[n - 1][self.faces[n][i][p]]
 
     def deg(self, n, i, x):
-        return self.levels[n + 1][self.degs[n][i][self.position[n][x]]]
+        p = self._position(n, x)
+        if not 0 <= i <= n or n == self.level_cap:
+            raise InputError(f"no degeneracy s_{i} from level {n} (level_cap {self.level_cap})")
+        return self.levels[n + 1][self.degs[n][i][p]]
 
     def restriction_table(self, n, subset):
         """Positions of the restrictions of all of level n along a subset
@@ -762,6 +874,8 @@ class SimplicialObject:
         largest vertex missing from the subset is dropped first, and the
         rest is the cached restriction of level n - 1."""
         subset = tuple(sorted(set(subset)))
+        if not 0 <= n <= self.level_cap:
+            raise InputError(f"level {n} outside [0, {self.level_cap}]")
         if not subset or subset[0] < 0 or subset[-1] > n:
             raise InputError(f"bad subset {subset} of [0, {n}]")
         key = (n, subset)
@@ -770,7 +884,7 @@ class SimplicialObject:
             if missing:
                 v = missing[-1]
                 below = self.restriction_table(n - 1, [u - (u > v) for u in subset])
-                self._restrictions[key] = [below[p] for p in self.faces[n][v]]
+                self._restrictions[key] = _then(self.faces[n][v], below)
             else:
                 self._restrictions[key] = list(range(len(self.levels[n])))
         return self._restrictions[key]
@@ -778,7 +892,7 @@ class SimplicialObject:
     def restrict(self, n, subset, x):
         """Restrict an n-simplex along a subset of [n], largest drops first."""
         table = self.restriction_table(n, subset)
-        return self.levels[len(set(subset)) - 1][table[self.position[n][x]]]
+        return self.levels[len(set(subset)) - 1][table[self._position(n, x)]]
 
     def face_index(self, n, positions=None):
         """Positions in level n keyed by the positions of their faces d_i,
@@ -829,22 +943,46 @@ class SimplicialObject:
         return out, spent
 
 
+class _RefOf(Mapping):
+    """The normal form of each element of a level model, keyed (n, x):
+    the simplex at x's position in the set's level n."""
+
+    def __init__(self, position, simplices):
+        self._position, self._simplices = position, simplices
+
+    def __getitem__(self, key):
+        n, x = key
+        p = self._position[n].get(x) if 0 <= n < len(self._position) else None
+        if p is None:
+            raise KeyError(key)
+        return self._simplices[n][p]
+
+    def __iter__(self):
+        return ((n, x) for n, at in enumerate(self._position) for x in at)
+
+    def __len__(self):
+        return sum(map(len, self._position))
+
+
 class LevelModel(SimplicialObject):
     """A simplicial set presented by a levelwise simplicial object.
 
-    `check` checks the identities on the model's tables.  An element is
-    degenerate when it is s_i of its own d_i; the largest such i is the
-    outermost letter of its normal form, read off the tables level by level.
-    The other elements are the generators, named by `namer(n, x)`; a name
-    given twice is an InputError.  `ref_of[(n, x)]` is the normal form of an
-    element, `elem_of_gen` the element of a generator, and `sset` the
-    SimplicialSet they present, whose level table is these tables, renumbered.
+    The levels and rows are given as to SimplicialObject, in any order, and
+    `check` checks the identities on them.  An element is degenerate when it
+    is s_i of its own d_i; the largest such i is the outermost letter of its
+    normal form, read off the rows level by level.  The other elements are
+    the generators, named by `namer(n, x)`; a name given twice is an
+    InputError.  `sset` is the SimplicialSet they present.  Each level is
+    then renumbered into `sset.simplices(n)` order, one permutation per
+    level, and the set's level table shares the model's rows: element p of
+    level n is the simplex `sset.simplices(n)[p]`.  `ref_of[(n, x)]` is the
+    normal form of an element and `elem_of_gen` the element of a generator.
     """
 
-    def __init__(self, dim_cap, levels, face, deg, namer, check=True):
-        super().__init__(dim_cap, levels, face, deg, check=check)
-        generators, faces, refs = {}, {}, []
-        self.elem_of_gen, self.ref_of = {}, {}
+    def __init__(self, dim_cap, levels, faces, degs, namer, check=True):
+        super().__init__(dim_cap, levels, faces, degs, check=check)
+        generators, gen_faces, refs = {}, {}, []
+        self.elem_of_gen = {}
         for n, level in enumerate(self.levels):
             # strip[p]: the largest i with element p = s_i d_i p, if any
             strip = [None] * len(level)
@@ -870,28 +1008,31 @@ class LevelModel(SimplicialObject):
                 self.elem_of_gen[name] = x
                 generators.setdefault(n, []).append(name)
                 if n >= 1:
-                    faces[name] = face_refs[p]
+                    gen_faces[name] = face_refs[p]
                 row.append(SimplexRef(name))
             refs.append(row)
-            self.ref_of.update(((n, x), ref) for x, ref in zip(level, row))
         # Tables that satisfy the identities present exactly the set their strip
         # reads off (Eilenberg-Zilber; Goerss-Jardine, Simplicial Homotopy Theory, I.1).
-        self.sset = SimplicialSet(dim_cap, generators, faces, check=False)
-        table = self.sset._level_table
+        self.sset = SimplicialSet(dim_cap, generators, gen_faces, check=False)
+        simplices = []
         for n, row in enumerate(refs):
-            at = {ref: p for p, ref in enumerate(row)}
-            order = [at.get(t) for t in self.sset._normal_forms(n)]
+            at = dict(zip(row, range(len(row))))
+            level = self.sset._normal_forms(n)
+            order = [at.get(t) for t in level]
             if None in order or len(order) != len(row):
                 raise ConsistencyError(f"level {n} is not in bijection with its normal forms")
-            new = sorted(range(len(order)), key=order.__getitem__)
-            level = tuple(row[p] for p in order)
+            # order[k]: the position given of the simplex k; new: its inverse
+            ints = list(range(len(order)))
+            new = sorted(ints, key=order.__getitem__)
             if n:
-                table.degs.append([[new[s_i[p]] for p in prev] for s_i in self.degs[n - 1]])
-            table.faces.append([[old[d_i[p]] for p in order] for d_i in self.faces[n]] if n else ())
-            table.levels.append(level)
-            table.position.append({t: k for k, t in enumerate(level)})
+                self.degs[n - 1] = [[new[s_i[p]] for p in prev] for s_i in self.degs[n - 1]]
+                self.faces[n] = [[old[d_i[p]] for p in order] for d_i in self.faces[n]]
+            self.levels[n] = tuple(self.levels[n][p] for p in order)
+            self.position[n] = dict(zip(self.levels[n], ints))
+            simplices.append(level)
             old, prev = new, order
-        table.level_cap = dim_cap
+        self.sset._level_table = self._renamed(simplices)
+        self.ref_of = _RefOf(self.position, self.sset._level_table.levels)
 
 
 # -- products -----------------------------------------------------------------
@@ -916,20 +1057,19 @@ def product_structure(x, y, dim_cap=None):
     cap = min(x.dim_cap, y.dim_cap)
     if dim_cap is not None:
         cap = min(cap, dim_cap)
-    levels = [
-        [(a, b) for a in x.simplices(n) for b in y.simplices(n)]
-        for n in range(cap + 1)
-    ]
-
     tx, ty = x.table(cap), y.table(cap)
+    levels = [[(a, b) for a in tx.levels[n] for b in ty.levels[n]] for n in range(cap + 1)]
 
-    def face(n, i, p):
-        return (tx.face(n, i, p[0]), ty.face(n, i, p[1]))
+    # the pair of positions (pa, pb) is at pa * |Y_n| + pb, and every d_i
+    # and s_i acts on each factor
+    def pairs(rows_x, rows_y, size):
+        return [[qa * size + qb for qa in ra for qb in rb] for ra, rb in zip(rows_x, rows_y)]
 
-    def deg(n, i, p):
-        return (tx.deg(n, i, p[0]), ty.deg(n, i, p[1]))
-
-    model = LevelModel(cap, levels, face, deg, namer=lambda n, p: f"<{p[0]}|{p[1]}>")
+    faces = [()] + [
+        pairs(tx.faces[n], ty.faces[n], len(ty.levels[n - 1])) for n in range(1, cap + 1)
+    ]
+    degs = [pairs(tx.degs[n], ty.degs[n], len(ty.levels[n + 1])) for n in range(cap)]
+    model = LevelModel(cap, levels, faces, degs, namer=lambda n, p: f"<{p[0]}|{p[1]}>")
     return ProductStructure(model.sset, x, y, model)
 
 

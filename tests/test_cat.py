@@ -7,8 +7,7 @@ import pytest
 from hornfill.cat import (
     Finite2Category,
     FiniteCategory,
-    _cells_in_order,
-    _tetra_holds,
+    _duskin_table,
     categories_isomorphic,
     duskin_nerve,
     enumerate_functors,
@@ -34,12 +33,13 @@ from hornfill.errors import CapacityError, InputError, ValidationError
 from hornfill.groupoid import cyclic_group, symmetric_group
 from hornfill.sset import (
     SimplexRef,
-    SimplicialObject,
     SimplicialSet,
     is_isomorphic,
     standard_simplex,
     subcomplex_of_simplex,
 )
+
+from frozen_callables import duskin_callables, in_order_of, simplicial_object
 
 
 def test_category_validation_rejects_partial_composition():
@@ -330,170 +330,16 @@ def test_search_capacity_errors_report_partial_progress():
 # -- Duskin levels against the per-element index maps the recipes replaced -----
 
 
-# the per-cell level search and the packing the boundary join replaced
-
-
-def _enumerate_duskin_level(c2, n, budget):
-    """All n-simplices (n >= 2): vertex tuples, edge and triangle labelings
-    satisfying every tetrahedron condition.  A CapacityError carries the
-    number of n-simplices found as partial."""
-    order = _cells_in_order(n)
-    out = []
-    nodes = 0
-    verts = {}
-    edges = {}
-    tris = {}
-
-    def tetra_ready_checks(t):
-        # quads whose lexicographically last triangle is t = (j, k, l)
-        j, k, l = t
-        return [(i, j, k, l) for i in range(j)]
-
-    def spend():
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise CapacityError(f"2-nerve enumeration exceeded budget {budget}", partial=len(out))
-
-    def rec(pos):
-        if pos == len(order):
-            e = tuple(edges[p] for p in sorted(edges))
-            t = tuple(tris[p] for p in sorted(tris))
-            out.append((tuple(verts[i] for i in range(n + 1)), e, t))
-            return
-        cell = order[pos]
-        if len(cell) == 2:
-            i, j = cell
-            cands = c2.cat.hom(verts[i], verts[j])
-            for f in cands:
-                spend()
-                edges[cell] = f
-                rec(pos + 1)
-                del edges[cell]
-        else:
-            i, j, k = cell
-            composite = c2.cat.compose_table[(edges[(j, k)], edges[(i, j)])]
-            for m in c2.two_hom(composite, edges[(i, k)]):
-                spend()
-                tris[cell] = m
-                if all(
-                    _tetra_holds(c2, edges, tris, q) for q in tetra_ready_checks(cell)
-                ):
-                    rec(pos + 1)
-                del tris[cell]
-
-    def rec_verts(i):
-        if i == n + 1:
-            rec(0)
-            return
-        for x in c2.objects:
-            verts[i] = x
-            rec_verts(i + 1)
-            del verts[i]
-
-    rec_verts(0)
-    return out
-
-
-def _duskin_pack(n, elem):
-    """Down-convert the uniform (verts, edges, tris) shape to the level type."""
-    verts, e, t = elem
-    if n == 0:
-        return verts[0]
-    if n == 1:
-        return e[0]
-    return (e, t)
-
-
-def _oracle_npts(edge_tuple):
-    # len(e) == C(m+1, 2) determines the number of vertices m + 1
-    m = 1
-    while m * (m + 1) // 2 < len(edge_tuple):
-        m += 1
-    return m + 1
-
-
-def _oracle_duskin_unpack(c2, n, x):
-    if n == 0:
-        return ((x,), (), ())
-    if n == 1:
-        s, t = c2.one[x]
-        return ((s, t), (x,), ())
-    e, t = x
-    verts = [c2.one[e[0]][0]]
-    pos = {p: idx for idx, p in enumerate(sorted(
-        (i, j) for j in range(_oracle_npts(e)) for i in range(j)))}
-    for i in range(_oracle_npts(e) - 1):
-        verts.append(c2.one[e[pos[(i, i + 1)]]][1])
-    return (tuple(verts), e, t)
-
-
-def _oracle_duskin_reindex(c2, n_from, elem, alpha):
-    """Relabel an n_from-simplex along alpha, rebuilding the index maps."""
-    verts, e, t = elem
-    n_to = len(alpha) - 1
-    epos = {p: idx for idx, p in enumerate(sorted(
-        (i, j) for j in range(n_from + 1) for i in range(j)))}
-    tpos = {p: idx for idx, p in enumerate(sorted(
-        (i, j, k) for k in range(n_from + 1) for j in range(k) for i in range(j)))}
-
-    def edge_at(i, j):
-        a, b = alpha[i], alpha[j]
-        if a == b:
-            return c2.cat.identity[verts[a]]
-        return e[epos[(a, b)]]
-
-    def tri_at(i, j, k):
-        a, b, c = alpha[i], alpha[j], alpha[k]
-        if a == b == c:
-            return c2.two_identity[c2.cat.identity[verts[a]]]
-        if a == b:
-            return c2.two_identity[e[epos[(b, c)]]]
-        if b == c:
-            return c2.two_identity[e[epos[(a, b)]]]
-        return t[tpos[(a, b, c)]]
-
-    new_verts = tuple(verts[alpha[i]] for i in range(n_to + 1))
-    new_e = tuple(
-        edge_at(i, j)
-        for (i, j) in sorted((i, j) for j in range(n_to + 1) for i in range(j))
-    )
-    new_t = tuple(
-        tri_at(i, j, k)
-        for (i, j, k) in sorted(
-            (i, j, k) for k in range(n_to + 1) for j in range(k) for i in range(j)
-        )
-    )
-    return new_verts, new_e, new_t
-
-
-def _oracle_duskin_object(c2, dim_cap):
-    levels = [list(c2.objects), sorted(c2.one)] + [
-        [_duskin_pack(n, x) for x in _enumerate_duskin_level(c2, n, DEFAULT_BUDGET)]
-        for n in range(2, dim_cap + 1)
-    ]
-
-    def face(n, i, x):
-        full = _oracle_duskin_unpack(c2, n, x)
-        alpha = tuple(v for v in range(n + 1) if v != i)
-        return _duskin_pack(n - 1, _oracle_duskin_reindex(c2, n, full, alpha))
-
-    def deg(n, i, x):
-        full = _oracle_duskin_unpack(c2, n, x)
-        alpha = tuple(range(i + 1)) + tuple(range(i, n + 1))
-        return _duskin_pack(n + 1, _oracle_duskin_reindex(c2, n, full, alpha))
-
-    return SimplicialObject(dim_cap, levels, face, deg, check=False)
-
-
 def test_duskin_tables_match_the_per_element_reindex():
     cases = [(c2, 4) for c2 in all_two_categories().values()]
     # both have non-degenerate 5-simplices (768 and 538)
     cases += [(one_object_two_group(cyclic_group(2)), 5), (walking_invertible_two_cell(), 5)]
     for c2, cap in cases:
+        oracle = simplicial_object(cap, *duskin_callables(c2, cap)[:3], check=False)
+        # the join's own rows, in level order, and the model's, renumbered
+        table, values = _duskin_table(c2, cap, DEFAULT_BUDGET)
+        assert [list(level) for level in values] == [list(level) for level in oracle.levels], c2
+        assert (table.faces, table.degs) == (oracle.faces, oracle.degs), c2
         model = duskin_nerve(c2, dim_cap=cap).model
-        oracle = _oracle_duskin_object(c2, cap)
-        assert model.levels == oracle.levels, c2
-        assert model.faces == oracle.faces, c2
-        assert model.degs == oracle.degs, c2
+        assert (model.levels, model.faces, model.degs) == in_order_of(model, oracle), c2
     assert len(model.sset.generators(5)) == 538

@@ -1,6 +1,5 @@
 """Groups, actions, groupoids, and set-valued simplicial objects."""
 
-import contextlib
 import itertools
 import re
 from fractions import Fraction
@@ -47,6 +46,15 @@ from hornfill.groupoid import (
     symmetric_group,
     torsor_comparison,
     trivial_group,
+)
+
+from frozen_callables import (
+    bar_callables,
+    cech_callables,
+    in_order_of,
+    nerve_callables,
+    punctured_callables,
+    simplicial_object,
 )
 
 GROUPS = all_small_groups()
@@ -353,44 +361,23 @@ def _oracle_is_groupoid_object(level_cap, levels, face):
     return True, (), checked
 
 
-@contextlib.contextmanager
-def _recorded_callables():
-    """Record each SimplicialObject built, with its (level_cap, levels,
-    face, deg)."""
-    built = []
-    init = SimplicialObject.__init__
-
-    def record(self, level_cap, levels, face, deg, check=True):
-        levels = [tuple(levels[n]) for n in range(level_cap + 1)]
-        built.append((self, (level_cap, levels, face, deg)))
-        init(self, level_cap, levels, face, deg, check)
-
-    SimplicialObject.__init__ = record
-    try:
-        yield built
-    finally:
-        SimplicialObject.__init__ = init
-
-
-def _built_with_callables(build):
-    # a nerve's LevelModel also builds the level table of its sset
-    with _recorded_callables() as built:
-        obj = build()
-    return obj, next(args for made, args in built if made is obj)
-
-
 def _gluing_objects():
+    """(name, build, oracle): each object with the frozen callables its
+    producer used to hand over, as (level_cap, levels, face, deg)."""
     for prof in cover_shapes():
         cover = cover_of_shape(prof)
         pi = FinMap(cover.e, cover.b, dict(cover.pi))
-        yield f"cech {prof}", lambda pi=pi: cech_nerve(pi, level_cap=3)
+        yield (f"cech {prof}", lambda pi=pi: cech_nerve(pi, level_cap=3),
+               lambda pi=pi: (3, *cech_callables(pi, 3)))
     for gname, g in GROUPS.items():
         for n in (1, 2, 3):
             for i, act in enumerate(all_actions(g, n)):
-                yield f"bar {gname} {n} {i}", lambda act=act: action_bar_object(act, level_cap=3)
-    yield "poset1 nerve", lambda: nerve_object_of_category(poset_category(1))
-    yield "idempotent nerve", lambda: nerve_object_of_category(idempotent_monoid_category())
-    yield "punctured cech", punctured_cech_object
+                yield (f"bar {gname} {n} {i}", lambda act=act: action_bar_object(act, level_cap=3),
+                       lambda act=act: (3, *bar_callables(act, 3)))
+    for name, c in (("poset1", poset_category(1)), ("idempotent", idempotent_monoid_category())):
+        yield (f"{name} nerve", lambda c=c: nerve_object_of_category(c),
+               lambda c=c: (3, *nerve_callables(c, 3)[:3]))
+    yield "punctured cech", punctured_cech_object, lambda: (3, *punctured_callables())
 
 
 def test_one_simplicial_object_class():
@@ -401,8 +388,8 @@ def test_one_simplicial_object_class():
 
 def test_gluing_matches_the_callable_route_on_every_object():
     count = 0
-    for name, build in _gluing_objects():
-        obj, (level_cap, levels, face, deg) = _built_with_callables(build)
+    for name, build, oracle in _gluing_objects():
+        obj, (level_cap, levels, face, deg) = build(), oracle()
         _oracle_validate(level_cap, levels, face, deg)
         rep = is_groupoid_object(obj)
         assert (rep.holds, rep.witness, rep.checked) == _oracle_is_groupoid_object(
@@ -413,9 +400,13 @@ def test_gluing_matches_the_callable_route_on_every_object():
 
 
 def test_face_degeneracy_and_restriction_are_table_lookups():
-    for name, build in _gluing_objects():
-        obj, (level_cap, levels, face, deg) = _built_with_callables(build)
-        assert obj.levels == levels
+    for name, build, oracle in _gluing_objects():
+        obj, (level_cap, levels, face, deg) = build(), oracle()
+        # a nerve's level model holds its levels in its set's order
+        if isinstance(obj, sset.LevelModel):
+            assert [sorted(level) for level in obj.levels] == [sorted(level) for level in levels]
+        else:
+            assert obj.levels == [tuple(level) for level in levels], name
         for n in range(level_cap + 1):
             for x in levels[n]:
                 for i in range(n + 1):
@@ -429,23 +420,20 @@ def test_face_degeneracy_and_restriction_are_table_lookups():
                     assert obj.restrict(n, subset, x) == _oracle_restrict(face, n, subset, x)
 
 
-def test_callables_run_once_per_entry():
-    calls = {}
-    pi = FinMap(("a", "b", "c"), ("u", "v"), {"a": "u", "b": "u", "c": "v"})
-
-    def counted(op):
-        def call(n, i, x):
-            calls[(op, n, i, x)] = calls.get((op, n, i, x), 0) + 1
-            return x[:i] + x[i + 1:] if op == "d" else x[: i + 1] + x[i:]
-        return call
-
-    base = cech_nerve(pi, level_cap=3)
-    obj = SimplicialObject(3, base.levels, counted("d"), counted("s"))
-    assert set(calls.values()) == {1}
-    assert len(calls) == sum(
-        (n + 1) * len(base.levels[n]) for n in range(1, 4)
-    ) + sum((n + 1) * len(base.levels[n]) for n in range(3))
-    assert obj.faces == base.faces and obj.degs == base.degs
+def test_rows_match_the_frozen_callables():
+    # the rows each producer emits, against op_table run on the callables
+    # it used to hand over; a nerve's model renumbers its rows, so the
+    # oracle's rows are renumbered the same way
+    count = 0
+    for name, build, oracle in _gluing_objects():
+        obj, (level_cap, levels, face, deg) = build(), oracle()
+        want = simplicial_object(level_cap, levels, face, deg, check=False)
+        if isinstance(obj, sset.LevelModel):
+            assert (obj.levels, obj.faces, obj.degs) == in_order_of(obj, want), name
+        else:
+            assert (obj.levels, obj.faces, obj.degs) == (want.levels, want.faces, want.degs), name
+        count += 1
+    assert count == 18 + sum(len(all_actions(g, n)) for g in GROUPS.values() for n in (1, 2, 3)) + 3
 
 
 def test_table_checker_names_the_failing_element():
@@ -457,13 +445,74 @@ def test_table_checker_names_the_failing_element():
         return x[:i] + x[i + 1:]
 
     with pytest.raises(ValidationError, match=r"\('a', 'b', 'b'\)"):
-        SimplicialObject(2, base.levels, face, lambda n, i, x: x[: i + 1] + x[i:])
+        simplicial_object(2, base.levels, face, lambda n, i, x: x[: i + 1] + x[i:])
     with pytest.raises(ValidationError, match="duplicate"):
-        SimplicialObject(0, [("a", "a")], None, None)
-    with pytest.raises(ValidationError, match="leaves level 0"):
-        SimplicialObject(1, [("a",), (("a", "a"),)], lambda n, i, x: "z", lambda n, i, x: ("a", "a"))
+        SimplicialObject(0, [("a", "a")], [()], ())
+    with pytest.raises(ValidationError, match=r"^d_0 of \('a', 'a'\) leaves level 0$"):
+        SimplicialObject(1, [("a",), (("a", "a"),)], [(), [[1], [0]]], [[0]])
     with pytest.raises(InputError):
         base.restrict(2, (0, 3), ("a", "b", "b"))
+
+
+def test_rows_of_the_wrong_shape_are_refused():
+    base = cech_nerve(FinMap(("a", "b"), ("*",), {"a": "*", "b": "*"}), level_cap=2)
+
+    def build(n, kind, i, row):
+        faces, degs = [list(rows) for rows in base.faces], [list(rows) for rows in base.degs]
+        (faces if kind == "d" else degs)[n][i] = row
+        return SimplicialObject(2, base.levels, faces, degs)
+
+    d1 = base.faces[2][1]
+    cases = [
+        # a short row names the first element it has no entry for
+        ((2, "d", 1, d1[:-1]), r"^d_1 has no entry for \('b', 'b', 'b'\) at level 2$"),
+        ((2, "d", 1, d1 + [0]), r"^d_1 has 9 entries for the 8 elements of level 2$"),
+        ((2, "d", 1, d1[:3] + [4] + d1[4:]), r"^d_1 of \('a', 'b', 'b'\) leaves level 1$"),
+        ((2, "d", 1, d1[:3] + [-1] + d1[4:]), r"^d_1 of \('a', 'b', 'b'\) leaves level 1$"),
+        ((2, "d", 1, d1[:3] + [1.0] + d1[4:]), r"^d_1 of \('a', 'b', 'b'\) leaves level 1$"),
+        ((1, "s", 0, base.degs[1][0][:3] + [8]), r"^s_0 of \('b', 'b'\) leaves level 2$"),
+        ((0, "s", 0, [None, 3]), r"^s_0 of \('a',\) leaves level 1$"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            build(*args)
+    with pytest.raises(ValidationError, match=r"^level 2 has 2 d rows, expected 3$"):
+        SimplicialObject(2, base.levels, base.faces[:2] + [base.faces[2][:2]], base.degs)
+    with pytest.raises(ValidationError, match=r"^level 0 has 1 d rows, expected 0$"):
+        SimplicialObject(0, base.levels, [[[0, 1]]], ())
+
+
+def test_lookups_outside_the_object_are_input_errors():
+    two = cech_nerve(FinMap(("a", "b"), ("*",), {"a": "*", "b": "*"}), level_cap=3)
+    bad = [
+        lambda: two.restrict(3, (0, 1), ("a", "a")),  # not an element of level 3
+        lambda: two.face(1, 5, ("a", "b")),
+        lambda: two.face(0, 0, ("a",)),  # a vertex has no faces
+        lambda: two.face(2, 0, ("a", "b")),
+        lambda: two.face(4, 0, ("a",) * 5),
+        lambda: two.deg(3, 0, ("a",) * 4),  # nothing above the top level
+        lambda: two.deg(1, 2, ("a", "b")),
+        lambda: two.restriction_table(4, (0,)),
+        lambda: two.restrict(2, (0, 3), ("a", "b", "b")),
+    ]
+    for lookup in bad:
+        with pytest.raises(InputError):
+            lookup()
+    assert two.face(1, 1, ("a", "b")) == ("a",)
+    assert two.deg(2, 2, ("a", "b", "b")) == ("a", "b", "b", "b")
+    assert two.restrict(3, (0, 3), ("a", "b", "a", "b")) == ("a", "b")
+
+
+def test_bad_level_caps_are_input_errors():
+    pi = FinMap(("a", "b"), ("*",), {"a": "*", "b": "*"})
+    for cap in (-1, 2.0, "3", None, True):
+        with pytest.raises(InputError, match="level_cap must be a non-negative integer"):
+            cech_nerve(pi, level_cap=cap)
+        with pytest.raises(InputError, match="level_cap must be a non-negative integer"):
+            action_bar_object(swap_action(), level_cap=cap)
+        with pytest.raises(InputError, match="level_cap must be a non-negative integer"):
+            SimplicialObject(cap, [], [], [])
+    assert cech_nerve(pi, level_cap=0).levels == [(("a",), ("b",))]
 
 
 def _redirect(obj, kind, n, i, x, y):
@@ -488,17 +537,17 @@ def _redirected(draw):
     return _redirect(obj, kind, n, i, x, y)
 
 
-def _record_small_objects():
-    small = [
-        lambda: cech_nerve(FinMap(("a", "b", "c"), ("u", "v"), {"a": "u", "b": "u", "c": "v"}), 3),
-        lambda: action_bar_object(swap_action(), 3),
-        lambda: action_bar_object(trivial_action(cyclic_group(3), 1), 3),
-        lambda: nerve_object_of_category(walking_retraction_category(), 3),
-    ]
-    return [_built_with_callables(build)[1] for build in small]
+def _small(level_cap, levels, face, deg):
+    return level_cap, [tuple(level) for level in levels], face, deg
 
 
-_SMALL_OBJECTS = _record_small_objects()
+_SMALL_OBJECTS = [
+    _small(3, *cech_callables(
+        FinMap(("a", "b", "c"), ("u", "v"), {"a": "u", "b": "u", "c": "v"}), 3)),
+    _small(3, *bar_callables(swap_action(), 3)),
+    _small(3, *bar_callables(trivial_action(cyclic_group(3), 1), 3)),
+    _small(3, *nerve_callables(walking_retraction_category(), 3)[:3]),
+]
 
 
 def _accepts(check, *args):
@@ -512,7 +561,7 @@ def _accepts(check, *args):
 @settings(max_examples=150, deadline=None)
 @given(_redirected())
 def test_redirected_entry_is_caught_by_both_checkers(obj):
-    assert _accepts(SimplicialObject, *obj) == _accepts(_oracle_validate, *obj)
+    assert _accepts(simplicial_object, *obj) == _accepts(_oracle_validate, *obj)
 
 
 def test_each_identity_family_is_checked_on_its_own():
@@ -533,5 +582,5 @@ def test_each_identity_family_is_checked_on_its_own():
     ]
     for obj, rule in cases:
         with pytest.raises(ValidationError, match=re.escape(rule)):
-            SimplicialObject(*obj)
+            simplicial_object(*obj)
         assert not _accepts(_oracle_validate, *obj)

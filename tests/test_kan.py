@@ -84,6 +84,20 @@ def test_classification_flags_across_corpus_nerves():
         assert rep.nerve_of_groupoid == c.is_groupoid(), name
 
 
+def test_cap_5_nerve_census_keeps_the_cap_4_verdicts():
+    # nerves are 2-coskeletal, so one cap higher changes no verdict: the
+    # horns through dimension 4 and the four flags are those at cap 4, and
+    # every 5-horn, which holds the whole 2-skeleton, has one filler
+    for name, c in all_categories().items():
+        low, high = (classify(nerve(c, dim_cap=cap).sset, cap).to_json() for cap in (4, 5))
+        assert high["verdicts"][:len(low["verdicts"])] == low["verdicts"], name
+        flags = ("weak_kan", "kan", "nerve_of_category", "nerve_of_groupoid")
+        assert [high[flag] for flag in flags] == [low[flag] for flag in flags], name
+        top = high["verdicts"][len(low["verdicts"]):]
+        assert [v["n"] for v in top] == [5] * 6, name
+        assert all(v["all_fill"] and v["all_unique"] for v in top), name
+
+
 def test_standard_interval_is_weak_kan_but_outer_horns_fail():
     # Delta^1 = nerve of the 1-chain: inner horns fill, outer ones do not
     x = standard_simplex(1, dim_cap=2)

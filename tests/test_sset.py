@@ -35,6 +35,18 @@ from hornfill.sset import (
     vertices_of_standard_ref,
 )
 
+from frozen_callables import (
+    callables_of,
+    duskin_callables,
+    in_order_of,
+    level_model,
+    mapping_space_callables,
+    mapping_space_cylinders,
+    nerve_callables,
+    product_callables,
+    simplicial_object,
+)
+
 
 # -- independent oracle: operators acting on monotone vertex tuples ----------
 
@@ -213,7 +225,7 @@ def test_inconsistent_face_data_raises_not_asserts():
     face = lambda n, i, x: "v" if n == 1 else "e"
     deg = lambda n, i, x: "e" if n == 0 else ("t" if i == 0 else "u")
     with pytest.raises(ConsistencyError):
-        LevelModel(2, [["v"], ["e"], ["t", "u"]], face, deg, namer=lambda n, x: x, check=False)
+        level_model(2, [["v"], ["e"], ["t", "u"]], face, deg, namer=lambda n, x: x, check=False)
 
 
 def test_simplicial_map_validation_checks_faces():
@@ -347,13 +359,16 @@ def _oracle_level_model(dim_cap, levels, face, deg, namer):
 
 @contextlib.contextmanager
 def _recorded_level_models():
-    """Record every LevelModel built, with the callables it was given."""
+    """Record every LevelModel built, with the levels and rows it was given,
+    in the order given, and callables that read them."""
     built = []
     init = LevelModel.__init__
 
-    def record(self, dim_cap, levels, face, deg, namer, check=True):
-        init(self, dim_cap, levels, face, deg, namer, check)
-        built.append((self, (dim_cap, levels, face, deg, namer)))
+    def record(self, dim_cap, levels, faces, degs, namer, check=True):
+        init(self, dim_cap, levels, faces, degs, namer, check)
+        levels = [tuple(levels[n]) for n in range(dim_cap + 1)]
+        built.append((self, (dim_cap, levels, *callables_of(levels, faces, degs), namer),
+                      (faces, degs)))
 
     LevelModel.__init__ = record
     try:
@@ -385,13 +400,53 @@ def test_level_models_match_the_callable_strip():
     for build in _level_model_sources():
         with _recorded_level_models() as built:
             build()
-        for model, args in built:
+        for model, args, _ in built:
             x, ref_of, elem_of_gen = _oracle_level_model(*args)
             assert model.sset == x
             assert model.ref_of == ref_of
             assert model.elem_of_gen == elem_of_gen
             count += 1
     # 22 nerves, 7 Duskin nerves, 10 products, 4 mapping spaces and their 10 cylinders
+    assert count == 53
+
+
+def _level_model_oracles():
+    """For each of `_level_model_sources()`, the frozen callables of every
+    LevelModel it builds, in the order built, as (dim_cap, levels, face, deg)."""
+    for c in all_categories().values():
+        yield [(4, *nerve_callables(c, 4)[:3])]
+    for c2 in all_two_categories().values():
+        yield [(4, *duskin_callables(c2, 4)[:3])]
+    for a in range(3):
+        for b in range(3):
+            yield [(3, *product_callables(standard_simplex(a, dim_cap=3),
+                                          standard_simplex(b, dim_cap=3))[:3])]
+    horn = subcomplex_of_simplex(2, "horn", k=1, dim_cap=2)
+    yield [(2, *product_callables(horn, standard_simplex(1))[:3])]
+    d1 = standard_simplex(1, dim_cap=2)
+    for y in (nerve(bg_category(cyclic_group(2)), dim_cap=2).sset,
+              nerve(poset_category(1), dim_cap=2).sset):
+        for cap, pin in ((2, None), (1, {"0": y.simplices(0)[0]})):
+            cylinders = [(2, *product_callables(a, b)[:3])
+                         for a, b in mapping_space_cylinders(d1, cap)]
+            yield cylinders + [(cap, *mapping_space_callables(d1, y, dim_cap=cap, pin=pin)[:3])]
+
+
+def test_level_model_rows_match_the_frozen_callables():
+    # the levels and rows every producer hands its LevelModel, against
+    # op_table run on the callables it used to hand over
+    count = 0
+    for build, oracles in zip(_level_model_sources(), _level_model_oracles()):
+        with _recorded_level_models() as built:
+            build()
+        assert len(built) == len(oracles)
+        for (model, (cap, levels, *_), (faces, degs)), oracle in zip(built, oracles):
+            want = simplicial_object(*oracle, check=False)
+            got = SimplicialObject(cap, levels, faces, degs, check=False)
+            assert (got.levels, got.faces, got.degs) == (want.levels, want.faces, want.degs)
+            # and the model holds them renumbered into its set's order
+            assert (model.levels, model.faces, model.degs) == in_order_of(model, want)
+            count += 1
     assert count == 53
 
 
@@ -568,7 +623,7 @@ def _oracle_deep_validate(x):
     """validate(deep=True) as it was: the shallow check, then a throwaway
     table built through the calculus and checked."""
     x.validate()
-    SimplicialObject(
+    simplicial_object(
         x.dim_cap,
         [_oracle_simplices(x, n) for n in range(x.dim_cap + 1)],
         lambda n, i, t: x._face(t, i),
@@ -582,7 +637,7 @@ class _OracleLevelModel:
     by the normal-form calculus."""
 
     def __init__(self, dim_cap, levels, face, deg, namer):
-        SimplicialObject(dim_cap, levels, face, deg, check=False)
+        simplicial_object(dim_cap, levels, face, deg, check=False)
         self.sset, ref_of, _ = _oracle_level_model(dim_cap, levels, face, deg, namer)
         for n in range(1, dim_cap + 1):
             for i in range(n + 1):
@@ -650,27 +705,27 @@ def test_level_model_checks_match_the_calculus_cross_check_on_single_mutations()
     seen = set()
     with _recorded_level_models() as built:
         _corpus_sets(4)
-    for model, (cap, levels, face, deg, namer) in built:
+    for model, (cap, levels, face, deg, namer), _ in built:
         # one face entry at each of the top two levels and one degeneracy
         # entry into the top level, each sent to another element
         for kind, n in (("d", cap), ("d", cap - 1), ("s", cap - 1)):
             op = face if kind == "d" else deg
-            x, i = _spread(model.levels[n], 2)[-1], n // 2
-            into = model.levels[n - 1 if kind == "d" else n + 1]
+            x, i = _spread(levels[n], 2)[-1], n // 2
+            into = levels[n - 1 if kind == "d" else n + 1]
             y = next((z for z in reversed(into) if z != op(n, i, x)), None)
             if y is None:
                 continue
             moved = _moved(op, n, i, x, y)
             f, s = (moved, deg) if kind == "d" else (face, moved)
             want = _outcome(lambda: _OracleLevelModel(cap, levels, f, s, namer))
-            got = _outcome(lambda: LevelModel(cap, levels, f, s, namer))
+            got = _outcome(lambda: level_model(cap, levels, f, s, namer))
             assert (got is None) == (want is None), (got, want)
             if got is not None:
                 match = _IDENTITY.match(got)
                 assert match, got
                 seen.add(match.group(1) + match.group(2))
             # unchecked, tables that present no set are still refused
-            unchecked = _outcome(lambda: LevelModel(cap, levels, f, s, namer, check=False))
+            unchecked = _outcome(lambda: level_model(cap, levels, f, s, namer, check=False))
             assert unchecked is None or re.fullmatch(
                 r"ConsistencyError: level \d+ is not in bijection with its normal forms", unchecked
             ), unchecked
@@ -687,7 +742,7 @@ def test_level_model_refuses_a_broken_strip_order():
     faces = {"u": "vv", "w": "vv", "A": "uuu", "A'": "uuu", "B": "www", "C": "www"}
     degs = {"v": ["u"], "u": ["A", "A'"], "w": ["B", "C"]}
     levels = [["v"], ["u", "w"], ["A", "A'", "B", "C"]]
-    build = lambda check: LevelModel(
+    build = lambda check: level_model(
         2, levels, lambda n, i, x: faces[x][i], lambda n, i, x: degs[x][i],
         lambda n, x: x, check=check,
     )
@@ -718,11 +773,11 @@ def test_level_models_hand_their_set_the_calculus_table():
                 setattr(SimplicialSet, name, counted(name))
             try:
                 build()
-                tables = [model.sset.table() for model, _ in built]
+                tables = [model.sset.table() for model, _, _ in built]
             finally:
                 for name in names:
                     setattr(SimplicialSet, name, plain[name])
-        for (model, _), got in zip(built, tables):
+        for (model, _, _), got in zip(built, tables):
             assert not any(y is model.sset for y in calls), model.sset
             want = io.sset_from_json(io.sset_to_json(model.sset)).table()
             assert (got.levels, got.faces, got.degs) == (want.levels, want.faces, want.degs)
@@ -745,11 +800,15 @@ def test_each_face_is_derived_once():
     try:
         for x in sets:
             table = x.table()
-            derived = [(ref, i) for y, ref, i in calls if y is x]
-            assert len(derived) == len(set(derived)) == sum(
-                (n + 1) * len(table.levels[n]) for n in range(1, x.dim_cap + 1)
-            )
-            calls.clear()
+            # the table derives each face once, from the calculus on the
+            # words of a block, so `_face` runs for no single simplex; every
+            # row is the calculus's face of each simplex of its level
+            assert not any(y is x for y, _, _ in calls), x
+            for n in range(1, x.dim_cap + 1):
+                for i in range(n + 1):
+                    assert table.faces[n][i] == [
+                        table.position[n - 1][face(x, t, i)] for t in table.levels[n]
+                    ]
             x.validate(deep=True)
             classify(x)
             for n in range(1, x.dim_cap + 1):
