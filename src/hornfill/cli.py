@@ -83,7 +83,6 @@ def _category_lines(c):
 
 def cmd_sset_info(args):
     x = io.sset_from_json(io.load_path(args.sset))
-    x.validate(deep=True)
     counts = {str(n): x.count(n) for n in range(x.dim_cap + 1)}
     nondeg = {str(n): len(x.generators(n)) for n in range(x.dim_cap + 1)}
     data = {"dim_cap": x.dim_cap, "nondegenerate": nondeg, "simplices": counts}

@@ -1,30 +1,21 @@
 """Engine exceptions.
 
 Every failure the engine can produce deliberately is one of these; the CLI
-maps them to exit code 2 with a structured diagnostic.  Anything else
-escaping an operation is a bug.
+prints `error: <message>` on stderr for any of them and exits 2.  Anything
+else escaping an operation is a bug.
 """
 
 
 class EngineError(Exception):
     """Base class for all deliberate engine failures."""
 
-    kind = "engine-error"
-
-    def payload(self):
-        return {"error": self.kind, "message": str(self)}
-
 
 class InputError(EngineError):
     """Malformed or out-of-contract arguments (bad index, missing field...)."""
 
-    kind = "input-error"
-
 
 class ValidationError(EngineError):
     """Structural data failed its validator (simplicial identities, group laws...)."""
-
-    kind = "validation-error"
 
 
 class CapacityError(EngineError):
@@ -33,20 +24,10 @@ class CapacityError(EngineError):
     Carries how far the search got so callers can report partial progress.
     """
 
-    kind = "capacity-error"
-
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
 
-    def payload(self):
-        out = super().payload()
-        if self.partial is not None:
-            out["partial"] = self.partial
-        return out
-
 
 class ConsistencyError(EngineError):
     """Two routes that must agree disagreed (a bug witness, not a user error)."""
-
-    kind = "consistency-error"

@@ -320,7 +320,12 @@ class SimplicialSet:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, deep=False):
+    def validate(self):
+        """Check the presentation on its generators: each face list has the
+        right length and names simplices of the dimension below in normal
+        form, and d_i d_j = d_{j-1} d_i holds on every generator.  The
+        normal-form calculus then forces every simplicial identity on every
+        simplex, so this is the whole check; raises `ValidationError`."""
         # Each distinct face (d, ref) is checked once per call, and its own
         # face row derived once: generators share most of their faces.
         checked = set()
@@ -348,14 +353,8 @@ class SimplicialSet:
                 if ref.degs and ref.degs[0] > d - 2:
                     raise ValidationError(f"face d_{i} of {g!r} has out-of-range word")
                 checked.add((d, ref))
-        # d_i d_j = d_{j-1} d_i for i < j, on generators; together with the
-        # normal-form calculus this forces all identities on all simplices.
-        # Every face now has dimension d - 1, so a ref fixes its face row.
-        if deep:
-            table = self.table()
-            face = lambda ref, i: table.face(self.dim_of(ref), i, ref)
-        else:
-            face = self._face
+        # d_i d_j = d_{j-1} d_i for i < j, on generators.  Every face now
+        # has dimension d - 1, so a ref fixes its face row.
         rows_of = {}
         for g, d in self.gen_dim.items():
             if d < 2:
@@ -364,7 +363,7 @@ class SimplicialSet:
             for ref in self.gen_faces[g]:
                 row = rows_of.get(ref)
                 if row is None:
-                    row = rows_of[ref] = tuple(face(ref, i) for i in range(d))
+                    row = rows_of[ref] = tuple(self._face(ref, i) for i in range(d))
                 rows.append(row)
             for j in range(d + 1):
                 for i in range(j):
@@ -372,8 +371,6 @@ class SimplicialSet:
                         raise ValidationError(
                             f"d_{i} d_{j} != d_{j - 1} d_{i} on generator {g!r}"
                         )
-        if deep:
-            table.validate()
 
 
 def _parse_op(w):
@@ -523,12 +520,6 @@ class SimplicialMap:
                         q, m = table.degs[m][j][q], m + 1
                     if table.faces[d][i][p] != q:
                         raise ValidationError(f"map does not commute with d_{i} at {g!r}")
-
-    def apply(self, ref):
-        out = self.assignment[ref.gen]
-        for j in reversed(ref.degs):
-            out = self.tgt.degeneracy(out, j)
-        return out
 
     def __eq__(self, other):
         return (

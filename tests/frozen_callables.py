@@ -194,6 +194,16 @@ def product_callables(x, y, dim_cap=None):
     return levels, face, deg, lambda n, p: f"<{p[0]}|{p[1]}>"
 
 
+def image_of(assignment, tgt, ref):
+    """The image of the source simplex `ref` under a map given on
+    generators by `assignment`: its generator's image, then its
+    degeneracy word, in the target `tgt`."""
+    out = assignment[ref.gen]
+    for j in reversed(ref.degs):
+        out = tgt.degeneracy(out, j)
+    return out
+
+
 def mapping_space_cylinders(x, dim_cap):
     """The products x * standard n-simplex that `mapping_space` builds first."""
     return [(x, standard_simplex(n, dim_cap=max(x.dim_cap, n))) for n in range(dim_cap + 1)]
@@ -212,7 +222,7 @@ def mapping_space_callables(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
             moved = standard_ref_of_vertices(tuple(alpha[v] for v in verts))
             dim = p_from.sset.gen_dim[g]
             ref = p_to.model.ref_of[(dim, (rx, moved))]
-            assignment[g] = f.apply(ref)
+            assignment[g] = image_of(f.assignment, y, ref)
         return SimplicialMap(p_from.sset, y, assignment, check=False)
 
     def fixed_for(n):

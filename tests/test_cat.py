@@ -221,7 +221,7 @@ def test_duskin_nerves_at_cap_5_have_the_closed_form_counts():
     ):
         x = duskin_nerve(two_cats[name], dim_cap=5).sset
         assert [x.count(n) for n in range(6)] == counts, name
-        x.validate(deep=True)
+        x.table().validate()
 
 
 def test_duskin_of_discrete_two_category_is_the_nerve():

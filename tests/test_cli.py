@@ -344,6 +344,19 @@ def test_nerve_name_clashes_exit_2(capsys, tmp_path):
         assert capsys.readouterr().err == f"error: level namer collision at {message}\n"
 
 
+def test_broken_face_identity_exits_2(capsys, tmp_path):
+    # well-formed JSON whose triangle t has the one edge e: a -> b as all
+    # three faces, so d_0 d_2 t = b but d_1 d_0 t = a
+    path = _write(tmp_path, "bent.json", {
+        "dim_cap": 2,
+        "generators": {"0": ["a", "b"], "1": ["e"], "2": ["t"]},
+        "faces": {"e": ["b", "a"], "t": ["e", "e", "e"]},
+    })
+    for argv in (["sset", "info", path], ["sset", "check-kan", path], ["cat", "tau", path]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: d_0 d_2 != d_1 d_0 on generator 't'\n", argv
+
+
 def test_malformed_covers_exit_2(files, capsys, tmp_path):
     good = io.cover_to_json(cover_of_shape((2, 1)))
     bad = {

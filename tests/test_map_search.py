@@ -3,7 +3,8 @@
 `enumerate_maps`, `is_isomorphic` and `enumerate_functors` all run the
 face-index search of `sset._map_search`.  The backtracking searches they
 replaced are kept below verbatim, apart from their names, as the oracles,
-together with the old calculus-based `SimplicialMap.validate`.
+together with the old calculus-based `SimplicialMap.validate`.  Both read a
+face's image through `image_of`, which was `SimplicialMap.apply`.
 """
 
 import contextlib
@@ -26,6 +27,8 @@ from hornfill.sset import (
     standard_simplex,
     subcomplex_of_simplex,
 )
+
+from frozen_callables import image_of
 
 
 # -- the oracles -------------------------------------------------------------------
@@ -64,15 +67,9 @@ def oracle_enumerate_maps(src, tgt, dim_cap=None, budget=DEFAULT_BUDGET, fixed=N
         if d == 0:
             return vertex_candidates
         at, level = table.position[d - 1], table.levels[d]
-        key = tuple(at.get(assignment[f.gen] if not f.degs else _image_of(f))
+        key = tuple(at.get(assignment[f.gen] if not f.degs else image_of(assignment, tgt, f))
                     for f in src.gen_faces[g])
         return tuple(level[p] for p in table.face_index(d).get(key, ()))
-
-    def _image_of(ref):
-        out = assignment[ref.gen]
-        for j in reversed(ref.degs):
-            out = tgt.degeneracy(out, j)
-        return out
 
     def ready(g):
         if src.gen_dim[g] == 0:
@@ -247,7 +244,7 @@ def oracle_validate(self):
                 raise ValidationError(f"image of {g!r} has wrong dimension")
             if d >= 1:
                 for i in range(d + 1):
-                    want = self.apply(self.src._face(SimplexRef(g), i))
+                    want = image_of(self.assignment, self.tgt, self.src._face(SimplexRef(g), i))
                     got = self.tgt._face(img, i)
                     if want != got:
                         raise ValidationError(

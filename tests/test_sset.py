@@ -188,7 +188,7 @@ def test_boundary_and_horn_generator_counts():
     for n in (2, 3):
         for k in range(n + 1):
             h = subcomplex_of_simplex(n, "horn", k=k)
-            h.validate(deep=True)
+            h.table().validate()
             missing = "".join(str(v) for v in range(n + 1) if v != k)
             assert missing not in h.generators(n - 1)
 
@@ -620,9 +620,10 @@ def _oracle_simplices(x, n):
 
 
 def _oracle_deep_validate(x):
-    """validate(deep=True) as it was: the shallow check, then a throwaway
-    table built through the calculus and checked."""
-    x.validate()
+    """The whole-table check that `validate(deep=True)` used to add: the
+    generator loop, then a throwaway table built through the calculus and
+    checked on every simplicial identity."""
+    _oracle_validate(x)
     simplicial_object(
         x.dim_cap,
         [_oracle_simplices(x, n) for n in range(x.dim_cap + 1)],
@@ -668,25 +669,27 @@ def _corpus_sets(cap):
     return sets + [duskin_nerve(c2, dim_cap=cap).sset for c2 in all_two_categories().values()]
 
 
-def test_deep_validation_matches_the_callable_table_on_single_face_mutations():
+def test_validate_matches_the_whole_table_check_on_single_face_mutations():
+    # The generator check is the only validation of a presented set: no
+    # mutant that passes it may break an identity anywhere in its table.
     ghost = SimplexRef("ghost")
     seen = set()
     for x in _corpus_sets(4):
         gens = {d: x.generators(d) for d in range(x.dim_cap + 1)}
-        # the first and last face of one generator per dimension, sent to an
-        # unknown generator and to simplices of dimension d - 2, d - 1 and d
+        # every face of one generator per dimension, sent to an unknown
+        # generator and to simplices of dimension d - 2, d - 1 and d
         mutants = [dict(x.gen_faces)]
         for d in range(1, x.dim_cap + 1):
             lower = _spread(x.simplices(d - 2), 1) if d >= 2 else []
             for g in _spread(x.generators(d), 1):
                 fs = x.gen_faces[g]
-                for i in (0, d):
+                for i in range(d + 1):
                     for r in (ghost, *lower, x.simplices(d - 1)[-1], x.simplices(d)[0]):
                         mutants.append({**x.gen_faces, g: fs[:i] + (r,) + fs[i + 1:]})
         for faces in mutants:
             y = SimplicialSet(x.dim_cap, gens, faces, check=False)
             want = _outcome(lambda: _oracle_deep_validate(y))
-            assert _outcome(lambda: y.validate(deep=True)) == want, (x, want)
+            assert _outcome(y.validate) == want, (x, want)
             seen.add(want and _KINDS.search(want).group())
     assert seen == {None, "hits unknown", "has dimension", "!="}
 
@@ -809,7 +812,7 @@ def test_each_face_is_derived_once():
                     assert table.faces[n][i] == [
                         table.position[n - 1][face(x, t, i)] for t in table.levels[n]
                     ]
-            x.validate(deep=True)
+            table.validate()
             classify(x)
             for n in range(1, x.dim_cap + 1):
                 for k in range(n + 1):
