@@ -14,7 +14,9 @@ also runs (`SimplicialObject.join`).
 
 `FiniteCategory.validate` is the one checker of composition laws:
 identities, a table entry for exactly the composable pairs landing on a
-morphism with the right endpoints, the unit laws and associativity.
+morphism with the right endpoints, the unit laws and associativity, the
+last as one row comparison per composable pair (h, g): h o - applied to
+the row of g o f over all f must give the row of (h o g) o f.
 `Finite2Category.validate` runs it on the vertical category (1-cells and
 `vcompose`) and the horizontal category (0-cells and `hcompose`), runs
 `Functor.validate` on source, target and `two_identity`, and checks
@@ -124,23 +126,27 @@ class FiniteCategory:
         mor, table = self.mor, self.compose_table
         mors = sorted(mor)
         # into[x]: the morphisms ending at x, so (g, f) is composable
-        # exactly when f is in into[src g]
+        # exactly when f is in into[src g]; after[g]: the row of g o f over
+        # f in into[src g]
         into = {x: [] for x in self.objects}
         for m in mors:
             into[mor[m][1]].append(m)
-        pairs = 0
+        after, pairs, missing = {}, 0, object()
         for g in mors:
-            for f in into[mor[g][0]]:
-                pairs += 1
-                if (g, f) not in table:
+            s, t = mor[g]
+            row = after[g] = []
+            for f in into[s]:
+                gf = table.get((g, f), missing)
+                if gf is missing:
                     raise ValidationError(
                         f"composition table wrong at ({g!r}, {f!r}): missing entry"
                     )
-                gf = table[(g, f)]
                 if gf not in mor:
                     raise ValidationError(f"({g!r}, {f!r}) composes to unknown {gf!r}")
-                if mor[gf] != (mor[f][0], mor[g][1]):
+                if mor[gf] != (mor[f][0], t):
                     raise ValidationError(f"({g!r}, {f!r}) composes with wrong endpoints")
+                row.append(gf)
+            pairs += len(row)
         if len(table) != pairs:
             g, f = min(
                 (g, f) for g, f in table
@@ -155,12 +161,19 @@ class FiniteCategory:
                 raise ValidationError(f"right unit fails at {f!r}")
             if table[(self.identity[t], f)] != f:
                 raise ValidationError(f"left unit fails at {f!r}")
+        # h o (g o f) = (h o g) o f over f in into[src g], as one row
+        # comparison per composable pair (h, g): h o - maps after[g] onto
+        # after[h o g], whose source is src g
         for h in mors:
-            for g in into[mor[h][0]]:
-                hg = table[(h, g)]
-                for f in into[mor[g][0]]:
-                    if table[(h, table[(g, f)])] != table[(hg, f)]:
-                        raise ValidationError(f"associativity fails at ({h!r},{g!r},{f!r})")
+            gs = into[mor[h][0]]
+            post = dict(zip(gs, after[h])).__getitem__
+            for g, hg in zip(gs, after[h]):
+                if list(map(post, after[g])) != after[hg]:
+                    f = next(
+                        f for f, x, y in zip(into[mor[g][0]], map(post, after[g]), after[hg])
+                        if x != y
+                    )
+                    raise ValidationError(f"associativity fails at ({h!r},{g!r},{f!r})")
 
     def inverse(self, f):
         s, t = self.mor[f]

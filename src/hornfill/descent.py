@@ -654,7 +654,13 @@ def _descent_objects(presheaf, cover, depth, budget):
     d0_1, cod0_1 = cover.coface(1, 0)
     d1_1, cod1_1 = cover.coface(1, 1)
     diag, cod_diag = cover.diagonal()
-    cofaces_2 = [cover.coface(2, i) for i in range(3)]
+    (al0, c0), (al1, c1), (al2, c2) = [cover.coface(2, i) for i in range(3)]
+    e3 = cover.power(3)
+    if depth >= 3:
+        e4 = cover.power(4)
+        projections = {
+            (p, q): cover.projection(4, (p, q)) for p in range(4) for q in range(p + 1, 4)
+        }
     out = []
     steps = 0
     for a in presheaf.objects(e):
@@ -669,31 +675,28 @@ def _descent_objects(presheaf, cover, depth, budget):
                 )
             if presheaf.restrict_mor(diag, cod_diag, phi) != presheaf.identity(e, a):
                 continue
-            (al0, c0), (al1, c1), (al2, c2) = cofaces_2
             lhs = presheaf.restrict_mor(al1, c1, phi)
             rhs = presheaf.compose(
-                cover.power(3),
+                e3,
                 presheaf.restrict_mor(al0, c0, phi),
                 presheaf.restrict_mor(al2, c2, phi),
             )
             if lhs != rhs:
                 continue
-            if depth >= 3 and not _quadruple_conditions(presheaf, cover, phi):
+            if depth >= 3 and not _quadruple_conditions(presheaf, e4, projections, phi):
                 continue
             out.append((a, phi))
     return out
 
 
-def _quadruple_conditions(presheaf, cover, phi):
-    """All parallel composites of the gluing morphism over E^4 agree."""
-    e4 = cover.power(4)
+def _quadruple_conditions(presheaf, e4, projections, phi):
+    """All parallel composites of the gluing morphism over E^4 agree;
+    projections[(p, q)] is the site map E^4 -> E^2 onto coordinates p < q."""
     if not e4:
         return True
-    pulled = {}
-    for p in range(4):
-        for q in range(p + 1, 4):
-            alpha, cod = cover.projection(4, (p, q))
-            pulled[(p, q)] = presheaf.restrict_mor(alpha, cod, phi)
+    pulled = {
+        pq: presheaf.restrict_mor(alpha, cod, phi) for pq, (alpha, cod) in projections.items()
+    }
     comp = lambda g2, g1: presheaf.compose(e4, g2, g1)
     direct = pulled[(0, 3)]
     routes = [
@@ -711,10 +714,13 @@ def descent_groupoid(presheaf, cover, depth=2, budget=DEFAULT_BUDGET):
     over E x_B E satisfying normalization and the cocycle condition (and,
     at depth 3, the redundant quadruple conditions).  Morphisms are the
     morphisms of F(E) commuting with the gluings.  Everything is listed
-    explicitly, so this is for small presheaves; the cochain presheaf at
-    scale goes through cech_descent_skeleton instead.  The budget caps
-    the candidates of each search; a CapacityError carries the objects
-    (in the morphism search, the morphisms) found so far as partial.
+    explicitly, so this is for small presheaves: every gluing over
+    E x_B E is a candidate.  For the C3 torsor presheaf that is practical
+    up to covers (2,2) and (3,1), and for S3 up to (2,1); (3,2) has 3^13
+    gluing candidates for C3.  The cochain presheaf at scale goes through
+    cech_descent_skeleton instead.  The budget caps the candidates of each
+    search; a CapacityError carries the objects (in the morphism search,
+    the morphisms) found so far as partial.
     """
     if depth not in (2, 3):
         raise InputError("descent depth must be 2 or 3")
@@ -726,44 +732,66 @@ def descent_groupoid(presheaf, cover, depth=2, budget=DEFAULT_BUDGET):
     names = [f"z{i}" for i in range(len(objects))]
     morphisms = {}
     morphism_data = {}
-    lookup = {}
+    # h: a -> a2 is a morphism (a, phi) -> (a2, phi2) when d0*h o phi equals
+    # phi2 o d1*h.  Each side is computed once per (i, h) and per (j, h),
+    # when the search first reaches it: left[(i, a2)][k] and
+    # right[(j, a)][k] belong to the k-th h of homs(a, a2)
+    left, right = {}, {}
     steps = 0
     for i, (a, phi) in enumerate(objects):
         for j, (a2, phi2) in enumerate(objects):
-            for h in presheaf.homs(e, a, a2):
+            lrow = left.setdefault((i, a2), [])
+            rrow = right.setdefault((j, a), [])
+            for k, h in enumerate(presheaf.homs(e, a, a2)):
                 steps += 1
                 if steps > budget:
                     raise CapacityError(
                         f"descent morphism search passed {budget} candidates",
                         partial=len(morphisms),
                     )
-                left = presheaf.compose(
-                    e2, presheaf.restrict_mor(d0_1, cod0_1, h), phi
-                )
-                right = presheaf.compose(
-                    e2, phi2, presheaf.restrict_mor(d1_1, cod1_1, h)
-                )
-                if left != right:
+                if k == len(lrow):
+                    lrow.append(
+                        presheaf.compose(e2, presheaf.restrict_mor(d0_1, cod0_1, h), phi)
+                    )
+                if k == len(rrow):
+                    rrow.append(
+                        presheaf.compose(e2, phi2, presheaf.restrict_mor(d1_1, cod1_1, h))
+                    )
+                if lrow[k] != rrow[k]:
                     continue
                 name = f"h{len(morphisms)}"
                 morphisms[name] = (names[i], names[j])
                 morphism_data[name] = (i, j, h)
-                lookup[(i, j, h)] = name
+    # the morphisms of F(E) that occur, numbered in order of appearance;
+    # named[(i, j, b)] is the descent morphism z_i -> z_j over the b-th
+    number, hs = {}, []
+    for i, j, h in morphism_data.values():
+        if h not in number:
+            number[h] = len(hs)
+            hs.append(h)
+    named = {(i, j, number[h]): name for name, (i, j, h) in morphism_data.items()}
     identity = {}
     for i, (a, phi) in enumerate(objects):
-        key = (i, i, presheaf.identity(e, a))
-        if key not in lookup:
+        name = named.get((i, i, number.get(presheaf.identity(e, a))))
+        if name is None:
             raise ConsistencyError(f"identity of {names[i]} is not a descent morphism")
-        identity[names[i]] = lookup[key]
-    compose = {}
-    for n2, (j2, k, h2) in morphism_data.items():
-        for n1, (i, j1, h1) in morphism_data.items():
-            if j1 != j2:
-                continue
-            key = (i, k, presheaf.compose(e, h2, h1))
-            if key not in lookup:
+        identity[names[i]] = name
+    # the composable pairs (n2, n1): n1 ends where n2 starts.  h2 o h1 is
+    # computed once per pair of numbers, since each h recurs between
+    # other descent objects
+    into = [[] for _ in objects]
+    for n1, (i, j, h1) in morphism_data.items():
+        into[j].append((n1, i, number[h1]))
+    compose, composites = {}, {}
+    for n2, (j, k, h2) in morphism_data.items():
+        b2 = number[h2]
+        for n1, i, b1 in into[j]:
+            if (b2, b1) not in composites:
+                composites[(b2, b1)] = number.get(presheaf.compose(e, h2, hs[b1]))
+            name = named.get((i, k, composites[(b2, b1)]))
+            if name is None:
                 raise ConsistencyError("descent morphisms are not closed under composition")
-            compose[(n2, n1)] = lookup[key]
+            compose[(n2, n1)] = name
     gpd = FiniteGroupoid(tuple(names), morphisms, identity, compose)
     return DescentResult(gpd, objects, morphism_data)
 

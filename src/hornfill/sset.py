@@ -839,26 +839,6 @@ class SimplicialObject:
                         return kind, n, i
         return None
 
-    def _position(self, n, x):
-        if not 0 <= n <= self.level_cap:
-            raise InputError(f"level {n} outside [0, {self.level_cap}]")
-        p = self.position[n].get(x)
-        if p is None:
-            raise InputError(f"{x!r} is not an element of level {n}")
-        return p
-
-    def face(self, n, i, x):
-        p = self._position(n, x)
-        if not 0 <= i <= n or not n:
-            raise InputError(f"no face d_{i} at level {n}")
-        return self.levels[n - 1][self.faces[n][i][p]]
-
-    def deg(self, n, i, x):
-        p = self._position(n, x)
-        if not 0 <= i <= n or n == self.level_cap:
-            raise InputError(f"no degeneracy s_{i} from level {n} (level_cap {self.level_cap})")
-        return self.levels[n + 1][self.degs[n][i][p]]
-
     def restriction_table(self, n, subset):
         """Positions of the restrictions of all of level n along a subset
         of [n], into level len(subset) - 1; cached per (n, subset).  The
@@ -883,7 +863,10 @@ class SimplicialObject:
     def restrict(self, n, subset, x):
         """Restrict an n-simplex along a subset of [n], largest drops first."""
         table = self.restriction_table(n, subset)
-        return self.levels[len(set(subset)) - 1][table[self._position(n, x)]]
+        p = self.position[n].get(x)
+        if p is None:
+            raise InputError(f"{x!r} is not an element of level {n}")
+        return self.levels[len(set(subset)) - 1][table[p]]
 
     def face_index(self, n, positions=None):
         """Positions in level n keyed by the positions of their faces d_i,

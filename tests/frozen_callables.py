@@ -184,12 +184,14 @@ def product_callables(x, y, dim_cap=None):
         for n in range(cap + 1)
     ]
     tx, ty = x.table(cap), y.table(cap)
+    face_x, deg_x = callables_of(tx.levels, tx.faces, tx.degs)
+    face_y, deg_y = callables_of(ty.levels, ty.faces, ty.degs)
 
     def face(n, i, p):
-        return (tx.face(n, i, p[0]), ty.face(n, i, p[1]))
+        return (face_x(n, i, p[0]), face_y(n, i, p[1]))
 
     def deg(n, i, p):
-        return (tx.deg(n, i, p[0]), ty.deg(n, i, p[1]))
+        return (deg_x(n, i, p[0]), deg_y(n, i, p[1]))
 
     return levels, face, deg, lambda n, p: f"<{p[0]}|{p[1]}>"
 

@@ -77,6 +77,8 @@ from hornfill.sset import (
     vertices_of_standard_ref,
 )
 
+from frozen_callables import callables_of
+
 _CACHE = {}
 
 
@@ -361,16 +363,18 @@ def _oracle_torsor_comparison(action, level_cap=DEFAULT_LEVEL_CAP):
             out.append(action.act[(g, out[-1])])
         return tuple(out)
 
+    bar_face, bar_deg = callables_of(bar.levels, bar.faces, bar.degs)
+    cech_face, cech_deg = callables_of(cech.levels, cech.faces, cech.degs)
     commutes = True
     for n in range(1, level_cap + 1):
         for z in bar.levels[n]:
             for i in range(n + 1):
-                if cmp_n(n - 1, bar.face(n, i, z)) != cech.face(n, i, cmp_n(n, z)):
+                if cmp_n(n - 1, bar_face(n, i, z)) != cech_face(n, i, cmp_n(n, z)):
                     commutes = False
     for n in range(level_cap):
         for z in bar.levels[n]:
             for i in range(n + 1):
-                if cmp_n(n + 1, bar.deg(n, i, z)) != cech.deg(n, i, cmp_n(n, z)):
+                if cmp_n(n + 1, bar_deg(n, i, z)) != cech_deg(n, i, cmp_n(n, z)):
                     commutes = False
     levelwise = {}
     for n in range(level_cap + 1):

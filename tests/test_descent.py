@@ -40,7 +40,7 @@ from hornfill.descent import (
     _CechCensus,
 )
 from hornfill.errors import CapacityError, InputError
-from hornfill.groupoid import FiniteGroup, symmetric_group
+from hornfill.groupoid import FiniteGroup, groupoid_cardinality, symmetric_group
 
 GROUPS = all_small_groups()
 
@@ -224,18 +224,17 @@ def test_cech_skeleton_census_for_s3_over_three_two():
 
 
 def test_skeleton_matches_materialized_descent_groupoid():
-    for prof in [(1,), (2,), (2, 1)]:
-        cover = cover_of_shape(prof)
-        for gname in ("c2", "c3"):
-            g = GROUPS[gname]
-            skel = cech_descent_skeleton(g, cover)
-            desc = descent_groupoid(torsor_presheaf(g), cover)
-            assert len(desc.object_data) == skel.cocycle_count, (prof, gname)
-            comps = desc.groupoid.components()
-            assert len(comps) == skel.components
-            from hornfill.groupoid import groupoid_cardinality
-
-            assert groupoid_cardinality(desc.groupoid) == skel.cardinality
+    cases = [(g, prof) for g in ("c2", "c3")
+             for prof in [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]]
+    cases += [("s3", prof) for prof in [(1,), (2,), (1, 1)]]
+    for gname, prof in cases:
+        g, cover = GROUPS[gname], cover_of_shape(prof)
+        skel = cech_descent_skeleton(g, cover)
+        desc = descent_groupoid(torsor_presheaf(g), cover)
+        assert len(desc.object_data) == skel.cocycle_count, (prof, gname)
+        assert len(desc.groupoid.components()) == skel.components, (prof, gname)
+        assert len(desc.groupoid.hom("z0", "z0")) == skel.stabilizer_order, (prof, gname)
+        assert groupoid_cardinality(desc.groupoid) == skel.cardinality, (prof, gname)
 
 
 def test_descent_depth_three_adds_no_conditions():
@@ -637,6 +636,113 @@ class _TwoObjectBG(GroupoidPresheaf):
 
     def restrict_mor(self, alpha, cod, m):
         return m
+
+
+# the object search, morphism search and composition table that
+# descent_groupoid's rows replaced, kept as the oracle
+
+
+def _oracle_descent_objects(presheaf, cover, depth):
+    e = cover.e
+    e2 = cover.power(2)
+    d0_1, cod0_1 = cover.coface(1, 0)
+    d1_1, cod1_1 = cover.coface(1, 1)
+    diag, cod_diag = cover.diagonal()
+    cofaces_2 = [cover.coface(2, i) for i in range(3)]
+    out = []
+    for a in presheaf.objects(e):
+        a_src = presheaf.restrict_obj(d1_1, cod1_1, a)
+        a_tgt = presheaf.restrict_obj(d0_1, cod0_1, a)
+        for phi in presheaf.homs(e2, a_src, a_tgt):
+            if presheaf.restrict_mor(diag, cod_diag, phi) != presheaf.identity(e, a):
+                continue
+            (al0, c0), (al1, c1), (al2, c2) = cofaces_2
+            lhs = presheaf.restrict_mor(al1, c1, phi)
+            rhs = presheaf.compose(
+                cover.power(3),
+                presheaf.restrict_mor(al0, c0, phi),
+                presheaf.restrict_mor(al2, c2, phi),
+            )
+            if lhs != rhs:
+                continue
+            if depth >= 3 and not _oracle_quadruple_conditions(presheaf, cover, phi):
+                continue
+            out.append((a, phi))
+    return out
+
+
+def _oracle_quadruple_conditions(presheaf, cover, phi):
+    e4 = cover.power(4)
+    pulled = {}
+    for p in range(4):
+        for q in range(p + 1, 4):
+            alpha, cod = cover.projection(4, (p, q))
+            pulled[(p, q)] = presheaf.restrict_mor(alpha, cod, phi)
+    comp = lambda g2, g1: presheaf.compose(e4, g2, g1)
+    direct = pulled[(0, 3)]
+    routes = [
+        comp(pulled[(1, 3)], pulled[(0, 1)]),
+        comp(pulled[(2, 3)], pulled[(0, 2)]),
+        comp(pulled[(2, 3)], comp(pulled[(1, 2)], pulled[(0, 1)])),
+    ]
+    return all(r == direct for r in routes)
+
+
+def _oracle_descent_tables(presheaf, cover, depth):
+    """The descent groupoid's objects, morphisms, identities and
+    composition table: every site map is built where it is used, both
+    gluing composites are computed for every candidate (i, j, h), and the
+    composition table is scanned over all pairs of morphisms."""
+    e = cover.e
+    objects = _oracle_descent_objects(presheaf, cover, depth)
+    d0_1, cod0_1 = cover.coface(1, 0)
+    d1_1, cod1_1 = cover.coface(1, 1)
+    e2 = cover.power(2)
+    names = [f"z{i}" for i in range(len(objects))]
+    morphisms, morphism_data, lookup = {}, {}, {}
+    for i, (a, phi) in enumerate(objects):
+        for j, (a2, phi2) in enumerate(objects):
+            for h in presheaf.homs(e, a, a2):
+                left = presheaf.compose(e2, presheaf.restrict_mor(d0_1, cod0_1, h), phi)
+                right = presheaf.compose(e2, phi2, presheaf.restrict_mor(d1_1, cod1_1, h))
+                if left != right:
+                    continue
+                name = f"h{len(morphisms)}"
+                morphisms[name] = (names[i], names[j])
+                morphism_data[name] = (i, j, h)
+                lookup[(i, j, h)] = name
+    identity = {
+        names[i]: lookup[(i, i, presheaf.identity(e, a))] for i, (a, _) in enumerate(objects)
+    }
+    compose = {}
+    for n2, (j2, k, h2) in morphism_data.items():
+        for n1, (i, j1, h1) in morphism_data.items():
+            if j1 == j2:
+                compose[(n2, n1)] = lookup[(i, k, presheaf.compose(e, h2, h1))]
+    return objects, morphisms, morphism_data, identity, compose
+
+
+def test_descent_groupoid_matches_the_per_candidate_oracle():
+    cases = 0
+    for shape in ((1,), (2,), (1, 1), (2, 1)):
+        cover = cover_of_shape(shape)
+        for gname in ("c1", "c2", "c3"):
+            g = GROUPS[gname]
+            for presheaf in (torsor_presheaf(g), constant_bg_presheaf(g),
+                             DoubledBGPresheaf(g, cover.b), _TwoObjectBG(g)):
+                for depth in (2, 3):
+                    desc = descent_groupoid(presheaf, cover, depth=depth)
+                    objects, morphisms, morphism_data, identity, compose = (
+                        _oracle_descent_tables(presheaf, cover, depth)
+                    )
+                    where = (shape, gname, type(presheaf).__name__, depth)
+                    assert desc.object_data == objects, where
+                    assert desc.groupoid.mor == morphisms, where
+                    assert list(desc.morphism_data.items()) == list(morphism_data.items()), where
+                    assert desc.groupoid.identity == identity, where
+                    assert list(desc.groupoid.compose_table.items()) == list(compose.items()), where
+                    cases += 1
+    assert cases == 96
 
 
 class _CollapsingBG(_TwoObjectBG):

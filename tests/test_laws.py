@@ -7,10 +7,13 @@ per-structure checkers they replaced are kept below as oracles, verbatim
 apart from `self` becoming an argument, and both are run on every corpus
 category, 2-category and small group, on every single-entry mutation of
 their tables, and on each 2-category with its horizontal composition
-collapsed to identity 2-cells.
+collapsed to identity 2-cells.  On a descent groupoid with two objects,
+where associativity is checked row by row across hom sets, the two
+category checkers must also give the same message on every mutation.
 """
 
 import re
+from collections import Counter
 
 import pytest
 
@@ -20,7 +23,13 @@ from hornfill.cat import (
     one_object_two_group,
     walking_two_cell,
 )
-from hornfill.corpus import all_categories, all_small_groups, all_two_categories
+from hornfill.corpus import (
+    all_categories,
+    all_small_groups,
+    all_two_categories,
+    cover_of_shape,
+)
+from hornfill.descent import descent_groupoid, torsor_presheaf
 from hornfill.errors import ValidationError
 from hornfill.groupoid import FiniteGroup, cyclic_group, symmetric_group
 
@@ -255,6 +264,40 @@ def test_category_checker_agrees_with_the_old_one_on_every_mutation():
             assert (new is None) == (old is None), (name, new, old)
             mutants += 1
     assert mutants > 1000
+
+
+def _reversed_names(c):
+    """c with its morphisms renamed so that their sorted order reverses."""
+    mors = sorted(c.mor)
+    name = {m: f"m{len(mors) - k:02d}" for k, m in enumerate(mors)}
+    return FiniteCategory(
+        c.objects,
+        {name[m]: ends for m, ends in c.mor.items()},
+        {x: name[i] for x, i in c.identity.items()},
+        {(name[g], name[f]): name[gf] for (g, f), gf in c.compose_table.items()},
+    )
+
+
+def test_category_checker_gives_the_old_message_on_every_mutation_of_a_descent_groupoid():
+    # the C2 descent groupoid on cover (2, 1) has two objects and four
+    # morphisms in each hom set; each mutant sends one composite to another
+    # morphism of its hom set, so only the unit laws and associativity can
+    # fail.  Its identities sort first in each row, so the same groupoid is
+    # also mutated with its morphism names in reverse order.
+    gpd = descent_groupoid(torsor_presheaf(cyclic_group(2)), cover_of_shape((2, 1))).groupoid
+    assert (len(gpd.objects), len(gpd.mor)) == (2, 16)
+    for c in (gpd, _reversed_names(gpd)):
+        kinds = Counter()
+        for key, value in sorted(c.compose_table.items()):
+            for other in c.hom(*c.mor[value]):
+                if other == value:
+                    continue
+                table = {**c.compose_table, key: other}
+                m = FiniteCategory(c.objects, c.mor, c.identity, table, check=False)
+                new = _failure(m.validate)
+                assert new == _failure(lambda: old_category_validate(m)), (key, other)
+                kinds[new and new.split(" fails at ")[0]] += 1
+        assert kinds == {"associativity": 294, "right unit": 48, "left unit": 42}
 
 
 def test_group_checker_agrees_with_the_old_one_on_every_mutation():
