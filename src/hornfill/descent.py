@@ -332,8 +332,8 @@ class TruncationReport:
         return {"sizes": {str(k): v for k, v in self.sizes.items()}, "agree": self.agree}
 
 
-def truncation_agreement_sets(presheaf, cover, depth=3):
-    """Compare the descent limit computed over deeper and deeper truncations.
+def truncation_agreement_sets(presheaf, cover):
+    """Compare the descent limit computed over truncations of depth 1 to 3.
 
     A compatible family over the fibre-power diagram is pinned down by its
     component at E, so the limit over levels <= N is the set of elements of
@@ -341,13 +341,11 @@ def truncation_agreement_sets(presheaf, cover, depth=3):
     agree.  Levels beyond the first are redundant for set-valued presheaves;
     this makes that concrete instead of assuming it.
     """
-    if depth < 2:
-        raise InputError("truncation comparison starts at depth 2")
     e = cover.e
     fe = presheaf.value(e)
     sizes = {}
     survivors = list(fe)
-    for level in range(1, depth + 1):
+    for level in (1, 2, 3):
         n = level + 1
         projections = [cover.projection(n, (v,)) for v in range(n)]
         kept = []
@@ -648,24 +646,18 @@ class DescentResult:
         return f"z{i}"
 
 
-def _descent_objects(presheaf, cover, depth, budget):
+def _descent_objects(presheaf, cover, e2, d0_1, d1_1, budget):
+    """The gluings (a, phi) that satisfy normalization and the cocycle
+    condition; d0_1 and d1_1 are the cofaces E x_B E -> E."""
     e = cover.e
-    e2 = cover.power(2)
-    d0_1, cod0_1 = cover.coface(1, 0)
-    d1_1, cod1_1 = cover.coface(1, 1)
     diag, cod_diag = cover.diagonal()
     (al0, c0), (al1, c1), (al2, c2) = [cover.coface(2, i) for i in range(3)]
     e3 = cover.power(3)
-    if depth >= 3:
-        e4 = cover.power(4)
-        projections = {
-            (p, q): cover.projection(4, (p, q)) for p in range(4) for q in range(p + 1, 4)
-        }
     out = []
     steps = 0
     for a in presheaf.objects(e):
-        a_src = presheaf.restrict_obj(d1_1, cod1_1, a)
-        a_tgt = presheaf.restrict_obj(d0_1, cod0_1, a)
+        a_src = presheaf.restrict_obj(d1_1, e, a)
+        a_tgt = presheaf.restrict_obj(d0_1, e, a)
         for phi in presheaf.homs(e2, a_src, a_tgt):
             steps += 1
             if steps > budget:
@@ -681,11 +673,8 @@ def _descent_objects(presheaf, cover, depth, budget):
                 presheaf.restrict_mor(al0, c0, phi),
                 presheaf.restrict_mor(al2, c2, phi),
             )
-            if lhs != rhs:
-                continue
-            if depth >= 3 and not _quadruple_conditions(presheaf, e4, projections, phi):
-                continue
-            out.append((a, phi))
+            if lhs == rhs:
+                out.append((a, phi))
     return out
 
 
@@ -707,28 +696,27 @@ def _quadruple_conditions(presheaf, e4, projections, phi):
     return all(r == direct for r in routes)
 
 
-def descent_groupoid(presheaf, cover, depth=2, budget=DEFAULT_BUDGET):
+def descent_groupoid(presheaf, cover, budget=DEFAULT_BUDGET):
     """Materialize the groupoid of descent data for a cover.
 
     Objects are pairs (a, phi): an object of F(E) with a gluing morphism
-    over E x_B E satisfying normalization and the cocycle condition (and,
-    at depth 3, the redundant quadruple conditions).  Morphisms are the
-    morphisms of F(E) commuting with the gluings.  Everything is listed
-    explicitly, so this is for small presheaves: every gluing over
-    E x_B E is a candidate.  For the C3 torsor presheaf that is practical
-    up to covers (2,2) and (3,1), and for S3 up to (2,1); (3,2) has 3^13
-    gluing candidates for C3.  The cochain presheaf at scale goes through
-    cech_descent_skeleton instead.  The budget caps the candidates of each
-    search; a CapacityError carries the objects (in the morphism search,
-    the morphisms) found so far as partial.
+    over E x_B E satisfying normalization and the cocycle condition.
+    Morphisms are the morphisms of F(E) commuting with the gluings.  The
+    quadruple conditions over E^4 follow from these for a strict presheaf;
+    truncation_agreement_groupoids checks that on the built objects.
+    Everything is listed explicitly, so this is for small presheaves:
+    every gluing over E x_B E is a candidate.  For the C3 torsor presheaf
+    that is practical up to covers (2,2) and (3,1), and for S3 up to
+    (2,1); (3,2) has 3^13 gluing candidates for C3.  The cochain presheaf
+    at scale goes through cech_descent_skeleton instead.  The budget caps
+    the candidates of each search; a CapacityError carries the objects
+    (in the morphism search, the morphisms) found so far as partial.
     """
-    if depth not in (2, 3):
-        raise InputError("descent depth must be 2 or 3")
     e = cover.e
-    objects = _descent_objects(presheaf, cover, depth, budget)
-    d0_1, cod0_1 = cover.coface(1, 0)
-    d1_1, cod1_1 = cover.coface(1, 1)
     e2 = cover.power(2)
+    d0_1, _ = cover.coface(1, 0)
+    d1_1, _ = cover.coface(1, 1)
+    objects = _descent_objects(presheaf, cover, e2, d0_1, d1_1, budget)
     names = [f"z{i}" for i in range(len(objects))]
     morphisms = {}
     morphism_data = {}
@@ -751,11 +739,11 @@ def descent_groupoid(presheaf, cover, depth=2, budget=DEFAULT_BUDGET):
                     )
                 if k == len(lrow):
                     lrow.append(
-                        presheaf.compose(e2, presheaf.restrict_mor(d0_1, cod0_1, h), phi)
+                        presheaf.compose(e2, presheaf.restrict_mor(d0_1, e, h), phi)
                     )
                 if k == len(rrow):
                     rrow.append(
-                        presheaf.compose(e2, phi2, presheaf.restrict_mor(d1_1, cod1_1, h))
+                        presheaf.compose(e2, phi2, presheaf.restrict_mor(d1_1, e, h))
                     )
                 if lrow[k] != rrow[k]:
                     continue
@@ -843,10 +831,12 @@ def _products_condition(presheaf, cover, budget):
                     classes.union(i, j)
         return {x: classes.find(i) for i, x in enumerate(objs)}
 
+    # with no parts the product is the terminal groupoid, of one object
     total = 1
     for objs in part_objs:
         total *= len(objs)
-    if total > budget or len(objs_e) * max(len(p) + 1 for p in part_objs) > budget:
+    widest = max((len(p) + 1 for p in part_objs), default=2)
+    if total > budget or len(objs_e) * widest > budget:
         raise CapacityError(
             "parts condition would materialize too many objects", partial=0
         )
@@ -893,7 +883,7 @@ def _products_condition(presheaf, cover, budget):
     return ess and ff, witness
 
 
-def check_stack_groupoids(presheaf, cover, depth=2, budget=DEFAULT_BUDGET):
+def check_stack_groupoids(presheaf, cover, budget=DEFAULT_BUDGET):
     """Stack conditions for a groupoid-valued presheaf, by materialization.
 
     Condition (i): restriction to the parts is an equivalence onto the
@@ -902,7 +892,7 @@ def check_stack_groupoids(presheaf, cover, depth=2, budget=DEFAULT_BUDGET):
     values only; everything is enumerated.
     """
     products_ok, witness = _products_condition(presheaf, cover, budget)
-    desc = descent_groupoid(presheaf, cover, depth=depth, budget=budget)
+    desc = descent_groupoid(presheaf, cover, budget)
     e = cover.e
     e2 = cover.power(2)
     anchor, b = cover.anchor()
@@ -1387,13 +1377,18 @@ def truncation_agreement_cech(group, cover, budget=DEFAULT_BUDGET):
 
 
 def truncation_agreement_groupoids(presheaf, cover, budget=DEFAULT_BUDGET):
-    """Materialized depth-2 versus depth-3 descent data must coincide."""
-    d2 = descent_groupoid(presheaf, cover, depth=2, budget=budget)
-    d3 = descent_groupoid(presheaf, cover, depth=3, budget=budget)
-    agree = (
-        d2.object_data == d3.object_data
-        and len(d2.morphism_data) == len(d3.morphism_data)
-    )
-    return TruncationReport(
-        {2: len(d2.object_data), 3: len(d3.object_data)}, agree
-    )
+    """Depth-2 descent data already satisfy every quadruple condition.
+
+    The depth-2 groupoid is materialized once, with all its checks, and
+    its objects are filtered through the quadruple conditions over E^4.
+    Morphisms depend only on the objects, so depth 3 can only drop
+    objects: sizes counts the objects at each depth, and the truncations
+    agree when none is dropped.
+    """
+    objects = descent_groupoid(presheaf, cover, budget).object_data
+    e4 = cover.power(4)
+    projections = {
+        (p, q): cover.projection(4, (p, q)) for p in range(4) for q in range(p + 1, 4)
+    }
+    kept = sum(_quadruple_conditions(presheaf, e4, projections, phi) for _, phi in objects)
+    return TruncationReport({2: len(objects), 3: kept}, kept == len(objects))

@@ -25,12 +25,11 @@ from .sset import SimplicialObject, check_level_cap
 class FinMap:
     """A total map between explicit finite sets."""
 
-    def __init__(self, dom, cod, table, check=True):
+    def __init__(self, dom, cod, table):
         self.dom = tuple(sorted(dom))
         self.cod = tuple(sorted(cod))
         self.table = dict(table)
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         if set(self.table) != set(self.dom):
@@ -253,7 +252,7 @@ def groups_isomorphic(g, h, budget=DEFAULT_BUDGET):
 class GroupAction:
     """A left action of a finite group, optionally anchored over a base map."""
 
-    def __init__(self, group, carrier, act, base=None, check=True):
+    def __init__(self, group, carrier, act, base=None):
         self.group = group
         self.carrier = tuple(sorted(carrier))
         self.act = dict(act)
@@ -261,8 +260,7 @@ class GroupAction:
         if base is not None:
             b_set, pi = base
             self.base = (tuple(sorted(b_set)), dict(pi))
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         xs = set(self.carrier)

@@ -192,6 +192,21 @@ def test_stack_exit_codes(files, capsys):
     ) == 1
 
 
+def test_stack_on_the_empty_cover(files, capsys, tmp_path):
+    # the product over no parts is the terminal groupoid
+    empty = _write(tmp_path, "empty.json", {"E": [], "B": [], "pi": {}, "parts": []})
+    c1 = _write(tmp_path, "c1.json", io.group_to_json(all_small_groups()["c1"]))
+    stack = ["descent", "stack", empty, "--presheaf"]
+    assert main(stack + ["constant", "--group", files["c2"]]) == 1
+    data, _ = _json_out(capsys)
+    assert not data["products_ok"]
+    assert main(stack + ["constant", "--group", c1]) == 0
+    data, _ = _json_out(capsys)
+    assert data["is_stack"]
+    assert main(stack + ["doubled", "--group", files["c2"]]) == 2
+    assert "error: canonical image" in capsys.readouterr().err
+
+
 def test_cocycles_census(files, capsys):
     assert main(["descent", "cocycles", files["cover"], "--group", files["c2"]]) == 0
     data, _ = _json_out(capsys)

@@ -69,6 +69,8 @@ COMMANDS = {
     "two_category": [["cat", "duskin", "{x}", "--dim-cap", "2"]],
     "group": [
         ["descent", "stack", "{cover}", "--group", "{x}"],
+        ["descent", "stack", "{cover}", "--group", "{x}", "--presheaf", "constant"],
+        ["descent", "stack", "{cover}", "--group", "{x}", "--presheaf", "doubled"],
         ["descent", "cocycles", "{cover}", "--group", "{x}"],
         ["descent", "refine", "{cover}", "{refined}", "{map}", "--group", "{x}"],
     ],
@@ -81,6 +83,8 @@ COMMANDS = {
         ["grpd", "cech", "{x}", "--level-cap", "3"],
         ["descent", "sheaf", "{x}"],
         ["descent", "stack", "{x}", "--group", "{group}"],
+        ["descent", "stack", "{x}", "--group", "{group}", "--presheaf", "constant"],
+        ["descent", "stack", "{x}", "--group", "{group}", "--presheaf", "doubled"],
         ["descent", "cocycles", "{x}", "--group", "{group}"],
         ["descent", "refine", "{x}", "{refined}", "{map}", "--group", "{group}"],
         ["descent", "refine", "{cover}", "{x}", "{map}", "--group", "{group}"],

@@ -22,6 +22,7 @@ from hornfill.descent import (
     OpensMapPresheaf,
     RefinementReport,
     StackReport,
+    TorsorPresheaf,
     TruncationReport,
     cech_cocycles,
     cech_descent_skeleton,
@@ -688,13 +689,13 @@ def _oracle_quadruple_conditions(presheaf, cover, phi):
     return all(r == direct for r in routes)
 
 
-def _oracle_descent_tables(presheaf, cover, depth):
+def _oracle_descent_tables(presheaf, cover):
     """The descent groupoid's objects, morphisms, identities and
     composition table: every site map is built where it is used, both
     gluing composites are computed for every candidate (i, j, h), and the
     composition table is scanned over all pairs of morphisms."""
     e = cover.e
-    objects = _oracle_descent_objects(presheaf, cover, depth)
+    objects = _oracle_descent_objects(presheaf, cover, 2)
     d0_1, cod0_1 = cover.coface(1, 0)
     d1_1, cod1_1 = cover.coface(1, 1)
     e2 = cover.power(2)
@@ -723,26 +724,76 @@ def _oracle_descent_tables(presheaf, cover, depth):
 
 
 def test_descent_groupoid_matches_the_per_candidate_oracle():
-    cases = 0
+    tables = truncations = 0
     for shape in ((1,), (2,), (1, 1), (2, 1)):
         cover = cover_of_shape(shape)
         for gname in ("c1", "c2", "c3"):
             g = GROUPS[gname]
             for presheaf in (torsor_presheaf(g), constant_bg_presheaf(g),
                              DoubledBGPresheaf(g, cover.b), _TwoObjectBG(g)):
-                for depth in (2, 3):
-                    desc = descent_groupoid(presheaf, cover, depth=depth)
-                    objects, morphisms, morphism_data, identity, compose = (
-                        _oracle_descent_tables(presheaf, cover, depth)
-                    )
-                    where = (shape, gname, type(presheaf).__name__, depth)
-                    assert desc.object_data == objects, where
-                    assert desc.groupoid.mor == morphisms, where
-                    assert list(desc.morphism_data.items()) == list(morphism_data.items()), where
-                    assert desc.groupoid.identity == identity, where
-                    assert list(desc.groupoid.compose_table.items()) == list(compose.items()), where
-                    cases += 1
-    assert cases == 96
+                where = (shape, gname, type(presheaf).__name__)
+                desc = descent_groupoid(presheaf, cover)
+                objects, morphisms, morphism_data, identity, compose = (
+                    _oracle_descent_tables(presheaf, cover)
+                )
+                assert desc.object_data == objects, where
+                assert desc.groupoid.mor == morphisms, where
+                assert list(desc.morphism_data.items()) == list(morphism_data.items()), where
+                assert desc.groupoid.identity == identity, where
+                assert list(desc.groupoid.compose_table.items()) == list(compose.items()), where
+                tables += 1
+                sizes = {
+                    depth: len(_oracle_descent_objects(presheaf, cover, depth))
+                    for depth in (2, 3)
+                }
+                report = truncation_agreement_groupoids(presheaf, cover)
+                assert report == TruncationReport(sizes, sizes[2] == sizes[3]), where
+                truncations += 1
+    assert (tables, truncations) == (48, 48)
+
+
+class _TwistedTorsor(TorsorPresheaf):
+    """The torsor presheaf with its composition over E^4 multiplied by a
+    fixed element: not strict, so depth-2 descent data can fail the
+    quadruple conditions."""
+
+    def __init__(self, group, twist, cover):
+        super().__init__(group)
+        self.twist = twist
+        self.e4 = cover.power(4)
+
+    def compose(self, s, g2, g1):
+        out = super().compose(s, g2, g1)
+        if tuple(s) != self.e4:
+            return out
+        return tuple((x, self.group.mul[(self.twist, g)]) for x, g in out)
+
+
+def test_truncation_agreement_groupoids_reports_objects_dropped_at_depth_three():
+    c2 = GROUPS["c2"]
+    expected = {(1,): {2: 1, 3: 0}, (2,): {2: 2, 3: 0}, (2, 1): {2: 2, 3: 0}}
+    for shape, sizes in expected.items():
+        cover = cover_of_shape(shape)
+        presheaf = _TwistedTorsor(c2, "c1", cover)
+        oracle = {
+            depth: len(_oracle_descent_objects(presheaf, cover, depth)) for depth in (2, 3)
+        }
+        assert oracle == sizes, shape
+        report = truncation_agreement_groupoids(presheaf, cover)
+        assert report == TruncationReport(sizes, False), shape
+
+
+def test_truncation_agreement_groupoids_builds_one_descent_groupoid(monkeypatch):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return descent_groupoid(*args, **kwargs)
+
+    monkeypatch.setattr("hornfill.descent.descent_groupoid", counted)
+    report = truncation_agreement_groupoids(torsor_presheaf(GROUPS["c2"]), cover_of_shape((2, 1)))
+    assert report == TruncationReport({2: 2, 3: 2}, True)
+    assert len(builds) == 1
 
 
 class _CollapsingBG(_TwoObjectBG):
