@@ -22,10 +22,12 @@ def main():
     ap.add_argument("--max-parts", type=int, default=3)
     args = ap.parse_args()
 
+    # one instance per group, so each keeps its fibre censuses across shapes
+    groups = all_small_groups()
     print("profile        group  |Z1|  orbits  |stab|  cardinality  predicted")
     for prof in cover_shapes(args.max_points, max_parts=args.max_parts):
         cover = cover_of_shape(prof)
-        for gname, g in all_small_groups().items():
+        for gname, g in groups.items():
             rep = cech_descent_skeleton(g, cover)
             predicted = Fraction(1, g.order() ** len(cover.b))
             flag = "" if rep.cardinality == predicted and rep.components == 1 else " *"

@@ -90,6 +90,7 @@ class FiniteCategory:
         self.identity = dict(identity)
         self.compose_table = dict(compose)
         self._hom = {}
+        self._nerve2 = None  # the 2-truncated nerve, built by enumerate_functors
         if check:
             self.validate()
 
@@ -253,7 +254,10 @@ def enumerate_functors(c, d, budget=DEFAULT_BUDGET):
     `enumerate_maps`: the budget counts its trials, and a CapacityError
     carries the number of functors found as partial.
     """
-    nc, nd = nerve(c, dim_cap=2), nerve(d, dim_cap=2)
+    for cat in (c, d):
+        if cat._nerve2 is None:
+            cat._nerve2 = nerve(cat, dim_cap=2)
+    nc, nd = c._nerve2, d._nerve2
     # a nerve's level model is in its set's order
     elem = {ref: x for n in (0, 1) for x, ref in zip(nd.model.levels[n], nd.sset.simplices(n))}
     vertex = {x: nc.model.ref_of[(0, x)].gen for x in c.objects}

@@ -25,14 +25,15 @@ cocycles (rebuilt from the root row), its coboundary orbits (search
 under generator twists) and its stabilizers (one candidate per value
 at the root, each verified), on an integer table of G.  Components,
 stabilizer orders and the groupoid cardinality are products of the
-fibre counts.  One such census is built per call and shared by every
-check the call makes; the materialized descent_groupoid stays as the
-independent route for small covers.
+fibre counts.  Fibre censuses are kept per (group, fibre size) on the
+group, shared by every fibre, cover and call; the materialized
+descent_groupoid stays as the independent route for small covers.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .config import DEFAULT_BUDGET
@@ -43,6 +44,10 @@ from .groupoid import FiniteGroupoid
 
 # ---------------------------------------------------------------------------
 # covers over the surjection site
+
+
+class _Base(tuple):
+    """B as a site object, told from E by its type even on the same points."""
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,7 @@ class Cover:
 
     def anchor(self):
         """Site map E -> B."""
-        return dict(self.pi), self.b
+        return dict(self.pi), _Base(self.b)
 
     def to_json(self):
         data = {
@@ -209,6 +214,11 @@ class ConstantPresheaf(SetPresheaf):
         return elem
 
 
+def _is_base(obj, b):
+    """Is obj the base b of a cover, as the target of its anchor?"""
+    return isinstance(obj, _Base) and obj == b
+
+
 class DoubledGlobalPresheaf(MapPresheaf):
     """Functions everywhere, but F(B) = values x values, forgetting the
     second coordinate on restriction.  Passes the parts condition and
@@ -220,12 +230,12 @@ class DoubledGlobalPresheaf(MapPresheaf):
         self.b = tuple(b)
 
     def value(self, obj):
-        if tuple(obj) == self.b:
+        if _is_base(obj, self.b):
             return tuple(itertools.product(self.values, repeat=2))
         return super().value(obj)
 
     def restrict(self, alpha, cod, elem):
-        if tuple(cod) == self.b:
+        if _is_base(cod, self.b):
             return tuple(sorted((s, elem[0]) for s in alpha))
         return super().restrict(alpha, cod, elem)
 
@@ -594,19 +604,16 @@ class DoubledBGPresheaf(GroupoidPresheaf):
         self.group = group
         self.b = tuple(b)
 
-    def _is_base(self, s):
-        return tuple(s) == self.b
-
     def objects(self, s):
         return ("*",)
 
     def homs(self, s, a, b):
-        if self._is_base(s):
+        if _is_base(s, self.b):
             return tuple(itertools.product(self.group.elements, repeat=2))
         return tuple(self.group.elements)
 
     def compose(self, s, g2, g1):
-        if self._is_base(s):
+        if _is_base(s, self.b):
             return (
                 self.group.mul[(g2[0], g1[0])],
                 self.group.mul[(g2[1], g1[1])],
@@ -615,13 +622,13 @@ class DoubledBGPresheaf(GroupoidPresheaf):
 
     def identity(self, s, a):
         e = self.group.identity()
-        return (e, e) if self._is_base(s) else e
+        return (e, e) if _is_base(s, self.b) else e
 
     def restrict_obj(self, alpha, cod, a):
         return "*"
 
     def restrict_mor(self, alpha, cod, m):
-        return m[0] if tuple(cod) == self.b else m
+        return m[0] if _is_base(cod, self.b) else m
 
 
 def torsor_presheaf(group):
@@ -968,7 +975,8 @@ class _IntGroup:
 
     mul[a][b] is the index of a.b and col[b][a] the same product read by
     its right factor; inv, e and gens are the inverses, the identity and
-    the group's generating sequence as indices.
+    the group's generating sequence as indices.  fibres[k] is the census
+    of a fibre of k points, shared by every fibre of that size.
     """
 
     def __init__(self, group):
@@ -981,10 +989,11 @@ class _IntGroup:
         self.inv = [index[group.inverse(a)] for a in group.elements]
         self.e = index[group.identity()]
         self.gens = [index[s] for s in group.generating_sequence()]
+        self.fibres = {}
 
 
 class _Fibre:
-    """Cocycles, coboundary orbits and stabilizers on one fibre of a cover.
+    """Cocycles, coboundary orbits and stabilizers on a fibre of k points.
 
     With the fibre's points x_0..x_{k-1} (x_0 is the root), a cocycle is a
     tuple of k*k group indices, position i*k + j holding g[x_i, x_j], and a
@@ -992,45 +1001,50 @@ class _Fibre:
     root row, g[x, y] = g[r, y] g[r, x]^-1, so the cocycles are listed by
     root row and each table is verified once.  A cochain h fixes a cocycle
     exactly when h[y] = g[r, y] h[r] g[r, y]^-1, so a stabilizer has one
-    candidate per value of h[r], each verified by the twist.
+    candidate per value of h[r], each verified by the twist.  The points
+    only name a failed check; stabilizers are computed on first use.
     """
 
-    def __init__(self, ig, points, spend):
+    def __init__(self, ig, points):
         self.ig = ig
-        self.points = points
-        k = len(points)
-        n = len(ig.elements)
+        self.k = k = len(points)
         mul, inv, e = ig.mul, ig.inv, ig.e
-        spend(n ** (k - 1), "cocycles")
         self.cocycles = []
-        for rest in itertools.product(range(n), repeat=k - 1):
+        for rest in itertools.product(range(len(ig.elements)), repeat=k - 1):
             row = (e,) + rest
             self.cocycles.append(tuple(mul[b][inv[a]] for a in row for b in row))
-        self._verify()
+        self._verify(points)
         self.index = {c: i for i, c in enumerate(self.cocycles)}
         self.orbits, self.orbit_of = self._orbits()
-        spend(n * (len(self.orbits) + 1), "stabilizer candidates")
-        self.orbit_stabilizer_orders = [
-            len(self.stabilizer(self.cocycles[orbit[0]])) for orbit in self.orbits
-        ]
-        self.trivial_stabilizer = self.stabilizer((e,) * (k * k))
 
-    def _verify(self):
+    @cached_property
+    def orbit_stabilizer_orders(self):
+        return [len(self.stabilizer(self.cocycles[orbit[0]])) for orbit in self.orbits]
+
+    @cached_property
+    def trivial_stabilizer(self):
+        return self.stabilizer((self.ig.e,) * (self.k * self.k))
+
+    @cached_property
+    def quadruples_agree(self):
+        return all(self.quadruples_hold(c) for c in self.cocycles)
+
+    def _verify(self, points):
         """Normalization, and g[y,z] g[x,y] = g[x,z] as row x = row y . g[x,y]."""
-        k = len(self.points)
+        k = self.k
         col, e = self.ig.col, self.ig.e
         for c in self.cocycles:
             rows = [c[i * k:(i + 1) * k] for i in range(k)]
             for x in range(k):
                 if rows[x][x] != e:
                     raise ConsistencyError(
-                        f"reconstructed cocycle is not the identity at {self.points[x]!r}"
+                        f"reconstructed cocycle is not the identity at {points[x]!r}"
                     )
                 for y in range(k):
                     composed = tuple(map(col[rows[x][y]].__getitem__, rows[y]))
                     if composed != rows[x]:
                         z = next(z for z in range(k) if composed[z] != rows[x][z])
-                        names = tuple(self.points[i] for i in (x, y, z))
+                        names = tuple(points[i] for i in (x, y, z))
                         raise ConsistencyError(
                             "reconstructed cocycle fails g[y,z] g[x,y] = g[x,z]"
                             " at (%r, %r, %r)" % names
@@ -1038,7 +1052,7 @@ class _Fibre:
 
     def twist(self, h, c):
         """The cochain h acting on the cocycle c: g[x,y] -> h[y] g[x,y] h[x]^-1."""
-        k = len(self.points)
+        k = self.k
         mul, inv = self.ig.mul, self.ig.inv
         return tuple(
             mul[mul[h[j]][c[i * k + j]]][inv[h[i]]] for i in range(k) for j in range(k)
@@ -1051,7 +1065,7 @@ class _Fibre:
         column x by s on the left; each move is kept as one value table
         per position, so a twist is one pass over the cocycle.
         """
-        k = len(self.points)
+        k = self.k
         ig = self.ig
         unmoved = list(range(len(ig.elements)))
         moves = []
@@ -1089,7 +1103,7 @@ class _Fibre:
     def stabilizer(self, c):
         """The cochains on the fibre that fix the cocycle c."""
         mul, inv = self.ig.mul, self.ig.inv
-        root_row = c[:len(self.points)]
+        root_row = c[:self.k]
         out = []
         for a in range(len(self.ig.elements)):
             h = tuple(mul[mul[g][a]][inv[g]] for g in root_row)
@@ -1099,7 +1113,7 @@ class _Fibre:
 
     def quadruples_hold(self, c):
         """g[w,z] = g[x,z] g[w,x] = g[y,z] g[x,y] g[w,x] on every quadruple."""
-        k = len(self.points)
+        k = self.k
         mul, col = self.ig.mul, self.ig.col
         rows = [c[i * k:(i + 1) * k] for i in range(k)]
         for w in range(k):
@@ -1120,19 +1134,29 @@ class _CechCensus:
     The cochain group G^E and the set of cocycles are both products over
     the fibres of pi, and the twist acts fibre by fibre, so coboundary
     orbits and stabilizers are products too: the census keeps one _Fibre
-    per base point, in the order of cover.b, and reads every count off as
-    a product.  The budget caps the candidates enumerated, that is fibre
-    cocycles, stabilizer candidates (|G| per stabilizer) and any product
-    list built on top; CapacityError.partial is the number of fibres done.
+    per base point, in the order of cover.b, and its points in points; the
+    _Fibre is the one the group keeps for that fibre size.  The budget caps
+    the candidates enumerated, that is fibre cocycles, stabilizer
+    candidates (|G| per stabilizer) and any product list built on top, and
+    is charged as if each _Fibre were built anew; CapacityError.partial is
+    the number of fibres done.
     """
 
     def __init__(self, group, cover, budget):
-        self.ig = _IntGroup(group)
+        if group._cech is None:
+            group._cech = _IntGroup(group)
+        self.ig = ig = group._cech
         self.budget = budget
         self.spent = 0
         self.fibres = []
-        for points in cover.fibers().values():
-            self.fibres.append(_Fibre(self.ig, points, self.spend))
+        self.points = list(cover.fibers().values())
+        for points in self.points:
+            k, n = len(points), len(ig.elements)
+            self.spend(n ** (k - 1), "cocycles")
+            if k not in ig.fibres:
+                ig.fibres[k] = _Fibre(ig, points)
+            self.spend(n * (len(ig.fibres[k].orbits) + 1), "stabilizer candidates")
+            self.fibres.append(ig.fibres[k])
 
     def spend(self, candidates, what):
         self.spent += candidates
@@ -1195,10 +1219,10 @@ def cech_cocycles(group, cover, budget=DEFAULT_BUDGET):
     census = _CechCensus(group, cover, budget)
     pairs = _same_fiber_pairs(cover)
     slot = {}
-    for fi, f in enumerate(census.fibres):
-        k = len(f.points)
-        for i, x in enumerate(f.points):
-            for j, y in enumerate(f.points):
+    for fi, points in enumerate(census.points):
+        k = len(points)
+        for i, x in enumerate(points):
+            for j, y in enumerate(points):
                 slot[(x, y)] = (fi, i * k + j)
     slots = [slot[p] for p in pairs]
     census.spend(census.cocycle_count, "the cocycle list")
@@ -1277,7 +1301,7 @@ def cech_stack_report(group, cover, budget=DEFAULT_BUDGET):
     order = len(census.ig.elements)
     ff = all(
         _restriction_is_bijective(
-            [(a,) * len(f.points) for a in range(order)], f.trivial_stabilizer
+            [(a,) * f.k for a in range(order)], f.trivial_stabilizer
         )
         for f in census.fibres
     )
@@ -1333,10 +1357,10 @@ def refinement_invariance(group, cover, refined, r, budget=DEFAULT_BUDGET):
     census = _CechCensus(group, cover, budget)
     census2 = _CechCensus(group, refined, budget)
     ess = ff = True
-    for f, f2 in zip(census.fibres, census2.fibres):
-        at = {x: i for i, x in enumerate(f.points)}
-        rpos = [at[r[x]] for x in f2.points]
-        k = len(f.points)
+    for fi, (f, f2) in enumerate(zip(census.fibres, census2.fibres)):
+        at = {x: i for i, x in enumerate(census.points[fi])}
+        rpos = [at[r[x]] for x in census2.points[fi]]
+        k = f.k
         hit = {
             f2.orbit_of[f2.index[tuple(c[i * k + j] for i in rpos for j in rpos)]]
             for c in f.cocycles
@@ -1368,10 +1392,10 @@ def truncation_agreement_cech(group, cover, budget=DEFAULT_BUDGET):
 
     Every quadruple of E^4 lies in one fibre and every cocycle restricts
     to a cocycle on each fibre, so the conditions are checked once per
-    fibre-local cocycle instead of once per cocycle of the whole cover.
+    fibre census that the group keeps, not once per cocycle of the cover.
     """
     census = _CechCensus(group, cover, budget)
-    agree = all(f.quadruples_hold(c) for f in census.fibres for c in f.cocycles)
+    agree = all(f.quadruples_agree for f in census.fibres)
     count = census.cocycle_count
     return TruncationReport({2: count, 3: count if agree else -1}, agree)
 

@@ -54,6 +54,7 @@ class FiniteGroup:
         self.mul = dict(mul)
         self._identity = None
         self._inverse = {}
+        self._cech = None  # descent's integer table, with its fibre censuses
         if check:
             self.validate()
 

@@ -203,8 +203,19 @@ def test_stack_on_the_empty_cover(files, capsys, tmp_path):
     assert main(stack + ["constant", "--group", c1]) == 0
     data, _ = _json_out(capsys)
     assert data["is_stack"]
-    assert main(stack + ["doubled", "--group", files["c2"]]) == 2
-    assert "error: canonical image" in capsys.readouterr().err
+
+
+def test_doubled_stack_on_the_empty_cover_matches_constant(files, capsys, tmp_path):
+    # E and B are both empty there: the base is told by its role, not its points
+    empty = _write(tmp_path, "empty.json", {"E": [], "B": [], "pi": {}, "parts": []})
+    c1 = _write(tmp_path, "c1.json", io.group_to_json(all_small_groups()["c1"]))
+    stack = ["descent", "stack", empty, "--presheaf"]
+    for group, code in ((c1, 0), (files["c2"], 1)):
+        verdicts = []
+        for presheaf in ("constant", "doubled"):
+            assert main(stack + [presheaf, "--group", group]) == code
+            verdicts.append(_json_out(capsys)[0]["products_ok"])
+        assert verdicts == [code == 0] * 2
 
 
 def test_cocycles_census(files, capsys):

@@ -39,6 +39,7 @@ from hornfill.descent import (
     truncation_agreement_groupoids,
     truncation_agreement_sets,
     _CechCensus,
+    _Fibre,
 )
 from hornfill.errors import CapacityError, InputError
 from hornfill.groupoid import FiniteGroup, groupoid_cardinality, symmetric_group
@@ -571,8 +572,8 @@ def test_trivial_cocycle_stabilizer_is_exactly_the_fibre_constant_cochains():
             found = {
                 tuple(sorted(
                     (x, g.elements[v])
-                    for f, h in zip(census.fibres, hs)
-                    for x, v in zip(f.points, h)
+                    for points, h in zip(census.points, hs)
+                    for x, v in zip(points, h)
                 ))
                 for hs in itertools.product(*(f.trivial_stabilizer for f in census.fibres))
             }
@@ -611,6 +612,104 @@ def test_census_budget_counts_candidates_and_reports_fibres_done():
         cech_cocycles(g, cover, budget=66 + 215)
     assert info.value.partial == 2
     assert len(cech_cocycles(g, cover, budget=66 + 216)[0]) == 216
+
+
+def _fresh(group):
+    """A copy of the group rebuilt from its elements and table, with no
+    fibre census kept yet."""
+    return FiniteGroup(group.elements, group.mul)
+
+
+def _count_fibre_builds(monkeypatch):
+    """The (integer group, fibre size) of every fibre census built."""
+    built = []
+    build = _Fibre.__init__
+
+    def counting(self, ig, points):
+        built.append((ig, len(points)))
+        build(self, ig, points)
+
+    monkeypatch.setattr(_Fibre, "__init__", counting)
+    return built
+
+
+def _cech_ops():
+    """(name, op on a group) for every Cech check on every shape and
+    suite-8 refinement."""
+    for prof in SHAPES:
+        cover = cover_of_shape(prof)
+        for op in (cech_descent_skeleton, cech_stack_report, truncation_agreement_cech,
+                   cech_cocycles):
+            yield (op.__name__, prof), lambda g, op=op, cover=cover: op(g, cover)
+    for cover, refined, r in _suite_8_refinements():
+        yield ("refinement", cover.e, refined.e), (
+            lambda g, cover=cover, refined=refined, r=r: refinement_invariance(
+                g, cover, refined, r))
+
+
+def test_each_group_builds_one_fibre_census_per_fibre_size(monkeypatch):
+    built = _count_fibre_builds(monkeypatch)
+    groups = {gname: _fresh(g) for gname, g in GROUPS.items()}
+    for _, op in _cech_ops():
+        for g in groups.values():
+            op(g)
+    sizes = {size for prof in SHAPES for size in prof}
+    expected = {(g._cech, size) for g in groups.values() for size in sizes}
+    assert len(built) == len(set(built)) == len(expected) == 8 * 5
+    assert set(built) == expected
+    built.clear()
+    cech_descent_skeleton(_fresh(GROUPS["s3"]), cover_of_shape((1, 1, 1)))
+    assert [size for _, size in built] == [1]
+
+
+def test_kept_fibre_censuses_give_what_a_fresh_group_gives():
+    for gname, g in GROUPS.items():
+        for fresh_first in (True, False):
+            warmed = _fresh(g)
+            for _, op in _cech_ops():
+                op(warmed)
+            for name, op in _cech_ops():
+                if fresh_first:
+                    want = op(_fresh(g))
+                    got = op(warmed)
+                else:
+                    got = op(warmed)
+                    want = op(_fresh(g))
+                assert got == want, (gname, name, fresh_first)
+
+
+def test_census_budget_is_charged_alike_with_and_without_kept_censuses():
+    g, cover = _fresh(GROUPS["s3"]), cover_of_shape((3, 2))
+
+    def refusals():
+        out = []
+        for budget in (1, 47, 48, 65):
+            with pytest.raises(CapacityError) as info:
+                cech_descent_skeleton(g, cover, budget=budget)
+            out.append((budget, str(info.value), info.value.partial))
+        assert cech_descent_skeleton(g, cover, budget=66).equivalent_to_bg_power
+        with pytest.raises(CapacityError) as info:
+            cech_cocycles(g, cover, budget=66 + 215)
+        out.append((66 + 215, str(info.value), info.value.partial))
+        assert len(cech_cocycles(g, cover, budget=66 + 216)[0]) == 216
+        return out
+
+    cold = refusals()
+    assert sorted(g._cech.fibres) == [2, 3]
+    assert refusals() == cold
+    assert [(budget, partial) for budget, _, partial in cold] == [
+        (1, 0), (47, 0), (48, 1), (65, 1), (66 + 215, 2)
+    ]
+
+
+def test_doubled_presheaves_tell_the_base_from_a_cover_on_the_same_points():
+    # E and B hold the same point; only the base carries the doubled value
+    cover = Cover(("a",), ("a",), {"a": "a"})
+    sheaf = check_sheaf_sets(DoubledGlobalPresheaf(("c0", "c1"), cover.b), cover)
+    assert sheaf.products_ok and not sheaf.equalizer_injective
+    stack = check_stack_groupoids(DoubledBGPresheaf(GROUPS["c2"], cover.b), cover)
+    assert stack.products_ok and stack.descent_objects == 1
+    assert not stack.fully_faithful
 
 
 class _TwoObjectBG(GroupoidPresheaf):
