@@ -6,13 +6,14 @@ fails as InputError before any construction work starts.
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .cat import Finite2Category, FiniteCategory
 from .descent import Cover
 from .errors import InputError
 from .groupoid import FiniteGroup, GroupAction
-from .sset import SimplexRef, SimplicialSet
+from .sset import SimplexRef, SimplicialSet, _json_pair
 
 
 def dumps(data):
@@ -67,21 +68,46 @@ def sset_to_json(x):
     return {"dim_cap": x.dim_cap, "generators": gens, "faces": faces}
 
 
+def _dimension(key):
+    """A generator dimension key: a non-negative integer written plainly,
+    so that no two keys name one dimension."""
+    if not (isinstance(key, str) and re.fullmatch("0|[1-9][0-9]*", key)):
+        raise InputError(f"generators must map dimensions to id lists; {key!r} is no dimension")
+    return int(key)
+
+
+def _face_refs(refs, known):
+    """The SimplexRefs of a JSON face list, each distinct one built once
+    per load and kept in `known`: a string ref keyed by the string, a
+    degenerate ref by (gen, degs) only after this occurrence has passed
+    its own checks, so a bool or a float in a word is refused every time."""
+    out = []
+    for r in refs:
+        if isinstance(r, str):
+            ref = known.get(r)
+            if ref is None:
+                ref = known[r] = SimplexRef(r)
+        else:
+            key = _json_pair(r)
+            ref = known.get(key)
+            if ref is None:
+                ref = known[key] = SimplexRef(*key)
+        out.append(ref)
+    return out
+
+
 def sset_from_json(data):
     keys = ("dim_cap", "generators", "faces")
     _require(data, keys, "simplicial set")
     _only(data, keys, "simplicial set")
     if not isinstance(data["generators"], dict) or not isinstance(data["faces"], dict):
         raise InputError("simplicial set generators and faces must be JSON objects")
-    try:
-        generators = {int(d): _ids(ids, "generators") for d, ids in data["generators"].items()}
-    except ValueError:
-        raise InputError("generators must map dimensions to id lists")
-    faces = {}
+    generators = {_dimension(d): _ids(ids, "generators") for d, ids in data["generators"].items()}
+    faces, known = {}, {}
     for g, refs in data["faces"].items():
         if not isinstance(refs, list):
             raise InputError(f"faces of {g!r} must be a list")
-        faces[g] = [SimplexRef.from_json(r) for r in refs]
+        faces[g] = _face_refs(refs, known)
     return SimplicialSet(data["dim_cap"], generators, faces)
 
 

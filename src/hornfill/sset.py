@@ -10,9 +10,11 @@ whose level n is `simplices(n)`: a `SimplicialObject`, built from rows of
 positions (`faces[n][i][p]`, `degs[n][i][p]`), never from callables.  The
 calculus below emits its rows once, a block of degeneracy words at a time,
 or a `LevelModel` shares its own rows; everything else reads positions in
-it.  Maps, isomorphisms and (through nerves) functors are found by one
-search, `_map_search`, that gives each source generator a target simplex
-by one face-index lookup on those positions.
+it.  A checked set builds the levels below its top generator dimension
+while `validate` checks it on them, and keeps them.  Maps, isomorphisms
+and (through nerves) functors are found by one search, `_map_search`,
+that gives each source generator a target simplex by one face-index
+lookup on those positions.
 
 All sets are truncated at `dim_cap`.  Everything here is exact enumeration
 over finite data; there is no tolerance parameter anywhere.
@@ -28,6 +30,7 @@ Operator identities used by the calculus (operators act on the left):
 
 import functools
 import itertools
+import operator
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -59,17 +62,27 @@ class SimplexRef(namedtuple("SimplexRef", ("gen", "degs"), defaults=((),))):
     def from_json(obj):
         if isinstance(obj, str):
             return SimplexRef(obj)
-        if (
-            isinstance(obj, dict) and set(obj) == {"gen", "deg"}
-            and isinstance(obj["gen"], str) and isinstance(obj["deg"], list)
-        ):
-            degs = tuple(obj["deg"])
-            if not all(type(j) is int and j >= 0 for j in degs):
-                raise InputError(f"bad degeneracy word {obj['deg']!r}")
-            if any(a <= b for a, b in zip(degs, degs[1:])):
-                raise InputError(f"degeneracy word not strictly decreasing: {obj['deg']!r}")
-            return SimplexRef(obj["gen"], degs)
-        raise InputError(f"bad simplex reference {obj!r}")
+        return SimplexRef(*_json_pair(obj))
+
+
+_INT = frozenset((int,))
+
+
+def _json_pair(obj):
+    """(gen, degs) of a JSON degenerate ref {"gen": id, "deg": word}, whose
+    word must be strictly decreasing non-negative integers (no bools, no
+    floats); an InputError for anything else."""
+    if (
+        isinstance(obj, dict) and obj.keys() == {"gen", "deg"}
+        and isinstance(obj["gen"], str) and isinstance(obj["deg"], list)
+    ):
+        degs = tuple(obj["deg"])
+        if not _INT.issuperset(map(type, degs)) or min(degs, default=0) < 0:
+            raise InputError(f"bad degeneracy word {obj['deg']!r}")
+        if any(map(operator.le, degs, degs[1:])):
+            raise InputError(f"degeneracy word not strictly decreasing: {obj['deg']!r}")
+        return obj["gen"], degs
+    raise InputError(f"bad simplex reference {obj!r}")
 
 
 def insert_degeneracy(degs, j):
@@ -260,32 +273,39 @@ class SimplicialSet:
             raise InputError(f"dimension {top} outside [0, {self.dim_cap}]")
         table = self._level_table
         if table is None:
-            table = self._level_table = SimplicialObject(
-                0, [self._normal_forms(0)], [()], (), check=False
-            )
+            table = self._level_table = self._level_zero()
         while table.level_cap < top:
             n = table.level_cap + 1
-            table.add_level(self._normal_forms(n), *self._rows(table, n))
+            table.add_level(self._normal_forms(n), *self._rows(table, n, self._own_rows(table, n)))
         return table
 
-    def _rows(self, table, n):
+    def _level_zero(self):
+        return SimplicialObject(0, [self._normal_forms(0)], [()], (), check=False)
+
+    def _own_rows(self, table, n):
+        """The rows of d_i on the generators of dimension n: each face's
+        position in level n - 1 of `table`, None where it names no
+        (n - 1)-simplex."""
+        at = table.position[n - 1]
+        faces = [self.gen_faces[g] for g in self.gens.get(n, ())]
+        return [[at.get(fs[i]) for fs in faces] for i in range(n + 1)]
+
+    def _rows(self, table, n, own):
         """The face rows of level n and the degeneracy rows into it, from
-        the calculus on degeneracy words.  Level n is one block per
-        dimension m <= n, generator by generator, word by word, and the
-        calculus acts on a block's words alone: d_i of s_w g is s_w' g, at
-        the same place of g's block one level down, or s_w' d_k g, read off
-        the row of d_k at level m (whose generators come first) and the
-        degeneracy rows; s_j of s_w g is s_w' g.  So each row is built one
-        word at a time, for all generators of a dimension at once."""
-        faces, degs = [[] for _ in range(n + 1)], [[] for _ in range(n)]
-        start_below = start = 0  # where block m starts in levels n - 1 and n
-        for m in range(n, -1, -1):
+        the calculus on degeneracy words; `own` is `_own_rows(table, n)`,
+        the block of the generators of dimension n, which comes first.
+        Level n is one block per dimension m <= n, generator by generator,
+        word by word, and the calculus acts on a block's words alone: d_i
+        of s_w g is s_w' g, at the same place of g's block one level down,
+        or s_w' d_k g, read off the row of d_k at level m (whose generators
+        come first) and the degeneracy rows; s_j of s_w g is s_w' g.  So
+        each row is built one word at a time, for all generators of a
+        dimension at once."""
+        faces, degs = own, [[] for _ in range(n)]
+        # where block m starts in levels n - 1 and n
+        start_below, start = 0, len(self.gens.get(n, ()))
+        for m in range(n - 1, -1, -1):
             gens = self.gens.get(m, ())
-            if m == n:  # the generators' own faces, looked up
-                for i, row in enumerate(faces):
-                    row.extend(table.position[n - 1].get(self.gen_faces[g][i]) for g in gens)
-                start += len(gens)
-                continue
             words, lower = decreasing_words(n - m, n), decreasing_words(n - 1 - m, n - 1)
             # the place of word w in each generator's block, as a column
             spread = lambda first, width: range(first, first + len(gens) * width, width)
@@ -321,56 +341,71 @@ class SimplicialSet:
     # -- validation ----------------------------------------------------------
 
     def validate(self):
-        """Check the presentation on its generators: each face list has the
-        right length and names simplices of the dimension below in normal
-        form, and d_i d_j = d_{j-1} d_i holds on every generator.  The
-        normal-form calculus then forces every simplicial identity on every
-        simplex, so this is the whole check; raises `ValidationError`."""
-        # Each distinct face (d, ref) is checked once per call, and its own
-        # face row derived once: generators share most of their faces.
-        checked = set()
-        for g, d in self.gen_dim.items():
-            if d == 0:
-                if g in self.gen_faces:
-                    raise ValidationError(f"vertex {g!r} must not carry faces")
-                continue
+        """Check the presentation, building its table on the way: levels 0
+        through (top generator dimension - 1) afresh, never the cached
+        table.  At level n the faces of the generators of dimension n are
+        looked up as positions in level n - 1; a face that is none is no
+        simplex of dimension n - 1 in normal form.  d_i d_j = d_{j-1} d_i
+        is then tested on the generator block, both sides composed rows.
+        The normal-form calculus forces every simplicial identity on every
+        simplex from these (Eilenberg-Zilber), so this is the whole check;
+        on success the table is kept.  Raises `ValidationError`, the first
+        face-list failure in generator order, else the first identity
+        failure."""
+        for g in self.gens.get(0, ()):
+            if g in self.gen_faces:
+                raise ValidationError(f"vertex {g!r} must not carry faces")
+        table, broken = self._level_zero(), None
+        top = max(self.gens, default=0)
+        for n in range(1, top + 1):
+            gens = self.gens.get(n, ())
+            own = None
+            if all(len(self.gen_faces.get(g, ())) == n + 1 for g in gens):
+                own = self._own_rows(table, n)
+            if own is None or any(None in row for row in own):
+                self._refuse_faces(table.position[n - 1], n)
+            if broken is None and n >= 2:
+                broken = self._broken_identity(table.faces[n - 1], n, own)
+            if n < top:
+                table.add_level(self._normal_forms(n), *self._rows(table, n, own))
+        if broken is not None:
+            raise ValidationError(broken)
+        self._level_table = table
+
+    def _refuse_faces(self, at, n):
+        """Raise for the first generator of dimension n whose face list is
+        missing, has the wrong length or names a face with no position in
+        `at`, the positions of level n - 1."""
+        for g in self.gens[n]:
             if g not in self.gen_faces:
                 raise ValidationError(f"generator {g!r} has no face list")
             fs = self.gen_faces[g]
-            if len(fs) != d + 1:
-                raise ValidationError(f"{g!r} has {len(fs)} faces, expected {d + 1}")
+            if len(fs) != n + 1:
+                raise ValidationError(f"{g!r} has {len(fs)} faces, expected {n + 1}")
             for i, ref in enumerate(fs):
-                if (d, ref) in checked:
+                if ref in at:
                     continue
                 if ref.gen not in self.gen_dim:
                     raise ValidationError(f"face d_{i} of {g!r} hits unknown {ref.gen!r}")
                 if any(a <= b for a, b in zip(ref.degs, ref.degs[1:])):
                     raise ValidationError(f"face d_{i} of {g!r} not in normal form")
-                if self.dim_of(ref) != d - 1:
+                if self.dim_of(ref) != n - 1:
                     raise ValidationError(
-                        f"face d_{i} of {g!r} has dimension {self.dim_of(ref)}, expected {d - 1}"
+                        f"face d_{i} of {g!r} has dimension {self.dim_of(ref)}, expected {n - 1}"
                     )
-                if ref.degs and ref.degs[0] > d - 2:
-                    raise ValidationError(f"face d_{i} of {g!r} has out-of-range word")
-                checked.add((d, ref))
-        # d_i d_j = d_{j-1} d_i for i < j, on generators.  Every face now
-        # has dimension d - 1, so a ref fixes its face row.
-        rows_of = {}
-        for g, d in self.gen_dim.items():
-            if d < 2:
-                continue
-            rows = []
-            for ref in self.gen_faces[g]:
-                row = rows_of.get(ref)
-                if row is None:
-                    row = rows_of[ref] = tuple(self._face(ref, i) for i in range(d))
-                rows.append(row)
-            for j in range(d + 1):
-                for i in range(j):
-                    if rows[j][i] != rows[i][j - 1]:
-                        raise ValidationError(
-                            f"d_{i} d_{j} != d_{j - 1} d_{i} on generator {g!r}"
-                        )
+                raise ValidationError(f"face d_{i} of {g!r} has out-of-range word")
+
+    def _broken_identity(self, below, n, own):
+        """The failure of d_i d_j = d_{j-1} d_i (i < j) on the first
+        generator of dimension n that breaks it, or None: `own` holds the
+        rows of their faces and `below` the face rows of level n - 1."""
+        pairs = [(i, j) for j in range(n + 1) for i in range(j)]
+        if all(_then(own[j], below[i]) == _then(own[i], below[j - 1]) for i, j in pairs):
+            return None
+        for p, g in enumerate(self.gens[n]):
+            for i, j in pairs:
+                if below[i][own[j][p]] != below[j - 1][own[i][p]]:
+                    return f"d_{i} d_{j} != d_{j - 1} d_{i} on generator {g!r}"
 
 
 def _parse_op(w):
@@ -687,9 +722,6 @@ def is_isomorphic(a, b, budget=DEFAULT_BUDGET):
 
 
 # -- levelwise simplicial objects ----------------------------------------------
-
-
-_INT = frozenset((int,))
 
 
 def _then(first, second):

@@ -475,6 +475,23 @@ def test_malformed_simplicial_sets_exit_2(files, capsys, tmp_path):
         _exits_2_without_traceback(["cat", "tau", path], capsys)
 
 
+def test_generator_dimension_keys_are_plain_integers_in_either_order(capsys, tmp_path):
+    # int() reads each of these keys as 1: were they accepted, one id list
+    # would replace the other, depending on the order of the keys
+    for other in (" 1", "01", "+1"):
+        for name, generators in (
+            ("plain_first", {"0": ["x", "y"], "1": ["e"], other: []}),
+            ("other_first", {"0": ["x", "y"], other: [], "1": ["e"]}),
+        ):
+            path = _write(tmp_path, f"{name}.json", {
+                "dim_cap": 1, "generators": generators, "faces": {"e": ["y", "x"]},
+            })
+            assert main(["sset", "info", path]) == 2, (other, name)
+            assert capsys.readouterr().err == (
+                f"error: generators must map dimensions to id lists; {other!r} is no dimension\n"
+            )
+
+
 def test_malformed_actions_exit_2(tmp_path, capsys):
     c2 = all_small_groups()["c2"]
     free = free_transitive_action(c2)

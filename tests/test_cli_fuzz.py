@@ -40,7 +40,8 @@ def _valid_inputs():
     cover = cover_of_shape((2, 1))
     refined, r = refine_cover(cover, {"b0": 1})
     return {
-        "sset": io.sset_to_json(nerve(all_categories()["poset1"], dim_cap=2).sset),
+        # generators up to dimension 3 and ten degenerate (dict) face refs
+        "sset": io.sset_to_json(nerve(all_categories()["bc3"], dim_cap=3).sset),
         "category": io.category_to_json(all_categories()["bc2"]),
         "two_category": io.two_category_to_json(all_two_categories()["two_group_c2"]),
         "group": io.group_to_json(c2),

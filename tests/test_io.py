@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hornfill import io
+from hornfill.cat import nerve
 from hornfill.corpus import (
     all_actions,
     all_categories,
@@ -15,7 +16,7 @@ from hornfill.corpus import (
 )
 from hornfill.errors import InputError
 from hornfill.groupoid import GroupAction
-from hornfill.sset import standard_simplex, subcomplex_of_simplex
+from hornfill.sset import SimplexRef, SimplicialSet, standard_simplex, subcomplex_of_simplex
 
 
 def _cycle(to_json, from_json, value):
@@ -110,6 +111,39 @@ def test_from_json_validates_shape():
                              "carrier": ["x"], "act": [["e", "x"]]})
     with pytest.raises(InputError):
         io.cover_from_json({"E": ["e"], "pi": {"e": "b"}})
+
+
+def test_each_face_ref_occurrence_is_checked_after_an_equal_one_was_read():
+    good = {"gen": "x", "deg": [1]}
+    for word in ([True], [1.0], [0, 1]):
+        bad = {"gen": "x", "deg": word}
+        data = {
+            "dim_cap": 3,
+            "generators": {"0": ["v"], "1": ["x"], "3": ["w", "z"]},
+            "faces": {"x": ["v", "v"], "w": [good, good, good, good], "z": [good, good, bad, good]},
+        }
+        with pytest.raises(InputError) as want:
+            SimplexRef.from_json(bad)
+        with pytest.raises(InputError) as got:
+            io.sset_from_json(data)
+        assert str(got.value) == str(want.value), word
+
+
+def test_a_nerve_read_with_shared_refs_equals_one_read_ref_by_ref():
+    data = json.loads(io.dumps(io.sset_to_json(nerve(all_categories()["bs3"], dim_cap=3).sset)))
+    got = io.sset_from_json(data)
+    want = SimplicialSet(
+        data["dim_cap"],
+        {int(d): ids for d, ids in data["generators"].items()},
+        {g: [SimplexRef.from_json(r) for r in refs] for g, refs in data["faces"].items()},
+    )
+    assert got == want
+    assert any(ref.degs for fs in got.gen_faces.values() for ref in fs)
+    # each distinct ref is one object
+    refs = [ref for fs in got.gen_faces.values() for ref in fs]
+    assert len({id(ref) for ref in refs}) == len(set(refs)) < len(refs)
+    a, b = got.table(), want.table()
+    assert (a.levels, a.faces, a.degs) == (b.levels, b.faces, b.degs)
 
 
 def test_fraction_to_json_normalizes():
