@@ -13,10 +13,18 @@ chosen 2-cell witness per triangle and is 3-coskeletal (Duskin, TAC
 also runs (`SimplicialObject.join`).
 
 `FiniteCategory.validate` is the one checker of composition laws:
-identities, a table entry for exactly the composable pairs landing on a
-morphism with the right endpoints, the unit laws and associativity, the
-last as one row comparison per composable pair (h, g): h o - applied to
-the row of g o f over all f must give the row of (h o g) o f.
+identities (one per object, keyed by objects only), a table entry for
+exactly the composable pairs landing on a morphism with the right
+endpoints, the unit laws and associativity.  Associativity is checked on
+generators only (Light's test; Clifford and Preston, *The Algebraic
+Theory of Semigroups* I, 1961, sec. 1.2).  Call g good when
+h o (g o f) = (h o g) o f for every composable h and f; that is one row
+comparison per h: h o - applied to the row of g o f over all f must give
+the row of (h o g) o f.  Identities are good by the unit laws, and a
+composite of two good morphisms is good (four uses of the law), so every
+morphism is good once the generators are and their closure reaches every
+morphism.  Only when a generator fails does the row scan over every
+composable pair (h, g) run, to name the first failing triple.
 `Finite2Category.validate` runs it on the vertical category (1-cells and
 `vcompose`) and the horizontal category (0-cells and `hcompose`), runs
 `Functor.validate` on source, target and `two_identity`, and checks
@@ -81,6 +89,140 @@ def _within(structure, check):
         raise ValidationError(f"{structure}: {exc}") from None
 
 
+class _Rows:
+    """A category's composition table as rows, once its entries are checked.
+
+    into[x] and out[x] list the morphisms ending and starting at x, in id
+    order, so (g, f) is composable exactly when f is in into[src g];
+    place[f] is the index of f in into[tgt f], and after[g] is the row of
+    g o f over f in into[src g].
+    """
+
+    def __init__(self, c):
+        mor, table = c.mor, c.compose_table
+        self.mor, self.mors = mor, sorted(mor)
+        into = self.into = {x: [] for x in c.objects}
+        out = self.out = {x: [] for x in c.objects}
+        for m in self.mors:
+            out[mor[m][0]].append(m)
+            into[mor[m][1]].append(m)
+        self.place = {m: k for ms in into.values() for k, m in enumerate(ms)}
+        after, pairs, missing = {}, 0, object()
+        for g in self.mors:
+            s, t = mor[g]
+            row = after[g] = []
+            for f in into[s]:
+                gf = table.get((g, f), missing)
+                if gf is missing:
+                    raise ValidationError(
+                        f"composition table wrong at ({g!r}, {f!r}): missing entry"
+                    )
+                if gf not in mor:
+                    raise ValidationError(f"({g!r}, {f!r}) composes to unknown {gf!r}")
+                if mor[gf] != (mor[f][0], t):
+                    raise ValidationError(f"({g!r}, {f!r}) composes with wrong endpoints")
+                row.append(gf)
+            pairs += len(row)
+        if len(table) != pairs:
+            g, f = min(
+                (g, f) for g, f in table
+                if g not in mor or f not in mor or mor[f][1] != mor[g][0]
+            )
+            raise ValidationError(
+                f"composition table wrong at ({g!r}, {f!r}): spurious entry"
+            )
+        self.after = after
+
+    def generators(self, identity):
+        """Morphisms whose closure is every morphism: from the identities,
+        compose what is reached with the generators on either side.
+
+        Per component, the arrows of a BFS spanning tree, each followed by
+        its inverse where the table shows both composites to be identities,
+        then the endomorphisms of the root; last every morphism in id order.
+        A candidate joins only if the closure has not reached it.  The
+        closure reads the rows alone, assuming neither associativity nor
+        inverses, and costs O(|mor| |generators|).
+        """
+        mor, into, out, place, after = self.mor, self.into, self.out, self.place, self.after
+        gens, reached = [], {identity[x] for x in into}
+        ending, starting = {x: [] for x in into}, {x: [] for x in into}
+
+        def join(g):
+            if g in reached:
+                return
+            gens.append(g)
+            s, t = mor[g]
+            ending[t].append(g)
+            starting[s].append(g)
+            k = place[g]
+            new = {g, *[gx for x, gx in zip(into[s], after[g]) if x in reached],
+                   *[after[x][k] for x in out[t] if x in reached]}
+            while new:
+                reached.update(new)
+                found = []
+                for y in new:
+                    s, t = mor[y]
+                    row, k = after[y], place[y]
+                    found += [row[place[x]] for x in ending[s]]
+                    found += [after[x][k] for x in starting[t]]
+                new = set(found) - reached
+
+        seen = set()
+        for root in into:
+            if root in seen:
+                continue
+            seen.add(root)
+            queue = [root]
+            for y in queue:
+                for m in out[y] + into[y]:
+                    s, t = mor[m]
+                    z = t if s == y else s
+                    if z in seen:
+                        continue
+                    seen.add(z)
+                    queue.append(z)
+                    join(m)
+                    for u in out[t]:
+                        if (mor[u][1] == s and after[u][place[m]] == identity[s]
+                                and after[m][place[u]] == identity[t]):
+                            join(u)
+                            break
+            for m in out[root]:
+                if mor[m][1] == root:
+                    join(m)
+        for m in self.mors:
+            join(m)
+        return gens
+
+    def good(self, g):
+        """h o (g o f) = (h o g) o f for every composable h and f: for each h
+        after g, h o - maps the row of g onto the row of h o g."""
+        place, after = self.place, self.after
+        at, k = [place[x] for x in after[g]], place[g]
+        return all(
+            list(map(after[h].__getitem__, at)) == after[after[h][k]]
+            for h in self.out[self.mor[g][1]]
+        )
+
+    def first_failure(self):
+        """The first (h, g, f) in id order with h o (g o f) != (h o g) o f, or
+        None: one row comparison per composable pair (h, g), h o - applied
+        to the row of g against the row of h o g."""
+        mor, into, after = self.mor, self.into, self.after
+        for h in self.mors:
+            gs = into[mor[h][0]]
+            post = dict(zip(gs, after[h])).__getitem__
+            for g, hg in zip(gs, after[h]):
+                if list(map(post, after[g])) != after[hg]:
+                    return next(
+                        (h, g, f)
+                        for f, x, y in zip(into[mor[g][0]], map(post, after[g]), after[hg])
+                        if x != y
+                    )
+        return None
+
+
 class FiniteCategory:
     """Objects, morphisms with endpoints, identities, full composition table."""
 
@@ -111,10 +253,9 @@ class FiniteCategory:
                 self._hom.setdefault(self.mor[m], []).append(m)
         return tuple(self._hom.get((x, y), ()))
 
-    def morphism_ids(self):
-        return tuple(sorted(self.mor))
-
     def validate(self):
+        """Identities, the table's entries and endpoints, the unit laws,
+        then associativity by Light's test (see the module docstring)."""
         if len(set(self.objects)) != len(self.objects):
             raise ValidationError("duplicate object ids")
         for m, (s, t) in self.mor.items():
@@ -124,57 +265,21 @@ class FiniteCategory:
             i = self.identity.get(x)
             if i is None or i not in self.mor or self.mor[i] != (x, x):
                 raise ValidationError(f"bad identity at {x!r}")
-        mor, table = self.mor, self.compose_table
-        mors = sorted(mor)
-        # into[x]: the morphisms ending at x, so (g, f) is composable
-        # exactly when f is in into[src g]; after[g]: the row of g o f over
-        # f in into[src g]
-        into = {x: [] for x in self.objects}
-        for m in mors:
-            into[mor[m][1]].append(m)
-        after, pairs, missing = {}, 0, object()
-        for g in mors:
-            s, t = mor[g]
-            row = after[g] = []
-            for f in into[s]:
-                gf = table.get((g, f), missing)
-                if gf is missing:
-                    raise ValidationError(
-                        f"composition table wrong at ({g!r}, {f!r}): missing entry"
-                    )
-                if gf not in mor:
-                    raise ValidationError(f"({g!r}, {f!r}) composes to unknown {gf!r}")
-                if mor[gf] != (mor[f][0], t):
-                    raise ValidationError(f"({g!r}, {f!r}) composes with wrong endpoints")
-                row.append(gf)
-            pairs += len(row)
-        if len(table) != pairs:
-            g, f = min(
-                (g, f) for g, f in table
-                if g not in mor or f not in mor or mor[f][1] != mor[g][0]
-            )
-            raise ValidationError(
-                f"composition table wrong at ({g!r}, {f!r}): spurious entry"
-            )
-        for f in mors:
-            s, t = mor[f]
+        objects = set(self.objects)
+        for x in self.identity:
+            if x not in objects:
+                raise ValidationError(f"identity keyed by unknown object {x!r}")
+        rows = _Rows(self)
+        table = self.compose_table
+        for f in rows.mors:
+            s, t = self.mor[f]
             if table[(f, self.identity[s])] != f:
                 raise ValidationError(f"right unit fails at {f!r}")
             if table[(self.identity[t], f)] != f:
                 raise ValidationError(f"left unit fails at {f!r}")
-        # h o (g o f) = (h o g) o f over f in into[src g], as one row
-        # comparison per composable pair (h, g): h o - maps after[g] onto
-        # after[h o g], whose source is src g
-        for h in mors:
-            gs = into[mor[h][0]]
-            post = dict(zip(gs, after[h])).__getitem__
-            for g, hg in zip(gs, after[h]):
-                if list(map(post, after[g])) != after[hg]:
-                    f = next(
-                        f for f, x, y in zip(into[mor[g][0]], map(post, after[g]), after[hg])
-                        if x != y
-                    )
-                    raise ValidationError(f"associativity fails at ({h!r},{g!r},{f!r})")
+        if not all(map(rows.good, rows.generators(self.identity))):
+            h, g, f = rows.first_failure()
+            raise ValidationError(f"associativity fails at ({h!r},{g!r},{f!r})")
 
     def inverse(self, f):
         s, t = self.mor[f]
@@ -199,15 +304,6 @@ class FiniteCategory:
             and self.mor == other.mor
             and self.identity == other.identity
             and self.compose_table == other.compose_table
-        )
-
-    def opposite(self):
-        return FiniteCategory(
-            self.objects,
-            {m: (t, s) for m, (s, t) in self.mor.items()},
-            self.identity,
-            {(f, g): h for (g, f), h in self.compose_table.items()},
-            check=False,
         )
 
 

@@ -547,8 +547,9 @@ class TorsorPresheaf(GroupoidPresheaf):
         return _Functions(tuple(s), self.group.elements)
 
     def compose(self, s, g2, g1):
-        d2, d1 = dict(g2), dict(g1)
-        return tuple(sorted((x, self.group.mul[(d2[x], d1[x])]) for x in d1))
+        # both are key-sorted over the points of s
+        mul = self.group.mul
+        return tuple((x, mul[(b, a)]) for (x, b), (_, a) in zip(g2, g1))
 
     def identity(self, s, a):
         e = self.group.identity()

@@ -106,13 +106,6 @@ class FiniteGroup:
             n += 1
         return n
 
-    def is_abelian(self):
-        return all(
-            self.mul[(a, b)] == self.mul[(b, a)]
-            for a in self.elements
-            for b in self.elements
-        )
-
     def generated_by(self, seed):
         out = {self.identity()}
         frontier = list(out)
@@ -393,7 +386,8 @@ class EquivalenceReport:
 
 def equivalence_check(g1, g2, budget=DEFAULT_BUDGET):
     """Equivalence of finite groupoids: a bijection of components with
-    isomorphic automorphism groups, found by backtracking matching."""
+    isomorphic automorphism groups.  Isomorphism is an equivalence
+    relation, so first-fit matching finds one exactly when one exists."""
     s1, s2 = skeleton(g1), skeleton(g2)
     reps1, reps2 = s1.reps(), s2.reps()
     if len(reps1) != len(reps2):
@@ -409,26 +403,12 @@ def equivalence_check(g1, g2, budget=DEFAULT_BUDGET):
         for r1 in reps1
     }
     matching = {}
-    used = set()
-
-    def rec(i):
-        if i == len(reps1):
-            return True
-        r1 = reps1[i]
-        for r2 in compatible[r1]:
-            if r2 in used:
-                continue
-            matching[r1] = r2
-            used.add(r2)
-            if rec(i + 1):
-                return True
-            used.discard(r2)
-            del matching[r1]
-        return False
-
-    if rec(0):
-        return EquivalenceReport(True, dict(matching), "components matched")
-    return EquivalenceReport(False, {}, "no automorphism-compatible component matching")
+    for r1 in reps1:
+        r2 = next((r2 for r2 in compatible[r1] if r2 not in matching.values()), None)
+        if r2 is None:
+            return EquivalenceReport(False, {}, "no automorphism-compatible component matching")
+        matching[r1] = r2
+    return EquivalenceReport(True, matching, "components matched")
 
 
 def groupoid_cardinality(gpd):

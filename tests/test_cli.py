@@ -383,6 +383,26 @@ def test_broken_face_identity_exits_2(capsys, tmp_path):
         assert capsys.readouterr().err == "error: d_0 d_2 != d_1 d_0 on generator 't'\n", argv
 
 
+def test_identities_keyed_by_unknown_objects_exit_2(capsys, tmp_path):
+    path = _write(tmp_path, "ghost.cat.json", {
+        "objects": ["x"],
+        "morphisms": [{"id": "i", "src": "x", "tgt": "x"}],
+        "identities": {"x": "i", "ghost": "i"},
+        "compose": [["i", "i", "i"]],
+    })
+    assert main(["cat", "nerve", path]) == 2
+    assert capsys.readouterr().err == "error: identity keyed by unknown object 'ghost'\n"
+    good = io.two_category_to_json(all_two_categories()["walking_cell"])
+    cell = good["two_cells"][0]["id"]
+    path = _write(tmp_path, "ghost.cat2.json", {
+        **good, "two_identities": {**good["two_identities"], "ghost": cell},
+    })
+    assert main(["cat", "duskin", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: vertical: identity keyed by unknown object 'ghost'\n"
+    )
+
+
 def test_malformed_covers_exit_2(files, capsys, tmp_path):
     good = io.cover_to_json(cover_of_shape((2, 1)))
     bad = {

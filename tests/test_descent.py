@@ -228,7 +228,7 @@ def test_cech_skeleton_census_for_s3_over_three_two():
 def test_skeleton_matches_materialized_descent_groupoid():
     cases = [(g, prof) for g in ("c2", "c3")
              for prof in [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]]
-    cases += [("s3", prof) for prof in [(1,), (2,), (1, 1)]]
+    cases += [("s3", prof) for prof in [(1,), (2,), (1, 1), (2, 1)]]
     for gname, prof in cases:
         g, cover = GROUPS[gname], cover_of_shape(prof)
         skel = cech_descent_skeleton(g, cover)
@@ -849,6 +849,34 @@ def test_descent_groupoid_matches_the_per_candidate_oracle():
                 assert report == TruncationReport(sizes, sizes[2] == sizes[3]), where
                 truncations += 1
     assert (tables, truncations) == (48, 48)
+
+
+def _sorted_compose(group, g2, g1):
+    """The torsor presheaf's composite read through dicts and sorted."""
+    d2, d1 = dict(g2), dict(g1)
+    return tuple(sorted((x, group.mul[(d2[x], d1[x])]) for x in d1))
+
+
+def test_torsor_compose_matches_the_sorted_composite():
+    # every pair over E and, for C2 and C3, over E x_B E; S3 has 6^5
+    # functions over E x_B E, so there every pair with a gluing of a
+    # descent object on either side
+    cover = cover_of_shape((2, 1))
+    e2 = cover.power(2)
+    for name in ("c2", "c3", "s3"):
+        g = GROUPS[name]
+        presheaf = torsor_presheaf(g)
+        over_e, over_e2 = list(presheaf.homs(cover.e, "*", "*")), list(presheaf.homs(e2, "*", "*"))
+        pairs = [(cover.e, g2, g1) for g2 in over_e for g1 in over_e]
+        if name == "s3":
+            phis = [phi for _, phi in descent_groupoid(presheaf, cover).object_data]
+            pairs += [(e2, p, q) for phi in phis for h in over_e2 for p, q in ((phi, h), (h, phi))]
+        else:
+            pairs += [(e2, g2, g1) for g2 in over_e2 for g1 in over_e2]
+        for s, g2, g1 in pairs:
+            assert presheaf.compose(s, g2, g1) == _sorted_compose(g, g2, g1)
+        assert len(pairs) == {"c2": 8 ** 2 + 32 ** 2, "c3": 27 ** 2 + 243 ** 2,
+                              "s3": 216 ** 2 + 6 * 2 * 7776}[name]
 
 
 class _TwistedTorsor(TorsorPresheaf):

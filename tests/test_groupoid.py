@@ -27,6 +27,7 @@ from hornfill.corpus import (
 )
 from hornfill.errors import CapacityError, InputError, ValidationError
 from hornfill.groupoid import (
+    EquivalenceReport,
     FinMap,
     GroupAction,
     SimplicialObject,
@@ -64,8 +65,9 @@ GROUPS = all_small_groups()
 def test_small_group_census():
     assert sorted(GROUPS) == ["c1", "c2", "c3", "c4", "c5", "c6", "s3", "v4"]
     assert [GROUPS[n].order() for n in sorted(GROUPS)] == [1, 2, 3, 4, 5, 6, 6, 4]
-    assert GROUPS["s3"].is_abelian() is False
-    assert all(GROUPS[n].is_abelian() for n in GROUPS if n != "s3")
+    abelian = lambda g: all(g.mul[(a, b)] == g.mul[(b, a)] for a in g.elements for b in g.elements)
+    assert not abelian(GROUPS["s3"])
+    assert all(abelian(GROUPS[n]) for n in GROUPS if n != "s3")
 
 
 def test_symmetric_group_composes_right_to_left():
@@ -172,6 +174,59 @@ def test_skeleton_and_equivalence_check():
     assert not rep.equivalent and rep.reason
     # different component counts
     assert not equivalence_check(g, groupoid_of_groups({"x": cyclic_group(2)})).equivalent
+
+
+def _backtracking_equivalence(g1, g2):
+    """The old equivalence check, matching components by backtracking."""
+    s1, s2 = skeleton(g1), skeleton(g2)
+    reps1, reps2 = s1.reps(), s2.reps()
+    if len(reps1) != len(reps2):
+        return EquivalenceReport(
+            False, {}, f"component counts differ: {len(reps1)} vs {len(reps2)}"
+        )
+    compatible = {
+        r1: [r2 for r2 in reps2 if groups_isomorphic(s1.groups[r1], s2.groups[r2]) is not None]
+        for r1 in reps1
+    }
+    matching = {}
+    used = set()
+
+    def rec(i):
+        if i == len(reps1):
+            return True
+        r1 = reps1[i]
+        for r2 in compatible[r1]:
+            if r2 in used:
+                continue
+            matching[r1] = r2
+            used.add(r2)
+            if rec(i + 1):
+                return True
+            used.discard(r2)
+            del matching[r1]
+        return False
+
+    if rec(0):
+        return EquivalenceReport(True, dict(matching), "components matched")
+    return EquivalenceReport(False, {}, "no automorphism-compatible component matching")
+
+
+def test_first_fit_matching_gives_the_backtracking_report():
+    # every disjoint union of up to three of C2, C4 and V4 (C4 and V4 have
+    # one order but are not isomorphic), against every other
+    groups = {"c2": cyclic_group(2), "c4": cyclic_group(4), "v4": GROUPS["v4"]}
+    gpds = [
+        groupoid_of_groups({f"{k}{name}": groups[name] for k, name in enumerate(names)})
+        for n in (1, 2, 3) for names in itertools.product(sorted(groups), repeat=n)
+    ]
+    outcomes = set()
+    for g1 in gpds:
+        for g2 in gpds:
+            report = equivalence_check(g1, g2)
+            assert report == _backtracking_equivalence(g1, g2)
+            outcomes.add(report.reason.split(":")[0])
+    assert outcomes == {"component counts differ", "components matched",
+                        "no automorphism-compatible component matching"}
 
 
 def test_cech_nerve_levels_count_fiber_powers():

@@ -12,6 +12,7 @@ where associativity is checked row by row across hom sets, the two
 category checkers must also give the same message on every mutation.
 """
 
+import itertools
 import re
 from collections import Counter
 
@@ -20,6 +21,7 @@ import pytest
 from hornfill.cat import (
     Finite2Category,
     FiniteCategory,
+    _Rows,
     one_object_two_group,
     walking_two_cell,
 )
@@ -497,3 +499,131 @@ def test_group_checker_rejects_a_monoid_without_inverses():
     with pytest.raises(ValidationError, match="^no inverse for 'z'$"):
         FiniteGroup(("1", "z"), {("1", "1"): "1", ("1", "z"): "z", ("z", "1"): "z",
                                  ("z", "z"): "z"})
+
+
+def test_identities_keyed_by_unknown_objects_are_refused():
+    c = _one_object_category({("1", "1"): "1"})
+    c.identity["ghost"] = "1"
+    with pytest.raises(ValidationError, match="^identity keyed by unknown object 'ghost'$"):
+        c.validate()
+    c2 = one_object_two_group(cyclic_group(2))
+    c2.two_identity["ghost"] = "ac0"
+    with pytest.raises(
+        ValidationError, match="^vertical: identity keyed by unknown object 'ghost'$"
+    ):
+        c2.validate()
+
+
+# -- Light's test against the row scan -------------------------------------------
+
+
+def _against_the_row_scan(c):
+    """validate's message on c, checked against the old checker and, once
+    the entries and unit laws hold, against the row scan: the generators
+    are all good exactly when the row scan finds no failing triple, and
+    validate names that triple."""
+    message = _failure(c.validate)
+    assert message == _failure(lambda: old_category_validate(c))
+    if message is None or message.startswith("associativity fails at "):
+        rows = _Rows(c)
+        triple = rows.first_failure()
+        assert all(map(rows.good, rows.generators(c.identity))) == (triple is None)
+        assert message == (triple and "associativity fails at ({!r},{!r},{!r})".format(*triple))
+    return message
+
+
+def _kind(message):
+    """The law a message names, or "entries" for a malformed table."""
+    return message and (message.split(" fails at ")[0] if " fails at " in message else "entries")
+
+
+def _within_hom(c):
+    """Every copy of c's table with one or two entries sent to other
+    morphisms of their hom sets, so that only the laws can fail."""
+    table = c.compose_table
+    keys = sorted(table)
+    others = {k: [m for m in c.hom(*c.mor[table[k]]) if m != table[k]] for k in keys}
+    for k1 in keys:
+        for v1 in others[k1]:
+            yield {**table, k1: v1}
+            for k2 in keys[keys.index(k1) + 1:]:
+                for v2 in others[k2]:
+                    yield {**table, k1: v1, k2: v2}
+
+
+def test_generator_check_matches_the_row_scan_on_categories_that_are_not_groupoids():
+    # a poset's spanning tree leaves arrows unreached, so the greedy pass
+    # adds them; the idempotent monoid's one generator is its idempotent
+    kinds = Counter()
+    for name, c in all_categories().items():
+        if c.is_groupoid():
+            continue
+        gens = _Rows(c).generators(c.identity)
+        if name in ("poset2", "poset3", "square"):
+            assert len(gens) > len(c.objects) - 1, name
+        tables = [c.compose_table, *_mutations(c.compose_table, sorted(c.mor)), *_within_hom(c)]
+        for table in tables:
+            m = FiniteCategory(c.objects, c.mor, c.identity, table, check=False)
+            kinds[_kind(_against_the_row_scan(m))] += 1
+    # every unital magma on {1, z, w}, alone and as the endomorphisms of b
+    # under an arrow s: a -> b that they all fix; there the spanning tree
+    # is s, with no inverse, and z and w are reached only by the greedy pass
+    for values in itertools.product("1zw", repeat=4):
+        table = {**{(x, "1"): x for x in "1zw"}, ("1", "z"): "z", ("1", "w"): "w",
+                 **dict(zip(itertools.product("zw", repeat=2), values))}
+        under = FiniteCategory(
+            ("a", "b"), {"ia": ("a", "a"), "s": ("a", "b"), **{x: ("b", "b") for x in "1zw"}},
+            {"a": "ia", "b": "1"},
+            {**table, ("ia", "ia"): "ia", ("s", "ia"): "s", **{(x, "s"): "s" for x in "1zw"}},
+            check=False,
+        )
+        assert _Rows(under).generators(under.identity)[0] == "s"
+        for m in (_one_object_category(table), under):
+            kinds[_kind(_against_the_row_scan(m))] += 1
+    assert kinds == {
+        "entries": 606, "right unit": 36, "left unit": 17, "associativity": 145, None: 36,
+    }
+
+
+def _without_one_inverse(gpd, arrows):
+    """Every copy of gpd in which u o t, for one t: x -> y of `arrows` and
+    its inverse u, is sent to another endomorphism of x, so t has no
+    inverse."""
+    for t in arrows:
+        u, x = gpd.inverse(t), gpd.src(t)
+        for other in gpd.hom(x, x):
+            if other != gpd.identity[x]:
+                table = {**gpd.compose_table, (u, t): other}
+                yield t, FiniteCategory(gpd.objects, gpd.mor, gpd.identity, table, check=False)
+
+
+def test_generator_check_matches_the_row_scan_on_descent_groupoids_without_an_inverse():
+    # on C2 every arrow loses its inverse in turn; on C3 each generator
+    # does, so a spanning-tree arrow loses the inverse that would have
+    # joined after it and the greedy pass takes its place
+    expected = {
+        "c2": {"associativity": 42, "right unit": 6},
+        "c3": {"associativity": 48},
+    }
+    for name, group, count in (("c2", cyclic_group(2), 16), ("c3", cyclic_group(3), 81)):
+        gpd = descent_groupoid(torsor_presheaf(group), cover_of_shape((2, 1))).groupoid
+        assert len(gpd.mor) == count and _against_the_row_scan(gpd) is None
+        gens = _Rows(gpd).generators(gpd.identity)
+        tree = gens[:2 * (len(gpd.objects) - 1)]  # each tree arrow, then its inverse
+        kinds = Counter()
+        for t, m in _without_one_inverse(gpd, sorted(gpd.mor) if name == "c2" else gens):
+            assert m.inverse(t) is None
+            if t in tree:
+                assert _Rows(m).generators(m.identity) != gens
+            kinds[_kind(_against_the_row_scan(m))] += 1
+        assert kinds == expected[name], kinds
+
+
+def test_the_s3_descent_groupoid_passes_on_few_generators_without_the_row_scan(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("the row scan ran on a valid table")
+
+    monkeypatch.setattr(_Rows, "first_failure", refuse)
+    gpd = descent_groupoid(torsor_presheaf(symmetric_group(3)), cover_of_shape((2, 1))).groupoid
+    assert len(gpd.mor) == 1296
+    assert len(_Rows(gpd).generators(gpd.identity)) <= 20
