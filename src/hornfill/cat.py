@@ -395,10 +395,6 @@ class NerveResult:
     category: FiniteCategory
     model: LevelModel = field(repr=False)
 
-    def ref_of_string(self, fs):
-        """Normal form of the composable string (f_1, ..., f_n)."""
-        return self.model.ref_of[(len(fs), tuple(fs))]
-
 
 def nerve(c, dim_cap=DEFAULT_DIM_CAP):
     """Nerve of a finite category as a truncated simplicial set.

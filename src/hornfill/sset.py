@@ -30,6 +30,7 @@ Operator identities used by the calculus (operators act on the left):
 
 import functools
 import itertools
+import math
 import operator
 from collections import namedtuple
 from collections.abc import Mapping
@@ -262,7 +263,11 @@ class SimplicialSet:
         return self.table(n).levels[n]
 
     def count(self, n):
-        return len(self.simplices(n))
+        """len(simplices(n)), without building level n: the degeneracy words
+        from dimension m up to n are the (n - m)-subsets of [n - 1]."""
+        if not 0 <= n <= self.dim_cap:
+            raise InputError(f"dimension {n} outside [0, {self.dim_cap}]")
+        return sum(len(gens) * math.comb(n, m) for m, gens in self.gens.items() if m <= n)
 
     def table(self, through=None):
         """The one SimplicialObject whose level n is simplices(n), built
@@ -856,21 +861,6 @@ class SimplicialObject:
                             f"s_{i} s_{j} = s_{j + 1} s_{i}",
                         )
 
-    def first_disagreement(self, other, at):
-        """The first (kind, n, i), kind "face" or "degeneracy", at which
-        this object's tables and `other`'s disagree under the levelwise map
-        `at` (at[n][p]: the position in other's level n of element p of
-        level n here), or None when the map commutes with every d_i, s_i."""
-        for kind, step, ours, theirs in (
-            ("face", -1, self.faces, other.faces),
-            ("degeneracy", 1, self.degs, other.degs),
-        ):
-            for n, rows in enumerate(ours):
-                for i, row in enumerate(rows):
-                    if _then(row, at[n + step]) != _then(at[n], theirs[n][i]):
-                        return kind, n, i
-        return None
-
     def restriction_table(self, n, subset):
         """Positions of the restrictions of all of level n along a subset
         of [n], into level len(subset) - 1; cached per (n, subset).  The
@@ -1050,9 +1040,6 @@ class ProductStructure:
     left: SimplicialSet
     right: SimplicialSet
     model: LevelModel = field(repr=False)
-
-    def ref_of_pair(self, n, rx, ry):
-        return self.model.ref_of[(n, (rx, ry))]
 
     def pair_of_gen(self, g):
         return self.model.elem_of_gen[g]

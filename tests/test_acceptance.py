@@ -14,6 +14,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import hornfill.groupoid
 from hornfill.cat import (
     categories_isomorphic,
     duskin_nerve,
@@ -396,6 +397,20 @@ def test_torsor_comparison_on_positions_matches_the_per_element_oracle():
                     reports[rep.commutes, rep.is_iso] += 1
     # every variant commutes; only the torsors are isomorphisms
     assert reports == {(True, False): 572 - 38, (True, True): 38}
+
+
+def test_torsor_comparison_builds_no_level_table(monkeypatch):
+    variants = [a for g in all_small_groups().values() for n in range(1, 5)
+                for act in all_actions(g, n) for a in _anchored_variants(act)]
+    want = [_oracle_torsor_comparison(a, level_cap=3) for a in variants]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("torsor_comparison built a level table")
+
+    monkeypatch.setattr(hornfill.groupoid, "action_bar_object", refuse)
+    monkeypatch.setattr(hornfill.groupoid, "cech_nerve", refuse)
+    assert [torsor_comparison(a, level_cap=3) for a in variants] == want
+    assert len(want) == 572
 
 
 # ---------------------------------------------------------------------------

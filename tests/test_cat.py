@@ -102,11 +102,11 @@ def test_nerve_faces_compose_adjacent_morphisms():
     c = bg_category(symmetric_group(3))
     res = nerve(c, dim_cap=3)
     fs = ("120", "201")  # a 2-string; inner face composes it
-    ref = res.ref_of_string(fs)
+    ref = res.model.ref_of[(2, fs)]
     inner = res.sset.face(ref, 1)
-    assert inner == res.ref_of_string((c.compose(fs[1], fs[0]),))
-    assert res.sset.face(ref, 2) == res.ref_of_string((fs[0],))
-    assert res.sset.face(ref, 0) == res.ref_of_string((fs[1],))
+    assert inner == res.model.ref_of[(1, (c.compose(fs[1], fs[0]),))]
+    assert res.sset.face(ref, 2) == res.model.ref_of[(1, (fs[0],))]
+    assert res.sset.face(ref, 0) == res.model.ref_of[(1, (fs[1],))]
 
 
 def _name_clashes():
@@ -231,6 +231,7 @@ def test_duskin_nerves_at_cap_5_have_the_closed_form_counts():
     ):
         x = duskin_nerve(two_cats[name], dim_cap=5).sset
         assert [x.count(n) for n in range(6)] == counts, name
+        assert [len(x.simplices(n)) for n in range(6)] == counts, name
         x.table().validate()
 
 

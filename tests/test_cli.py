@@ -91,6 +91,23 @@ def test_sset_info_counts_and_text(files, capsys):
     assert "level 2: 10 simplices, 1 non-degenerate" in text
 
 
+def test_sset_info_builds_no_level_beyond_loading(tmp_path, capsys, monkeypatch):
+    x = nerve(all_categories()["bs3"], dim_cap=4).sset
+    path = _write(tmp_path, "nbs3.json", io.sset_to_json(x))
+    loaded = []
+
+    def load(data, original=io.sset_from_json):
+        loaded.append(original(data))
+        return loaded[-1]
+
+    monkeypatch.setattr(io, "sset_from_json", load)
+    assert main(["sset", "info", path]) == 0
+    data, _ = _json_out(capsys)
+    assert data["simplices"] == {str(n): len(x.simplices(n)) for n in range(5)}
+    # loading builds the levels below the top generator dimension, 4
+    assert loaded[0]._level_table.level_cap == 3
+
+
 def test_check_kan_exit_codes(files, capsys):
     assert main(["sset", "check-kan", files["nbc2"]]) == 0
     data, _ = _json_out(capsys)

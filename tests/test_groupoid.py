@@ -299,6 +299,18 @@ def test_torsor_check_rejects_trivial_action():
     assert not torsor_comparison(anchored).is_iso
 
 
+def test_torsor_comparison_checks_the_anchor_before_the_level_cap():
+    act = swap_action()
+    with pytest.raises(InputError, match="^comparison needs an anchored action$"):
+        torsor_comparison(act, level_cap=-1)
+    anchored = GroupAction(act.group, act.carrier, act.act,
+                           base=({"pt"}, {x: "pt" for x in act.carrier}))
+    for cap in (-1, 2.0, "3", None, True):
+        with pytest.raises(InputError, match="level_cap must be a non-negative integer"):
+            torsor_comparison(anchored, level_cap=cap)
+    assert torsor_comparison(anchored, level_cap=0).levelwise_bijective == {0: True}
+
+
 def test_torsor_check_needs_an_anchor():
     with pytest.raises(InputError):
         check_torsor(swap_action())

@@ -190,7 +190,7 @@ def test_is_isomorphism_edge_agrees_with_the_category():
         c = all_categories()[name]
         res = nerve(c, dim_cap=2)
         for f in sorted(c.mor):
-            edge = res.ref_of_string((f,))
+            edge = res.model.ref_of[(1, (f,))]
             rep = is_isomorphism_edge(res.sset, edge)
             assert rep.is_isomorphism == (c.inverse(f) is not None), (name, f)
             assert rep.inverse_in_homotopy_category == rep.is_isomorphism
@@ -200,7 +200,7 @@ def test_is_isomorphism_edge_inverse_witness_composes_to_identity():
     c = bg_category(symmetric_group(3))
     res = nerve(c, dim_cap=2)
     for f in sorted(c.mor):
-        rep = is_isomorphism_edge(res.sset, res.ref_of_string((f,)))
+        rep = is_isomorphism_edge(res.sset, res.model.ref_of[(1, (f,))])
         assert rep.is_isomorphism
         g = rep.inverse_witness
         assert g is not None

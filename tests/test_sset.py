@@ -252,7 +252,7 @@ def test_product_of_intervals_has_the_square_census():
     for g in prod.all_generators():
         rx, ry = structure.pair_of_gen(g)
         n = prod.gen_dim[g]
-        assert structure.ref_of_pair(n, rx, ry) == SimplexRef(g)
+        assert structure.model.ref_of[(n, (rx, ry))] == SimplexRef(g)
 
 
 def test_product_counts_match_on_mixed_factors():
@@ -669,29 +669,69 @@ def _corpus_sets(cap):
     return sets + [duskin_nerve(c2, dim_cap=cap).sset for c2 in all_two_categories().values()]
 
 
+def _single_face_mutants(x):
+    """x unchecked, then with every face of one generator per dimension
+    sent to an unknown generator and to simplices of dimension d - 2,
+    d - 1 and d."""
+    ghost = SimplexRef("ghost")
+    gens = {d: x.generators(d) for d in range(x.dim_cap + 1)}
+    mutants = [dict(x.gen_faces)]
+    for d in range(1, x.dim_cap + 1):
+        lower = _spread(x.simplices(d - 2), 1) if d >= 2 else []
+        for g in _spread(x.generators(d), 1):
+            fs = x.gen_faces[g]
+            for i in range(d + 1):
+                for r in (ghost, *lower, x.simplices(d - 1)[-1], x.simplices(d)[0]):
+                    mutants.append({**x.gen_faces, g: fs[:i] + (r,) + fs[i + 1:]})
+    return [SimplicialSet(x.dim_cap, gens, faces, check=False) for faces in mutants]
+
+
 def test_validate_matches_the_whole_table_check_on_single_face_mutations():
     # The generator check is the only validation of a presented set: no
     # mutant that passes it may break an identity anywhere in its table.
-    ghost = SimplexRef("ghost")
     seen = set()
     for x in _corpus_sets(4):
-        gens = {d: x.generators(d) for d in range(x.dim_cap + 1)}
-        # every face of one generator per dimension, sent to an unknown
-        # generator and to simplices of dimension d - 2, d - 1 and d
-        mutants = [dict(x.gen_faces)]
-        for d in range(1, x.dim_cap + 1):
-            lower = _spread(x.simplices(d - 2), 1) if d >= 2 else []
-            for g in _spread(x.generators(d), 1):
-                fs = x.gen_faces[g]
-                for i in range(d + 1):
-                    for r in (ghost, *lower, x.simplices(d - 1)[-1], x.simplices(d)[0]):
-                        mutants.append({**x.gen_faces, g: fs[:i] + (r,) + fs[i + 1:]})
-        for faces in mutants:
-            y = SimplicialSet(x.dim_cap, gens, faces, check=False)
+        for y in _single_face_mutants(x):
             want = _outcome(lambda: _oracle_deep_validate(y))
             assert _outcome(y.validate) == want, (x, want)
             seen.add(want and _KINDS.search(want).group())
     assert seen == {None, "hits unknown", "has dimension", "!="}
+
+
+def test_counts_are_the_sizes_of_the_levels():
+    for x in _corpus_sets(4):
+        sizes = [len(x.simplices(n)) for n in range(5)]
+        assert [x.count(n) for n in range(5)] == sizes, x
+        # a loaded set is counted on the levels that loading built
+        y = io.sset_from_json(io.sset_to_json(x))
+        built = y._level_table.level_cap
+        assert [y.count(n) for n in range(5)] == sizes, x
+        assert y._level_table.level_cap == built
+        assert [len(y.simplices(n)) for n in range(5)] == sizes, x
+
+
+def test_every_loadable_single_face_mutant_builds_its_whole_table():
+    # counting a loaded set leaves the levels above its top generator
+    # dimension unbuilt; those levels must build for every set that loads
+    loaded = refused = 0
+    for x in _corpus_sets(4):
+        for y in _single_face_mutants(x):
+            try:
+                z = io.sset_from_json(io.sset_to_json(y))
+            except (InputError, ValidationError):
+                refused += 1
+                continue
+            loaded += 1
+            z.table(z.dim_cap)
+            assert [z.count(n) for n in range(5)] == [len(z.simplices(n)) for n in range(5)]
+    assert loaded and refused
+
+
+def test_counts_outside_the_cap_are_input_errors():
+    x = standard_simplex(2, dim_cap=4)
+    for n in (-1, 5):
+        with pytest.raises(InputError, match=rf"^dimension {n} outside \[0, 4\]$"):
+            x.count(n)
 
 
 def _moved(op, n, i, x, y):
