@@ -16,8 +16,11 @@ and the comparison functor from F(B) to the groupoid of descent data
 (an object over E plus a gluing morphism over E x_B E satisfying the
 cocycle and normalization conditions) is an equivalence.
 
-Presheaves are function-backed and values on large fibre powers are
-never enumerated: checks only ever materialize single elements there.
+The fibre powers are the levels of one Cech nerve of pi, and the site
+maps are its integer rows.  Elements and morphisms are tuples over a
+level's positions, restricted by one gather through a row.  Values on
+large fibre powers are never enumerated: the gluing over E x_B E is
+searched entry by entry, and beyond that only single elements are built.
 For the presheaf of G-valued cochains the descent groupoid is handled
 in skeletal form, fibre by fibre: the cochain group G^E and the set of
 cocycles are products over the fibres of pi, so each fibre gets its
@@ -39,20 +42,34 @@ from fractions import Fraction
 from .config import DEFAULT_BUDGET
 from .errors import CapacityError, ConsistencyError, InputError
 from .cat import UnionFind
-from .groupoid import FiniteGroupoid
+from .groupoid import FiniteGroupoid, FinMap, cech_nerve
 
 
 # ---------------------------------------------------------------------------
 # covers over the surjection site
 
 
-class _Base(tuple):
+class _Site(tuple):
+    """A site object of a cover, its points listed by position; functions
+    on it are enumerated with the positions of `order` first slowest."""
+
+    def __new__(cls, points, order=None):
+        site = super().__new__(cls, points)
+        site.order = range(len(site)) if order is None else tuple(order)
+        return site
+
+
+class _Base(_Site):
     """B as a site object, told from E by its type even on the same points."""
 
 
 @dataclass(frozen=True)
 class Cover:
-    """A surjection pi: E -> B, optionally split into disjoint parts."""
+    """A surjection pi: E -> B, optionally split into disjoint parts.
+
+    Site maps are rows, read off the Cech nerve of pi: a coface is a face
+    row, the diagonal is the s_0 row, a projection a restriction table.
+    """
 
     e: tuple
     b: tuple
@@ -83,45 +100,36 @@ class Cover:
             out[self.pi[x]].append(x)
         return {v: tuple(xs) for v, xs in out.items()}
 
-    def power(self, n):
-        """The n-fold fibre power of E over B; elements are bare for n=1."""
-        if n < 1:
-            raise InputError("fibre powers start at 1")
-        if n == 1:
-            return self.e
-        out = []
-        for xs in self.fibers().values():
-            out.extend(itertools.product(xs, repeat=n))
-        return tuple(sorted(out))
+    @cached_property
+    def nerve(self):
+        """The Cech nerve of pi through level 3, E^4, built on first use."""
+        return cech_nerve(FinMap(self.e, self.b, self.pi), level_cap=3)
 
-    def coface(self, n, i):
-        """Site map E^(n+1) -> E^n omitting coordinate i, as (alpha, cod)."""
-        if not 0 <= i <= n:
-            raise InputError(f"coface index {i} out of range for level {n}")
-        cod = self.power(n)
-        alpha = {}
-        for t in self.power(n + 1):
-            img = t[:i] + t[i + 1:]
-            alpha[t] = img[0] if n == 1 else img
-        return alpha, cod
-
-    def diagonal(self):
-        """Site map E -> E x_B E, as (alpha, cod)."""
-        return {x: (x, x) for x in self.e}, self.power(2)
-
-    def projection(self, n, coords):
-        """Site map E^n -> E^len(coords) selecting the given coordinates."""
-        cod_n = len(coords)
-        cod = self.power(cod_n)
-        alpha = {}
-        for t in self.power(n):
-            img = tuple(t[c] for c in coords)
-            alpha[t] = img[0] if cod_n == 1 else img
-        return alpha, cod
+    @cached_property
+    def sites(self):
+        """E^(n+1) as a site object at n <= 3: level n of the nerve, with
+        points bare on E.  Functions on E are listed in the order of self.e,
+        on E^(n+1) in the sorted order of the (n+1)-tuples."""
+        levels = self.nerve.levels
+        e = tuple(x for (x,) in levels[0])
+        at = dict(zip(e, range(len(e))))
+        sites = [_Site(e, [at[x] for x in self.e])]
+        for level in levels[1:]:
+            sites.append(_Site(level, sorted(range(len(level)), key=level.__getitem__)))
+        return sites
 
     def anchor(self):
-        """Site map E -> B."""
-        return dict(self.pi), _Base(self.b)
+        """Site map E -> B, as (row, cod)."""
+        at = dict(zip(self.b, range(len(self.b))))
+        return [at[self.pi[x]] for x in self.sites[0]], _Base(self.b)
+
+    def part_maps(self):
+        """Each part, or E alone when the cover is not split, as a site
+        object with its inclusion row into E."""
+        e = self.sites[0]
+        at = dict(zip(e, range(len(e))))
+        parts = (e,) if self.parts is None else self.parts
+        return [(_Site(part), [at[x] for x in part]) for part in parts]
 
     def to_json(self):
         data = {
@@ -149,52 +157,64 @@ class Cover:
 
 
 class _Functions:
-    """Every function keys -> values, each as a key-sorted tuple of pairs.
-
-    Functions come in the order of itertools.product over the values, the
-    first key varying slowest.  They are generated as they are iterated,
-    so a budgeted search over them can refuse before building them all;
-    len() is |values| ** |keys|.
+    """Every tuple of `width` entries drawn from `values`, in the order of
+    itertools.product with the entries of `order` (default: left to right)
+    first slowest.  Generated as iterated, so a budgeted search can refuse
+    before building them all; len() is |values| ** width.
     """
 
-    def __init__(self, keys, values):
-        self.keys, self.values = tuple(keys), tuple(values)
+    def __init__(self, values, width, order=None):
+        self.values, self.width = tuple(values), width
+        self.order = range(width) if order is None else order
 
     def __len__(self):
-        return len(self.values) ** len(self.keys)
+        return len(self.values) ** self.width
 
     def __iter__(self):
-        for vs in itertools.product(self.values, repeat=len(self.keys)):
-            yield tuple(sorted(zip(self.keys, vs)))
+        tuples = itertools.product(self.values, repeat=self.width)
+        if list(self.order) == list(range(self.width)):
+            return tuples
+        # where the value of each entry sits in a product tuple
+        at = [0] * self.width
+        for k, p in enumerate(self.order):
+            at[p] = k
+        return (tuple(map(vs.__getitem__, at)) for vs in tuples)
 
 
 class SetPresheaf:
-    """Function-backed presheaf of finite sets.
+    """Presheaf of finite sets on the surjection site, on positions.
 
-    value(obj) lists the elements at an object (a tuple of points; only
-    small objects are ever passed).  restrict(alpha, cod, elem) applies
-    the restriction along the site map alpha: dom -> cod to one element.
+    value(obj) lists the elements over a site object.  restrict(row, cod,
+    elem) restricts one element along the site map (row, cod) of a cover.
+    show(obj, elem) is an element over obj as a witness prints it.
     """
 
     def value(self, obj):
         raise NotImplementedError
 
-    def restrict(self, alpha, cod, elem):
+    def restrict(self, row, cod, elem):
         raise NotImplementedError
+
+    def show(self, obj, elem):
+        return elem
 
 
 class MapPresheaf(SetPresheaf):
-    """Sections of the projection: F(S) = all functions S -> values."""
+    """Sections of the projection: F(S) = all functions S -> values, each
+    a tuple indexed by the positions of S; restriction is one gather."""
 
     def __init__(self, values):
         self.values = tuple(values)
 
     def value(self, obj):
-        return _Functions(obj, self.values)
+        return _Functions(self.values, len(obj), obj.order)
 
-    def restrict(self, alpha, cod, elem):
-        table = dict(elem)
-        return tuple(sorted((s, table[t]) for s, t in alpha.items()))
+    def restrict(self, row, cod, elem):
+        return tuple(map(elem.__getitem__, row))
+
+    def show(self, obj, elem):
+        """A function as its key-sorted (point, value) pairs."""
+        return tuple(sorted(zip(obj, elem)))
 
 
 class ConstantPresheaf(SetPresheaf):
@@ -210,7 +230,7 @@ class ConstantPresheaf(SetPresheaf):
     def value(self, obj):
         return self.values
 
-    def restrict(self, alpha, cod, elem):
+    def restrict(self, row, cod, elem):
         return elem
 
 
@@ -234,10 +254,13 @@ class DoubledGlobalPresheaf(MapPresheaf):
             return tuple(itertools.product(self.values, repeat=2))
         return super().value(obj)
 
-    def restrict(self, alpha, cod, elem):
+    def restrict(self, row, cod, elem):
         if _is_base(cod, self.b):
-            return tuple(sorted((s, elem[0]) for s in alpha))
-        return super().restrict(alpha, cod, elem)
+            return (elem[0],) * len(row)
+        return super().restrict(row, cod, elem)
+
+    def show(self, obj, elem):
+        return elem if _is_base(obj, self.b) else super().show(obj, elem)
 
 
 @dataclass
@@ -268,22 +291,21 @@ class SheafReport:
 
 def check_sheaf_sets(presheaf, cover):
     """Both sheaf conditions for a set-valued presheaf on a cover."""
-    e = cover.e
+    e = cover.sites[0]
     fe = presheaf.value(e)
     witness = ""
 
-    parts = cover.parts if cover.parts is not None else (e,)
-    part_values = [presheaf.value(p) for p in parts]
+    part_maps = cover.part_maps()
+    part_values = [presheaf.value(p) for p, _ in part_maps]
     seen = {}
     products_ok = True
     for a in fe:
-        key = tuple(
-            presheaf.restrict({u: u for u in p}, e, a) for p in parts
-        )
+        key = tuple(presheaf.restrict(row, e, a) for _, row in part_maps)
         if key in seen:
             products_ok = False
             if not witness:
-                witness = f"parts: {seen[key]} and {a} agree on every part"
+                shown = presheaf.show(e, seen[key]), presheaf.show(e, a)
+                witness = "parts: %s and %s agree on every part" % shown
         seen[key] = a
     expected = 1
     for vs in part_values:
@@ -295,31 +317,30 @@ def check_sheaf_sets(presheaf, cover):
                 f"parts: {len(seen)} of {expected} part-families are glued"
             )
 
-    pr1, cod1 = cover.projection(2, (0,))
-    pr2, _ = cover.projection(2, (1,))
+    pr1, pr2 = (cover.nerve.restriction_table(1, (v,)) for v in (0, 1))
     eq = [
-        a
-        for a in fe
-        if presheaf.restrict(pr1, cod1, a) == presheaf.restrict(pr2, cod1, a)
+        a for a in fe if presheaf.restrict(pr1, e, a) == presheaf.restrict(pr2, e, a)
     ]
-    alpha, b = cover.anchor()
+    row, b = cover.anchor()
     fb = presheaf.value(b)
-    images = [presheaf.restrict(alpha, b, s) for s in fb]
+    images = [presheaf.restrict(row, b, s) for s in fb]
     injective = len(set(images)) == len(fb)
     if not injective and not witness:
         collide = {}
         for s, img in zip(fb, images):
             if img in collide:
-                witness = f"equalizer: {collide[img]} and {s} restrict equally"
+                shown = presheaf.show(b, collide[img]), presheaf.show(b, s)
+                witness = "equalizer: %s and %s restrict equally" % shown
                 break
             collide[img] = s
     surjective = set(images) == set(eq)
     if not surjective and not witness:
         stray = set(images) - set(eq)
         if stray:
-            witness = f"equalizer: image element {sorted(stray)[0]} not matching"
+            first = min(presheaf.show(e, a) for a in stray)
+            witness = f"equalizer: image element {first} not matching"
         else:
-            unhit = sorted(set(eq) - set(images))[0]
+            unhit = min(presheaf.show(e, a) for a in set(eq) - set(images))
             witness = f"equalizer: matching family {unhit} is not glued"
 
     return SheafReport(
@@ -351,21 +372,16 @@ def truncation_agreement_sets(presheaf, cover):
     agree.  Levels beyond the first are redundant for set-valued presheaves;
     this makes that concrete instead of assuming it.
     """
-    e = cover.e
-    fe = presheaf.value(e)
+    e = cover.sites[0]
     sizes = {}
-    survivors = list(fe)
+    survivors = list(presheaf.value(e))
     for level in (1, 2, 3):
-        n = level + 1
-        projections = [cover.projection(n, (v,)) for v in range(n)]
-        kept = []
-        for a in survivors:
-            imgs = {
-                presheaf.restrict(alpha, cod, a) for alpha, cod in projections
-            }
-            if len(imgs) == 1:
-                kept.append(a)
-        survivors = kept
+        # E^(level+1) -> E onto each coordinate
+        rows = [cover.nerve.restriction_table(level, (v,)) for v in range(level + 1)]
+        survivors = [
+            a for a in survivors
+            if len({presheaf.restrict(row, e, a) for row in rows}) == 1
+        ]
         sizes[level] = len(survivors)
     agree = len(set(sizes.values())) == 1
     return TruncationReport(sizes, agree)
@@ -423,15 +439,17 @@ class OpensPresheaf:
 
 
 class OpensMapPresheaf(OpensPresheaf):
+    """Functions on an open, as tuples over its points in sorted order."""
+
     def __init__(self, values):
         self.values = tuple(values)
 
     def value(self, space, name):
-        return _Functions(sorted(space.opens[name]), self.values)
+        return _Functions(self.values, len(space.opens[name]))
 
     def restrict(self, space, sup, sub, elem):
-        table = dict(elem)
-        return tuple(sorted((p, table[p]) for p in space.opens[sub]))
+        at = {p: i for i, p in enumerate(sorted(space.opens[sup]))}
+        return tuple(elem[at[p]] for p in sorted(space.opens[sub]))
 
 
 class OpensConstantPresheaf(OpensPresheaf):
@@ -502,13 +520,14 @@ def check_sheaf_opens(presheaf, space, target, part_names, budget=DEFAULT_BUDGET
 
 
 class GroupoidPresheaf:
-    """Function-backed presheaf of finite groupoids on the surjection site.
+    """Presheaf of finite groupoids on the surjection site, on positions.
 
-    Values are described by objects/homs/compose/identity; restrictions act
-    on single objects and morphisms.  Everything is strict: restriction
-    along a composite equals the composite of restrictions on the nose.
-    Implementations must keep homs() callable on the sets they will be
-    asked about; checks never enumerate hom sets over fibre powers past E.
+    A morphism is a tuple of group indices (one per position of the site
+    object for the torsor presheaf, one in all for BG); homs(s, a, b) is a
+    _Functions, and composing zips two morphisms through the integer
+    table `mul` (mul[b][a] is b after a).  Restricting along a site map
+    (row, cod) gathers through mor_row(row, cod).  Everything is strict;
+    descent_groupoid's gluing search reads mul for composition over E^3.
     """
 
     def objects(self, s):
@@ -517,53 +536,55 @@ class GroupoidPresheaf:
     def homs(self, s, a, b):
         raise NotImplementedError
 
-    def compose(self, s, g2, g1):
-        raise NotImplementedError
-
     def identity(self, s, a):
         raise NotImplementedError
 
-    def restrict_obj(self, alpha, cod, a):
+    def restrict_obj(self, row, cod, a):
         raise NotImplementedError
 
-    def restrict_mor(self, alpha, cod, m):
+    def mor_row(self, row, cod):
         raise NotImplementedError
 
+    def restrict_mor(self, row, cod, m):
+        return tuple(map(m.__getitem__, self.mor_row(row, cod)))
 
-class TorsorPresheaf(GroupoidPresheaf):
+    def compose(self, s, g2, g1):
+        return tuple(map(list.__getitem__, map(self.mul.__getitem__, g2), g1))
+
+
+class _OneObject(GroupoidPresheaf):
+    """One object everywhere, morphisms over G's integer table."""
+
+    def __init__(self, group):
+        self.group = group
+        ig = _int_group(group)
+        self.mul, self.e, self.values = ig.mul, ig.e, range(len(ig.elements))
+
+    def objects(self, s):
+        return ("*",)
+
+    def identity(self, s, a):
+        return (self.e,) * self.homs(s, a, a).width
+
+    def restrict_obj(self, row, cod, a):
+        return "*"
+
+
+class TorsorPresheaf(_OneObject):
     """One object everywhere; morphisms at S are G-valued functions on S.
 
     This is the presheaf whose descent data along a cover are exactly the
     G-valued cocycles, with coboundaries as morphisms.
     """
 
-    def __init__(self, group):
-        self.group = group
-
-    def objects(self, s):
-        return ("*",)
-
     def homs(self, s, a, b):
-        return _Functions(tuple(s), self.group.elements)
+        return _Functions(self.values, len(s), s.order)
 
-    def compose(self, s, g2, g1):
-        # both are key-sorted over the points of s
-        mul = self.group.mul
-        return tuple((x, mul[(b, a)]) for (x, b), (_, a) in zip(g2, g1))
-
-    def identity(self, s, a):
-        e = self.group.identity()
-        return tuple(sorted((x, e) for x in s))
-
-    def restrict_obj(self, alpha, cod, a):
-        return "*"
-
-    def restrict_mor(self, alpha, cod, m):
-        table = dict(m)
-        return tuple(sorted((x, table[y]) for x, y in alpha.items()))
+    def mor_row(self, row, cod):
+        return row
 
 
-class ConstantBGPresheaf(GroupoidPresheaf):
+class ConstantBGPresheaf(_OneObject):
     """The constant presheaf at the one-object groupoid of G.
 
     Restriction maps are identities, so the value on a disjoint union is
@@ -571,29 +592,14 @@ class ConstantBGPresheaf(GroupoidPresheaf):
     fails on any cover with at least two parts (unless G is trivial).
     """
 
-    def __init__(self, group):
-        self.group = group
-
-    def objects(self, s):
-        return ("*",)
-
     def homs(self, s, a, b):
-        return tuple(self.group.elements)
+        return _Functions(self.values, 1)
 
-    def compose(self, s, g2, g1):
-        return self.group.mul[(g2, g1)]
-
-    def identity(self, s, a):
-        return self.group.identity()
-
-    def restrict_obj(self, alpha, cod, a):
-        return "*"
-
-    def restrict_mor(self, alpha, cod, m):
-        return m
+    def mor_row(self, row, cod):
+        return (0,)
 
 
-class DoubledBGPresheaf(GroupoidPresheaf):
+class DoubledBGPresheaf(ConstantBGPresheaf):
     """BG everywhere except B(G x G) on the base, forgetting one factor.
 
     Satisfies the parts condition when the cover is not split, but the
@@ -602,34 +608,11 @@ class DoubledBGPresheaf(GroupoidPresheaf):
     """
 
     def __init__(self, group, b):
-        self.group = group
+        super().__init__(group)
         self.b = tuple(b)
 
-    def objects(self, s):
-        return ("*",)
-
     def homs(self, s, a, b):
-        if _is_base(s, self.b):
-            return tuple(itertools.product(self.group.elements, repeat=2))
-        return tuple(self.group.elements)
-
-    def compose(self, s, g2, g1):
-        if _is_base(s, self.b):
-            return (
-                self.group.mul[(g2[0], g1[0])],
-                self.group.mul[(g2[1], g1[1])],
-            )
-        return self.group.mul[(g2, g1)]
-
-    def identity(self, s, a):
-        e = self.group.identity()
-        return (e, e) if _is_base(s, self.b) else e
-
-    def restrict_obj(self, alpha, cod, a):
-        return "*"
-
-    def restrict_mor(self, alpha, cod, m):
-        return m[0] if _is_base(cod, self.b) else m
+        return _Functions(self.values, 2 if _is_base(s, self.b) else 1)
 
 
 def torsor_presheaf(group):
@@ -654,46 +637,62 @@ class DescentResult:
         return f"z{i}"
 
 
-def _descent_objects(presheaf, cover, e2, d0_1, d1_1, budget):
+def _descent_objects(presheaf, cover, budget):
     """The gluings (a, phi) that satisfy normalization and the cocycle
-    condition; d0_1 and d1_1 are the cofaces E x_B E -> E."""
-    e = cover.e
-    diag, cod_diag = cover.diagonal()
-    (al0, c0), (al1, c1), (al2, c2) = [cover.coface(2, i) for i in range(3)]
-    e3 = cover.power(3)
+    condition, phi searched entry by entry in the order its hom set lists
+    functions, so gluings come out in that order.  Normalization fixes
+    the entries the diagonal reads, and a cocycle triple (phi[d0 t],
+    phi[d1 t], phi[d2 t] for t over E^3) is checked once all three are
+    set.  Each value tried is one trial; the budget is checked as each
+    value's branch ends."""
+    nerve, mul = cover.nerve, presheaf.mul
+    e, e2 = cover.sites[0], cover.sites[1]
+    diag = presheaf.mor_row(nerve.degs[0][0], e2)
+    triples = dict.fromkeys(zip(*(presheaf.mor_row(row, e2) for row in nerve.faces[2])))
     out = []
-    steps = 0
+    trials = 0
     for a in presheaf.objects(e):
-        a_src = presheaf.restrict_obj(d1_1, e, a)
-        a_tgt = presheaf.restrict_obj(d0_1, e, a)
-        for phi in presheaf.homs(e2, a_src, a_tgt):
-            steps += 1
-            if steps > budget:
-                raise CapacityError(
-                    f"descent object search passed {budget} candidates",
-                    partial=len(out),
-                )
-            if presheaf.restrict_mor(diag, cod_diag, phi) != presheaf.identity(e, a):
-                continue
-            lhs = presheaf.restrict_mor(al1, c1, phi)
-            rhs = presheaf.compose(
-                e3,
-                presheaf.restrict_mor(al0, c0, phi),
-                presheaf.restrict_mor(al2, c2, phi),
-            )
-            if lhs == rhs:
-                out.append((a, phi))
+        src, tgt = (presheaf.restrict_obj(nerve.faces[1][i], e, a) for i in (1, 0))
+        homs = presheaf.homs(e2, src, tgt)
+        ident = presheaf.identity(e, a)
+        fixed = dict(zip(diag, ident))
+        if [fixed[p] for p in diag] != list(ident) or not set(ident) <= set(homs.values):
+            continue  # no gluing is normalized
+        phi = [fixed.get(p) for p in range(homs.width)]
+        order = [p for p in homs.order if phi[p] is None]
+        # checks[k]: the triples whose entries are all set once the first k
+        # entries of the order are
+        depth = {p: k + 1 for k, p in enumerate(order)}
+        checks = [[] for _ in range(len(order) + 1)]
+        for t in triples:
+            checks[max(depth.get(p, 0) for p in t)].append(t)
+
+        def extend(k):
+            nonlocal trials
+            if not all(mul[phi[f0]][phi[f2]] == phi[f1] for f0, f1, f2 in checks[k]):
+                return
+            if k == len(order):
+                out.append((a, tuple(phi)))
+                return
+            for v in homs.values:
+                trials += 1
+                phi[order[k]] = v
+                extend(k + 1)
+                if trials > budget:
+                    raise CapacityError(
+                        f"descent object search passed {budget} trials", partial=len(out)
+                    )
+
+        extend(0)
     return out
 
 
-def _quadruple_conditions(presheaf, e4, projections, phi):
+def _quadruple_conditions(presheaf, e2, e4, projections, phi):
     """All parallel composites of the gluing morphism over E^4 agree;
-    projections[(p, q)] is the site map E^4 -> E^2 onto coordinates p < q."""
+    projections[(p, q)] is the row of E^4 -> E^2 onto coordinates p < q."""
     if not e4:
         return True
-    pulled = {
-        pq: presheaf.restrict_mor(alpha, cod, phi) for pq, (alpha, cod) in projections.items()
-    }
+    pulled = {pq: presheaf.restrict_mor(row, e2, phi) for pq, row in projections.items()}
     comp = lambda g2, g1: presheaf.compose(e4, g2, g1)
     direct = pulled[(0, 3)]
     routes = [
@@ -712,19 +711,18 @@ def descent_groupoid(presheaf, cover, budget=DEFAULT_BUDGET):
     Morphisms are the morphisms of F(E) commuting with the gluings.  The
     quadruple conditions over E^4 follow from these for a strict presheaf;
     truncation_agreement_groupoids checks that on the built objects.
-    Everything is listed explicitly, so this is for small presheaves:
-    every gluing over E x_B E is a candidate.  For the C3 torsor presheaf
-    that is practical up to covers (2,2) and (3,1), and for S3 up to
-    (2,1); (3,2) has 3^13 gluing candidates for C3.  The cochain presheaf
-    at scale goes through cech_descent_skeleton instead.  The budget caps
-    the candidates of each search; a CapacityError carries the objects
-    (in the morphism search, the morphisms) found so far as partial.
+    Gluings are searched entry by entry, but every morphism of F(E)
+    between two objects is a candidate and the whole table is built (6,561
+    morphisms for the C3 torsor presheaf on (3,2)), so this is for small
+    covers; cech_descent_skeleton serves the cochain presheaf at scale.
+    The budget caps the gluing search's trials and the morphism search's
+    candidates; a CapacityError carries the objects (in the morphism
+    search, the morphisms) found so far as partial.
     """
-    e = cover.e
-    e2 = cover.power(2)
-    d0_1, _ = cover.coface(1, 0)
-    d1_1, _ = cover.coface(1, 1)
-    objects = _descent_objects(presheaf, cover, e2, d0_1, d1_1, budget)
+    nerve = cover.nerve
+    e, e2 = cover.sites[0], cover.sites[1]
+    d0, d1 = nerve.faces[1][0], nerve.faces[1][1]
+    objects = _descent_objects(presheaf, cover, budget)
     names = [f"z{i}" for i in range(len(objects))]
     morphisms = {}
     morphism_data = {}
@@ -746,45 +744,41 @@ def descent_groupoid(presheaf, cover, budget=DEFAULT_BUDGET):
                         partial=len(morphisms),
                     )
                 if k == len(lrow):
-                    lrow.append(
-                        presheaf.compose(e2, presheaf.restrict_mor(d0_1, e, h), phi)
-                    )
+                    lrow.append(presheaf.compose(e2, presheaf.restrict_mor(d0, e, h), phi))
                 if k == len(rrow):
-                    rrow.append(
-                        presheaf.compose(e2, phi2, presheaf.restrict_mor(d1_1, e, h))
-                    )
+                    rrow.append(presheaf.compose(e2, phi2, presheaf.restrict_mor(d1, e, h)))
                 if lrow[k] != rrow[k]:
                     continue
                 name = f"h{len(morphisms)}"
                 morphisms[name] = (names[i], names[j])
                 morphism_data[name] = (i, j, h)
     # the morphisms of F(E) that occur, numbered in order of appearance;
-    # named[(i, j, b)] is the descent morphism z_i -> z_j over the b-th
-    number, hs = {}, []
-    for i, j, h in morphism_data.values():
-        if h not in number:
-            number[h] = len(hs)
-            hs.append(h)
-    named = {(i, j, number[h]): name for name, (i, j, h) in morphism_data.items()}
+    # named[k][i][b] is the descent morphism z_i -> z_k over the b-th
+    hs = list(dict.fromkeys(h for _, _, h in morphism_data.values()))
+    number = dict(zip(hs, range(len(hs))))
+    named = [[{} for _ in objects] for _ in objects]
+    for name, (i, j, h) in morphism_data.items():
+        named[j][i][number[h]] = name
     identity = {}
     for i, (a, phi) in enumerate(objects):
-        name = named.get((i, i, number.get(presheaf.identity(e, a))))
+        name = named[i][i].get(number.get(presheaf.identity(e, a)))
         if name is None:
             raise ConsistencyError(f"identity of {names[i]} is not a descent morphism")
         identity[names[i]] = name
     # the composable pairs (n2, n1): n1 ends where n2 starts.  h2 o h1 is
     # computed once per pair of numbers, since each h recurs between
-    # other descent objects
+    # other descent objects: composites[b2][b1] is the number of h2 o h1
     into = [[] for _ in objects]
     for n1, (i, j, h1) in morphism_data.items():
         into[j].append((n1, i, number[h1]))
-    compose, composites = {}, {}
+    compose, composites = {}, [{} for _ in hs]
     for n2, (j, k, h2) in morphism_data.items():
-        b2 = number[h2]
+        row, named_k = composites[number[h2]], named[k]
         for n1, i, b1 in into[j]:
-            if (b2, b1) not in composites:
-                composites[(b2, b1)] = number.get(presheaf.compose(e, h2, hs[b1]))
-            name = named.get((i, k, composites[(b2, b1)]))
+            c = row.get(b1)
+            if c is None:
+                c = row[b1] = number.get(presheaf.compose(e, h2, hs[b1]))
+            name = named_k[i].get(c)
             if name is None:
                 raise ConsistencyError("descent morphisms are not closed under composition")
             compose[(n2, n1)] = name
@@ -823,9 +817,9 @@ class StackReport:
 
 def _products_condition(presheaf, cover, budget):
     """Is F(E) -> prod over parts an equivalence (for groupoid values)?"""
-    e = cover.e
-    parts = cover.parts if cover.parts is not None else (e,)
-    incls = [({u: u for u in p}, e) for p in parts]
+    e = cover.sites[0]
+    part_maps = cover.part_maps()
+    parts = [p for p, _ in part_maps]
     objs_e = presheaf.objects(e)
     part_objs = [presheaf.objects(p) for p in parts]
 
@@ -852,9 +846,7 @@ def _products_condition(presheaf, cover, budget):
     part_components = [components(p, objs) for p, objs in zip(parts, part_objs)]
     image_keys = set()
     for a in objs_e:
-        img = tuple(
-            presheaf.restrict_obj(alpha, cod, a) for alpha, cod in incls
-        )
+        img = tuple(presheaf.restrict_obj(row, e, a) for _, row in part_maps)
         image_keys.add(tuple(comp[x] for comp, x in zip(part_components, img)))
     all_keys = set(itertools.product(*[set(comp.values()) for comp in part_components]))
     ess = image_keys == all_keys
@@ -865,15 +857,13 @@ def _products_condition(presheaf, cover, budget):
             homs_e = presheaf.homs(e, a, b)
             imgs = []
             for h in homs_e:
-                imgs.append(tuple(
-                    presheaf.restrict_mor(alpha, cod, h) for alpha, cod in incls
-                ))
+                imgs.append(tuple(presheaf.restrict_mor(row, e, h) for _, row in part_maps))
             if len(set(imgs)) != len(homs_e):
                 ff = False
                 witness = "parts: two morphisms over E agree on every part"
                 break
-            ra = [presheaf.restrict_obj(alpha, cod, a) for alpha, cod in incls]
-            rb = [presheaf.restrict_obj(alpha, cod, b) for alpha, cod in incls]
+            ra = [presheaf.restrict_obj(row, e, a) for _, row in part_maps]
+            rb = [presheaf.restrict_obj(row, e, b) for _, row in part_maps]
             expected = 1
             for p, xa, xb in zip(parts, ra, rb):
                 expected *= len(presheaf.homs(p, xa, xb))
@@ -901,10 +891,9 @@ def check_stack_groupoids(presheaf, cover, budget=DEFAULT_BUDGET):
     """
     products_ok, witness = _products_condition(presheaf, cover, budget)
     desc = descent_groupoid(presheaf, cover, budget)
-    e = cover.e
-    e2 = cover.power(2)
+    e2 = cover.sites[1]
     anchor, b = cover.anchor()
-    anchor2 = {t: cover.pi[t[0]] for t in e2}
+    anchor2 = [anchor[p] for p in cover.nerve.restriction_table(1, (0,))]
     base_objs = presheaf.objects(b)
     obj_index = {pair: i for i, pair in enumerate(desc.object_data)}
     images = []
@@ -991,6 +980,13 @@ class _IntGroup:
         self.e = index[group.identity()]
         self.gens = [index[s] for s in group.generating_sequence()]
         self.fibres = {}
+
+
+def _int_group(group):
+    """The group's _IntGroup, built on first use and kept on the group."""
+    if group._cech is None:
+        group._cech = _IntGroup(group)
+    return group._cech
 
 
 class _Fibre:
@@ -1144,9 +1140,7 @@ class _CechCensus:
     """
 
     def __init__(self, group, cover, budget):
-        if group._cech is None:
-            group._cech = _IntGroup(group)
-        self.ig = ig = group._cech
+        self.ig = ig = _int_group(group)
         self.budget = budget
         self.spent = 0
         self.fibres = []
@@ -1411,9 +1405,12 @@ def truncation_agreement_groupoids(presheaf, cover, budget=DEFAULT_BUDGET):
     agree when none is dropped.
     """
     objects = descent_groupoid(presheaf, cover, budget).object_data
-    e4 = cover.power(4)
+    e2, e4 = cover.sites[1], cover.sites[3]
     projections = {
-        (p, q): cover.projection(4, (p, q)) for p in range(4) for q in range(p + 1, 4)
+        (p, q): cover.nerve.restriction_table(3, (p, q))
+        for p in range(4) for q in range(p + 1, 4)
     }
-    kept = sum(_quadruple_conditions(presheaf, e4, projections, phi) for _, phi in objects)
+    kept = sum(
+        _quadruple_conditions(presheaf, e2, e4, projections, phi) for _, phi in objects
+    )
     return TruncationReport({2: len(objects), 3: kept}, kept == len(objects))

@@ -209,6 +209,76 @@ def test_stack_exit_codes(files, capsys):
     ) == 1
 
 
+_UNSORTED = {"E": ["y", "x", "w"], "B": ["q", "p"], "pi": {"y": "q", "x": "p", "w": "q"}}
+_RESTRICT_EQUALLY = "equalizer: ('0', '0') and ('0', '1') restrict equally"
+_SHEAF = {"equalizer_count": 4, "equalizer_injective": True, "equalizer_surjective": True,
+          "global_count": 4, "is_sheaf": True, "products_ok": True, "witness": None}
+_NOT_INJECTIVE = {"equalizer_count": 4, "equalizer_injective": False,
+                  "equalizer_surjective": False, "global_count": 4, "is_sheaf": False,
+                  "products_ok": True, "witness": _RESTRICT_EQUALLY}
+_CONSTANT_SHEAF = {"equalizer_count": 2, "equalizer_injective": True,
+                   "equalizer_surjective": True, "global_count": 2, "is_sheaf": True,
+                   "products_ok": True, "witness": None}
+_STACK = {"base_objects": 1, "descent_components": 1, "descent_objects": 1,
+          "descent_ok": True, "essentially_surjective": True, "fully_faithful": True,
+          "is_stack": True, "products_ok": True, "witness": None}
+
+
+def _split_parts(glued, total, morphisms):
+    what = "part-morphism families are assembled" if morphisms else "part-families are glued"
+    return f"parts: {glued} of {total} {what}"
+
+
+# (command, cover, presheaf) -> (exit code, JSON output), as printed before
+# presheaf elements and morphisms were tuples over positions
+_PINNED_DESCENT = {
+    ("sheaf", "split", "representable"): (0, _SHEAF),
+    ("sheaf", "split", "constant"): (1, {
+        **_CONSTANT_SHEAF, "is_sheaf": False, "products_ok": False,
+        "witness": _split_parts(2, 8, False)}),
+    ("sheaf", "split", "doubled"): (1, _NOT_INJECTIVE),
+    ("stack", "split", "constant"): (1, {
+        **_STACK, "is_stack": False, "products_ok": False, "witness": _split_parts(2, 8, True)}),
+    ("stack", "split", "doubled"): (1, {
+        **_STACK, "descent_ok": False, "fully_faithful": False, "is_stack": False,
+        "products_ok": False, "witness": _split_parts(2, 8, True)}),
+    ("sheaf", "unsorted", "representable"): (0, _SHEAF),
+    ("sheaf", "unsorted", "constant"): (0, _CONSTANT_SHEAF),
+    ("sheaf", "unsorted", "doubled"): (1, _NOT_INJECTIVE),
+    ("stack", "unsorted", "constant"): (0, _STACK),
+    ("stack", "unsorted", "doubled"): (1, {
+        **_STACK, "descent_ok": False, "fully_faithful": False, "is_stack": False,
+        "witness": "descent: comparison is not bijective on morphisms"}),
+    ("sheaf", "unsorted_split", "representable"): (0, _SHEAF),
+    ("sheaf", "unsorted_split", "constant"): (1, {
+        **_CONSTANT_SHEAF, "is_sheaf": False, "products_ok": False,
+        "witness": _split_parts(2, 4, False)}),
+    ("sheaf", "unsorted_split", "doubled"): (1, _NOT_INJECTIVE),
+    ("stack", "unsorted_split", "constant"): (1, {
+        **_STACK, "is_stack": False, "products_ok": False, "witness": _split_parts(2, 4, True)}),
+    ("stack", "unsorted_split", "doubled"): (1, {
+        **_STACK, "descent_ok": False, "fully_faithful": False, "is_stack": False,
+        "products_ok": False, "witness": _split_parts(2, 4, True)}),
+}
+
+
+def test_descent_sheaf_and_stack_print_the_pinned_bytes(files, capsys, tmp_path):
+    covers = {
+        "split": _write(tmp_path, "split.json",
+                        io.cover_to_json(cover_of_shape((2, 1), split=True))),
+        "unsorted": _write(tmp_path, "unsorted.json", _UNSORTED),
+        "unsorted_split": _write(tmp_path, "unsorted_split.json",
+                                 {**_UNSORTED, "parts": [["y"], ["x", "w"]]}),
+    }
+    for (command, cover, presheaf), (code, data) in _PINNED_DESCENT.items():
+        argv = ["descent", command, covers[cover], "--presheaf", presheaf]
+        if command == "stack":
+            argv += ["--group", files["c2"]]
+        assert main(argv) == code, (command, cover, presheaf)
+        out = capsys.readouterr().out
+        assert out == json.dumps(data, indent=2, sort_keys=True) + "\n", (command, cover, presheaf)
+
+
 def test_stack_on_the_empty_cover(files, capsys, tmp_path):
     # the product over no parts is the terminal groupoid
     empty = _write(tmp_path, "empty.json", {"E": [], "B": [], "pi": {}, "parts": []})

@@ -24,6 +24,8 @@ from hornfill.descent import (
     StackReport,
     TorsorPresheaf,
     TruncationReport,
+    _Functions,
+    _is_base,
     cech_cocycles,
     cech_descent_skeleton,
     cech_stack_report,
@@ -56,23 +58,83 @@ def test_cover_validation():
     assert c.parts == (("e0_0",), ("e0_1",), ("e1_0",))
 
 
+# ---------------------------------------------------------------------------
+# the site maps as dicts, built the way Cover built them before it read
+# them off its nerve: the oracle for the nerve's rows and for the
+# descent groupoid
+
+
+def _power(cover, n):
+    """The n-fold fibre power of E over B; elements are bare for n=1."""
+    if n == 1:
+        return cover.e
+    out = []
+    for xs in cover.fibers().values():
+        out.extend(itertools.product(xs, repeat=n))
+    return tuple(sorted(out))
+
+
+def _coface(cover, n, i):
+    """Site map E^(n+1) -> E^n omitting coordinate i."""
+    alpha = {}
+    for t in _power(cover, n + 1):
+        img = t[:i] + t[i + 1:]
+        alpha[t] = img[0] if n == 1 else img
+    return alpha
+
+
+def _diagonal(cover):
+    """Site map E -> E x_B E."""
+    return {x: (x, x) for x in cover.e}
+
+
+def _projection(cover, n, coords):
+    """Site map E^n -> E^len(coords) selecting the given coordinates."""
+    alpha = {}
+    for t in _power(cover, n):
+        img = tuple(t[c] for c in coords)
+        alpha[t] = img[0] if len(coords) == 1 else img
+    return alpha
+
+
+def _row(alpha, dom, cod):
+    """A site map given as a dict, as the row from the positions of the
+    site object dom to those of cod."""
+    at = {x: p for p, x in enumerate(cod)}
+    return [at[alpha[x]] for x in dom]
+
+
 def test_fibre_power_counts_and_simplicial_identities():
     cover = cover_of_shape((3, 2))
-    assert len(cover.power(1)) == 5
-    assert len(cover.power(2)) == 13  # 9 + 4
-    assert len(cover.power(3)) == 35  # 27 + 8
+    assert [len(cover.sites[n]) for n in range(3)] == [5, 13, 35]  # 9 + 4, 27 + 8
     # d_i d_j = d_{j-1} d_i for i < j, evaluated pointwise on E^3
     for j in range(1, 3):
         for i in range(j):
-            a1, _ = cover.coface(2, i)
-            b1, _ = cover.coface(1, j - 1)
-            a2, _ = cover.coface(2, j)
-            b2, _ = cover.coface(1, i)
-            lhs = {t: b2[a2[t]] for t in cover.power(3)}
-            rhs = {t: b1[a1[t]] for t in cover.power(3)}
-            assert lhs == rhs, (i, j)
-    diag, cod = cover.diagonal()
-    assert set(diag.values()) <= set(cod)
+            a1, b1 = _coface(cover, 2, i), _coface(cover, 1, j - 1)
+            a2, b2 = _coface(cover, 2, j), _coface(cover, 1, i)
+            assert {t: b2[a2[t]] for t in _power(cover, 3)} == {
+                t: b1[a1[t]] for t in _power(cover, 3)}, (i, j)
+    # the nerve's levels are the fibre powers, listed for functions in the
+    # old order, and its rows are the dict site maps
+    for prof in cover_shapes():
+        cover = cover_of_shape(prof)
+        nerve, site = cover.nerve, cover.sites
+        for n in range(4):
+            assert [site[n][p] for p in site[n].order] == list(_power(cover, n + 1)), prof
+        for n in (1, 2, 3):
+            for i in range(n + 1):
+                assert list(nerve.faces[n][i]) == _row(
+                    _coface(cover, n, i), site[n], site[n - 1]), (prof, n, i)
+            for v in range(n + 1):
+                assert list(nerve.restriction_table(n, (v,))) == _row(
+                    _projection(cover, n + 1, (v,)), site[n], site[0]), (prof, n, v)
+        assert list(nerve.degs[0][0]) == _row(_diagonal(cover), site[0], site[1]), prof
+        for p in range(4):
+            for q in range(p + 1, 4):
+                assert list(nerve.restriction_table(3, (p, q))) == _row(
+                    _projection(cover, 4, (p, q)), site[3], site[1]), (prof, p, q)
+        row, b = cover.anchor()
+        assert row == _row(dict(cover.pi), site[0], b), prof
 
 
 def test_representable_presheaf_is_a_sheaf_on_every_shape():
@@ -104,6 +166,42 @@ def test_doubled_global_presheaf_fails_the_equalizer():
     assert not rep.equalizer_surjective
     assert rep.global_count == 4 and rep.equalizer_count == 4
     assert "restrict equally" in rep.witness
+
+
+class _Trimmed(MapPresheaf):
+    """Functions everywhere, with F(B) and F(E) cut to the slices given,
+    so that the equalizer condition fails by surjectivity."""
+
+    def __init__(self, values, b, base, other):
+        super().__init__(values)
+        self.b, self.base, self.other = tuple(b), base, other
+
+    def value(self, obj):
+        out = list(super().value(obj))
+        return out[self.base if _is_base(obj, self.b) else self.other]
+
+
+def test_sheaf_witnesses_print_functions_as_key_sorted_pairs():
+    # the witnesses as they were printed when functions were key-sorted
+    # tuples of pairs, on a cover whose E and B are not listed sorted
+    cases = [
+        (slice(-1, None), slice(None), "matching family {} is not glued"),
+        (slice(0, 1), slice(None), "matching family {} is not glued"),
+        (slice(None), slice(1, None), "image element {} not matching"),
+    ]
+    unsorted = Cover(("y", "x", "w"), ("q", "p"), {"y": "q", "x": "p", "w": "q"})
+    shown = [
+        (unsorted, ["(('w', 'v0'), ('x', 'v0'), ('y', 'v0'))",
+                    "(('w', 'v0'), ('x', 'v1'), ('y', 'v0'))",
+                    "(('w', 'v0'), ('x', 'v0'), ('y', 'v0'))"]),
+        (cover_of_shape((2, 1)), ["(('e0_0', 'v0'), ('e0_1', 'v0'), ('e1_0', 'v0'))",
+                                  "(('e0_0', 'v0'), ('e0_1', 'v0'), ('e1_0', 'v1'))",
+                                  "(('e0_0', 'v0'), ('e0_1', 'v0'), ('e1_0', 'v0'))"]),
+    ]
+    for cover, elements in shown:
+        for (base, other, text), element in zip(cases, elements):
+            rep = check_sheaf_sets(_Trimmed(("v0", "v1"), cover.b, base, other), cover)
+            assert rep.witness == "equalizer: " + text.format(element), (cover.e, text)
 
 
 def test_sheaf_counts_for_representable_presheaf():
@@ -226,9 +324,8 @@ def test_cech_skeleton_census_for_s3_over_three_two():
 
 
 def test_skeleton_matches_materialized_descent_groupoid():
-    cases = [(g, prof) for g in ("c2", "c3")
-             for prof in [(1,), (2,), (1, 1), (2, 1), (2, 2), (3, 1)]]
-    cases += [("s3", prof) for prof in [(1,), (2,), (1, 1), (2, 1)]]
+    cases = [(g, prof) for g in ("c2", "c3") for prof in cover_shapes(4)]
+    cases += [("s3", prof) for prof in [(1,), (2,), (1, 1), (2, 1), (1, 1, 1)]]
     for gname, prof in cases:
         g, cover = GROUPS[gname], cover_of_shape(prof)
         skel = cech_descent_skeleton(g, cover)
@@ -712,56 +809,61 @@ def test_doubled_presheaves_tell_the_base_from_a_cover_on_the_same_points():
     assert not stack.fully_faithful
 
 
+def _int_table(group):
+    """The group's multiplication on element indices, and the identity's."""
+    at = {a: i for i, a in enumerate(group.elements)}
+    mul = [[at[group.mul[(b, a)]] for a in group.elements] for b in group.elements]
+    return mul, at[group.identity()]
+
+
 class _TwoObjectBG(GroupoidPresheaf):
-    """Two objects everywhere with every hom set G: more morphism
-    candidates than object candidates."""
+    """Two objects everywhere with every hom set G, a morphism being one
+    entry: more morphism candidates than object candidates."""
 
     def __init__(self, group):
         self.group = group
+        self.mul, self.e = _int_table(group)
 
     def objects(self, s):
         return ("*", "o")
 
     def homs(self, s, a, b):
-        return self.group.elements
-
-    def compose(self, s, g2, g1):
-        return self.group.mul[(g2, g1)]
+        return _Functions(range(len(self.mul)), 1)
 
     def identity(self, s, a):
-        return self.group.identity()
+        return (self.e,)
 
-    def restrict_obj(self, alpha, cod, a):
+    def restrict_obj(self, row, cod, a):
         return a
 
-    def restrict_mor(self, alpha, cod, m):
-        return m
+    def mor_row(self, row, cod):
+        return (0,)
 
 
-# the object search, morphism search and composition table that
-# descent_groupoid's rows replaced, kept as the oracle
+# the generate-and-test object search, the morphism search and the
+# composition table that descent_groupoid's entry search and rows
+# replaced, kept as the oracle; every site map is a dict map as a row
 
 
 def _oracle_descent_objects(presheaf, cover, depth):
-    e = cover.e
-    e2 = cover.power(2)
-    d0_1, cod0_1 = cover.coface(1, 0)
-    d1_1, cod1_1 = cover.coface(1, 1)
-    diag, cod_diag = cover.diagonal()
-    cofaces_2 = [cover.coface(2, i) for i in range(3)]
+    e, e2, e3 = (cover.sites[n] for n in range(3))
+    d0_1 = _row(_coface(cover, 1, 0), e2, e)
+    d1_1 = _row(_coface(cover, 1, 1), e2, e)
+    diag = _row(_diagonal(cover), e, e2)
+    cofaces_2 = [_row(_coface(cover, 2, i), e3, e2) for i in range(3)]
     out = []
     for a in presheaf.objects(e):
-        a_src = presheaf.restrict_obj(d1_1, cod1_1, a)
-        a_tgt = presheaf.restrict_obj(d0_1, cod0_1, a)
+        a_src = presheaf.restrict_obj(d1_1, e, a)
+        a_tgt = presheaf.restrict_obj(d0_1, e, a)
         for phi in presheaf.homs(e2, a_src, a_tgt):
-            if presheaf.restrict_mor(diag, cod_diag, phi) != presheaf.identity(e, a):
+            if presheaf.restrict_mor(diag, e2, phi) != presheaf.identity(e, a):
                 continue
-            (al0, c0), (al1, c1), (al2, c2) = cofaces_2
-            lhs = presheaf.restrict_mor(al1, c1, phi)
+            al0, al1, al2 = cofaces_2
+            lhs = presheaf.restrict_mor(al1, e2, phi)
             rhs = presheaf.compose(
-                cover.power(3),
-                presheaf.restrict_mor(al0, c0, phi),
-                presheaf.restrict_mor(al2, c2, phi),
+                e3,
+                presheaf.restrict_mor(al0, e2, phi),
+                presheaf.restrict_mor(al2, e2, phi),
             )
             if lhs != rhs:
                 continue
@@ -772,12 +874,12 @@ def _oracle_descent_objects(presheaf, cover, depth):
 
 
 def _oracle_quadruple_conditions(presheaf, cover, phi):
-    e4 = cover.power(4)
+    e2, e4 = cover.sites[1], cover.sites[3]
     pulled = {}
     for p in range(4):
         for q in range(p + 1, 4):
-            alpha, cod = cover.projection(4, (p, q))
-            pulled[(p, q)] = presheaf.restrict_mor(alpha, cod, phi)
+            row = _row(_projection(cover, 4, (p, q)), e4, e2)
+            pulled[(p, q)] = presheaf.restrict_mor(row, e2, phi)
     comp = lambda g2, g1: presheaf.compose(e4, g2, g1)
     direct = pulled[(0, 3)]
     routes = [
@@ -793,18 +895,17 @@ def _oracle_descent_tables(presheaf, cover):
     composition table: every site map is built where it is used, both
     gluing composites are computed for every candidate (i, j, h), and the
     composition table is scanned over all pairs of morphisms."""
-    e = cover.e
+    e, e2 = cover.sites[0], cover.sites[1]
     objects = _oracle_descent_objects(presheaf, cover, 2)
-    d0_1, cod0_1 = cover.coface(1, 0)
-    d1_1, cod1_1 = cover.coface(1, 1)
-    e2 = cover.power(2)
+    d0_1 = _row(_coface(cover, 1, 0), e2, e)
+    d1_1 = _row(_coface(cover, 1, 1), e2, e)
     names = [f"z{i}" for i in range(len(objects))]
     morphisms, morphism_data, lookup = {}, {}, {}
     for i, (a, phi) in enumerate(objects):
         for j, (a2, phi2) in enumerate(objects):
             for h in presheaf.homs(e, a, a2):
-                left = presheaf.compose(e2, presheaf.restrict_mor(d0_1, cod0_1, h), phi)
-                right = presheaf.compose(e2, phi2, presheaf.restrict_mor(d1_1, cod1_1, h))
+                left = presheaf.compose(e2, presheaf.restrict_mor(d0_1, e, h), phi)
+                right = presheaf.compose(e2, phi2, presheaf.restrict_mor(d1_1, e, h))
                 if left != right:
                     continue
                 name = f"h{len(morphisms)}"
@@ -822,10 +923,19 @@ def _oracle_descent_tables(presheaf, cover):
     return objects, morphisms, morphism_data, identity, compose
 
 
+# covers whose E and B are not listed in sorted order, unsplit and split
+_UNSORTED_COVERS = (
+    Cover(("y", "x", "w"), ("q", "p"), {"y": "q", "x": "p", "w": "q"}),
+    Cover(("b1", "a2", "a1"), ("p",), {"b1": "p", "a2": "p", "a1": "p"}),
+    Cover(("y", "x", "w"), ("q", "p"), {"y": "q", "x": "p", "w": "q"}, (("y",), ("x", "w"))),
+)
+
+
 def test_descent_groupoid_matches_the_per_candidate_oracle():
     tables = truncations = 0
-    for shape in ((1,), (2,), (1, 1), (2, 1)):
-        cover = cover_of_shape(shape)
+    covers = [(shape, cover_of_shape(shape)) for shape in ((1,), (2,), (1, 1), (2, 1))]
+    covers += [(cover.e, cover) for cover in _UNSORTED_COVERS]
+    for shape, cover in covers:
         for gname in ("c1", "c2", "c3"):
             g = GROUPS[gname]
             for presheaf in (torsor_presheaf(g), constant_bg_presheaf(g),
@@ -848,12 +958,38 @@ def test_descent_groupoid_matches_the_per_candidate_oracle():
                 report = truncation_agreement_groupoids(presheaf, cover)
                 assert report == TruncationReport(sizes, sizes[2] == sizes[3]), where
                 truncations += 1
-    assert (tables, truncations) == (48, 48)
+    assert (tables, truncations) == (84, 84)
 
 
-def _sorted_compose(group, g2, g1):
-    """The torsor presheaf's composite read through dicts and sorted."""
-    d2, d1 = dict(g2), dict(g1)
+def _old_functions(keys, values):
+    """Every function keys -> values as its key-sorted pairs, the first
+    key varying slowest: the order the hom sets listed them in before."""
+    for vs in itertools.product(values, repeat=len(keys)):
+        yield tuple(sorted(zip(keys, vs)))
+
+
+def test_hom_sets_list_functions_in_the_old_order_on_unsorted_covers():
+    # the names z_i and h_k follow the order of homs over E x_B E and over
+    # E, and on these covers the nerve lists E in another order
+    assert all(tuple(cover.sites[0]) != cover.e for cover in _UNSORTED_COVERS)
+    for cover in _UNSORTED_COVERS + (cover_of_shape((2, 1)),):
+        for gname in ("c2", "c3"):
+            g = GROUPS[gname]
+            presheaf = torsor_presheaf(g)
+            for n in (0, 1):
+                site = cover.sites[n]
+                got = [
+                    tuple(sorted(zip(site, (g.elements[v] for v in h))))
+                    for h in presheaf.homs(site, "*", "*")
+                ]
+                assert got == list(_old_functions(_power(cover, n + 1), g.elements))
+
+
+def _sorted_compose(group, site, g2, g1):
+    """The torsor presheaf's composite as key-sorted pairs, read through
+    dicts over the points of the site object."""
+    d2 = {x: group.elements[v] for x, v in zip(site, g2)}
+    d1 = {x: group.elements[v] for x, v in zip(site, g1)}
     return tuple(sorted((x, group.mul[(d2[x], d1[x])]) for x in d1))
 
 
@@ -862,19 +998,21 @@ def test_torsor_compose_matches_the_sorted_composite():
     # functions over E x_B E, so there every pair with a gluing of a
     # descent object on either side
     cover = cover_of_shape((2, 1))
-    e2 = cover.power(2)
+    e, e2 = cover.sites[0], cover.sites[1]
     for name in ("c2", "c3", "s3"):
         g = GROUPS[name]
         presheaf = torsor_presheaf(g)
-        over_e, over_e2 = list(presheaf.homs(cover.e, "*", "*")), list(presheaf.homs(e2, "*", "*"))
-        pairs = [(cover.e, g2, g1) for g2 in over_e for g1 in over_e]
+        over_e, over_e2 = list(presheaf.homs(e, "*", "*")), list(presheaf.homs(e2, "*", "*"))
+        pairs = [(e, g2, g1) for g2 in over_e for g1 in over_e]
         if name == "s3":
             phis = [phi for _, phi in descent_groupoid(presheaf, cover).object_data]
             pairs += [(e2, p, q) for phi in phis for h in over_e2 for p, q in ((phi, h), (h, phi))]
         else:
             pairs += [(e2, g2, g1) for g2 in over_e2 for g1 in over_e2]
         for s, g2, g1 in pairs:
-            assert presheaf.compose(s, g2, g1) == _sorted_compose(g, g2, g1)
+            got = presheaf.compose(s, g2, g1)
+            assert tuple(sorted(zip(s, (g.elements[v] for v in got)))) == _sorted_compose(
+                g, s, g2, g1)
         assert len(pairs) == {"c2": 8 ** 2 + 32 ** 2, "c3": 27 ** 2 + 243 ** 2,
                               "s3": 216 ** 2 + 6 * 2 * 7776}[name]
 
@@ -886,14 +1024,14 @@ class _TwistedTorsor(TorsorPresheaf):
 
     def __init__(self, group, twist, cover):
         super().__init__(group)
-        self.twist = twist
-        self.e4 = cover.power(4)
+        self.twist = group.elements.index(twist)
+        self.e4 = tuple(cover.sites[3])
 
     def compose(self, s, g2, g1):
         out = super().compose(s, g2, g1)
         if tuple(s) != self.e4:
             return out
-        return tuple((x, self.group.mul[(self.twist, g)]) for x, g in out)
+        return tuple(self.mul[self.twist][g] for g in out)
 
 
 def test_truncation_agreement_groupoids_reports_objects_dropped_at_depth_three():
@@ -927,7 +1065,7 @@ class _CollapsingBG(_TwoObjectBG):
     """Both objects restrict to "*", so the parts condition is met only
     because "*" and "o" lie in one component of each part."""
 
-    def restrict_obj(self, alpha, cod, a):
+    def restrict_obj(self, row, cod, a):
         return "*"
 
 
@@ -955,13 +1093,26 @@ def test_descent_object_search_refuses_before_building_its_candidates():
 
 def test_every_descent_capacity_error_reports_partial_progress():
     c2, cover = GROUPS["c2"], cover_of_shape((2, 1))
+    # C2 over (2,1): normalization fixes the three diagonal entries of phi,
+    # and phi[e0_0, e0_1], phi[e0_1, e0_0] are tried in that order.  Trials:
+    # c0, c0 (the first cocycle, 2 trials), c1 (fails, 3), then c1, c0
+    # (fails, 5 > 3): budget 3 stops the gluing search after one gluing
+    with pytest.raises(CapacityError) as info:
+        descent_groupoid(torsor_presheaf(c2), cover, budget=3)
+    assert "object search" in str(info.value) and info.value.partial == 1
+    # the whole gluing search takes 6 trials (then c1, c1, the second
+    # cocycle), so budget 10 stops the morphism search instead: of the 8
+    # cochains h: z0 -> z0, the 4 constant on {e0_0, e0_1} are morphisms,
+    # and candidates 9 and 10, the first two h: z0 -> z1, are not
     with pytest.raises(CapacityError) as info:
         descent_groupoid(torsor_presheaf(c2), cover, budget=10)
-    assert info.value.partial == 1  # the second cocycle is candidate 13 of 32
+    assert "morphism search" in str(info.value) and info.value.partial == 4
     assert len(descent_groupoid(_TwoObjectBG(c2), cover).morphism_data) == 8
     with pytest.raises(CapacityError) as info:
         descent_groupoid(_TwoObjectBG(c2), cover, budget=6)
-    assert info.value.partial == 6  # object search takes 4, morphisms 8
+    # a gluing is one entry, which normalization fixes: the object search
+    # tries no value, and all 8 morphism candidates are morphisms
+    assert info.value.partial == 6
     with pytest.raises(CapacityError) as info:
         check_stack_groupoids(constant_bg_presheaf(c2), cover_of_shape((2, 2), split=True),
                               budget=1)
