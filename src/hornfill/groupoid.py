@@ -502,21 +502,21 @@ def action_bar_object(action, level_cap=DEFAULT_LEVEL_CAP):
 
 @dataclass
 class GroupoidObjectReport:
+    """`witness` is (n, S, S', "not injective" | "not surjective") for the
+    first failing partition in scan order, () when the object holds.
+    `checked` counts partitions: every partition up to `level_cap` when the
+    object holds, and those scanned through the first failure otherwise."""
+
     holds: bool
     level_cap: int
     witness: tuple
     checked: int
 
 
-def is_groupoid_object(so, level_cap=None):
-    """Unordered two-piece gluing at every level: for each partition of [n]
-    into S and S' overlapping in one point m, restriction must identify the
-    n-simplices with the pairs agreeing at m.  Needs at least three levels
-    to say anything; truncations below that are rejected."""
-    cap = so.level_cap if level_cap is None else min(level_cap, so.level_cap)
-    if cap < 3:
-        raise InputError("groupoid-object check needs level_cap >= 3")
-    checked = 0
+def _gluing_partitions(cap):
+    """Every (n, S, S', m) with 2 <= n <= cap and [n] = S u S', S n S' = {m},
+    each unordered pair once (S < S'), in scan order: by n, by m, then by the
+    split of the other vertices in product order."""
     for n in range(2, cap + 1):
         for m in range(n + 1):
             rest = [v for v in range(n + 1) if v != m]
@@ -527,21 +527,86 @@ def is_groupoid_object(so, level_cap=None):
                     continue
                 s = tuple(sorted(a + [m]))
                 s2 = tuple(sorted(bb + [m]))
-                if s > s2:
-                    continue
-                checked += 1
-                r1, r2 = so.restriction_table(n, s), so.restriction_table(n, s2)
-                pairs = set(zip(r1, r2))
-                if len(pairs) != len(so.levels[n]):
-                    return GroupoidObjectReport(False, cap, (n, s, s2, "not injective"), checked)
-                # onto the pairs agreeing at m: as many pairs as those, all agreeing
-                at_m = so.restriction_table(len(s) - 1, (s.index(m),))
-                at_m2 = so.restriction_table(len(s2) - 1, (s2.index(m),))
-                over = Counter(at_m2)
-                agreeing = sum(k * over[v] for v, k in Counter(at_m).items())
-                if len(pairs) != agreeing or _then(r1, at_m) != _then(r2, at_m2):
-                    return GroupoidObjectReport(False, cap, (n, s, s2, "not surjective"), checked)
-    return GroupoidObjectReport(True, cap, (), checked)
+                if s < s2:
+                    yield n, s, s2, m
+
+
+def _partition_count(cap):
+    """len(list(_gluing_partitions(cap))): at level n, each of the n + 1
+    overlaps m splits the other n vertices into two non-empty sides in
+    2^n - 2 ways, each unordered pair counted twice."""
+    return sum((n + 1) * (2 ** (n - 1) - 1) for n in range(2, cap + 1))
+
+
+def _generating_partitions(cap):
+    """The level-2 partitions, then the spine X_n = X_{0..n-1} x_{X_0} X_{n-1,n}."""
+    yield from ((2, (0, 1), (0, 2), 0), (2, (0, 1), (1, 2), 1), (2, (0, 2), (1, 2), 2))
+    for n in range(3, cap + 1):
+        yield n, tuple(range(n)), (n - 1, n), n - 1
+
+
+def _gluing_failure(so, n, s, s2, m):
+    """None if restriction along S and S' identifies level n with the pairs
+    agreeing at m, else "not injective" or "not surjective"."""
+    r1, r2 = so.restriction_table(n, s), so.restriction_table(n, s2)
+    pairs = set(zip(r1, r2))
+    if len(pairs) != len(so.levels[n]):
+        return "not injective"
+    # onto the pairs agreeing at m: as many pairs as those, all agreeing
+    at_m = so.restriction_table(len(s) - 1, (s.index(m),))
+    at_m2 = so.restriction_table(len(s2) - 1, (s2.index(m),))
+    over = Counter(at_m2)
+    agreeing = sum(k * over[v] for v, k in Counter(at_m).items())
+    if len(pairs) != agreeing or _then(r1, at_m) != _then(r2, at_m2):
+        return "not surjective"
+    return None
+
+
+def is_groupoid_object(so, level_cap=None):
+    """Unordered two-piece gluing at every level: for each partition of [n]
+    into S and S' overlapping in one point m, restriction must identify the
+    n-simplices with the pairs agreeing at m.  Needs at least three levels
+    to say anything; truncations below that are rejected.
+
+    Only cap + 1 partitions are checked unless one fails: the three at
+    level 2 and the spine (0..n-1 | n-1, n) at each level n >= 3.  On an
+    object satisfying the simplicial identities, as every object built with
+    its check has, they imply all the others (Segal, *Classifying spaces
+    and spectral sequences*; Goerss-Jardine, *Simplicial Homotopy Theory*,
+    I.1):
+    - level 2 with m = 1 is Segal's condition, so X_1 => X_0 composes by
+      d_1 of the 2-simplex on a composable pair, with units s_0; m = 0 and
+      m = 2 give every arrow a left and a right inverse;
+    - surjectivity at n = 3 gives associativity: the 3-simplex on the
+      2-simplex of (f, g) and the edge h has d_1 and d_2 reading h(gf)
+      and (hg)f off its one edge 03;
+    - by induction on the spine, the map sending an n-simplex to its
+      string of edges 01, ..., n-1 n is a levelwise bijection onto the
+      nerve of that groupoid, and it commutes with faces (inner faces
+      compose, by Segal's condition on the 2-simplex i-1, i, i+1) and
+      degeneracies (insert units);
+    - a groupoid nerve passes every partition: an n-simplex is its vertex
+      m with the arrows from m to every other vertex, which the two sides
+      give independently.
+    The level-2 checks overlap: Segal's condition follows from the spine at
+    n = 3 (x is d_1 of s_1 x, whose spine pieces are s_1 d_2 x and d_0 x),
+    and in a category either inverse condition gives the other, so
+    dropping any one of the three changes no verdict.
+    When a generator fails, the full scan runs in its order to name the
+    first failing partition, and `checked` counts the partitions it read.
+    """
+    if level_cap is not None:
+        check_level_cap(level_cap)
+    cap = so.level_cap if level_cap is None else min(level_cap, so.level_cap)
+    if cap < 3:
+        raise InputError("groupoid-object check needs level_cap >= 3")
+    if all(_gluing_failure(so, *p) is None for p in _generating_partitions(cap)):
+        return GroupoidObjectReport(True, cap, (), _partition_count(cap))
+    # the failing generator is one of these partitions, so the scan returns
+    for checked, (n, s, s2, m) in enumerate(_gluing_partitions(cap), 1):
+        failure = _gluing_failure(so, n, s, s2, m)
+        if failure:
+            return GroupoidObjectReport(False, cap, (n, s, s2, failure), checked)
 
 
 # -- torsors ----------------------------------------------------------------------

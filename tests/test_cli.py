@@ -191,6 +191,16 @@ def test_cech_levels(files, capsys):
     assert data["holds"] and data["witness"] is None
 
 
+def test_cech_prints_the_pinned_bytes(capsys, tmp_path):
+    split = _write(tmp_path, "split.json", io.cover_to_json(cover_of_shape((2, 1), split=True)))
+    sizes = [3, 5, 9, 17, 33, 65]
+    for cap, checked in ((3, 15), (5, 140)):
+        assert main(["grpd", "cech", split, "--level-cap", str(cap)]) == 0
+        want = {"checked": checked, "holds": True, "level_cap": cap,
+                "levels": {str(n): sizes[n] for n in range(cap + 1)}, "witness": None}
+        assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 def test_sheaf_exit_codes(files, capsys):
     assert main(["descent", "sheaf", files["cover"]]) == 0
     data, _ = _json_out(capsys)

@@ -1,7 +1,9 @@
 """Groups, actions, groupoids, and set-valued simplicial objects."""
 
+import functools
 import itertools
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -467,6 +469,127 @@ def test_gluing_matches_the_callable_route_on_every_object():
     assert count == 18 + sum(len(all_actions(g, n)) for g in GROUPS.values() for n in (1, 2, 3)) + 3
 
 
+def _report(rep):
+    return rep.holds, rep.witness, rep.checked
+
+
+_TWO_POINTS = FinMap(("a", "b"), ("*",), {"a": "*", "b": "*"})
+
+
+@dataclass(frozen=True)
+class _Copy:
+    """A second top-level element with the faces of `of`."""
+    of: object
+    k: int
+
+
+def _top_mutated(obj, remove, copy):
+    """`obj` with the top-level elements at the positions `remove` taken out
+    and those at `copy` given a copy with the same faces.  No degeneracy may
+    hit them, so the simplicial identities still hold."""
+    cap = obj.level_cap
+    top = obj.levels[cap]
+    kept = [p for p in range(len(top)) if p not in set(remove)]
+    renumber = {p: q for q, p in enumerate(kept)}
+    level = [top[p] for p in kept] + [_Copy(top[p], k) for k, p in enumerate(copy)]
+    faces = [[row[p] for p in kept + list(copy)] for row in obj.faces[cap]]
+    degs = [[renumber[q] for q in row] for row in obj.degs[cap - 1]]
+    return SimplicialObject(cap, obj.levels[:cap] + [level], obj.faces[:cap] + [faces],
+                            obj.degs[:cap - 1] + [degs])
+
+
+def _oracle_top_mutated(oracle, removed, copied):
+    """The oracle's (level_cap, levels, face) for `_top_mutated`, with the
+    removed and copied top-level elements given by value."""
+    level_cap, levels, face, _ = oracle
+    levels = list(levels)
+    levels[level_cap] = [x for x in levels[level_cap] if x not in removed] + [
+        _Copy(x, k) for k, x in enumerate(copied)
+    ]
+
+    def mutated_face(n, i, x):
+        return face(n, i, x.of if isinstance(x, _Copy) else x)
+
+    return level_cap, levels, mutated_face
+
+
+def _free_top(obj):
+    """The top-level positions that no degeneracy hits."""
+    hit = {q for row in obj.degs[obj.level_cap - 1] for q in row}
+    return [p for p in range(len(obj.levels[obj.level_cap])) if p not in hit]
+
+
+def test_gluing_matches_the_callable_route_above_level_3():
+    # the spine conditions at n >= 4 only matter above cap 3
+    cases = []
+    for prof, cap in (((2, 1), 4), ((3,), 4), ((2,), 5)):
+        cover = cover_of_shape(prof)
+        pi = FinMap(cover.e, cover.b, dict(cover.pi))
+        cases.append((f"cech {prof}", cech_nerve(pi, level_cap=cap), (cap, *cech_callables(pi, cap))))
+    for gname in ("c2", "c3"):
+        for n in (1, 2):
+            for i, act in enumerate(all_actions(GROUPS[gname], n)):
+                cases.append((f"bar {gname} {n} {i}", action_bar_object(act, level_cap=4),
+                              (4, *bar_callables(act, 4))))
+    for name, obj, (level_cap, levels, face, deg) in cases:
+        rep = is_groupoid_object(obj)
+        assert _report(rep) == _oracle_is_groupoid_object(level_cap, levels, face), name
+        assert rep.holds and rep.level_cap == level_cap, name
+    two = cech_nerve(_TWO_POINTS, level_cap=5)
+    assert [is_groupoid_object(two, level_cap=cap).checked for cap in (3, 4, 5)] == [15, 50, 140]
+
+
+def test_a_level_4_puncture_fails_only_at_level_4():
+    base = cech_nerve(_TWO_POINTS, level_cap=4)
+    obj = _top_mutated(base, [base.position[4][("a", "b", "a", "b", "a")]], [])
+    levels, face, _ = cech_callables(_TWO_POINTS, 4)
+    levels[4] = [x for x in levels[4] if x != ("a", "b", "a", "b", "a")]
+    rep = is_groupoid_object(obj)
+    assert _report(rep) == _oracle_is_groupoid_object(4, levels, face)
+    assert _report(rep) == (False, (4, (0, 1, 2, 3), (0, 4), "not surjective"), 16)
+    below = is_groupoid_object(obj, level_cap=3)
+    assert _report(below) == _oracle_is_groupoid_object(3, levels, face) == (True, (), 15)
+    assert below.level_cap == 3
+
+
+@functools.cache
+def _mutable_objects():
+    """(name, object, oracle) for the objects of `_gluing_objects()` with a
+    top-level element that no degeneracy hits."""
+    built = ((name, build(), oracle()) for name, build, oracle in _gluing_objects())
+    return tuple(case for case in built if _free_top(case[1]))
+
+
+@st.composite
+def _top_mutations(draw):
+    """An object of `_gluing_objects()` and its oracle with a non-empty set
+    of top-level elements, hit by no degeneracy, each removed or copied."""
+    name, obj, oracle = draw(st.sampled_from(_mutable_objects()))
+    cap, free = obj.level_cap, _free_top(obj)
+    picked = draw(st.lists(st.sampled_from(free), min_size=1, max_size=4, unique=True))
+    copied = draw(st.lists(st.sampled_from(picked), unique=True))
+    removed = [p for p in picked if p not in copied]
+    top = obj.levels[cap]
+    return (name, _top_mutated(obj, removed, copied),
+            _oracle_top_mutated(oracle, {top[p] for p in removed}, [top[p] for p in copied]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_top_mutations())
+def test_top_level_mutations_match_the_oracle(case):
+    name, obj, oracle = case
+    assert _report(is_groupoid_object(obj)) == _oracle_is_groupoid_object(*oracle), name
+
+
+def test_a_copied_top_element_is_not_injective():
+    base = cech_nerve(_TWO_POINTS, level_cap=3)
+    x = ("a", "b", "a", "b")
+    obj = _top_mutated(base, [], [base.position[3][x]])
+    oracle = _oracle_top_mutated((3, *cech_callables(_TWO_POINTS, 3)), set(), [x])
+    want = (False, (3, (0, 1, 2), (0, 3), "not injective"), 4)
+    assert _report(is_groupoid_object(obj)) == _oracle_is_groupoid_object(*oracle) == want
+
+
 def test_face_degeneracy_and_restriction_are_table_lookups():
     for name, build, oracle in _gluing_objects():
         obj, (level_cap, levels, face, deg) = build(), oracle()
@@ -573,6 +696,10 @@ def test_bad_level_caps_are_input_errors():
             action_bar_object(swap_action(), level_cap=cap)
         with pytest.raises(InputError, match="level_cap must be a non-negative integer"):
             SimplicialObject(cap, [], [], [])
+    two = cech_nerve(pi, level_cap=3)
+    for cap in (-1, 2.0, "3", True):
+        with pytest.raises(InputError, match="level_cap must be a non-negative integer"):
+            is_groupoid_object(two, level_cap=cap)
     assert cech_nerve(pi, level_cap=0).levels == [(("a",), ("b",))]
 
 
