@@ -1,10 +1,9 @@
 """Descent for set- and groupoid-valued presheaves on finite covers.
 
-Two finite sites are supported.  The surjection site: a cover is a
-surjection pi: E -> B together with an optional decomposition of E into
-disjoint parts, and the relevant diagram is built from the fibre powers
-E, E x_B E, E x_B E x_B E, ...  The opens site: a finite space presented
-by its lattice of open sets, with covers given by families of opens.
+The site is the surjection site: a cover is a surjection pi: E -> B
+together with an optional decomposition of E into disjoint parts, and
+the relevant diagram is built from the fibre powers E, E x_B E,
+E x_B E x_B E, ...
 
 A set-valued presheaf is a sheaf for a cover when
 
@@ -29,13 +28,16 @@ under generator twists) and its stabilizers (one candidate per value
 at the root, each verified), on an integer table of G.  Components,
 stabilizer orders and the groupoid cardinality are products of the
 fibre counts.  Fibre censuses are kept per (group, fibre size) on the
-group, shared by every fibre, cover and call; the materialized
-descent_groupoid stays as the independent route for small covers.
+group, shared by every fibre, cover and call.  For any groupoid-valued
+presheaf, descent_groupoid searches the gluings and the morphism triples
+(i, j, h) on small covers: the stack check reads those triples and their
+components, the truncation check reads only the gluings, and the named
+composition table is built only when DescentResult.groupoid is read.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -388,134 +390,6 @@ def truncation_agreement_sets(presheaf, cover):
 
 
 # ---------------------------------------------------------------------------
-# opens site
-
-
-@dataclass(frozen=True)
-class FiniteSpace:
-    """A finite set of points with a named family of opens.
-
-    The family must contain the empty set and the whole space and be
-    closed under pairwise intersection (as sets; names are labels).
-    """
-
-    points: tuple
-    opens: dict  # name -> frozenset of points
-
-    def __post_init__(self):
-        pts = set(self.points)
-        sets = {}
-        for name, s in self.opens.items():
-            if not isinstance(s, frozenset):
-                raise InputError(f"open {name} must be a frozenset")
-            if not s <= pts:
-                raise InputError(f"open {name} leaves the point set")
-            sets[s] = name
-        if frozenset() not in sets or frozenset(pts) not in sets:
-            raise InputError("opens must include the empty set and the space")
-        for s in sets:
-            for t in sets:
-                if s & t not in sets:
-                    raise InputError(
-                        f"opens are not intersection-closed: {sorted(s)} and {sorted(t)}"
-                    )
-        object.__setattr__(self, "_by_set", sets)
-
-    def name_of(self, s):
-        return self._by_set[frozenset(s)]
-
-    def intersection(self, name1, name2):
-        return self.name_of(self.opens[name1] & self.opens[name2])
-
-
-class OpensPresheaf:
-    """Presheaf on the opens of a finite space, keyed by open names."""
-
-    def value(self, space, name):
-        raise NotImplementedError
-
-    def restrict(self, space, sup, sub, elem):
-        raise NotImplementedError
-
-
-class OpensMapPresheaf(OpensPresheaf):
-    """Functions on an open, as tuples over its points in sorted order."""
-
-    def __init__(self, values):
-        self.values = tuple(values)
-
-    def value(self, space, name):
-        return _Functions(self.values, len(space.opens[name]))
-
-    def restrict(self, space, sup, sub, elem):
-        at = {p: i for i, p in enumerate(sorted(space.opens[sup]))}
-        return tuple(elem[at[p]] for p in sorted(space.opens[sub]))
-
-
-class OpensConstantPresheaf(OpensPresheaf):
-    def __init__(self, values):
-        self.values = tuple(values)
-
-    def value(self, space, name):
-        return self.values
-
-    def restrict(self, space, sup, sub, elem):
-        return elem
-
-
-def check_sheaf_opens(presheaf, space, target, part_names, budget=DEFAULT_BUDGET):
-    """Classical family equalizer on an open cover of a finite space.
-
-    Matching families over the parts (agreeing on pairwise intersections)
-    must biject with F(target) under restriction.  An empty cover of the
-    empty open forces F(empty) to be a single point.
-    """
-    u = space.opens[target]
-    covered = frozenset().union(*[space.opens[p] for p in part_names]) if part_names else frozenset()
-    if covered != u:
-        raise InputError(f"parts do not cover {target}")
-    part_values = [presheaf.value(space, p) for p in part_names]
-    total = 1
-    for vs in part_values:
-        total *= len(vs)
-    if total > budget:
-        raise CapacityError(
-            f"{total} candidate families exceed budget {budget}", partial=0
-        )
-    inters = {}
-    for i, p in enumerate(part_names):
-        for j in range(i + 1, len(part_names)):
-            inters[(i, j)] = space.intersection(p, part_names[j])
-    families = []
-    for combo in itertools.product(*part_values):
-        ok = True
-        for (i, j), w in inters.items():
-            left = presheaf.restrict(space, part_names[i], w, combo[i])
-            right = presheaf.restrict(space, part_names[j], w, combo[j])
-            if left != right:
-                ok = False
-                break
-        if ok:
-            families.append(combo)
-    fu = presheaf.value(space, target)
-    images = [
-        tuple(presheaf.restrict(space, target, p, s) for p in part_names)
-        for s in fu
-    ]
-    injective = len(set(images)) == len(fu)
-    surjective = set(images) == set(map(tuple, families))
-    return SheafReport(
-        products_ok=True,
-        equalizer_injective=injective,
-        equalizer_surjective=surjective,
-        is_sheaf=injective and surjective,
-        global_count=len(fu),
-        equalizer_count=len(families),
-        witness="" if injective and surjective else "matching families differ from sections",
-    )
-
-
-# ---------------------------------------------------------------------------
 # groupoid-valued presheaves
 
 
@@ -624,17 +498,79 @@ def constant_bg_presheaf(group):
 
 
 # ---------------------------------------------------------------------------
-# generic descent groupoid (materialized; for small instances)
+# generic descent groupoid (searched; for small instances)
 
 
 @dataclass
 class DescentResult:
-    groupoid: FiniteGroupoid
+    """The groupoid of descent data, as its objects and morphism triples.
+
+    Object z_i is object_data[i], a pair (a, phi), and morphism h_k is
+    morphism_data["h{k}"], a triple (i, j, h) with h: a_i -> a_j in F(E).
+    They form a subcategory of F(E), whose laws need no check: for a
+    strict presheaf restrict_mor is a functor, so when h1: z_i -> z_j and
+    h2: z_j -> z_k commute with the gluings, d0*(h2 h1) phi_i = d0*h2
+    phi_j d1*h1 = phi_k d1*(h2 h1), and the same square read backwards
+    gives the inverse of h1.  Units, associativity and inverses are
+    F(E)'s, whose group table is validated.  components() reads the
+    triples only; groupoid, the named FiniteGroupoid whose composition
+    table the law checker checks, is built the first time it is read.
+    """
+
     object_data: list  # (a, phi) per object name "z{i}"
     morphism_data: dict  # name -> (i, j, h)
+    presheaf: GroupoidPresheaf = field(repr=False, compare=False)
+    e: _Site = field(repr=False, compare=False)
 
-    def object_name(self, i):
-        return f"z{i}"
+    def components(self):
+        """The connected components as {least index: its object indices},
+        joined by one union-find over the (i, j) of the triples."""
+        classes = UnionFind(range(len(self.object_data)))
+        for i, j, _ in self.morphism_data.values():
+            classes.union(i, j)
+        comps = {}
+        for i in range(len(self.object_data)):
+            comps.setdefault(classes.find(i), []).append(i)
+        return comps
+
+    @cached_property
+    def groupoid(self):
+        """The named FiniteGroupoid on z_i and h_k.  Its composition table
+        is built over composable pairs only, each composite in F(E)
+        computed once; a presheaf that is not strict can send a composite
+        outside the descent morphisms, which raises ConsistencyError."""
+        presheaf, e, objects, morphism_data = (
+            self.presheaf, self.e, self.object_data, self.morphism_data)
+        names = [f"z{i}" for i in range(len(objects))]
+        morphisms = {name: (names[i], names[j]) for name, (i, j, _) in morphism_data.items()}
+        # the morphisms of F(E) that occur, numbered in order of appearance;
+        # named[k][i][b] is the descent morphism z_i -> z_k over the b-th
+        hs = list(dict.fromkeys(h for _, _, h in morphism_data.values()))
+        number = dict(zip(hs, range(len(hs))))
+        named = [[{} for _ in objects] for _ in objects]
+        for name, (i, j, h) in morphism_data.items():
+            named[j][i][number[h]] = name
+        # descent_groupoid has checked that each identity is a descent morphism
+        identity = {names[i]: named[i][i][number[presheaf.identity(e, a)]]
+                    for i, (a, _) in enumerate(objects)}
+        # the composable pairs (n2, n1): n1 ends where n2 starts.  h2 o h1 is
+        # computed once per pair of numbers, since each h recurs between
+        # other descent objects: composites[b2][b1] is the number of h2 o h1
+        into = [[] for _ in objects]
+        for n1, (i, j, h1) in morphism_data.items():
+            into[j].append((n1, i, number[h1]))
+        compose, composites = {}, [{} for _ in hs]
+        for n2, (j, k, h2) in morphism_data.items():
+            row, named_k = composites[number[h2]], named[k]
+            for n1, i, b1 in into[j]:
+                c = row.get(b1)
+                if c is None:
+                    c = row[b1] = number.get(presheaf.compose(e, h2, hs[b1]))
+                name = named_k[i].get(c)
+                if name is None:
+                    raise ConsistencyError("descent morphisms are not closed under composition")
+                compose[(n2, n1)] = name
+        return FiniteGroupoid(tuple(names), morphisms, identity, compose)
 
 
 def _descent_objects(presheaf, cover, budget):
@@ -703,33 +639,15 @@ def _quadruple_conditions(presheaf, e2, e4, projections, phi):
     return all(r == direct for r in routes)
 
 
-def descent_groupoid(presheaf, cover, budget=DEFAULT_BUDGET):
-    """Materialize the groupoid of descent data for a cover.
-
-    Objects are pairs (a, phi): an object of F(E) with a gluing morphism
-    over E x_B E satisfying normalization and the cocycle condition.
-    Morphisms are the morphisms of F(E) commuting with the gluings.  The
-    quadruple conditions over E^4 follow from these for a strict presheaf;
-    truncation_agreement_groupoids checks that on the built objects.
-    Gluings are searched entry by entry, but every morphism of F(E)
-    between two objects is a candidate and the whole table is built (6,561
-    morphisms for the C3 torsor presheaf on (3,2)), so this is for small
-    covers; cech_descent_skeleton serves the cochain presheaf at scale.
-    The budget caps the gluing search's trials and the morphism search's
-    candidates; a CapacityError carries the objects (in the morphism
-    search, the morphisms) found so far as partial.
-    """
-    nerve = cover.nerve
+def _descent_morphisms(presheaf, cover, objects, budget):
+    """The triples (i, j, h), named h_k in the order found, for which
+    h: a_i -> a_j over E commutes with the gluings: (d0*h) o phi_i equals
+    phi_j o (d1*h).  Each side is computed once per (i, h) and per (j, h);
+    each candidate h is one step of the budget."""
     e, e2 = cover.sites[0], cover.sites[1]
-    d0, d1 = nerve.faces[1][0], nerve.faces[1][1]
-    objects = _descent_objects(presheaf, cover, budget)
-    names = [f"z{i}" for i in range(len(objects))]
-    morphisms = {}
+    d0, d1 = cover.nerve.faces[1][0], cover.nerve.faces[1][1]
     morphism_data = {}
-    # h: a -> a2 is a morphism (a, phi) -> (a2, phi2) when d0*h o phi equals
-    # phi2 o d1*h.  Each side is computed once per (i, h) and per (j, h),
-    # when the search first reaches it: left[(i, a2)][k] and
-    # right[(j, a)][k] belong to the k-th h of homs(a, a2)
+    # left[(i, a2)][k] and right[(j, a)][k] belong to the k-th h of homs(a, a2)
     left, right = {}, {}
     steps = 0
     for i, (a, phi) in enumerate(objects):
@@ -741,49 +659,43 @@ def descent_groupoid(presheaf, cover, budget=DEFAULT_BUDGET):
                 if steps > budget:
                     raise CapacityError(
                         f"descent morphism search passed {budget} candidates",
-                        partial=len(morphisms),
+                        partial=len(morphism_data),
                     )
                 if k == len(lrow):
                     lrow.append(presheaf.compose(e2, presheaf.restrict_mor(d0, e, h), phi))
                 if k == len(rrow):
                     rrow.append(presheaf.compose(e2, phi2, presheaf.restrict_mor(d1, e, h)))
-                if lrow[k] != rrow[k]:
-                    continue
-                name = f"h{len(morphisms)}"
-                morphisms[name] = (names[i], names[j])
-                morphism_data[name] = (i, j, h)
-    # the morphisms of F(E) that occur, numbered in order of appearance;
-    # named[k][i][b] is the descent morphism z_i -> z_k over the b-th
-    hs = list(dict.fromkeys(h for _, _, h in morphism_data.values()))
-    number = dict(zip(hs, range(len(hs))))
-    named = [[{} for _ in objects] for _ in objects]
-    for name, (i, j, h) in morphism_data.items():
-        named[j][i][number[h]] = name
-    identity = {}
-    for i, (a, phi) in enumerate(objects):
-        name = named[i][i].get(number.get(presheaf.identity(e, a)))
-        if name is None:
-            raise ConsistencyError(f"identity of {names[i]} is not a descent morphism")
-        identity[names[i]] = name
-    # the composable pairs (n2, n1): n1 ends where n2 starts.  h2 o h1 is
-    # computed once per pair of numbers, since each h recurs between
-    # other descent objects: composites[b2][b1] is the number of h2 o h1
-    into = [[] for _ in objects]
-    for n1, (i, j, h1) in morphism_data.items():
-        into[j].append((n1, i, number[h1]))
-    compose, composites = {}, [{} for _ in hs]
-    for n2, (j, k, h2) in morphism_data.items():
-        row, named_k = composites[number[h2]], named[k]
-        for n1, i, b1 in into[j]:
-            c = row.get(b1)
-            if c is None:
-                c = row[b1] = number.get(presheaf.compose(e, h2, hs[b1]))
-            name = named_k[i].get(c)
-            if name is None:
-                raise ConsistencyError("descent morphisms are not closed under composition")
-            compose[(n2, n1)] = name
-    gpd = FiniteGroupoid(tuple(names), morphisms, identity, compose)
-    return DescentResult(gpd, objects, morphism_data)
+                if lrow[k] == rrow[k]:
+                    morphism_data[f"h{len(morphism_data)}"] = (i, j, h)
+    return morphism_data
+
+
+def descent_groupoid(presheaf, cover, budget=DEFAULT_BUDGET):
+    """Search the groupoid of descent data for a cover.
+
+    Objects are pairs (a, phi): an object of F(E) with a gluing morphism
+    over E x_B E satisfying normalization and the cocycle condition, whose
+    identity must be a descent morphism or ConsistencyError is raised.
+    Morphisms are the morphisms of F(E) commuting with the gluings, kept
+    as triples (i, j, h); DescentResult says why they form a groupoid and
+    builds the named composition table only when it is read.  For a
+    strict presheaf the quadruple conditions over E^4 follow;
+    truncation_agreement_groupoids checks that on the gluings.  Every
+    morphism of F(E) between two objects is a candidate (6,561 for the C3
+    torsor presheaf on (3,2)), so this is for small covers;
+    cech_descent_skeleton serves the cochain presheaf at scale.  The budget
+    caps the gluing search's trials and the morphism search's candidates;
+    a CapacityError carries the objects (in the morphism search, the
+    morphisms) found so far as partial.
+    """
+    e = cover.sites[0]
+    objects = _descent_objects(presheaf, cover, budget)
+    morphism_data = _descent_morphisms(presheaf, cover, objects, budget)
+    triples = set(morphism_data.values())
+    for i, (a, _) in enumerate(objects):
+        if (i, i, presheaf.identity(e, a)) not in triples:
+            raise ConsistencyError(f"identity of z{i} is not a descent morphism")
+    return DescentResult(objects, morphism_data, presheaf, e)
 
 
 @dataclass
@@ -882,12 +794,14 @@ def _products_condition(presheaf, cover, budget):
 
 
 def check_stack_groupoids(presheaf, cover, budget=DEFAULT_BUDGET):
-    """Stack conditions for a groupoid-valued presheaf, by materialization.
+    """Stack conditions for a groupoid-valued presheaf, by enumeration.
 
     Condition (i): restriction to the parts is an equivalence onto the
     product.  Condition (ii): the comparison functor F(B) -> Desc(cover)
-    is essentially surjective and fully faithful.  Suitable for small
-    values only; everything is enumerated.
+    is essentially surjective and fully faithful, read off the descent
+    objects, their morphism triples and the components those join; no
+    composition table is built.  Suitable for small values only;
+    everything is enumerated.
     """
     products_ok, witness = _products_condition(presheaf, cover, budget)
     desc = descent_groupoid(presheaf, cover, budget)
@@ -907,34 +821,24 @@ def check_stack_groupoids(presheaf, cover, budget=DEFAULT_BUDGET):
                 " the presheaf is not strictly functorial"
             )
         images.append(obj_index[(a, phi)])
-    components = desc.groupoid.components()
-    comp_of = {}
-    for ci, comp in enumerate(components.values()):
-        for name in comp:
-            comp_of[name] = ci
-    hit = {comp_of[desc.object_name(i)] for i in images}
-    ess = len(hit) == len(components)
+    components = desc.components()
+    comp_of = {i: root for root, comp in components.items() for i in comp}
+    ess = {comp_of[i] for i in images} == set(components)
     if not ess and not witness:
         witness = "descent: some descent datum is not glued from the base"
-    ff = True
-    for si, s in enumerate(base_objs):
-        for ti, t in enumerate(base_objs):
-            base_homs = presheaf.homs(b, s, t)
-            imgs = set()
-            for h in base_homs:
-                imgs.add(presheaf.restrict_mor(anchor, b, h))
-            target = {
-                hh
-                for (i, j, hh) in desc.morphism_data.values()
-                if i == images[si] and j == images[ti]
-            }
-            if len(imgs) != len(base_homs) or imgs != target:
-                ff = False
-                if not witness:
-                    witness = "descent: comparison is not bijective on morphisms"
-                break
-        if not ff:
-            break
+    # the descent morphisms z_i -> z_j over F(E), per (i, j)
+    homs = {}
+    for i, j, h in desc.morphism_data.values():
+        homs.setdefault((i, j), []).append(h)
+    ff = all(
+        _restriction_is_bijective(
+            [presheaf.restrict_mor(anchor, b, h) for h in presheaf.homs(b, s, t)],
+            homs.get((images[si], images[ti]), ()),
+        )
+        for si, s in enumerate(base_objs) for ti, t in enumerate(base_objs)
+    )
+    if not ff and not witness:
+        witness = "descent: comparison is not bijective on morphisms"
     return StackReport(
         products_ok=products_ok,
         essentially_surjective=ess,
@@ -1398,13 +1302,13 @@ def truncation_agreement_cech(group, cover, budget=DEFAULT_BUDGET):
 def truncation_agreement_groupoids(presheaf, cover, budget=DEFAULT_BUDGET):
     """Depth-2 descent data already satisfy every quadruple condition.
 
-    The depth-2 groupoid is materialized once, with all its checks, and
-    its objects are filtered through the quadruple conditions over E^4.
-    Morphisms depend only on the objects, so depth 3 can only drop
-    objects: sizes counts the objects at each depth, and the truncations
-    agree when none is dropped.
+    The depth-2 gluings are searched as descent_groupoid searches them and
+    filtered through the quadruple conditions over E^4.  Morphisms depend
+    only on the objects, so depth 3 can only drop objects: sizes counts
+    the objects at each depth, and the truncations agree when none is
+    dropped.  No morphism is searched and no composition table is built.
     """
-    objects = descent_groupoid(presheaf, cover, budget).object_data
+    objects = _descent_objects(presheaf, cover, budget)
     e2, e4 = cover.sites[1], cover.sites[3]
     projections = {
         (p, q): cover.nerve.restriction_table(3, (p, q))

@@ -15,11 +15,8 @@ from hornfill.descent import (
     Cover,
     DoubledBGPresheaf,
     DoubledGlobalPresheaf,
-    FiniteSpace,
     GroupoidPresheaf,
     MapPresheaf,
-    OpensConstantPresheaf,
-    OpensMapPresheaf,
     RefinementReport,
     StackReport,
     TorsorPresheaf,
@@ -29,7 +26,6 @@ from hornfill.descent import (
     cech_cocycles,
     cech_descent_skeleton,
     cech_stack_report,
-    check_sheaf_opens,
     check_sheaf_sets,
     check_stack_groupoids,
     cochain_action,
@@ -42,8 +38,11 @@ from hornfill.descent import (
     truncation_agreement_sets,
     _CechCensus,
     _Fibre,
+    _products_condition,
 )
-from hornfill.errors import CapacityError, InputError
+from hornfill.cat import _Rows
+from hornfill.config import DEFAULT_BUDGET
+from hornfill.errors import CapacityError, ConsistencyError, EngineError, InputError
 from hornfill.groupoid import FiniteGroup, groupoid_cardinality, symmetric_group
 
 GROUPS = all_small_groups()
@@ -222,69 +221,6 @@ def test_set_truncation_agreement_across_shapes():
             rep = truncation_agreement_sets(ps, cover)
             assert rep.agree, (prof, type(ps).__name__)
             assert rep.sizes[2] == rep.sizes[3]
-
-
-def _two_point_space():
-    pts = ("p", "q")
-    return FiniteSpace(
-        pts,
-        {
-            "empty": frozenset(),
-            "P": frozenset({"p"}),
-            "Q": frozenset({"q"}),
-            "PQ": frozenset(pts),
-        },
-    )
-
-
-def test_finite_space_validation_requires_intersection_closure():
-    with pytest.raises(InputError):
-        FiniteSpace(
-            ("p", "q", "r"),
-            {
-                "empty": frozenset(),
-                "A": frozenset({"p", "q"}),
-                "B": frozenset({"q", "r"}),
-                "all": frozenset({"p", "q", "r"}),
-                # A & B = {q} missing
-            },
-        )
-
-
-def test_opens_sheaf_conditions_on_the_two_point_space():
-    space = _two_point_space()
-    rep_values = {"P": ("a", "b"), "Q": ("c",), "PQ": None, "empty": None}
-    # product presheaf: F(U) = product of stalks over points of U
-    stalks = {"p": ("a", "b"), "q": ("c", "d")}
-
-    class Product(OpensMapPresheaf):
-        def __init__(self):
-            pass
-
-        def value(self, sp, name):
-            out = [()]
-            for pt in sorted(sp.opens[name]):
-                out = [t + (s,) for t in out for s in stalks[pt]]
-            return tuple(out)
-
-        def restrict(self, sp, sup, sub, elem):
-            sup_pts = sorted(sp.opens[sup])
-            keep = [i for i, pt in enumerate(sup_pts) if pt in sp.opens[sub]]
-            return tuple(elem[i] for i in keep)
-
-    rep = check_sheaf_opens(Product(), space, "PQ", ("P", "Q"))
-    assert rep.is_sheaf
-
-    const = OpensConstantPresheaf(("c0", "c1"))
-    # compatibility over the empty intersection forces the two sections
-    # equal (F(empty) is constant too), so this family check passes
-    rep2 = check_sheaf_opens(const, space, "PQ", ("P", "Q"))
-    assert rep2.is_sheaf and rep2.global_count == 2 and rep2.equalizer_count == 2
-    # the failure is at the empty cover of the empty open: one matching
-    # family (the empty one) against two sections of F(empty)
-    rep3 = check_sheaf_opens(const, space, "empty", ())
-    assert not rep3.is_sheaf
-    assert rep3.equalizer_count == 1 and rep3.global_count == 2
 
 
 def test_cech_cocycle_count_is_group_to_the_excess():
@@ -923,6 +859,75 @@ def _oracle_descent_tables(presheaf, cover):
     return objects, morphisms, morphism_data, identity, compose
 
 
+def _oracle_stack_report(presheaf, cover):
+    """check_stack_groupoids as it read the components off the named
+    groupoid, whose composition table the law checker checks."""
+    products_ok, witness = _products_condition(presheaf, cover, DEFAULT_BUDGET)
+    desc = descent_groupoid(presheaf, cover)
+    e2 = cover.sites[1]
+    anchor, b = cover.anchor()
+    anchor2 = [anchor[p] for p in cover.nerve.restriction_table(1, (0,))]
+    base_objs = presheaf.objects(b)
+    obj_index = {pair: i for i, pair in enumerate(desc.object_data)}
+    images = []
+    for s in base_objs:
+        a = presheaf.restrict_obj(anchor, b, s)
+        a2 = presheaf.restrict_obj(anchor2, b, s)
+        phi = presheaf.identity(e2, a2)
+        if (a, phi) not in obj_index:
+            raise ConsistencyError(
+                "canonical image of a base object is not descent data;"
+                " the presheaf is not strictly functorial"
+            )
+        images.append(obj_index[(a, phi)])
+    components = desc.groupoid.components()
+    comp_of = {}
+    for ci, comp in enumerate(components.values()):
+        for name in comp:
+            comp_of[name] = ci
+    hit = {comp_of[f"z{i}"] for i in images}
+    ess = len(hit) == len(components)
+    if not ess and not witness:
+        witness = "descent: some descent datum is not glued from the base"
+    ff = True
+    for si, s in enumerate(base_objs):
+        for ti, t in enumerate(base_objs):
+            base_homs = presheaf.homs(b, s, t)
+            imgs = set()
+            for h in base_homs:
+                imgs.add(presheaf.restrict_mor(anchor, b, h))
+            target = {
+                hh
+                for (i, j, hh) in desc.morphism_data.values()
+                if i == images[si] and j == images[ti]
+            }
+            if len(imgs) != len(base_homs) or imgs != target:
+                ff = False
+                if not witness:
+                    witness = "descent: comparison is not bijective on morphisms"
+                break
+        if not ff:
+            break
+    return StackReport(
+        products_ok=products_ok,
+        essentially_surjective=ess,
+        fully_faithful=ff,
+        is_stack=products_ok and ess and ff,
+        base_objects=len(base_objs),
+        descent_objects=len(desc.object_data),
+        descent_components=len(components),
+        witness=witness,
+    )
+
+
+def _outcome(check, *args):
+    """What a check returns, or the class and message of what it raises."""
+    try:
+        return check(*args)
+    except EngineError as exc:
+        return type(exc), str(exc)
+
+
 # covers whose E and B are not listed in sorted order, unsplit and split
 _UNSORTED_COVERS = (
     Cover(("y", "x", "w"), ("q", "p"), {"y": "q", "x": "p", "w": "q"}),
@@ -931,17 +936,33 @@ _UNSORTED_COVERS = (
 )
 
 
-def test_descent_groupoid_matches_the_per_candidate_oracle():
-    tables = truncations = 0
+def test_descent_groupoid_matches_the_per_candidate_oracle(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a composition table was built")
+
+    tables = truncations = stacks = 0
     covers = [(shape, cover_of_shape(shape)) for shape in ((1,), (2,), (1, 1), (2, 1))]
     covers += [(cover.e, cover) for cover in _UNSORTED_COVERS]
+    # the split covers of the stack tests: the stack verdicts alone
+    covers += [(shape + ("split",), cover_of_shape(shape, split=True))
+               for shape in ((2,), (2, 1), (2, 2))]
     for shape, cover in covers:
         for gname in ("c1", "c2", "c3"):
             g = GROUPS[gname]
             for presheaf in (torsor_presheaf(g), constant_bg_presheaf(g),
                              DoubledBGPresheaf(g, cover.b), _TwoObjectBG(g)):
                 where = (shape, gname, type(presheaf).__name__)
+                with monkeypatch.context() as m:
+                    m.setattr(_Rows, "__init__", refuse)
+                    stack = _outcome(check_stack_groupoids, presheaf, cover)
+                    report = truncation_agreement_groupoids(presheaf, cover)
+                assert stack == _outcome(_oracle_stack_report, presheaf, cover), where
+                stacks += 1
                 desc = descent_groupoid(presheaf, cover)
+                named = sorted(tuple(f"z{i}" for i in c) for c in desc.components().values())
+                assert named == sorted(desc.groupoid.components().values()), where
+                if shape[-1] == "split":
+                    continue
                 objects, morphisms, morphism_data, identity, compose = (
                     _oracle_descent_tables(presheaf, cover)
                 )
@@ -955,10 +976,9 @@ def test_descent_groupoid_matches_the_per_candidate_oracle():
                     depth: len(_oracle_descent_objects(presheaf, cover, depth))
                     for depth in (2, 3)
                 }
-                report = truncation_agreement_groupoids(presheaf, cover)
                 assert report == TruncationReport(sizes, sizes[2] == sizes[3]), where
                 truncations += 1
-    assert (tables, truncations) == (84, 84)
+    assert (tables, truncations, stacks) == (84, 84, 84 + 36)
 
 
 def _old_functions(keys, values):
@@ -1048,17 +1068,14 @@ def test_truncation_agreement_groupoids_reports_objects_dropped_at_depth_three()
         assert report == TruncationReport(sizes, False), shape
 
 
-def test_truncation_agreement_groupoids_builds_one_descent_groupoid(monkeypatch):
-    builds = []
+def test_truncation_agreement_groupoids_searches_no_morphisms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("truncation_agreement_groupoids searched morphisms")
 
-    def counted(*args, **kwargs):
-        builds.append(args)
-        return descent_groupoid(*args, **kwargs)
-
-    monkeypatch.setattr("hornfill.descent.descent_groupoid", counted)
+    monkeypatch.setattr("hornfill.descent.descent_groupoid", refuse)
+    monkeypatch.setattr("hornfill.descent._descent_morphisms", refuse)
     report = truncation_agreement_groupoids(torsor_presheaf(GROUPS["c2"]), cover_of_shape((2, 1)))
     assert report == TruncationReport({2: 2, 3: 2}, True)
-    assert len(builds) == 1
 
 
 class _CollapsingBG(_TwoObjectBG):
@@ -1117,7 +1134,80 @@ def test_every_descent_capacity_error_reports_partial_progress():
         check_stack_groupoids(constant_bg_presheaf(c2), cover_of_shape((2, 2), split=True),
                               budget=1)
     assert info.value.partial == 0
-    with pytest.raises(CapacityError) as info:
-        check_sheaf_opens(OpensMapPresheaf(("a", "b")), _two_point_space(), "PQ",
-                          ("P", "Q"), budget=1)
-    assert info.value.partial == 0
+
+
+def _traced(call):
+    """call(), and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_c3_torsor_descent_on_three_two_builds_no_composition_table():
+    # 27 objects and 6,561 morphisms; the named table would hold 1,594,323
+    # composable pairs and peak at about 268 MB
+    c3, cover = GROUPS["c3"], cover_of_shape((3, 2))
+    presheaf = torsor_presheaf(c3)
+    report, peak = _traced(lambda: truncation_agreement_groupoids(presheaf, cover))
+    assert report == TruncationReport({2: 27, 3: 27}, True)
+    assert peak < 16_000_000, peak
+    stack, peak = _traced(lambda: check_stack_groupoids(presheaf, cover))
+    assert stack.is_stack and (stack.descent_objects, stack.descent_components) == (27, 1)
+    assert peak < 16_000_000, peak
+    desc, peak = _traced(lambda: descent_groupoid(presheaf, cover))
+    assert peak < 16_000_000, peak
+    assert list(desc.components()) == [0]
+    automorphisms = [h for i, j, h in desc.morphism_data.values() if (i, j) == (0, 0)]
+    assert len(automorphisms) == cech_descent_skeleton(c3, cover).stabilizer_order == 9
+
+
+class _LeakyBG(_TwoObjectBG):
+    """_TwoObjectBG whose composite over E leaves its hom set: not strict.
+    The gluing and morphism searches compose only over E x_B E."""
+
+    def __init__(self, group, cover):
+        super().__init__(group)
+        self.over_e = tuple(cover.sites[0])
+
+    def compose(self, s, g2, g1):
+        if tuple(s) == self.over_e:
+            return (len(self.mul),)
+        return super().compose(s, g2, g1)
+
+
+def test_reading_the_table_of_a_presheaf_not_strict_over_e_is_refused():
+    c2 = GROUPS["c2"]
+    for shape in ((1,), (2, 1)):
+        cover = cover_of_shape(shape)
+        desc = descent_groupoid(_LeakyBG(c2, cover), cover)
+        assert desc == descent_groupoid(_TwoObjectBG(c2), cover), shape
+        assert check_stack_groupoids(_LeakyBG(c2, cover), cover) == check_stack_groupoids(
+            _TwoObjectBG(c2), cover), shape
+        with pytest.raises(ConsistencyError, match="not closed under composition"):
+            desc.groupoid
+
+
+class _LeftFactorTorsor(TorsorPresheaf):
+    """The torsor presheaf whose composite over E x_B E keeps its left
+    factor only: not strict, so the identity of an object with a
+    nontrivial gluing does not commute with that gluing."""
+
+    def __init__(self, group, cover):
+        super().__init__(group)
+        self.over_e2 = tuple(cover.sites[1])
+
+    def compose(self, s, g2, g1):
+        return g2 if tuple(s) == self.over_e2 else super().compose(s, g2, g1)
+
+
+def test_an_identity_that_is_not_a_descent_morphism_is_refused():
+    # C2 on one fibre of two points: z0 has the trivial gluing, z1 not
+    cover = cover_of_shape((2,))
+    presheaf = _LeftFactorTorsor(GROUPS["c2"], cover)
+    for check in (descent_groupoid, check_stack_groupoids):
+        with pytest.raises(ConsistencyError, match="identity of z1 is not a descent morphism"):
+            check(presheaf, cover)

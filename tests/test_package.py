@@ -63,11 +63,11 @@ def test_no_module_imports_a_name_it_does_not_use():
 PUBLIC_NAMES = [
     "CapacityError", "ConsistencyError", "Cover", "EngineError", "FinMap",
     "Finite2Category", "FiniteCategory", "FiniteGroup", "FiniteGroupoid",
-    "FiniteSpace", "Functor", "GroupAction", "InputError", "KanReport",
+    "Functor", "GroupAction", "InputError", "KanReport",
     "LevelModel", "SimplexRef", "SimplicialMap", "SimplicialObject",
     "SimplicialSet", "ValidationError", "action_bar_object",
     "categories_isomorphic", "cech_descent_skeleton", "cech_nerve",
-    "cech_stack_report", "check_sheaf_opens", "check_sheaf_sets",
+    "cech_stack_report", "check_sheaf_sets",
     "check_stack_groupoids", "check_torsor", "classify",
     "constant_bg_presheaf", "cyclic_group", "descent_groupoid",
     "direct_product", "duskin_nerve", "enumerate_functors", "enumerate_maps",
