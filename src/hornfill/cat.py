@@ -80,6 +80,13 @@ class UnionFind:
         if rx != ry:
             self.parent[max(rx, ry)] = min(rx, ry)
 
+    def classes(self):
+        """{root: [members]}, keys and members in the order of the items."""
+        out = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
+
 
 def _within(structure, check):
     """Run `check`, naming `structure` in any ValidationError it raises."""
@@ -396,49 +403,67 @@ class NerveResult:
     model: LevelModel = field(repr=False)
 
 
-def nerve(c, dim_cap=DEFAULT_DIM_CAP):
-    """Nerve of a finite category as a truncated simplicial set.
+def _nerve_rows(src, tgt, ident, compose, cap):
+    """The rows of the nerve of a category on positions, through level cap.
 
-    Level n >= 2 lists each string of level n - 1 followed by every arrow
-    out of its target, in id order, so a string is its parent (d_n) and its
-    last arrow, and a string's children are contiguous: child g of q sits at
-    first[n][q] + rank[g], rank[g] the place of g among the arrows out of
-    its source.  d_i, i < n - 1, is the child of d_i of the parent; d_{n-1}
-    composes the last two arrows; s_i inserts an identity.
+    Arrows are 0 .. len(src) - 1 and objects 0 .. len(ident) - 1; src, tgt
+    and ident hold positions and compose(g, f) is g o f.  Level 0 lists the
+    objects and level 1 the arrows; level n >= 2 lists each string of level
+    n - 1 followed by each arrow out of its target, so a string is its
+    parent (d_n) and its last arrow, and child g of q sits at first[n][q] +
+    rank[g], rank[g] the place of g among the arrows out of its source.
+    d_i, i < n - 1, is the child of d_i of the parent; d_{n-1} composes the
+    last two arrows; s_i inserts an identity.  Returns (faces, degs, parent,
+    last), parent[n] and last[n] giving each element of level n >= 1 as its
+    parent (at level 1, its source) and last arrow, for the caller to label.
+    The rows satisfy the simplicial identities whenever the data form a
+    category: faces drop or compose arrows, degeneracies insert identities.
     """
-    objects, mors = list(c.objects), sorted(c.mor)
-    at_obj = {x: v for v, x in enumerate(objects)}
-    at_mor = {m: k for k, m in enumerate(mors)}
-    src = [at_obj[c.mor[m][0]] for m in mors]
-    tgt = [at_obj[c.mor[m][1]] for m in mors]
-    ident = [at_mor[c.identity[x]] for x in objects]
-    out = [[k for k, v in enumerate(src) if v == u] for u in range(len(objects))]
-    rank = [out[v].index(k) for k, v in enumerate(src)]
-    comp = {(at_mor[g], at_mor[f]): at_mor[h] for (g, f), h in c.compose_table.items()}
+    out, rank = [[] for _ in ident], []
+    for g, x in enumerate(src):
+        rank.append(len(out[x]))
+        out[x].append(g)
     # a level-1 string's parent is its source; first[1] is never read
-    levels, parent, first = [objects, [(m,) for m in mors]], [None, src], [None, None]
-    last = [None, list(range(len(mors)))]
-    for n in range(2, dim_cap + 1):
+    parent, first, last = [None, src], [None, None], [None, list(range(len(src)))]
+    for n in range(2, cap + 1):
         arrows = [out[tgt[g]] for g in last[n - 1]]
         first.append(list(itertools.accumulate(map(len, arrows), initial=0)))
         parent.append([q for q, gs in enumerate(arrows) for _ in gs])
         last.append([g for gs in arrows for g in gs])
-        levels.append([levels[n - 1][q] + (mors[g],) for q, g in zip(parent[n], last[n])])
 
     def child(n, qs, gs):
         """Positions in level n of the strings with parents qs and last arrows gs."""
         return list(gs) if n == 1 else [first[n][q] + rank[g] for q, g in zip(qs, gs)]
 
     faces, degs = [(), [tgt, src]], [[ident]]
-    for n in range(2, dim_cap + 1):
+    for n in range(2, cap + 1):
         par, arrows, below = parent[n], last[n], faces[n - 1]
-        composites = [comp[(g, last[n - 1][q])] for q, g in zip(par, arrows)]
+        composites = [compose(g, last[n - 1][q]) for q, g in zip(par, arrows)]
         faces.append([child(n - 1, [below[i][q] for q in par], arrows) for i in range(n - 1)]
                      + [child(n - 1, [below[n - 1][q] for q in par], composites), par])
         ids = [ident[tgt[g]] for g in last[n - 1]]
         degs.append([child(n, [degs[n - 2][i][q] for q in parent[n - 1]], last[n - 1])
                      for i in range(n - 1)] + [child(n, range(len(ids)), ids)])
-    model = LevelModel(dim_cap, levels[:dim_cap + 1], faces[:dim_cap + 1], degs[:dim_cap],
+    return faces[:cap + 1], degs[:cap], parent[:cap + 1], last[:cap + 1]
+
+
+def nerve(c, dim_cap=DEFAULT_DIM_CAP):
+    """Nerve of a finite category as a truncated simplicial set, the
+    strings (f_1, ..., f_n) in the order of `_nerve_rows`, morphisms in id
+    order.  A FiniteCategory may be built unchecked, so its LevelModel
+    checks the simplicial identities."""
+    objects, mors = list(c.objects), sorted(c.mor)
+    at_obj = {x: v for v, x in enumerate(objects)}
+    at_mor = {m: k for k, m in enumerate(mors)}
+    src = [at_obj[c.mor[m][0]] for m in mors]
+    tgt = [at_obj[c.mor[m][1]] for m in mors]
+    ident = [at_mor[c.identity[x]] for x in objects]
+    comp = {(at_mor[g], at_mor[f]): at_mor[h] for (g, f), h in c.compose_table.items()}
+    faces, degs, parent, last = _nerve_rows(src, tgt, ident, lambda g, f: comp[g, f], dim_cap)
+    strings = [[()] * len(objects)]
+    for n in range(1, dim_cap + 1):
+        strings.append([strings[n - 1][q] + (mors[g],) for q, g in zip(parent[n], last[n])])
+    model = LevelModel(dim_cap, [objects] + strings[1:], faces, degs,
                        namer=lambda n, x: str(x) if n == 0 else "|".join(x))
     return NerveResult(model.sset, c, model)
 
@@ -881,7 +906,7 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
                         j = index.get(w2)
                         if j is not None:
                             classes.union(index[w], j)
-        return index, classes.find
+        return index, classes.find, classes.classes
 
     length = 2
     while True:
@@ -892,9 +917,9 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
                 partial=length,
             )
         universe = grow(length)
-        index, find = congruence(universe)
+        index, find, classes_of = congruence(universe)
         probe = grow(length + 1)
-        pindex, pfind = congruence(probe)
+        pindex, pfind, _ = congruence(probe)
         stable = True
         seen = {}
         for w in universe:
@@ -911,9 +936,8 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
                     break
         composites = {}
         if stable:
-            classes = {}
-            for w in universe:
-                classes.setdefault(find(index[w]), []).append(w)
+            # universe[i] is the word of index i
+            classes = {r: [universe[i] for i in ws] for r, ws in classes_of().items()}
             ok = True
             for r1, ws1 in classes.items():
                 for r2, ws2 in classes.items():
@@ -939,9 +963,7 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
                 break
         length += 1
 
-    classes = {}
-    for w in universe:
-        classes.setdefault(find(index[w]), []).append(w)
+    # the loop leaves only through a stable universe, with its classes
     reps = {r: min(ws, key=lambda w: (len(w[1]), w[1], w[0])) for r, ws in classes.items()}
 
     def name(r):
@@ -1029,9 +1051,7 @@ def homotopy_category(x):
                     f"homotopy relation not transitive: ({edges[f]}, {edges[g]}) linked but unrelated"
                 )
 
-    classes = {}
-    for f in every:
-        classes.setdefault(find(f), []).append(f)
+    classes = linked.classes()
     rep = {r: min(fs, key=edges.__getitem__) for r, fs in classes.items()}
     name = {r: str(edges[rep[r]]) for r in classes}
 

@@ -528,10 +528,7 @@ class DescentResult:
         classes = UnionFind(range(len(self.object_data)))
         for i, j, _ in self.morphism_data.values():
             classes.union(i, j)
-        comps = {}
-        for i in range(len(self.object_data)):
-            comps.setdefault(classes.find(i), []).append(i)
-        return comps
+        return classes.classes()
 
     @cached_property
     def groupoid(self):

@@ -2,11 +2,13 @@
 
 Conventions.  Group multiplication `mul[(g, h)]` is "g after h": acting by
 h first and then by g equals acting by mul[(g, h)].  The quotient groupoid
-of an action has a morphism (g, x): x -> g.x for every pair, composed by
-(h, g.x) o (g, x) = (hg, x).  The bar-construction simplicial object has
-level n = G^n x X with d_0 applying the first group element, inner d_i
-merging adjacent ones, and d_n dropping the last; its comparison with the
-Cech nerve of the anchor map is a levelwise bijection exactly on torsors.
+[X/G] of an action has a morphism (g, x): x -> g.x for every pair, composed
+by (h, g.x) o (g, x) = (hg, x).  The bar construction is its nerve, level n
+G^n x X, with d_0 applying the first group element, inner d_i merging
+adjacent ones, and d_n dropping the last; the Cech nerve of pi: E -> B is
+the nerve of [E/R], R = E x_B E.  Both come unchecked from the nerve
+routine of `cat`, by proof.  The comparison of the bar construction with
+the Cech nerve of the anchor map is a levelwise bijection exactly on torsors.
 
 All checks are exhaustive; cardinalities use exact rationals.
 """
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_BUDGET, DEFAULT_LEVEL_CAP
 from .errors import CapacityError, InputError, ValidationError
-from .cat import FiniteCategory, UnionFind, _within
+from .cat import FiniteCategory, UnionFind, _nerve_rows, _within
 from .sset import SimplicialObject, _then, check_level_cap
 
 
@@ -32,6 +34,8 @@ class FinMap:
         self.validate()
 
     def validate(self):
+        if len(set(self.dom)) != len(self.dom) or len(set(self.cod)) != len(self.cod):
+            raise ValidationError("map has repeated points")
         if set(self.table) != set(self.dom):
             raise ValidationError("map not total on its domain")
         bad = [x for x, y in self.table.items() if y not in set(self.cod)]
@@ -258,6 +262,8 @@ class GroupAction:
 
     def validate(self):
         xs = set(self.carrier)
+        if len(xs) != len(self.carrier):
+            raise ValidationError("duplicate carrier points")
         for g in self.group.elements:
             for x in self.carrier:
                 if (g, x) not in self.act or self.act[(g, x)] not in xs:
@@ -273,6 +279,8 @@ class GroupAction:
                         raise ValidationError(f"action not associative at ({g!r},{hh!r},{x!r})")
         if self.base is not None:
             b_set, pi = self.base
+            if len(set(b_set)) != len(b_set):
+                raise ValidationError("duplicate base points")
             if set(pi) != set(self.carrier):
                 raise ValidationError("anchor map not total")
             if not set(pi.values()) <= set(b_set):
@@ -323,10 +331,7 @@ class FiniteGroupoid(FiniteCategory):
         classes = UnionFind(self.objects)
         for (s, t) in self.mor.values():
             classes.union(s, t)
-        comps = {}
-        for x in self.objects:
-            comps.setdefault(classes.find(x), []).append(x)
-        return {rep: tuple(objs) for rep, objs in sorted(comps.items())}
+        return {rep: tuple(objs) for rep, objs in sorted(classes.classes().items())}
 
 
 def quotient_groupoid(action):
@@ -423,81 +428,60 @@ def groupoid_cardinality(gpd):
 
 
 def cech_nerve(pi, level_cap=DEFAULT_LEVEL_CAP):
-    """Levelwise fiber powers of a finite map, with omit/repeat structure.
-
-    Level n is one block per point of the base: the (n + 1)-tuples of its
-    fibre in product order, so a tuple's place in its block is its code in
-    base k, the fibre size.  A face drops a digit, a degeneracy repeats one.
+    """The Cech nerve of pi: E -> B, the nerve of the quotient groupoid
+    [E/R] of R = E x_B E: its objects are the points of E, fibre by fibre,
+    with an arrow (x, y) for each pair in a fibre, by x then y, composed by
+    transitivity, the diagonal giving identities.  The chain x_0 -> ... ->
+    x_n is (x_0, ..., x_n), so level n is one block per base point, the
+    (n + 1)-tuples of its fibre in product order; d_i drops x_i and s_i
+    repeats it.  The simplicial identities are not checked (`validate` is
+    the test oracle): [E/R] is a category as R is an equivalence relation,
+    and a category's nerve satisfies them (`_nerve_rows`).
     """
     check_level_cap(level_cap)
-    fibres = [pi.fiber(b) for b in pi.cod]
-    levels = [[x for fib in fibres for x in itertools.product(fib, repeat=n + 1)]
-              for n in range(level_cap + 1)]
-    # starts[n][b]: where the block of the b-th base point starts in level n
-    starts = [list(itertools.accumulate((len(fib) ** (n + 1) for fib in fibres), initial=0))
-              for n in range(level_cap + 2)]
-
-    def rows(n, into, op):
-        return [[start + op(c, k, w) for start, fib in zip(starts[into], fibres)
-                 for k in (len(fib),) for w in (k ** (n - i),) for c in range(k ** (n + 1))]
-                for i in range(n + 1)]
-
-    # w is the weight of digit i
-    faces = [()] + [rows(n, n - 1, lambda c, k, w: c // (w * k) * w + c % w)
-                    for n in range(1, level_cap + 1)]
-    degs = [rows(n, n + 1, lambda c, k, w: c // w * w * k + c // w % k * w + c % w)
-            for n in range(level_cap)]
-    return SimplicialObject(level_cap, levels, faces, degs)
+    points = [x for b in pi.cod for x in pi.fiber(b)]
+    at_x = {x: v for v, x in enumerate(points)}
+    pairs = ((at_x[x], at_x[y]) for x in points for y in pi.fiber(pi(x)))
+    at = {xy: k for k, xy in enumerate(pairs)}  # the arrows, in order
+    src, tgt = [x for x, _ in at], [y for _, y in at]
+    faces, degs, parent, last = _nerve_rows(
+        src, tgt, [at[(v, v)] for v in range(len(points))],
+        lambda g, f: at[(src[f], tgt[g])], level_cap)
+    levels = [[(x,) for x in points]]
+    for n in range(1, level_cap + 1):
+        levels.append([levels[n - 1][q] + (points[tgt[g]],) for q, g in zip(parent[n], last[n])])
+    return SimplicialObject(level_cap, levels, faces, degs, check=False)
 
 
 def action_bar_object(action, level_cap=DEFAULT_LEVEL_CAP):
-    """The bar construction of an action: level n is G^n x X.
-
-    Level n lists (g_1 ... g_n, x) in product order, so an element sits at
-    c * |X| + x, c the code of g_1 ... g_n in base |G|.  d_0 reads the action
-    table, the inner faces the multiplication table, d_n drops the last
-    digit and s_i inserts the identity digit.
+    """The bar construction of an action, the nerve of its quotient
+    groupoid [X/G] (Segal, *Classifying spaces and spectral sequences*),
+    with the arrows (g, x) by g then x.  The chain (g_1, x), (g_2, g_1 x),
+    ... is (g_1 ... g_n, x), so level n lists G^n x X in the nerve's order,
+    by (g_1, x, g_2, ..., g_n).  The simplicial identities are not checked
+    (`validate` is the test oracle): a category's nerve satisfies them
+    (`_nerve_rows`), and [X/G] is a category because the group table is a
+    group, as FiniteGroup checks unless built with check=False, and
+    GroupAction checks that e fixes every point and that acting by h after
+    g is acting by hg.
     """
     check_level_cap(level_cap)
     g, carrier = action.group, action.carrier
-    order, size = len(g.elements), len(carrier)
+    size = len(carrier)
     at_g = {a: k for k, a in enumerate(g.elements)}
     at_x = {x: k for k, x in enumerate(carrier)}
-    act = [[at_x[action.act[(a, x)]] for x in carrier] for a in g.elements]
     mul = [[at_g[g.mul[(b, a)]] for a in g.elements] for b in g.elements]  # b after a
-    e = at_g[g.identity()]
-    levels = [
-        [(gs, x) for gs in itertools.product(g.elements, repeat=n) for x in carrier]
-        for n in range(level_cap + 1)
-    ]
-    xs = range(size)
-
-    def spread(row):
-        """A row over the group codes, extended to every point of the carrier."""
-        return [r * size + x for r in row for x in xs]
-
-    def face_row(n, i):
-        codes = range(order ** n)
-        if i == 0:
-            w = order ** (n - 1)
-            return [c % w * size + y for c in codes for y in act[c // w]]
-        if i == n:
-            return spread([c // order for c in codes])
-        # g_i (digit i - 1) and g_{i+1} (digit i, of weight w) merge into one digit
-        w = order ** (n - 1 - i)
-        return spread([
-            c // (w * order * order) * w * order
-            + mul[c // w % order][c // (w * order) % order] * w + c % w
-            for c in codes
-        ])
-
-    def deg_row(n, i):
-        w = order ** (n - i)
-        return spread([c // w * w * order + e * w + c % w for c in range(order ** n)])
-
-    faces = [()] + [[face_row(n, i) for i in range(n + 1)] for n in range(1, level_cap + 1)]
-    degs = [[deg_row(n, i) for i in range(n + 1)] for n in range(level_cap)]
-    return SimplicialObject(level_cap, levels, faces, degs)
+    # the arrow (g, x) is at g * size + x, for the codes of g and x
+    tgt = [at_x[action.act[(a, x)]] for a in g.elements for x in carrier]
+    faces, degs, parent, last = _nerve_rows(
+        [x for _ in g.elements for x in range(size)], tgt,
+        [at_g[g.identity()] * size + x for x in range(size)],
+        lambda b, a: mul[b // size][a // size] * size + a % size, level_cap)
+    levels = [[((), x) for x in carrier]]
+    for n in range(1, level_cap + 1):
+        levels.append([(gs + (g.elements[a // size],), x)
+                       for (gs, x), a in zip(map(levels[n - 1].__getitem__, parent[n]), last[n])])
+    return SimplicialObject(level_cap, levels, faces, degs, check=False)
 
 
 @dataclass
@@ -625,41 +609,28 @@ def check_torsor(action):
     """Is the anchored action a torsor over its base, and is it trivializable?
 
     Torsor: the anchor is surjective and (act, pr): G x X -> X x_B X is a
-    bijection.  Trivializable: some section of the anchor induces a bijection
-    G x B -> X.  Both are decided by enumeration; the section is returned
-    when one exists.
+    bijection.  Trivializable: some section s of the anchor induces a
+    bijection G x B -> X, (g, b) |-> g.s(b).  Whether one does is decided
+    on one section, the least point of each fibre, which is returned when
+    it does.  Any section decides it: the action keeps fibres, so s
+    induces a bijection exactly when each g |-> g.s(b) maps G one to one
+    onto the fibre of b; if s does, any other section has s'(b) = g_0.s(b),
+    and g |-> g g_0.s(b) is again one to one onto that fibre.
     """
     if action.base is None:
         raise InputError("torsor check needs an anchored action")
     b_set, pi = action.base
-    fibers = {b: tuple(x for x in action.carrier if pi[x] == b) for b in b_set}
-    surjective = all(fibers[b] for b in b_set)
-    pairs = [
-        (action.act[(g, x)], x)
-        for g in action.group.elements
-        for x in action.carrier
-    ]
-    target = {
-        (x1, x2)
-        for b in b_set
-        for x1 in fibers[b]
-        for x2 in fibers[b]
-    }
+    elements, carrier = action.group.elements, action.carrier
+    fibers = {b: tuple(x for x in carrier if pi[x] == b) for b in b_set}
+    surjective = all(fibers.values())
+    pairs = [(action.act[(g, x)], x) for g in elements for x in carrier]
+    target = {(x1, x2) for fib in fibers.values() for x1 in fib for x2 in fib}
     bijective = len(pairs) == len(set(pairs)) and set(pairs) == target
-    is_torsor = surjective and bijective
-    trivializable = False
-    section = {}
-    if all(fibers[b] for b in b_set):
-        for choice in itertools.product(*(fibers[b] for b in b_set)):
-            cand = dict(zip(b_set, choice))
-            image = [
-                action.act[(g, cand[b])] for g in action.group.elements for b in b_set
-            ]
-            if len(image) == len(set(image)) == len(action.carrier):
-                trivializable = True
-                section = cand
-                break
-    return TorsorReport(surjective, bijective, is_torsor, trivializable, section)
+    section = {b: fib[0] for b, fib in fibers.items()} if surjective else {}
+    image = [action.act[(g, x)] for g in elements for x in section.values()]
+    trivializable = surjective and len(image) == len(set(image)) == len(carrier)
+    return TorsorReport(surjective, bijective, surjective and bijective, trivializable,
+                        section if trivializable else {})
 
 
 @dataclass
@@ -674,36 +645,18 @@ def torsor_comparison(action, level_cap=DEFAULT_LEVEL_CAP):
     anchor: (g_1 ... g_n, x) |-> (x, g_1 x, g_2 g_1 x, ...).  Reports whether
     it commutes with all structure maps and is a levelwise bijection.
 
-    It commutes by construction, because the action is validated: the
-    identity fixes every point (s_i inserts it where the Cech s_i repeats a
-    point), the action is associative (an inner d_i multiplies where the
-    Cech d_i drops the point between) and keeps each fibre (every image is
-    a Cech element).  So only bijectivity is computed, and neither object
-    is built: the bar levels are walked in product order, each element
-    carrying the last point of its image and the image's code in its fibre
-    block, in base |fibre|; its Cech position is the block start plus that
-    code."""
+    It is the nerve of the functor [X/G] -> [E/R] that fixes the points and
+    sends (g, x) to (x, g.x), so it commutes, and neither object is built.
+    It is bijective at level 0, and at a level n >= 1 exactly when the
+    functor is bijective on arrows, that is when (act, pr): G x X ->
+    X x_B X is: a chain is its string of arrows, and where (g, x) and
+    (g', x) meet or (x, y) is missed, so do (g, e, ..., e, x) and
+    (g', e, ..., e, x), or (x, y, ..., y)."""
     if action.base is None:
         raise InputError("comparison needs an anchored action")
     check_level_cap(level_cap)
-    b_set, pi = action.base
-    carrier, at_x = action.carrier, {x: k for k, x in enumerate(action.carrier)}
-    fibres = [[at_x[x] for x in carrier if pi[x] == b] for b in b_set]
-    block, digit, base = ([0] * len(carrier) for _ in range(3))
-    for b, fib in enumerate(fibres):
-        for d, x in enumerate(fib):
-            block[x], digit[x], base[x] = b, d, len(fib)
-    act = [[at_x[action.act[(g, x)]] for x in carrier] for g in action.group.elements]
-    # (last point, code) of every element of level n, level 0 first
-    level = [(x, digit[x]) for x in range(len(carrier))]
-    levelwise = {}
-    for n in range(level_cap + 1):
-        if n:
-            # (g_1 ... g_n, x) follows (g_1 ... g_{n-1}, x) for each g_n in turn
-            chunks = [level[p:p + len(carrier)] for p in range(0, len(level), len(carrier))]
-            level = [(g[y], c * base[y] + digit[g[y]]) for chunk in chunks for g in act
-                     for y, c in chunk]
-        starts = list(itertools.accumulate((len(fib) ** (n + 1) for fib in fibres), initial=0))
-        positions = {starts[block[y]] + c for y, c in level}
-        levelwise[n] = len(positions) == len(level) == starts[-1]
+    pairs = {(x, action.act[(g, x)]) for g in action.group.elements for x in action.carrier}
+    fibres = Counter(action.base[1].values()).values()
+    onto = len(pairs) == action.group.order() * len(action.carrier) == sum(k * k for k in fibres)
+    levelwise = {n: n == 0 or onto for n in range(level_cap + 1)}
     return ComparisonReport(True, levelwise, all(levelwise.values()))

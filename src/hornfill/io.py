@@ -138,6 +138,8 @@ def _cells(rows, what):
         cell, src, tgt = row["id"], row["src"], row["tgt"]
         if not all(isinstance(v, str) for v in (cell, src, tgt)):
             raise InputError(f"{what} id, src and tgt must be string ids, got {row!r}")
+        if cell in out:
+            raise InputError(f"{what} {cell!r} is listed twice")
         out[cell] = (src, tgt)
     return out
 
@@ -150,6 +152,8 @@ def _table(rows, what, shape="[b, a, ba]"):
     for row in rows:
         if len(_ids(row, f"a {what} row")) != 3:
             raise InputError(f"{what} rows are {shape}, got {row!r}")
+        if (row[0], row[1]) in out:
+            raise InputError(f"{what} lists ({row[0]!r}, {row[1]!r}) twice")
         out[(row[0], row[1])] = row[2]
     return out
 

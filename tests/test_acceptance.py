@@ -8,6 +8,7 @@ small enough that a ceiling would be noise.
 """
 
 import functools
+import itertools
 import math
 import random
 import time
@@ -55,6 +56,7 @@ from hornfill.groupoid import (
     ComparisonReport,
     FinMap,
     GroupAction,
+    TorsorReport,
     action_bar_object,
     cech_nerve,
     check_torsor,
@@ -411,6 +413,37 @@ def test_torsor_comparison_builds_no_level_table(monkeypatch):
     monkeypatch.setattr(hornfill.groupoid, "cech_nerve", refuse)
     assert [torsor_comparison(a, level_cap=3) for a in variants] == want
     assert len(want) == 572
+
+
+def _oracle_check_torsor(action):
+    """check_torsor as it was, trying every section of the anchor in turn."""
+    b_set, pi = action.base
+    fibers = {b: tuple(x for x in action.carrier if pi[x] == b) for b in b_set}
+    surjective = all(fibers[b] for b in b_set)
+    pairs = [(action.act[(g, x)], x) for g in action.group.elements for x in action.carrier]
+    target = {(x1, x2) for b in b_set for x1 in fibers[b] for x2 in fibers[b]}
+    bijective = len(pairs) == len(set(pairs)) and set(pairs) == target
+    trivializable, section = False, {}
+    if all(fibers[b] for b in b_set):
+        for choice in itertools.product(*(fibers[b] for b in b_set)):
+            cand = dict(zip(b_set, choice))
+            image = [action.act[(g, cand[b])] for g in action.group.elements for b in b_set]
+            if len(image) == len(set(image)) == len(action.carrier):
+                trivializable, section = True, cand
+                break
+    return TorsorReport(surjective, bijective, surjective and bijective, trivializable, section)
+
+
+def test_check_torsor_on_one_section_matches_the_every_section_oracle():
+    reports = Counter()
+    for g in all_small_groups().values():
+        for n in range(1, 5):
+            for act in all_actions(g, n):
+                for a in _anchored_variants(act):
+                    rep = check_torsor(a)
+                    assert rep == _oracle_check_torsor(a)
+                    reports[rep.is_torsor, rep.trivializable] += 1
+    assert sum(reports.values()) == 572 and reports[True, True] == 38
 
 
 # ---------------------------------------------------------------------------

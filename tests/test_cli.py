@@ -625,6 +625,8 @@ def test_malformed_actions_exit_2(tmp_path, capsys):
         "list_base_point": {**good, "base": {**good["base"], "set": [["pt"]]}},
         "base_pi_list": {**good, "base": {**good["base"], "pi": [["c0", "pt"]]}},
         "unknown_key": {**good, "name": "free"},
+        "repeated_point": {**good, "carrier": good["carrier"] + good["carrier"][:1]},
+        "repeated_base_point": {**good, "base": {**good["base"], "set": ["pt", "pt"]}},
     }
     for name, data in bad.items():
         path = _write(tmp_path, f"{name}.json", data)
@@ -650,6 +652,11 @@ def _malformed_categories(good):
         "integer_compose": {**good, "compose": [[0, 0, 0]]},
         "compose_string": {**good, "compose": "".join(good["compose"][0])},
         "short_compose_row": {**good, "compose": [good["compose"][0][:2]]},
+        # a second row for one id or one pair is refused, not read over the first
+        "repeated_morphism": {**good, "morphisms": good["morphisms"] + [first]},
+        "repeated_compose_pair": {
+            **good, "compose": [good["compose"][0][:2] + ["BOGUS"]] + good["compose"]
+        },
     }
 
 

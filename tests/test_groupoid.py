@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import hornfill
 from hornfill import sset
 
+from hornfill.cat import nerve
 from hornfill.corpus import (
     all_actions,
     all_small_groups,
@@ -30,6 +31,7 @@ from hornfill.corpus import (
 from hornfill.errors import CapacityError, InputError, ValidationError
 from hornfill.groupoid import (
     EquivalenceReport,
+    FiniteGroupoid,
     FinMap,
     GroupAction,
     SimplicialObject,
@@ -256,6 +258,79 @@ def test_action_bar_objects_are_groupoid_objects():
             assert rep.holds, gname
 
 
+def _relation_groupoid(pi):
+    """[E/R] for R = E x_B E, as the paper defines it: the objects are E,
+    the morphisms R, source and target pr_1 and pr_2, the identity the
+    diagonal, and composition is transitivity."""
+    r = [(x, y) for x in pi.dom for y in pi.dom if pi(x) == pi(y)]
+    name = lambda x, y: f"{x}>{y}"
+    return FiniteGroupoid(
+        pi.dom,
+        {name(x, y): (x, y) for x, y in r},
+        {x: name(x, x) for x in pi.dom},
+        {(name(y, z), name(x, y)): name(x, z) for x, y in r for y2, z in r if y2 == y},
+    )
+
+
+def _relabelled(model, label):
+    """`model` with each element x of level n relabelled label(n, x)."""
+    levels = [[label(n, x) for x in level] for n, level in enumerate(model.levels)]
+    return SimplicialObject(model.level_cap, levels, model.faces, model.degs, check=False)
+
+
+def _same_object(so, model, label):
+    """so equals the relabelled model, both read in so's order."""
+    assert (so.levels, so.faces, so.degs) == in_order_of(so, _relabelled(model, label))
+
+
+def test_cech_nerves_are_nerves_of_the_relation_groupoid():
+    count = 0
+    for prof in cover_shapes():
+        cover = cover_of_shape(prof)
+        pi = FinMap(cover.e, cover.b, dict(cover.pi))
+        gpd = _relation_groupoid(pi)
+        # pi_0[E/R] is B: one class per base point, each a fibre
+        assert sorted(gpd.components().values()) == sorted(pi.fiber(b) for b in pi.cod), prof
+
+        def chain(n, x):
+            """A chain x_0 -> ... -> x_n is the tuple (x_0 ... x_n)."""
+            return (x,) if n == 0 else (gpd.src(x[0]),) + tuple(map(gpd.tgt, x))
+
+        for cap in (3, 4, 5):
+            so = cech_nerve(pi, level_cap=cap)
+            so.validate()
+            _same_object(so, nerve(gpd, dim_cap=cap).model, chain)
+            count += 1
+    assert count == 18 * 3
+
+
+def test_bar_objects_are_nerves_of_the_action_groupoid():
+    cases = [(act, 3) for g in GROUPS.values() for n in (1, 2, 3) for act in all_actions(g, n)]
+    cases += [(act, 4) for g in ("c2", "c3") for n in (1, 2) for act in all_actions(GROUPS[g], n)]
+    for act, cap in cases:
+        gpd = quotient_groupoid(act)
+        element = {f"{a}*{x}": a for a in act.group.elements for x in act.carrier}
+
+        def chain(n, x):
+            """A chain of arrows (g_1, x), (g_2, g_1 x), ... is (g_1 ... g_n, x)."""
+            return ((), x) if n == 0 else (tuple(map(element.get, x)), gpd.src(x[0]))
+
+        so = action_bar_object(act, level_cap=cap)
+        so.validate()
+        _same_object(so, nerve(gpd, dim_cap=cap).model, chain)
+    assert len(cases) == 62 + 5
+
+
+def test_bar_levels_are_in_nerve_order():
+    # each element of level n - 1, then its extensions by g_n
+    assert action_bar_object(swap_action(), level_cap=2).levels == [
+        (((), "p"), ((), "q")),
+        ((("c0",), "p"), (("c0",), "q"), (("c1",), "p"), (("c1",), "q")),
+        ((("c0", "c0"), "p"), (("c0", "c1"), "p"), (("c0", "c0"), "q"), (("c0", "c1"), "q"),
+         (("c1", "c0"), "p"), (("c1", "c1"), "p"), (("c1", "c0"), "q"), (("c1", "c1"), "q")),
+    ]
+
+
 def test_broken_simplicial_objects_rejected_with_exact_witnesses():
     bad_nerve = nerve_object_of_category(poset_category(1))
     rep = is_groupoid_object(bad_nerve)
@@ -335,6 +410,10 @@ def test_finmap_validation():
         FinMap(("a", "b"), ("x",), {"a": "x"})
     with pytest.raises(ValidationError):
         FinMap(("a",), ("x",), {"a": "y"})
+    with pytest.raises(ValidationError, match="repeated points"):
+        FinMap(("a", "a", "b"), ("x",), {"a": "x", "b": "x"})
+    with pytest.raises(ValidationError, match="repeated points"):
+        FinMap(("a", "b"), ("x", "x"), {"a": "x", "b": "x"})
 
 
 # -- the table core against the callable-based route it replaced -------------
@@ -590,13 +669,20 @@ def test_a_copied_top_element_is_not_injective():
     assert _report(is_groupoid_object(obj)) == _oracle_is_groupoid_object(*oracle) == want
 
 
+def _reordered(name, obj):
+    """Whether `obj` holds its oracle's elements in another order."""
+    return isinstance(obj, sset.LevelModel) or name.startswith("bar ")
+
+
 def test_face_degeneracy_and_restriction_are_table_lookups():
     for name, build, oracle in _gluing_objects():
         obj, (level_cap, levels, face, deg) = build(), oracle()
         obj_face, obj_deg = callables_of(obj.levels, obj.faces, obj.degs)
-        # a nerve's level model holds its levels in its set's order
-        if isinstance(obj, sset.LevelModel):
-            assert [sorted(level) for level in obj.levels] == [sorted(level) for level in levels]
+        # a nerve's level model holds its levels in its set's order, and a
+        # bar object in its nerve's order: the same elements, renumbered
+        if _reordered(name, obj):
+            want = simplicial_object(level_cap, levels, face, deg, check=False)
+            assert obj.levels == in_order_of(obj, want)[0], name
         else:
             assert obj.levels == [tuple(level) for level in levels], name
         for n in range(level_cap + 1):
@@ -614,13 +700,14 @@ def test_face_degeneracy_and_restriction_are_table_lookups():
 
 def test_rows_match_the_frozen_callables():
     # the rows each producer emits, against op_table run on the callables
-    # it used to hand over; a nerve's model renumbers its rows, so the
-    # oracle's rows are renumbered the same way
+    # it used to hand over; a nerve's model renumbers its rows and a bar
+    # object lists its levels in nerve order, so the oracle's rows are
+    # renumbered the same way
     count = 0
     for name, build, oracle in _gluing_objects():
         obj, (level_cap, levels, face, deg) = build(), oracle()
         want = simplicial_object(level_cap, levels, face, deg, check=False)
-        if isinstance(obj, sset.LevelModel):
+        if _reordered(name, obj):
             assert (obj.levels, obj.faces, obj.degs) == in_order_of(obj, want), name
         else:
             assert (obj.levels, obj.faces, obj.degs) == (want.levels, want.faces, want.degs), name
