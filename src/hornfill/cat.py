@@ -451,15 +451,25 @@ def nerve(c, dim_cap=DEFAULT_DIM_CAP):
     """Nerve of a finite category as a truncated simplicial set, the
     strings (f_1, ..., f_n) in the order of `_nerve_rows`, morphisms in id
     order.  A FiniteCategory may be built unchecked, so its LevelModel
-    checks the simplicial identities."""
+    checks the simplicial identities, and a composite the rows need that
+    the table lacks or names outside the morphisms is a ValidationError."""
     objects, mors = list(c.objects), sorted(c.mor)
     at_obj = {x: v for v, x in enumerate(objects)}
     at_mor = {m: k for k, m in enumerate(mors)}
     src = [at_obj[c.mor[m][0]] for m in mors]
     tgt = [at_obj[c.mor[m][1]] for m in mors]
     ident = [at_mor[c.identity[x]] for x in objects]
-    comp = {(at_mor[g], at_mor[f]): at_mor[h] for (g, f), h in c.compose_table.items()}
-    faces, degs, parent, last = _nerve_rows(src, tgt, ident, lambda g, f: comp[g, f], dim_cap)
+    try:
+        comp = {(at_mor[g], at_mor[f]): at_mor[h] for (g, f), h in c.compose_table.items()}
+    except KeyError as exc:
+        raise ValidationError(f"composition table names unknown {exc.args[0]!r}") from None
+    try:
+        faces, degs, parent, last = _nerve_rows(src, tgt, ident, lambda g, f: comp[g, f], dim_cap)
+    except KeyError as exc:
+        g, f = exc.args[0]
+        raise ValidationError(
+            f"composition table wrong at ({mors[g]!r}, {mors[f]!r}): missing entry"
+        ) from None
     strings = [[()] * len(objects)]
     for n in range(1, dim_cap + 1):
         strings.append([strings[n - 1][q] + (mors[g],) for q, g in zip(parent[n], last[n])])

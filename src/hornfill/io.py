@@ -1,8 +1,14 @@
 """JSON formats for every object kind, and deterministic writers.
 
 All dumps are byte-deterministic: keys sorted, two-space indent, one
-trailing newline.  Loaders validate shape up front so malformed input
-fails as InputError before any construction work starts.
+trailing newline.  `dumps` writes the bytes of
+`json.dumps(data, indent=2, sort_keys=True)` directly, because on
+Python 3.11 the standard library uses its C encoder only without
+`indent` and runs a chain of Python generators with it.  Strings are
+still escaped by the standard library's C escaper, and the `json.dumps`
+call is the writer's oracle in the tests.  Loaders validate shape up
+front so malformed input fails as InputError before any construction
+work starts.
 """
 
 import json
@@ -13,11 +19,67 @@ from .cat import Finite2Category, FiniteCategory
 from .descent import Cover
 from .errors import InputError
 from .groupoid import FiniteGroup, GroupAction
-from .sset import SimplexRef, SimplicialSet, _json_pair
+from .sset import _INT, SimplexRef, SimplicialSet, _json_pair
+
+
+_escape = json.encoder.encode_basestring_ascii
+_STR = frozenset((str,))
 
 
 def dumps(data):
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """json.dumps(data, indent=2, sort_keys=True) + "\\n", byte for byte.
+
+    Values are str, int, bool, None, list, tuple and dict with str keys,
+    of exactly those types; anything else is a TypeError."""
+    out = []
+    _write(data, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, nl, out):
+    """Append the JSON text of value to out; nl is the newline and indent
+    of the line the value starts on."""
+    t = type(value)
+    if t is str:
+        out.append(_escape(value))
+    elif t is list or t is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if _STR.issuperset(map(type, value)):
+            out.append("[" + inner + ("," + inner).join(map(_escape, value)) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in value:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, v in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            out.append(sep + _escape(key) + ": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif t is int:
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def load_path(path):
@@ -80,7 +142,9 @@ def _face_refs(refs, known):
     """The SimplexRefs of a JSON face list, each distinct one built once
     per load and kept in `known`: a string ref keyed by the string, a
     degenerate ref by (gen, degs) only after this occurrence has passed
-    its own checks, so a bool or a float in a word is refused every time."""
+    its own checks, so a bool or a float in a word is refused every time.
+    A {"gen": str, "deg": list of exact ints} equal to a kept key is that
+    checked word and is looked up directly; anything else is checked."""
     out = []
     for r in refs:
         if isinstance(r, str):
@@ -88,10 +152,17 @@ def _face_refs(refs, known):
             if ref is None:
                 ref = known[r] = SimplexRef(r)
         else:
-            key = _json_pair(r)
-            ref = known.get(key)
+            ref = None
+            if (
+                type(r) is dict and len(r) == 2 and type(r.get("gen")) is str
+                and type(deg := r.get("deg")) is list and _INT.issuperset(map(type, deg))
+            ):
+                ref = known.get((r["gen"], tuple(deg)))
             if ref is None:
-                ref = known[key] = SimplexRef(*key)
+                key = _json_pair(r)
+                ref = known.get(key)
+                if ref is None:
+                    ref = known[key] = SimplexRef(*key)
         out.append(ref)
     return out
 

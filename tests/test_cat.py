@@ -57,6 +57,18 @@ def test_category_validation_rejects_partial_composition():
         )
 
 
+def test_nerve_of_an_unchecked_category_names_a_missing_or_unknown_composite():
+    units = {("i", "i"): "i", ("i", "f"): "f", ("f", "i"): "f"}
+    for compose, message in (
+        (units, r"^composition table wrong at \('f', 'f'\): missing entry$"),
+        ({**units, ("f", "f"): "g"}, r"^composition table names unknown 'g'$"),
+    ):
+        c = FiniteCategory(("x",), {"i": ("x", "x"), "f": ("x", "x")}, {"x": "i"}, compose,
+                           check=False)
+        with pytest.raises(ValidationError, match=message):
+            nerve(c, dim_cap=2)
+
+
 def test_category_validation_rejects_broken_identity():
     with pytest.raises(ValidationError):
         FiniteCategory(

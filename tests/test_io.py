@@ -1,11 +1,14 @@
 """Serialization round trips and loader validation."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hornfill import io
-from hornfill.cat import nerve
+from hornfill.cat import duskin_nerve, nerve
 from hornfill.corpus import (
     all_actions,
     all_categories,
@@ -30,6 +33,43 @@ def test_dumps_is_deterministic_and_newline_terminated():
     assert blob == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
     # key order in the input dict must not matter
     assert io.dumps({"a": [2, 3], "b": 1}) == blob
+
+
+def _oracle(data):
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# every code point, lone surrogates and control characters included, with
+# quotes and backslashes drawn often
+_text = st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f'))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64)) | _text,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(_text, inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_dumps_writes_the_bytes_of_json_dumps(value):
+    assert io.dumps(value) == _oracle(value)
+
+
+def test_dumps_writes_the_bytes_of_json_dumps_on_every_corpus_nerve():
+    sets = [nerve(c, dim_cap=4).sset for c in all_categories().values()]
+    sets += [duskin_nerve(c2, dim_cap=4).sset for c2 in all_two_categories().values()]
+    for x in sets:
+        data = io.sset_to_json(x)
+        assert io.dumps(data) == _oracle(data)
+    assert any(ref.degs for x in sets for fs in x.gen_faces.values() for ref in fs)
+
+
+def test_dumps_refuses_what_it_does_not_write():
+    for value in ({1: "a"}, {"a": {(0, 1): 2}}, Fraction(1, 2), [1.5], {"a": SimplexRef("x")}):
+        with pytest.raises(TypeError):
+            io.dumps(value)
 
 
 def test_sset_round_trips_byte_identical():
@@ -114,9 +154,12 @@ def test_from_json_validates_shape():
 
 
 def test_each_face_ref_occurrence_is_checked_after_an_equal_one_was_read():
+    # after `good` is read, each bad ref is one loose check away from its cache entry
     good = {"gen": "x", "deg": [1]}
-    for word in ([True], [1.0], [0, 1]):
-        bad = {"gen": "x", "deg": word}
+    bads = [{"gen": "x", "deg": word} for word in ([True], [1.0], [0, 1], [[1]], (1,), [1, 1])]
+    bads += [{"gen": gen, "deg": [1]} for gen in (1, ["x"])]
+    bads.append({"gen": "x", "deg": [1], "extra": 0})
+    for bad in bads:
         data = {
             "dim_cap": 3,
             "generators": {"0": ["v"], "1": ["x"], "3": ["w", "z"]},
@@ -126,7 +169,7 @@ def test_each_face_ref_occurrence_is_checked_after_an_equal_one_was_read():
             SimplexRef.from_json(bad)
         with pytest.raises(InputError) as got:
             io.sset_from_json(data)
-        assert str(got.value) == str(want.value), word
+        assert str(got.value) == str(want.value), bad
 
 
 def test_a_nerve_read_with_shared_refs_equals_one_read_ref_by_ref():

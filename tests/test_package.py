@@ -70,6 +70,23 @@ def test_unchecked_level_tables_are_frozen():
                          "groupoid.py:cech_nerve", "groupoid.py:action_bar_object"}
 
 
+def test_every_json_text_goes_through_io_dumps():
+    # io.dumps is the one writer; json.dumps is its oracle in tests/test_io.py
+    writers = {"dump", "dumps"}
+    found = []
+    for path in sorted(pathlib.Path(hornfill.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute) and node.attr in writers
+                and isinstance(node.value, ast.Name) and node.value.id == "json"
+            ) or (
+                isinstance(node, ast.ImportFrom) and node.module == "json"
+                and writers & {a.name for a in node.names}
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_module_imports_a_name_it_does_not_use():
     # __init__.py imports names to re-export them; every other module
     # must use each name its module-level imports bind
