@@ -25,10 +25,11 @@ composite of two good morphisms is good (four uses of the law), so every
 morphism is good once the generators are and their closure reaches every
 morphism.  Only when a generator fails does the row scan over every
 composable pair (h, g) run, to name the first failing triple.
-`Finite2Category.validate` runs it on the vertical category (1-cells and
-`vcompose`) and the horizontal category (0-cells and `hcompose`), runs
-`Functor.validate` on source, target and `two_identity`, and checks
-interchange; each failure names its structure.  `FiniteGroup` (in
+`Finite2Category.validate` runs it on the category of 0- and 1-cells,
+the vertical category (1-cells and `vcompose`) and the horizontal
+category (0-cells and `hcompose`), runs `Functor.validate` on source,
+target and `two_identity`, and checks interchange; each failure after
+the first category's names its structure.  `FiniteGroup` (in
 `groupoid`) checks its table as a one-object category.
 
 Functors c -> d are the simplicial maps of the 2-truncated nerves
@@ -416,8 +417,13 @@ def _nerve_rows(src, tgt, ident, compose, cap):
     last two arrows; s_i inserts an identity.  Returns (faces, degs, parent,
     last), parent[n] and last[n] giving each element of level n >= 1 as its
     parent (at level 1, its source) and last arrow, for the caller to label.
-    The rows satisfy the simplicial identities whenever the data form a
-    category: faces drop or compose arrows, degeneracies insert identities.
+    Whenever the data form a category the rows are in range and satisfy
+    the simplicial identities: a face of a composable string drops an end
+    arrow or composes two arrows meeting at a vertex, so it is a composable
+    string, listed one level down, and inserting an identity gives one
+    listed one level up; on strings, the face identities hold by
+    associativity where two composites meet and the others by the unit
+    laws (d_j s_j = d_{j+1} s_j = id).
     """
     out, rank = [[] for _ in ident], []
     for g, x in enumerate(src):
@@ -450,31 +456,24 @@ def _nerve_rows(src, tgt, ident, compose, cap):
 def nerve(c, dim_cap=DEFAULT_DIM_CAP):
     """Nerve of a finite category as a truncated simplicial set, the
     strings (f_1, ..., f_n) in the order of `_nerve_rows`, morphisms in id
-    order.  A FiniteCategory may be built unchecked, so its LevelModel
-    checks the simplicial identities, and a composite the rows need that
-    the table lacks or names outside the morphisms is a ValidationError."""
+    order.  A FiniteCategory may be built unchecked, so `c.validate()`
+    runs first; on a category the rows are in range and satisfy the
+    simplicial identities (see `_nerve_rows`), so its LevelModel skips
+    their check."""
+    c.validate()
     objects, mors = list(c.objects), sorted(c.mor)
     at_obj = {x: v for v, x in enumerate(objects)}
     at_mor = {m: k for k, m in enumerate(mors)}
     src = [at_obj[c.mor[m][0]] for m in mors]
     tgt = [at_obj[c.mor[m][1]] for m in mors]
     ident = [at_mor[c.identity[x]] for x in objects]
-    try:
-        comp = {(at_mor[g], at_mor[f]): at_mor[h] for (g, f), h in c.compose_table.items()}
-    except KeyError as exc:
-        raise ValidationError(f"composition table names unknown {exc.args[0]!r}") from None
-    try:
-        faces, degs, parent, last = _nerve_rows(src, tgt, ident, lambda g, f: comp[g, f], dim_cap)
-    except KeyError as exc:
-        g, f = exc.args[0]
-        raise ValidationError(
-            f"composition table wrong at ({mors[g]!r}, {mors[f]!r}): missing entry"
-        ) from None
+    comp = {(at_mor[g], at_mor[f]): at_mor[h] for (g, f), h in c.compose_table.items()}
+    faces, degs, parent, last = _nerve_rows(src, tgt, ident, lambda g, f: comp[g, f], dim_cap)
     strings = [[()] * len(objects)]
     for n in range(1, dim_cap + 1):
         strings.append([strings[n - 1][q] + (mors[g],) for q, g in zip(parent[n], last[n])])
     model = LevelModel(dim_cap, [objects] + strings[1:], faces, degs,
-                       namer=lambda n, x: str(x) if n == 0 else "|".join(x))
+                       namer=lambda n, x: str(x) if n == 0 else "|".join(x), check=False)
     return NerveResult(model.sset, c, model)
 
 
@@ -493,7 +492,7 @@ class Finite2Category:
 
     def __init__(self, objects, one_cells, identity, compose, two_cells,
                  two_identity, vcompose, hcompose, check=True):
-        self.cat = FiniteCategory(objects, one_cells, identity, compose, check=check)
+        self.cat = FiniteCategory(objects, one_cells, identity, compose, check=False)
         self.objects = self.cat.objects
         self.one = self.cat.mor
         self.two = dict(two_cells)
@@ -525,8 +524,10 @@ class Finite2Category:
         return all(self.two_inverse(a) is not None for a in self.two)
 
     def validate(self):
-        """Vertical and horizontal categories, three functors, interchange
-        (see the module docstring); each failure names its structure."""
+        """The category of 0- and 1-cells, then the vertical and horizontal
+        categories, three functors and interchange (see the module
+        docstring); each failure past the first names its structure."""
+        self.cat.validate()
         one, two, v, h = self.one, self.two, self.vcompose, self.hcompose
         vertical = FiniteCategory(one, two, self.two_identity, v, check=False)
         _within("vertical", vertical.validate)
@@ -818,7 +819,28 @@ def duskin_nerve(c2, dim_cap=DEFAULT_DIM_CAP, budget=DEFAULT_BUDGET):
     found by the boundary join (`_duskin_table`).  An n-simplex, n >= 2,
     is its edge and triangle labels in lex order.  The budget counts the
     candidate triangles and join trials of the whole build.
+
+    A Finite2Category may be built unchecked, so `c2.validate()` runs
+    first.  On a strict 2-category the rows are in range and satisfy the
+    simplicial identities, so the LevelModel skips their check:
+
+    - levels 0-2 are read off the 2-category: a triangle (f, e, g; t) has
+      t: g o f => e, so its three edges meet at three vertices, and by the
+      unit laws (id, f, f; id2 f) and (f, f, id; id2 f), its degeneracies
+      s_0 f and s_1 f, are triangles;
+    - level 3 keeps the compatible quadruples that pass `_tetra_holds`, and
+      a degenerate one passes: on s_j of (f, e, g; t) both routes reduce to
+      t by the vertical and horizontal unit laws and id2 g * id2 f =
+      id2(g o f);
+    - each level n >= 3 is the join's output, whose elements are their own
+      face tuples, so the face identities are the join's compatibility
+      condition.  s_j x is looked up by the faces d_i s_j x that the
+      identities prescribe; they are compatible by the identities below,
+      so the tuple is in level n (at n = 3 by the point above), and it is
+      unique, as an element is its faces.  s_i s_j = s_{j+1} s_i holds as
+      both sides have the same faces.
     """
+    c2.validate()
     table, values = _duskin_table(c2, dim_cap, budget)
 
     def namer(n, x):
@@ -827,7 +849,7 @@ def duskin_nerve(c2, dim_cap=DEFAULT_DIM_CAP, budget=DEFAULT_BUDGET):
         e, t = x
         return "{" + ",".join(e) + "|" + ",".join(t) + "}"
 
-    model = LevelModel(dim_cap, values, table.faces, table.degs, namer=namer)
+    model = LevelModel(dim_cap, values, table.faces, table.degs, namer=namer, check=False)
     return DuskinResult(model.sset, c2, model)
 
 

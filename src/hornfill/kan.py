@@ -210,13 +210,15 @@ def classify(x, dim_cap=None, budget=DEFAULT_BUDGET):
         for k in range(n + 1):
             tuples, spent = _horn_join(x, n, k, budget, spent, len(verdicts))
             index = x.filler_index(n, k)
-            images_of = _images(x, n, k)
+            images_of = None  # built on the first tuple whose images are read
             unfilled = ambiguous = 0
             no_images = multi = None
             for t in tuples:
                 fillers = index.get(t, ())
                 if len(fillers) == 1:
                     continue
+                if images_of is None:
+                    images_of = _images(x, n, k)
                 images = images_of(t)
                 if not fillers:
                     unfilled += 1

@@ -272,7 +272,9 @@ class SimplicialSet:
     def table(self, through=None):
         """The one SimplicialObject whose level n is simplices(n), built
         level by level through `through` (dim_cap by default) on first
-        need, its rows emitted by the calculus (`_rows`)."""
+        need, its rows emitted by the calculus (`_rows`).  A set built
+        unchecked may name a face with no position in the level below,
+        which is refused here, as the first bad row entry."""
         top = self.dim_cap if through is None else through
         if not 0 <= top <= self.dim_cap:
             raise InputError(f"dimension {top} outside [0, {self.dim_cap}]")
@@ -281,7 +283,12 @@ class SimplicialSet:
             table = self._level_table = self._level_zero()
         while table.level_cap < top:
             n = table.level_cap + 1
-            table.add_level(self._normal_forms(n), *self._rows(table, n, self._own_rows(table, n)))
+            level, own = self._normal_forms(n), self._own_rows(table, n)
+            for i, row in enumerate(own):
+                if None in row:
+                    x = level[row.index(None)]
+                    raise ValidationError(f"d_{i} of {x!r} leaves level {n - 1}")
+            table.add_level(level, *self._rows(table, n, own))
         return table
 
     def _level_zero(self):
@@ -736,10 +743,11 @@ def _then(first, second):
 
 def _checked_rows(kind, n, level, rows, into):
     """The rows of d_i (kind "d", from level n into n - 1, none at level 0)
-    or of s_i (kind "s", from level n into n + 1), as lists; a
+    or of s_i (kind "s", from level n into n + 1), as lists, checked for
+    their number, their lengths and their entries, exact ints in range; a
     ValidationError names the level, the operator and the element of a bad
     row."""
-    rows, want = [row if type(row) is list else list(row) for row in rows], n + 1
+    rows, want = _as_lists(rows), n + 1
     if kind == "d" and not n:
         want = 0
     if len(rows) != want:
@@ -758,6 +766,20 @@ def _checked_rows(kind, n, level, rows, into):
     return rows
 
 
+def _as_lists(rows):
+    """Each row as a list, copied only if it is not one."""
+    return [row if type(row) is list else list(row) for row in rows]
+
+
+def _positions(n, level):
+    """The position of each element of level n, a tuple; a repeated
+    element is a ValidationError."""
+    position = dict(zip(level, range(len(level))))
+    if len(position) != len(level):
+        raise ValidationError(f"duplicate elements at level {n}")
+    return position
+
+
 def check_level_cap(level_cap):
     """A level cap is a non-negative integer; anything else is an InputError."""
     if type(level_cap) is not int or level_cap < 0:
@@ -771,9 +793,13 @@ class SimplicialObject:
     given (`position[n][x]`).  The structure maps are rows of positions:
     `faces[n][i][p]` is the position in level n - 1 of d_i of element p of
     level n (level 0 has no rows), and `degs[n][i][p]` that of s_i in level
-    n + 1, for n < level_cap.  Every row is checked for its length and for
-    entries in range, and `check` checks the simplicial identities; rows
-    given as lists are kept, not copied.  Everything else reads these tables.
+    n + 1, for n < level_cap.  Each row is kept as a list (one given as
+    another sequence is copied once).  Everything else reads these tables.
+
+    `check` checks a table that comes from a caller: each level and its
+    rows before it is appended, for repeated elements and for the rows'
+    number, lengths and entries in range, then the simplicial identities
+    (`validate`).  A producer that proves all of these passes check=False.
     """
 
     def __init__(self, level_cap, levels, faces, degs, check=True):
@@ -782,23 +808,40 @@ class SimplicialObject:
         self.levels, self.position, self.faces, self.degs = [], [], [], []
         self._restrictions, self._indexes = {}, {}
         for n in range(level_cap + 1):
-            self.add_level(levels[n], faces[n], degs[n - 1] if n else ())
+            level, face_rows, deg_rows = tuple(levels[n]), faces[n], degs[n - 1] if n else ()
+            if check:
+                # refused in the order add_level reads them, before it appends
+                _positions(n, level)
+                below = self.levels[n - 1] if n else ()
+                face_rows = _checked_rows("d", n, level, face_rows, below)
+                if n:
+                    deg_rows = _checked_rows("s", n - 1, below, deg_rows, level)
+            self.add_level(level, face_rows, deg_rows)
         if check:
             self.validate()
 
     def add_level(self, level, face_rows, deg_rows):
         """Append level level_cap + 1 with its face rows into the level
-        below and the degeneracy rows from the level below into it; nothing
-        is appended if a row fails its check."""
+        below and the degeneracy rows from the level below into it; a level
+        that repeats an element is refused before anything is appended.
+
+        The rows are appended unchecked, so the caller proves them in
+        range.  The callers are the constructor, which checks them when
+        asked, and two producers.  `SimplicialSet.table` and `validate`
+        append the calculus rows: the block of the generators of dimension
+        n holds positions found in level n - 1, with any face that has none
+        refused first (by `table`, or by `_refuse_faces` in `validate`), and
+        every other block indexes a word block inside level n - 1 or level
+        n, whose sizes the words fix.  `cat._duskin_table` appends each
+        level >= 3 of a Duskin nerve, rows whose proof is in
+        `duskin_nerve`'s docstring.
+        """
         n = self.level_cap + 1
         level = tuple(level)
-        position = dict(zip(level, range(len(level))))
-        if len(position) != len(level):
-            raise ValidationError(f"duplicate elements at level {n}")
-        faces = _checked_rows("d", n, level, face_rows, self.levels[n - 1] if n else ())
-        degs = _checked_rows("s", n - 1, self.levels[n - 1], deg_rows, level) if n else ()
+        position = _positions(n, level)
+        faces = _as_lists(face_rows)
         if n:
-            self.degs.append(degs)
+            self.degs.append(_as_lists(deg_rows))
         self.levels.append(level)
         self.position.append(position)
         self.faces.append(faces)
@@ -964,8 +1007,8 @@ class LevelModel(SimplicialObject):
     """A simplicial set presented by a levelwise simplicial object.
 
     The levels and rows are given as to SimplicialObject, in any order, and
-    `check` checks the identities on them.  An element is degenerate when it
-    is s_i of its own d_i; the largest such i is the outermost letter of its
+    `check` checks them as it does.  An element is degenerate when it is
+    s_i of its own d_i; the largest such i is the outermost letter of its
     normal form, read off the rows level by level.  The other elements are
     the generators, named by `namer(n, x)`; a name given twice is an
     InputError.  `sset` is the SimplicialSet they present.  Each level is

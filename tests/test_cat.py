@@ -61,12 +61,42 @@ def test_nerve_of_an_unchecked_category_names_a_missing_or_unknown_composite():
     units = {("i", "i"): "i", ("i", "f"): "f", ("f", "i"): "f"}
     for compose, message in (
         (units, r"^composition table wrong at \('f', 'f'\): missing entry$"),
-        ({**units, ("f", "f"): "g"}, r"^composition table names unknown 'g'$"),
+        ({**units, ("f", "f"): "g"}, r"^\('f', 'f'\) composes to unknown 'g'$"),
     ):
         c = FiniteCategory(("x",), {"i": ("x", "x"), "f": ("x", "x")}, {"x": "i"}, compose,
                            check=False)
         with pytest.raises(ValidationError, match=message):
             nerve(c, dim_cap=2)
+
+
+def test_nerve_of_an_unchecked_category_names_a_bad_endpoint_or_identity():
+    units = {("i", "i"): "i"}
+    for mor, identity, message in (
+        ({"i": ("x", "x"), "f": ("x", "y")}, {"x": "i"},
+         r"^morphism 'f' has endpoint outside objects$"),
+        ({"i": ("x", "x")}, {}, r"^bad identity at 'x'$"),
+        ({"i": ("x", "x")}, {"x": "j"}, r"^bad identity at 'x'$"),
+    ):
+        c = FiniteCategory(("x",), mor, identity, units, check=False)
+        for cap in (0, 2):
+            with pytest.raises(ValidationError, match=message):
+                nerve(c, dim_cap=cap)
+
+
+def test_duskin_nerve_of_an_unchecked_two_category_is_a_validation_error():
+    good = one_object_two_group(cyclic_group(2))
+    parts = [good.objects, good.one, good.cat.identity, good.cat.compose_table, good.two,
+             good.two_identity, good.vcompose, good.hcompose]
+    for at, table, message in (
+        (2, {"*": "2"}, r"^bad identity at '\*'$"),
+        (3, {}, r"^composition table wrong at \('1', '1'\): missing entry$"),
+        (7, {**good.hcompose, ("ac1", "ac1"): "ac1"},
+         r"^interchange fails at \('ac0','ac1'\) \* \('ac1','ac0'\)$"),
+    ):
+        broken = Finite2Category(*parts[:at], table, *parts[at + 1:], check=False)
+        for cap in (0, 3):
+            with pytest.raises(ValidationError, match=message):
+                duskin_nerve(broken, dim_cap=cap)
 
 
 def test_category_validation_rejects_broken_identity():

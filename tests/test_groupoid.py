@@ -761,6 +761,35 @@ def test_rows_of_the_wrong_shape_are_refused():
         SimplicialObject(0, base.levels, [[[0, 1]]], ())
 
 
+def test_checked_and_unchecked_rows_are_held_alike():
+    # check=False skips the row checks, not the copy of a row that is no
+    # list: both hold every row as a list and level 0 with no face rows
+    base = cech_nerve(FinMap(("a", "b"), ("*",), {"a": "*", "b": "*"}), level_cap=2)
+    as_tuples = lambda table: [tuple(map(tuple, rows)) for rows in table]
+    constant = [[range(2)] * (n + 1) for n in range(3)]
+    cases = [
+        (2, base.levels, base.faces, base.degs),
+        (2, base.levels, as_tuples(base.faces), as_tuples(base.degs)),
+        (2, [("a", "b")] * 3, [()] + constant[1:], constant[:2]),
+        (0, base.levels[:1], [()], ()),
+        (0, [range(3)], [[]], ()),
+    ]
+    for case in cases:
+        checked = SimplicialObject(*case)
+        unchecked = SimplicialObject(*case, check=False)
+        for obj in (checked, unchecked):
+            assert obj.faces[0] == []
+            rows = [row for table in obj.faces + obj.degs for row in table]
+            assert all(type(row) is list for row in rows)
+        assert (checked.levels, checked.faces, checked.degs, checked.position) == (
+            unchecked.levels, unchecked.faces, unchecked.degs, unchecked.position)
+
+
+def test_a_repeated_element_is_refused_before_its_rows():
+    with pytest.raises(ValidationError, match="^duplicate elements at level 1$"):
+        SimplicialObject(1, [("a",), ("e", "e")], [(), [[5, 0]] * 2], [[9]])
+
+
 def test_lookups_outside_the_object_are_input_errors():
     two = cech_nerve(FinMap(("a", "b"), ("*",), {"a": "*", "b": "*"}), level_cap=3)
     bad = [

@@ -228,6 +228,19 @@ def test_inconsistent_face_data_raises_not_asserts():
         level_model(2, [["v"], ["e"], ["t", "u"]], face, deg, namer=lambda n, x: x, check=False)
 
 
+def test_an_unchecked_set_refuses_a_face_it_cannot_place_when_its_table_grows():
+    # the face lists of a set built unchecked enter through table(), which
+    # refuses a face with no position in the level below; nothing is appended
+    broken = SimplicialSet(
+        2, {0: ["a"], 1: ["e"]}, {"e": (SimplexRef("a"), SimplexRef("zz"))}, check=False
+    )
+    for _ in range(2):
+        with pytest.raises(ValidationError, match=r"^d_1 of SimplexRef\(gen='e', degs=\(\)\) "
+                                                  r"leaves level 0$"):
+            broken.simplices(2)
+        assert broken.table(0).level_cap == 0
+
+
 def test_simplicial_map_validation_checks_faces():
     d1 = standard_simplex(1, dim_cap=2)
     d2 = standard_simplex(2, dim_cap=2)
@@ -448,6 +461,23 @@ def test_level_model_rows_match_the_frozen_callables():
             assert (model.levels, model.faces, model.degs) == in_order_of(model, want)
             count += 1
     assert count == 53
+
+
+def test_nerve_and_duskin_rows_pass_the_checks_they_skip():
+    # nerve and duskin_nerve check their (2-)category and build their
+    # LevelModel unchecked, on the proofs in their docstrings: the rows
+    # they hand over pass the row checks and the simplicial identities
+    builds = [lambda c=c, cap=cap: nerve(c, dim_cap=cap)
+              for c in all_categories().values() for cap in range(5)]
+    builds += [lambda c2=c2, cap=cap: duskin_nerve(c2, dim_cap=cap)
+               for c2 in all_two_categories().values() for cap in range(5)]
+    for build in builds:
+        with _recorded_level_models() as built:
+            build()
+        [(_, (cap, levels, *_), (faces, degs))] = built
+        checked = SimplicialObject(cap, levels, faces, degs, check=True)
+        assert checked.levels == levels
+    assert len(builds) == 5 * (22 + 7)
 
 
 # -- SimplexRef against the frozen dataclass it was ------------------------------
