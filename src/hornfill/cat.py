@@ -34,7 +34,9 @@ the first category's names its structure.  `FiniteGroup` (in
 
 Functors c -> d are the simplicial maps of the 2-truncated nerves
 N(c) -> N(d), since the nerve is fully faithful and 2-coskeletal, so
-`enumerate_functors` runs the one map search of `sset`.
+`enumerate_functors` runs the one map search of `sset` on the nerves
+each category keeps, and `categories_isomorphic` runs its bijective
+case, `is_isomorphic`.
 
 The two quotient constructions at the bottom go the other way, from a
 simplicial set to a category: the path category modulo triangle
@@ -56,6 +58,7 @@ from .sset import (
     SimplicialObject,
     SimplicialSet,
     enumerate_maps,
+    is_isomorphic,
     product_structure,
     standard_ref_of_vertices,
     standard_simplex,
@@ -240,7 +243,7 @@ class FiniteCategory:
         self.identity = dict(identity)
         self.compose_table = dict(compose)
         self._hom = {}
-        self._nerve2 = None  # the 2-truncated nerve, built by enumerate_functors
+        self._nerve2 = None  # the 2-truncated nerve, built by _nerve2
         if check:
             self.validate()
 
@@ -323,31 +326,63 @@ class Functor:
     on_morphisms: dict
 
     def validate(self):
-        for x in self.src.objects:
-            if self.on_objects.get(x) not in self.tgt.objects:
+        """Images in tgt with the right endpoints, identities to identities
+        and composites to composites.  Either category may be built
+        unchecked, so a morphism, identity or composite that one of them
+        lacks is named in a ValidationError."""
+        src, tgt, obj, mor = self.src, self.tgt, self.on_objects, self.on_morphisms
+        for x in src.objects:
+            if obj.get(x) not in tgt.objects:
                 raise ValidationError(f"object {x!r} has no valid image")
-        for m, (s, t) in self.src.mor.items():
-            fm = self.on_morphisms.get(m)
-            if fm not in self.tgt.mor:
+        for m, (s, t) in src.mor.items():
+            fm = mor.get(m)
+            if fm not in tgt.mor:
                 raise ValidationError(f"morphism {m!r} has no valid image")
-            if self.tgt.mor[fm] != (self.on_objects[s], self.on_objects[t]):
+            if s not in obj or t not in obj or tgt.mor[fm] != (obj[s], obj[t]):
                 raise ValidationError(f"image of {m!r} has wrong endpoints")
-        for x in self.src.objects:
-            if self.on_morphisms[self.src.identity[x]] != self.tgt.identity[self.on_objects[x]]:
+        for x in src.objects:
+            i, j = src.identity.get(x), tgt.identity.get(obj[x])
+            if i not in src.mor:
+                raise ValidationError(f"source has no identity at {x!r}")
+            if j is None:
+                raise ValidationError(f"target has no identity at {obj[x]!r}")
+            if mor[i] != j:
                 raise ValidationError(f"identity at {x!r} not preserved")
-        for (g, f), gf in self.src.compose_table.items():
-            if (
-                self.tgt.compose_table[(self.on_morphisms[g], self.on_morphisms[f])]
-                != self.on_morphisms[gf]
-            ):
+        for (g, f), gf in src.compose_table.items():
+            if not (g in src.mor and f in src.mor and gf in src.mor):
+                raise ValidationError(f"source composition ({g!r},{f!r}) names an unknown morphism")
+            pair = (mor[g], mor[f])
+            if pair not in tgt.compose_table:
+                raise ValidationError(f"target has no composite at {pair!r}, image of {(g, f)!r}")
+            if tgt.compose_table[pair] != mor[gf]:
                 raise ValidationError(f"composition ({g!r},{f!r}) not preserved")
 
-    def is_isomorphism(self):
-        return (
-            sorted(self.on_objects.values()) == list(self.tgt.objects)
-            and len(set(self.on_morphisms.values())) == len(self.tgt.mor)
-            and len(self.on_morphisms) == len(self.tgt.mor)
-        )
+
+def _nerve2(c):
+    """The 2-truncated nerve of c, built once and kept on c."""
+    if c._nerve2 is None:
+        c._nerve2 = nerve(c, dim_cap=2)
+    return c._nerve2
+
+
+def _functor_of(c, d):
+    """The function taking a map N(c) -> N(d) of 2-truncated nerves, as its
+    assignment, to its Functor c -> d."""
+    nc, nd = _nerve2(c), _nerve2(d)
+    # a nerve's level model is in its set's order
+    elem = {ref: x for n in (0, 1) for x, ref in zip(nd.model.levels[n], nd.sset.simplices(n))}
+    vertex = {x: nc.model.ref_of[(0, x)].gen for x in c.objects}
+    edge = {m: nc.model.ref_of[(1, (m,))] for m in c.mor}
+
+    def functor(assignment):
+        obj = {x: elem[assignment[vertex[x]]] for x in c.objects}
+        mor = {}
+        for m, (s, _) in c.mor.items():
+            ref = edge[m]
+            mor[m] = d.identity[obj[s]] if ref.degs else elem[assignment[ref.gen]][0]
+        return Functor(c, d, obj, mor)
+
+    return functor
 
 
 def enumerate_functors(c, d, budget=DEFAULT_BUDGET):
@@ -358,40 +393,26 @@ def enumerate_functors(c, d, budget=DEFAULT_BUDGET):
     `enumerate_maps`: the budget counts its trials, and a CapacityError
     carries the number of functors found as partial.
     """
-    for cat in (c, d):
-        if cat._nerve2 is None:
-            cat._nerve2 = nerve(cat, dim_cap=2)
-    nc, nd = c._nerve2, d._nerve2
-    # a nerve's level model is in its set's order
-    elem = {ref: x for n in (0, 1) for x, ref in zip(nd.model.levels[n], nd.sset.simplices(n))}
-    vertex = {x: nc.model.ref_of[(0, x)].gen for x in c.objects}
-    edge = {m: nc.model.ref_of[(1, (m,))] for m in c.mor}
-    out = []
-    for f in enumerate_maps(nc.sset, nd.sset, budget=budget):
-        obj = {x: elem[f.assignment[vertex[x]]] for x in c.objects}
-        mor = {}
-        for m, (s, _) in c.mor.items():
-            ref = edge[m]
-            mor[m] = d.identity[obj[s]] if ref.degs else elem[f.assignment[ref.gen]][0]
-        out.append(Functor(c, d, obj, mor))
+    functor = _functor_of(c, d)
+    out = [functor(f.assignment)
+           for f in enumerate_maps(_nerve2(c).sset, _nerve2(d).sset, budget=budget)]
     objs, mors = list(c.objects), sorted(c.mor)
     out.sort(key=lambda F: (tuple(F.on_objects[x] for x in objs), tuple(F.on_morphisms[m] for m in mors)))
     return out
 
 
 def categories_isomorphic(c, d, budget=DEFAULT_BUDGET):
-    """An isomorphism witness c -> d, or None (exhaustive)."""
+    """An isomorphism c -> d as a Functor, or None (exhaustive).
+
+    The nerve is fully faithful, so these are the isomorphisms of the
+    2-truncated nerves, found by the bijective case of the one map search
+    (`is_isomorphic`): the budget counts its trials, and a CapacityError
+    carries the number of nerve generators matched as partial.
+    """
     if len(c.objects) != len(d.objects) or len(c.mor) != len(d.mor):
         return None
-    profile = lambda cat: sorted(
-        len(cat.hom(x, y)) for x in cat.objects for y in cat.objects
-    )
-    if profile(c) != profile(d):
-        return None
-    for F in enumerate_functors(c, d, budget=budget):
-        if F.is_isomorphism():
-            return F
-    return None
+    f = is_isomorphic(_nerve2(c).sset, _nerve2(d).sset, budget=budget)
+    return None if f is None else _functor_of(c, d)(f.assignment)
 
 
 # -- the nerve ----------------------------------------------------------------

@@ -4,14 +4,16 @@ Everything here is assembled from the public constructors and is meant
 for tests, scripts, and the command line demos: posets, small monoids
 and groups presented as one-object categories, walking shapes, all
 groups of order at most six, exhaustive lists of group actions on small
-carriers, the standard cover shapes, and a few deliberately broken
+carriers (the functors into a symmetric group, found by the one map
+search), the standard cover shapes, and a few deliberately broken
 simplicial objects whose failure points are known in advance.
 """
 
-import itertools
+import functools
 
 from .cat import (
     FiniteCategory,
+    enumerate_functors,
     nerve,
     one_object_two_group,
     split_two_group,
@@ -27,11 +29,9 @@ from .groupoid import (
     cech_nerve,
     cyclic_group,
     direct_product,
-    evaluate_word,
     FinMap,
     symmetric_group,
     trivial_group,
-    word_table,
 )
 
 
@@ -270,30 +270,30 @@ def all_small_groups():
     }
 
 
+@functools.cache
+def _symmetric_group(n):
+    """The symmetric group on n points, built once per n with its nerve."""
+    return symmetric_group(n)
+
+
 def all_actions(group, n_points):
     """Every action of the group on x0..x{n-1}, one per homomorphism.
 
-    Generator images run over the full symmetric group; each candidate
-    is expanded along word expressions and then verified to be a
-    homomorphism outright, so nothing depends on a chosen presentation.
+    The homomorphisms into the symmetric group are the functors between
+    the one-object categories (`enumerate_functors`, the one map search),
+    so nothing depends on a chosen presentation.  They come sorted by the
+    images of all elements in element order, which is the lexicographic
+    order of the images of `generating_sequence()`: that sequence is picked
+    greedily in element order, so every element before its j-th generator
+    lies in the subgroup the generators before it generate, and two
+    homomorphisms first differ at the first generator where they differ.
     """
-    sym = symmetric_group(n_points)
-    gens, words = word_table(group)
     points = tuple(f"x{i}" for i in range(n_points))
     out = []
-    for images in itertools.product(sym.elements, repeat=len(gens)):
-        f = {a: evaluate_word(sym, images, word) for a, word in words.items()}
-        if any(
-            f[group.mul[(a, b)]] != sym.mul[(f[a], f[b])]
-            for a in group.elements
-            for b in group.elements
-        ):
-            continue
-        act = {}
-        for a in group.elements:
-            perm = f[a]
-            for i, x in enumerate(points):
-                act[(a, x)] = points[int(perm[i])]
+    for f in enumerate_functors(group.one_object_category(),
+                                _symmetric_group(n_points).one_object_category()):
+        perm = f.on_morphisms  # a permutation as digits: position i holds the image of i
+        act = {(a, x): points[int(perm[a][i])] for a in group.elements for i, x in enumerate(points)}
         out.append(GroupAction(group, points, act))
     return out
 

@@ -9,6 +9,8 @@ adjacent ones, and d_n dropping the last; the Cech nerve of pi: E -> B is
 the nerve of [E/R], R = E x_B E.  Both come unchecked from the nerve
 routine of `cat`, by proof.  The comparison of the bar construction with
 the Cech nerve of the anchor map is a levelwise bijection exactly on torsors.
+A group is also a one-object category, kept on the group, so group
+isomorphism is `categories_isomorphic` on those, run by the one map search.
 
 All checks are exhaustive; cardinalities use exact rationals.
 """
@@ -19,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT_BUDGET, DEFAULT_LEVEL_CAP
-from .errors import CapacityError, InputError, ValidationError
-from .cat import FiniteCategory, UnionFind, _nerve_rows, _within
+from .errors import InputError, ValidationError
+from .cat import FiniteCategory, UnionFind, _nerve_rows, _within, categories_isomorphic
 from .sset import SimplicialObject, _then, check_level_cap
 
 
@@ -59,6 +61,7 @@ class FiniteGroup:
         self._identity = None
         self._inverse = {}
         self._cech = None  # descent's integer table, with its fibre censuses
+        self._category = None  # the one-object category, with its cached nerve
         if check:
             self.validate()
 
@@ -68,13 +71,19 @@ class FiniteGroup:
         es = self.elements
         if len(set(es)) != len(es):
             raise ValidationError("duplicate group elements")
-        one_object = FiniteCategory(
-            ("*",), {a: ("*", "*") for a in es}, {"*": self.identity()}, self.mul,
-            check=False,
-        )
-        _within("group table", one_object.validate)
+        _within("group table", self.one_object_category().validate)
         for a in es:
             self.inverse(a)
+
+    def one_object_category(self):
+        """The group as a category on one object "*", built once and kept,
+        so that its nerve is built once too (`cat._nerve2`)."""
+        if self._category is None:
+            self._category = FiniteCategory(
+                ("*",), {a: ("*", "*") for a in self.elements}, {"*": self.identity()},
+                self.mul, check=False,
+            )
+        return self._category
 
     def identity(self):
         if self._identity is None:
@@ -174,74 +183,16 @@ def direct_product(g, h):
     return FiniteGroup(els, mul)
 
 
-def word_table(group):
-    """The generating sequence, and every element as a word in it.
-
-    Breadth first, so each generator gets its one-letter word.  The word
-    (k1, k2, ...) stands for the product gens[k1] gens[k2] ...
-    """
-    gens = group.generating_sequence()
-    words = {group.identity(): ()}
-    frontier = [group.identity()]
-    while frontier:
-        x = frontier.pop(0)
-        for k, gen in enumerate(gens):
-            y = group.mul[(x, gen)]
-            if y not in words:
-                words[y] = words[x] + (k,)
-                frontier.append(y)
-    if len(words) != group.order():
-        raise ValidationError("generating sequence failed to generate")
-    return gens, words
-
-
-def evaluate_word(group, images, word):
-    """The product of images[k] over the letters k of a word, in order."""
-    val = group.identity()
-    for k in word:
-        val = group.mul[(val, images[k])]
-    return val
-
-
 def groups_isomorphic(g, h, budget=DEFAULT_BUDGET):
-    """An isomorphism as a dict, or None.  Exhaustive over generator images,
-    pruned by element orders; every candidate is verified on the full table.
-    A CapacityError carries the number of generator images fixed when the
-    budget ran out as partial."""
-    if g.order() != h.order():
-        return None
-    if sorted(map(g.element_order, g.elements)) != sorted(map(h.element_order, h.elements)):
-        return None
-    gens, expr = word_table(g)
-    nodes = 0
+    """An isomorphism g -> h as a dict, or None (exhaustive).
 
-    def build(images):
-        phi = {x: evaluate_word(h, images, word) for x, word in expr.items()}
-        if len(set(phi.values())) != h.order():
-            return None
-        for a in g.elements:
-            for b in g.elements:
-                if h.mul[(phi[a], phi[b])] != phi[g.mul[(a, b)]]:
-                    return None
-        return phi
-
-    def rec(i, images):
-        nonlocal nodes
-        if i == len(gens):
-            return build(images)
-        want = g.element_order(gens[i])
-        for y in h.elements:
-            if h.element_order(y) != want:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise CapacityError(f"group isomorphism search exceeded budget {budget}", partial=i)
-            got = rec(i + 1, images + [y])
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, [])
+    The isomorphisms of the one-object categories, found by
+    `categories_isomorphic` with the one map search: the budget counts its
+    trials, and a CapacityError carries the number of nerve generators
+    matched as partial.
+    """
+    f = categories_isomorphic(g.one_object_category(), h.one_object_category(), budget=budget)
+    return None if f is None else f.on_morphisms
 
 
 # -- group actions --------------------------------------------------------------

@@ -629,7 +629,9 @@ def _map_search(src, tgt, cap, budget, fixed=None, bijective=False):
     non-degenerate simplices only (they come first in each level) and
     stops at the first hit.  Every candidate tried is one trial; past
     `budget` a CapacityError carries the assignments found as partial, or
-    in the bijective case the generators matched.
+    in the bijective case the generators matched.  The backtracking keeps
+    an explicit stack of candidate iterators, one per generator, so the
+    depth of a source is not bounded by Python's recursion limit.
     """
     order = _search_order(src, cap)
     table = tgt.table(cap)
@@ -667,12 +669,14 @@ def _map_search(src, tgt, cap, budget, fixed=None, bijective=False):
             return [p for p in found if p < free[d] and (d, p) not in used]
         return found
 
-    def extend(i):
-        nonlocal trials
-        if i == len(order):
-            hits.append({g: table.levels[d][p] for g, d, p in zip(order, dims, pos)})
-            return bijective
-        for p in candidates(i):
+    if not order:
+        return [{}]
+    # its[i] iterates the untried candidates of generator i, and the
+    # images of the generators before i are in `used`
+    last, i = len(order) - 1, 0
+    its = [iter(candidates(0))] + [None] * last
+    while True:
+        for p in its[i]:
             trials += 1
             if trials > budget:
                 raise CapacityError(
@@ -680,14 +684,20 @@ def _map_search(src, tgt, cap, budget, fixed=None, bijective=False):
                     partial=i if bijective else len(hits),
                 )
             pos[i] = p
+            if i == last:
+                hits.append({g: table.levels[d][q] for g, d, q in zip(order, dims, pos)})
+                if bijective:
+                    return hits
+                continue
             used.add((dims[i], p))
-            if extend(i + 1):
-                return True
-            used.discard((dims[i], p))
-        return False
-
-    extend(0)
-    return hits
+            i += 1
+            its[i] = iter(candidates(i))
+            break
+        else:
+            if not i:
+                return hits
+            i -= 1
+            used.discard((dims[i], pos[i]))
 
 
 def enumerate_maps(src, tgt, dim_cap=None, budget=DEFAULT_BUDGET, fixed=None):

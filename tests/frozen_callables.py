@@ -7,6 +7,10 @@ producer used to hand over are kept here verbatim, apart from their
 names, as the oracles for the rows the producers now emit.  Each
 `*_callables` function returns (levels, face, deg), or (levels, face,
 deg, namer) for a level model.
+
+At the end are the searches that group isomorphism and the corpus's
+group actions ran beside the one map search, kept verbatim apart from
+their names as its oracles: generator images expanded along words.
 """
 
 import itertools
@@ -14,6 +18,7 @@ import itertools
 from hornfill.cat import _cells_in_order, _tetra_holds
 from hornfill.config import DEFAULT_BUDGET
 from hornfill.errors import CapacityError, ValidationError
+from hornfill.groupoid import GroupAction, symmetric_group
 from hornfill.sset import (
     LevelModel,
     SimplexRef,
@@ -420,3 +425,101 @@ def duskin_callables(c2, dim_cap):
         return "{" + ",".join(e) + "|" + ",".join(t) + "}"
 
     return levels[:dim_cap + 1], face, deg, namer
+
+
+def word_table(group):
+    """The generating sequence, and every element as a word in it.
+
+    Breadth first, so each generator gets its one-letter word.  The word
+    (k1, k2, ...) stands for the product gens[k1] gens[k2] ...
+    """
+    gens = group.generating_sequence()
+    words = {group.identity(): ()}
+    frontier = [group.identity()]
+    while frontier:
+        x = frontier.pop(0)
+        for k, gen in enumerate(gens):
+            y = group.mul[(x, gen)]
+            if y not in words:
+                words[y] = words[x] + (k,)
+                frontier.append(y)
+    if len(words) != group.order():
+        raise ValidationError("generating sequence failed to generate")
+    return gens, words
+
+
+def evaluate_word(group, images, word):
+    """The product of images[k] over the letters k of a word, in order."""
+    val = group.identity()
+    for k in word:
+        val = group.mul[(val, images[k])]
+    return val
+
+
+def oracle_groups_isomorphic(g, h, budget=DEFAULT_BUDGET):
+    """An isomorphism as a dict, or None.  Exhaustive over generator images,
+    pruned by element orders; every candidate is verified on the full table.
+    A CapacityError carries the number of generator images fixed when the
+    budget ran out as partial."""
+    if g.order() != h.order():
+        return None
+    if sorted(map(g.element_order, g.elements)) != sorted(map(h.element_order, h.elements)):
+        return None
+    gens, expr = word_table(g)
+    nodes = 0
+
+    def build(images):
+        phi = {x: evaluate_word(h, images, word) for x, word in expr.items()}
+        if len(set(phi.values())) != h.order():
+            return None
+        for a in g.elements:
+            for b in g.elements:
+                if h.mul[(phi[a], phi[b])] != phi[g.mul[(a, b)]]:
+                    return None
+        return phi
+
+    def rec(i, images):
+        nonlocal nodes
+        if i == len(gens):
+            return build(images)
+        want = g.element_order(gens[i])
+        for y in h.elements:
+            if h.element_order(y) != want:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise CapacityError(f"group isomorphism search exceeded budget {budget}", partial=i)
+            got = rec(i + 1, images + [y])
+            if got is not None:
+                return got
+        return None
+
+    return rec(0, [])
+
+
+def oracle_all_actions(group, n_points):
+    """Every action of the group on x0..x{n-1}, one per homomorphism.
+
+    Generator images run over the full symmetric group; each candidate
+    is expanded along word expressions and then verified to be a
+    homomorphism outright, so nothing depends on a chosen presentation.
+    """
+    sym = symmetric_group(n_points)
+    gens, words = word_table(group)
+    points = tuple(f"x{i}" for i in range(n_points))
+    out = []
+    for images in itertools.product(sym.elements, repeat=len(gens)):
+        f = {a: evaluate_word(sym, images, word) for a, word in words.items()}
+        if any(
+            f[group.mul[(a, b)]] != sym.mul[(f[a], f[b])]
+            for a in group.elements
+            for b in group.elements
+        ):
+            continue
+        act = {}
+        for a in group.elements:
+            perm = f[a]
+            for i, x in enumerate(points):
+                act[(a, x)] = points[int(perm[i])]
+        out.append(GroupAction(group, points, act))
+    return out

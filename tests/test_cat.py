@@ -7,6 +7,7 @@ import pytest
 from hornfill.cat import (
     Finite2Category,
     FiniteCategory,
+    Functor,
     _duskin_table,
     categories_isomorphic,
     duskin_nerve,
@@ -81,6 +82,32 @@ def test_nerve_of_an_unchecked_category_names_a_bad_endpoint_or_identity():
         for cap in (0, 2):
             with pytest.raises(ValidationError, match=message):
                 nerve(c, dim_cap=cap)
+
+
+def test_functor_validate_names_what_an_unchecked_category_lacks():
+    two = {"i": ("x", "x"), "f": ("x", "x")}
+    units = {("i", "i"): "i", ("i", "f"): "f", ("f", "i"): "f"}
+    c = FiniteCategory(("x",), two, {"x": "i"}, {**units, ("f", "f"): "i"})
+    # the target's table lacks the image of a pair the source composes
+    d = FiniteCategory(("x",), two, {"x": "i"}, units, check=False)
+    with pytest.raises(ValidationError,
+                       match=r"^target has no composite at \('f', 'f'\), image of \('f', 'f'\)$"):
+        Functor(c, d, {"x": "x"}, {"i": "i", "f": "f"}).validate()
+    # the source has no identity at an object
+    b = FiniteCategory(("x",), {"f": ("x", "x")}, {}, {("f", "f"): "f"}, check=False)
+    with pytest.raises(ValidationError, match=r"^source has no identity at 'x'$"):
+        Functor(b, c, {"x": "x"}, {"f": "i"}).validate()
+    # the other lookups an unchecked category can fail
+    for src, tgt, message in (
+        (c, FiniteCategory(("x",), two, {}, units, check=False),
+         r"^target has no identity at 'x'$"),
+        (FiniteCategory(("x",), two, {"x": "i"}, {**units, ("f", "f"): "g"}, check=False), c,
+         r"^source composition \('f','f'\) names an unknown morphism$"),
+        (FiniteCategory(("x",), {**two, "e": ("x", "y")}, {"x": "i"}, units, check=False), c,
+         r"^image of 'e' has wrong endpoints$"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            Functor(src, tgt, {"x": "x"}, {"i": "i", "f": "f", "e": "f"}).validate()
 
 
 def test_duskin_nerve_of_an_unchecked_two_category_is_a_validation_error():
@@ -219,6 +246,29 @@ def test_categories_isomorphic_positive_and_negative():
     from hornfill.groupoid import direct_product
     bv4 = bg_category(direct_product(cyclic_group(2), cyclic_group(2)))
     assert categories_isomorphic(bc4, bv4) is None
+
+
+def _is_isomorphism(F):
+    """The bijectivity test categories_isomorphic ran on every functor."""
+    return (
+        sorted(F.on_objects.values()) == list(F.tgt.objects)
+        and len(set(F.on_morphisms.values())) == len(F.tgt.mor)
+        and len(F.on_morphisms) == len(F.tgt.mor)
+    )
+
+
+def test_categories_isomorphic_agrees_with_a_bijective_functor():
+    # the oracle is the search categories_isomorphic used to run: list
+    # every functor and keep the first bijective one
+    cats = all_categories()
+    for a, c in cats.items():
+        for b, d in cats.items():
+            F = categories_isomorphic(c, d)
+            want = any(map(_is_isomorphism, enumerate_functors(c, d)))
+            assert (F is not None) == want, (a, b)
+            if F is not None:
+                F.validate()
+                assert _is_isomorphism(F), (a, b)
 
 
 def _opposite(c):

@@ -17,12 +17,13 @@ from hornfill.corpus import (
     all_categories,
     all_small_groups,
     all_two_categories,
+    bg_category,
     cover_of_shape,
     free_transitive_action,
     refine_cover,
     trivial_action,
 )
-from hornfill.groupoid import GroupAction
+from hornfill.groupoid import GroupAction, direct_product
 from hornfill.sset import standard_simplex, subcomplex_of_simplex
 
 
@@ -155,6 +156,20 @@ def test_maps_count(files, capsys):
     assert main(["cat", "maps", files["d1"], files["d1"]]) == 0
     data, _ = _json_out(capsys)
     assert data["count"] == 3 and len(data["maps"]) == 3
+
+
+def test_maps_from_a_source_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # the 2-truncated nerve of B(S3 x S3) has 1,261 generators, more than
+    # Python's default recursion limit; the map search keeps its own stack
+    s3 = all_small_groups()["s3"]
+    big = nerve(bg_category(direct_product(s3, s3)), dim_cap=2).sset
+    assert sum(len(big.generators(d)) for d in range(3)) == 1261
+    src = _write(tmp_path, "bs3s3.json", io.sset_to_json(big))
+    tgt = _write(tmp_path, "bc1.json", io.sset_to_json(
+        nerve(bg_category(all_small_groups()["c1"]), dim_cap=2).sset))
+    assert main(["cat", "maps", src, tgt]) == 0
+    data, _ = _json_out(capsys)
+    assert data["count"] == 1 and len(data["maps"]) == 1
 
 
 def test_quotient_and_stabilizer(files, capsys, tmp_path):

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 import hornfill
 from hornfill import sset
 
-from hornfill.cat import nerve
+from hornfill.cat import enumerate_functors, nerve
 from hornfill.corpus import (
     all_actions,
     all_small_groups,
+    bg_category,
     cover_of_shape,
     cover_shapes,
     free_transitive_action,
@@ -33,6 +34,7 @@ from hornfill.groupoid import (
     EquivalenceReport,
     FiniteGroupoid,
     FinMap,
+    FiniteGroup,
     GroupAction,
     SimplicialObject,
     action_bar_object,
@@ -59,6 +61,8 @@ from frozen_callables import (
     cech_callables,
     in_order_of,
     nerve_callables,
+    oracle_all_actions,
+    oracle_groups_isomorphic,
     punctured_callables,
     simplicial_object,
 )
@@ -89,11 +93,70 @@ def test_group_isomorphism_classifier():
     assert groups_isomorphic(GROUPS["s3"], symmetric_group(3)) is not None
 
 
-def test_group_isomorphism_budget_reports_generator_images_fixed():
-    # s3 has two generators: the budget runs out choosing the second image
+def test_group_isomorphism_budget_reports_nerve_generators_matched():
+    # the one nerve vertex is matched at trial 1; the budget runs out on
+    # the first edge
     with pytest.raises(CapacityError) as info:
         groups_isomorphic(GROUPS["s3"], symmetric_group(3), budget=1)
     assert info.value.partial == 1
+
+
+def _heisenberg_group_27():
+    """Upper unitriangular 3 x 3 matrices over F_3, as triples (a, b, c)."""
+    els = list(itertools.product(range(3), repeat=3))
+    name = lambda x: "h" + "".join(map(str, x))
+    mul = {(name(x), name(y)): name(((x[0] + y[0]) % 3, (x[1] + y[1]) % 3,
+                                     (x[2] + y[2] + x[0] * y[1]) % 3))
+           for x in els for y in els}
+    return FiniteGroup(tuple(map(name, els)), mul)
+
+
+def _is_group_isomorphism(phi, g, h):
+    return (
+        sorted(phi) == sorted(g.elements) and sorted(phi.values()) == sorted(h.elements)
+        and all(h.mul[(phi[a], phi[b])] == phi[g.mul[(a, b)]] for a in g.elements for b in g.elements)
+    )
+
+
+def test_group_isomorphism_agrees_with_the_generator_image_search():
+    # the oracle is the search groups_isomorphic used to run beside the map
+    # search; the returned isomorphism may differ, the verdict may not
+    s4 = symmetric_group(4)
+    a4 = s4.subgroup([p for p in s4.elements
+                      if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0])
+    c3 = GROUPS["c3"]
+    pairs = [(g, h) for g in GROUPS.values() for h in GROUPS.values()]
+    pairs += [
+        (GROUPS["c6"], direct_product(GROUPS["c2"], GROUPS["c3"])),
+        (GROUPS["c4"], GROUPS["v4"]),
+        (s4, direct_product(a4, GROUPS["c2"])),
+        (direct_product(direct_product(c3, c3), c3), _heisenberg_group_27()),
+    ]
+    verdicts = []
+    for g, h in pairs:
+        phi = groups_isomorphic(g, h)
+        assert (phi is not None) == (oracle_groups_isomorphic(g, h) is not None), (g, h)
+        if phi is not None:
+            assert _is_group_isomorphism(phi, g, h), (g, h)
+        verdicts.append(phi is not None)
+    assert verdicts[-4:] == [True, False, False, False]
+    assert sum(verdicts[:-4]) == len(GROUPS)
+
+
+def test_group_isomorphism_and_functors_past_the_recursion_limit():
+    # the nerve of B(S3 x S3) at cap 2 has 1,261 generators, more than
+    # Python's default recursion limit
+    s = direct_product(GROUPS["s3"], GROUPS["s3"])
+    name = {a: f"g{i:02d}" for i, a in enumerate(reversed(s.elements))}
+    t = FiniteGroup(tuple(name.values()), {(name[a], name[b]): name[c] for (a, b), c in s.mul.items()})
+    phi = groups_isomorphic(s, t)
+    assert phi is not None and _is_group_isomorphism(phi, s, t)
+    # End(S3 x S3) = Hom(S3 x S3, S3)^2, with 22 homomorphisms into S3:
+    # the trivial one, 3 signs times 3 involutions, 2 projections times 6
+    # automorphisms; 72 = |Aut(S3) wr C2| of them are bijective
+    functors = enumerate_functors(bg_category(s), bg_category(t))
+    assert len(functors) == 22 ** 2
+    assert sum(len(set(F.on_morphisms.values())) == 36 for F in functors) == 72
 
 
 # one action per homomorphism into the symmetric group of the carrier
@@ -117,6 +180,15 @@ def test_action_enumeration_matches_hom_counts():
         assert len(acts) == expected, (gname, n)
         for a in acts:
             a.validate()
+
+
+def test_actions_match_the_generator_image_search_in_order():
+    # perfbench names its ops by position in these lists, so the order
+    # is part of the contract, not only the set
+    got = [a.act for g in GROUPS.values() for n in range(1, 5) for a in all_actions(g, n)]
+    want = [a.act for g in GROUPS.values() for n in range(1, 5) for a in oracle_all_actions(g, n)]
+    assert len(want) == 203
+    assert [list(a.items()) for a in got] == [list(a.items()) for a in want]
 
 
 def test_action_validation_rejects_non_actions():

@@ -86,6 +86,42 @@ def test_only_the_frozen_producers_append_unchecked_levels():
                        "sset.py:SimplicialSet.validate", "cat.py:_duskin_table"}
 
 
+def _function(module, name):
+    """The top-level def `name` of hornfill/`module`.py, parsed."""
+    path = pathlib.Path(hornfill.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def _called_names(node):
+    return {
+        getattr(call.func, "id", getattr(call.func, "attr", None))
+        for call in ast.walk(node) if isinstance(call, ast.Call)
+    }
+
+
+def test_the_map_search_does_not_recurse():
+    # a source with more generators than Python's recursion limit must
+    # not crash the search: it backtracks on an explicit stack
+    search = _function("sset", "_map_search")
+    recursive = [
+        f.name for f in ast.walk(search)
+        if isinstance(f, ast.FunctionDef) and f.name in _called_names(f)
+    ]
+    assert recursive == []
+
+
+def test_homomorphism_and_isomorphism_searches_reach_the_one_map_search():
+    # group and category isomorphisms and the corpus's group actions are
+    # maps of nerves; none may run a search of its own beside it
+    one_search = {"categories_isomorphic", "is_isomorphic", "enumerate_functors"}
+    for module, name in (("groupoid", "groups_isomorphic"), ("cat", "categories_isomorphic"),
+                         ("corpus", "all_actions")):
+        f = _function(module, name)
+        assert _called_names(f) & one_search, name
+        assert [n for n in ast.walk(f) if isinstance(n, ast.FunctionDef)] == [f], name
+
+
 def test_every_json_text_goes_through_io_dumps():
     # io.dumps is the one writer; json.dumps is its oracle in tests/test_io.py
     writers = {"dump", "dumps"}
