@@ -1,0 +1,44 @@
+"""Nerve build cost over the category corpus.
+
+For every corpus category, or only the one named by --category: build
+the nerve up to the cap and print its level counts, its generator
+counts (the non-degenerate simplices), the build time in seconds and the
+process's peak resident set size (`ru_maxrss`, read as kilobytes, as
+Linux reports it) after the build, in MB.  The peak only grows within a
+process, so name one category to read its own peak.
+
+    python3 scripts/nerve_scaling.py --dim-cap 5
+    python3 scripts/nerve_scaling.py --dim-cap 7 --category bs3
+"""
+
+import argparse
+import resource
+import time
+
+from hornfill.cat import nerve
+from hornfill.corpus import all_categories
+
+
+def main():
+    cats = all_categories()
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--dim-cap", type=int, default=4)
+    ap.add_argument("--category", choices=sorted(cats))
+    args = ap.parse_args()
+
+    if args.category:
+        cats = {args.category: cats[args.category]}
+    width = max(len(name) for name in cats)
+    for name, c in cats.items():
+        start = time.perf_counter()
+        x = nerve(c, dim_cap=args.dim_cap).sset
+        seconds = time.perf_counter() - start
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        counts = [x.count(n) for n in range(args.dim_cap + 1)]
+        gens = [len(x.generators(n)) for n in range(args.dim_cap + 1)]
+        print(f"{name:{width}}  levels {counts}  generators {gens}"
+              f"  {seconds:.4f} s  {peak:.1f} MB")
+
+
+if __name__ == "__main__":
+    main()

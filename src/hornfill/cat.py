@@ -46,6 +46,7 @@ certificate) and the homotopy category of edge classes (requires inner
 instance by instance rather than assumed).
 """
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ from .sset import (
     SimplexRef,
     SimplicialObject,
     SimplicialSet,
+    check_level_cap,
     enumerate_maps,
     is_isomorphic,
     product_structure,
@@ -64,6 +66,11 @@ from .sset import (
     standard_simplex,
     vertices_of_standard_ref,
 )
+
+
+# `FiniteCategory.validate` runs the row scan alone up to this many
+# composable triples per morphism
+SCAN_TRIPLES = 16
 
 
 class UnionFind:
@@ -244,6 +251,7 @@ class FiniteCategory:
         self.compose_table = dict(compose)
         self._hom = {}
         self._nerve2 = None  # the 2-truncated nerve, built by _nerve2
+        self._checked = False  # a validate passed; the data are not changed after
         if check:
             self.validate()
 
@@ -266,7 +274,11 @@ class FiniteCategory:
 
     def validate(self):
         """Identities, the table's entries and endpoints, the unit laws,
-        then associativity by Light's test (see the module docstring)."""
+        then associativity by Light's test (see the module docstring), or
+        on a table of at most SCAN_TRIPLES composable triples per morphism
+        by the row scan alone, which costs less there than choosing the
+        generators.  Once it has passed, the category carries that fact,
+        so `nerve` checks it once."""
         if len(set(self.objects)) != len(self.objects):
             raise ValidationError("duplicate object ids")
         for m, (s, t) in self.mor.items():
@@ -288,9 +300,13 @@ class FiniteCategory:
                 raise ValidationError(f"right unit fails at {f!r}")
             if table[(self.identity[t], f)] != f:
                 raise ValidationError(f"left unit fails at {f!r}")
-        if not all(map(rows.good, rows.generators(self.identity))):
-            h, g, f = rows.first_failure()
-            raise ValidationError(f"associativity fails at ({h!r},{g!r},{f!r})")
+        triples = sum(len(rows.into[s]) * len(rows.out[t]) for s, t in self.mor.values())
+        if (triples <= SCAN_TRIPLES * len(rows.mors)
+                or not all(map(rows.good, rows.generators(self.identity)))):
+            failure = rows.first_failure()
+            if failure is not None:
+                raise ValidationError("associativity fails at (%r,%r,%r)" % failure)
+        self._checked = True
 
     def inverse(self, f):
         s, t = self.mor[f]
@@ -367,19 +383,19 @@ def _nerve2(c):
 
 def _functor_of(c, d):
     """The function taking a map N(c) -> N(d) of 2-truncated nerves, as its
-    assignment, to its Functor c -> d."""
-    nc, nd = _nerve2(c), _nerve2(d)
-    # a nerve's level model is in its set's order
-    elem = {ref: x for n in (0, 1) for x, ref in zip(nd.model.levels[n], nd.sset.simplices(n))}
-    vertex = {x: nc.model.ref_of[(0, x)].gen for x in c.objects}
-    edge = {m: nc.model.ref_of[(1, (m,))] for m in c.mor}
+    assignment, to its Functor c -> d.  A nerve names the vertex of an
+    object x `str(x)` and the edge of a non-identity morphism m `m`
+    (`nerve`); m goes to the identity at the image of its source when it
+    is an identity or its edge goes to a degenerate edge."""
+    vertex = {str(y): y for y in d.objects}
+    units = set(c.identity.values())
 
     def functor(assignment):
-        obj = {x: elem[assignment[vertex[x]]] for x in c.objects}
+        obj = {x: vertex[assignment[str(x)].gen] for x in c.objects}
         mor = {}
         for m, (s, _) in c.mor.items():
-            ref = edge[m]
-            mor[m] = d.identity[obj[s]] if ref.degs else elem[assignment[ref.gen]][0]
+            ref = None if m in units else assignment[m]
+            mor[m] = d.identity[obj[s]] if ref is None or ref.degs else ref.gen
         return Functor(c, d, obj, mor)
 
     return functor
@@ -420,9 +436,35 @@ def categories_isomorphic(c, d, budget=DEFAULT_BUDGET):
 
 @dataclass
 class NerveResult:
+    """The nerve of `category`, `sset` as `nerve` presents it.
+
+    `model` is the route that presentation replaced, kept as its oracle:
+    every composable string through the cap, in the order of
+    `_nerve_rows`, handed to a LevelModel that strips the degenerate ones
+    and renumbers each level into the set's order, so that level n of the
+    model is the strings of `sset.simplices(n)`.  It is built on first
+    read; on a category the rows are in range and satisfy the simplicial
+    identities (see `_nerve_rows`), so the model skips their check."""
+
     sset: SimplicialSet
     category: FiniteCategory
-    model: LevelModel = field(repr=False)
+
+    @functools.cached_property
+    def model(self):
+        c, cap = self.category, self.sset.dim_cap
+        objects, mors = list(c.objects), sorted(c.mor)
+        at_obj = {x: v for v, x in enumerate(objects)}
+        at_mor = {m: k for k, m in enumerate(mors)}
+        src = [at_obj[c.mor[m][0]] for m in mors]
+        tgt = [at_obj[c.mor[m][1]] for m in mors]
+        ident = [at_mor[c.identity[x]] for x in objects]
+        comp = {(at_mor[g], at_mor[f]): at_mor[h] for (g, f), h in c.compose_table.items()}
+        faces, degs, parent, last = _nerve_rows(src, tgt, ident, lambda g, f: comp[g, f], cap)
+        strings = [[()] * len(objects)]
+        for n in range(1, cap + 1):
+            strings.append([strings[n - 1][q] + (mors[g],) for q, g in zip(parent[n], last[n])])
+        return LevelModel(cap, [objects] + strings[1:], faces, degs,
+                          namer=lambda n, x: str(x) if n == 0 else "|".join(x), check=False)
 
 
 def _nerve_rows(src, tgt, ident, compose, cap):
@@ -475,27 +517,110 @@ def _nerve_rows(src, tgt, ident, compose, cap):
 
 
 def nerve(c, dim_cap=DEFAULT_DIM_CAP):
-    """Nerve of a finite category as a truncated simplicial set, the
-    strings (f_1, ..., f_n) in the order of `_nerve_rows`, morphisms in id
-    order.  A FiniteCategory may be built unchecked, so `c.validate()`
-    runs first; on a category the rows are in range and satisfy the
-    simplicial identities (see `_nerve_rows`), so its LevelModel skips
-    their check."""
-    c.validate()
-    objects, mors = list(c.objects), sorted(c.mor)
+    """Nerve of a finite category as a truncated simplicial set, presented
+    by its non-degenerate simplices (Eilenberg-Zilber; Goerss and Jardine,
+    Simplicial Homotopy Theory, I.1; May, Simplicial Objects in Algebraic
+    Topology, Def. 1.3).
+
+    Level 0 is the objects, named str(x); level n is the strings (f_1,
+    ..., f_n) of composable non-identity morphisms, named "|".join, in the
+    order of `_nerve_rows`.  d_0 drops f_1 and d_n drops f_n; for 0 < i <
+    n, d_i puts f_{i+1} o f_i in their place, and where that composite is
+    the identity of x the face is s_{i-1} of the string without both
+    arrows, or s_0 x when none is left.  Two simplices with one name are
+    an InputError.
+
+    The category is validated first unless a validate of it has passed,
+    and the set is built unchecked, on this proof.  With the maps of
+    `_nerve_rows` the composable strings form the nerve, and s_i inserts
+    an identity as f_{i+1}, so the strings with no identity are its
+    non-degenerate simplices and present it.  Each face above is the
+    nerve's in normal form: a string of non-identity arrows one level
+    down, or, where a composite in place i is the identity of x, s_{i-1}
+    of such a string two levels down, or s_0 x.  `NerveResult.model` is
+    the oracle.
+    """
+    if not c._checked:
+        c.validate()
+    check_level_cap(dim_cap)
+    objects, units = c.objects, set(c.identity.values())
+    arrows = [m for m in sorted(c.mor) if m not in units]
     at_obj = {x: v for v, x in enumerate(objects)}
-    at_mor = {m: k for k, m in enumerate(mors)}
-    src = [at_obj[c.mor[m][0]] for m in mors]
-    tgt = [at_obj[c.mor[m][1]] for m in mors]
-    ident = [at_mor[c.identity[x]] for x in objects]
-    comp = {(at_mor[g], at_mor[f]): at_mor[h] for (g, f), h in c.compose_table.items()}
-    faces, degs, parent, last = _nerve_rows(src, tgt, ident, lambda g, f: comp[g, f], dim_cap)
-    strings = [[()] * len(objects)]
+    at = {m: k for k, m in enumerate(arrows)}
+    src = [at_obj[c.mor[m][0]] for m in arrows]
+    tgt = [at_obj[c.mor[m][1]] for m in arrows]
+    # g o f on arrow positions, None where it is an identity
+    comp = {(at[g], at[f]): at.get(h) for (g, f), h in c.compose_table.items()
+            if g in at and f in at}
+    out, rank = [[] for _ in objects], []
+    for g, x in enumerate(src):
+        rank.append(len(out[x]))
+        out[x].append(g)
+    # string z of level m, then arrow g: string first[m][z] + ranks[m][g] of level m + 1
+    first, ranks = [[0] * len(objects)], [range(len(arrows))]
+
+    def extend(m, codes, gs):
+        """The face codes of the strings whose parents have the face codes
+        `codes`, at level m, and whose last arrows are gs.  Code p >= 0 is
+        string p of level m, and -1 - z is the degeneracy the face names
+        of string z of level m - 1; the arrow extends either."""
+        f, r = first[m], ranks[m]
+        if not m:
+            return [f[z] + r[g] for z, g in zip(codes, gs)]
+        f1, r1 = first[m - 1], ranks[m - 1]
+        return [f[z] + r[g] if z >= 0 else -1 - f1[-1 - z] - r1[g] for z, g in zip(codes, gs)]
+
+    names, parent, last = [[str(x) for x in objects]], [None, src], [None, range(len(arrows))]
+    refs, rows, gen_faces = list(map(SimplexRef, names[0])), [tgt, src], {}
     for n in range(1, dim_cap + 1):
-        strings.append([strings[n - 1][q] + (mors[g],) for q, g in zip(parent[n], last[n])])
-    model = LevelModel(dim_cap, [objects] + strings[1:], faces, degs,
-                       namer=lambda n, x: str(x) if n == 0 else "|".join(x), check=False)
-    return NerveResult(model.sset, c, model)
+        if n == 1:
+            names.append(arrows)
+        else:
+            ends = [out[tgt[g]] for g in last[n - 1]]
+            first.append(list(itertools.accumulate(map(len, ends), initial=0)))
+            ranks.append(rank)
+            par = [q for q, gs in enumerate(ends) for _ in gs]
+            parent.append(par)
+            last.append([g for gs in ends for g in gs])
+            grand = [parent[n - 1][q] for q in par]
+            composites = [comp[g, last[n - 1][q]] for q, g in zip(par, last[n])]
+            rows = [extend(n - 2, [row[q] for q in par], last[n]) for row in rows[:n - 1]]
+            f, r = first[n - 2], ranks[n - 2]
+            rows.append([-1 - z if h is None else f[z] + r[h] for z, h in zip(grand, composites)])
+            rows.append(par)
+            names.append([names[n - 1][q] + "|" + arrows[g] for q, g in zip(par, last[n])])
+        columns = []
+        for i, row in enumerate(rows):
+            lookup = refs
+            # code -1 - z reads s_{i-1} of string z of level n - 2 from the end
+            if min(row, default=0) < 0:
+                lookup = refs + [SimplexRef(z, (i - 1,)) for z in reversed(names[n - 2])]
+            columns.append(map(lookup.__getitem__, row))
+        gen_faces.update(zip(names[n], zip(*columns)))
+        refs = list(map(SimplexRef, names[n]))
+    if len(set(itertools.chain.from_iterable(names))) < sum(map(len, names)):
+        _refuse_collision(objects, arrows, names, parent, last)
+    generators = dict(enumerate(names))
+    return NerveResult(SimplicialSet(dim_cap, generators, gen_faces, check=False), c)
+
+
+def _refuse_collision(objects, arrows, names, parent, last):
+    """Raise for the first name of a nerve simplex, in level order, that
+    an earlier one has, naming both simplices as the LevelModel did."""
+
+    def string(n, p):
+        if n == 0:
+            return objects[p]
+        return (string(n - 1, parent[n][p]) if n > 1 else ()) + (arrows[last[n][p]],)
+
+    seen = {}
+    for n, level in enumerate(names):
+        for p, name in enumerate(level):
+            if name in seen:
+                m, q = seen[name]
+                raise InputError(f"level namer collision at {name!r}: {string(m, q)!r}"
+                                 f" at level {m} and {string(n, p)!r} at level {n}")
+            seen[name] = n, p
 
 
 # -- strict 2-categories -------------------------------------------------------

@@ -399,8 +399,9 @@ def cover_shapes(max_points=5, max_parts=None):
 
 def nerve_object_of_category(c, level_cap=3):
     """The nerve of a category as a set-valued simplicial object: the
-    level table of `cat.nerve`, whose level n is the composable strings of
-    n morphisms in diagram order (earliest arrow first)."""
+    model of `cat.nerve` (`NerveResult.model`), whose level n is every
+    composable string of n morphisms in diagram order (earliest arrow
+    first), in the order of the nerve's simplices(n)."""
     return nerve(c, dim_cap=level_cap).model
 
 

@@ -271,12 +271,18 @@ class FiniteGroupoid(FiniteCategory):
         super().validate()
         for f in self.mor:
             if self.inverse(f) is None:
+                self._checked = False
                 raise ValidationError(f"morphism {f!r} has no inverse")
 
     def automorphism_group(self, x):
-        els = self.hom(x, x)
-        mul = {(b, a): self.compose_table[(b, a)] for b in els for a in els}
-        return FiniteGroup(els, mul)
+        """The group of endomorphisms of x, built once per object and kept,
+        so that its one-object category and nerve are built once too."""
+        groups = self.__dict__.setdefault("_automorphism_groups", {})
+        if x not in groups:
+            els = self.hom(x, x)
+            groups[x] = FiniteGroup(els, {(b, a): self.compose_table[(b, a)]
+                                          for b in els for a in els})
+        return groups[x]
 
     def components(self):
         classes = UnionFind(self.objects)

@@ -9,8 +9,9 @@ Internally each set keeps one integer level table, `SimplicialSet.table()`,
 whose level n is `simplices(n)`: a `SimplicialObject`, built from rows of
 positions (`faces[n][i][p]`, `degs[n][i][p]`), never from callables.  The
 calculus below emits its rows once, a block of degeneracy words at a time,
-or a `LevelModel` shares its own rows; everything else reads positions in
-it.  A checked set builds the levels below its top generator dimension
+or, for a set that a `LevelModel` presents (a Duskin nerve, a product, a
+mapping space), the model shares its own rows; everything else reads
+positions in it.  A checked set builds the levels below its top generator dimension
 while `validate` checks it on them, and keeps them.  Maps, isomorphisms
 and (through nerves) functors are found by one search, `_map_search`,
 that gives each source generator a target simplex by one face-index

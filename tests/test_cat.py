@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from hornfill import io
 from hornfill.cat import (
     Finite2Category,
     FiniteCategory,
     Functor,
+    NerveResult,
     _duskin_table,
     categories_isomorphic,
     duskin_nerve,
@@ -24,6 +26,7 @@ from hornfill.cat import (
 )
 from hornfill.corpus import (
     all_categories,
+    all_small_groups,
     all_two_categories,
     bg_category,
     pair_groupoid_category,
@@ -33,6 +36,7 @@ from hornfill.config import DEFAULT_BUDGET
 from hornfill.errors import CapacityError, InputError, ValidationError
 from hornfill.groupoid import cyclic_group, symmetric_group
 from hornfill.sset import (
+    LevelModel,
     SimplexRef,
     SimplicialSet,
     is_isomorphic,
@@ -217,6 +221,89 @@ def test_nerve_name_clashes_are_input_errors():
     assert str(info.value) == (
         "level namer collision at 'x|y': ('x|y',) at level 1 and ('x', 'y') at level 2"
     )
+    # the oracle route, a LevelModel of every composable string, names
+    # the same clash the same way
+    for c, cap in ((af, 4), (xy, 4), (af, 1), (xy, 2)):
+        with pytest.raises(InputError) as info:
+            nerve(c, dim_cap=cap)
+        with pytest.raises(InputError) as oracle:
+            NerveResult(SimplicialSet(cap, {}, {}), c).model
+        assert str(info.value) == str(oracle.value)
+
+
+def _nerve_sources():
+    cats = dict(all_categories())
+    cats.update({f"b{name}": bg_category(g) for name, g in all_small_groups().items()})
+    return cats
+
+
+def test_nerve_presents_the_level_model_it_replaced():
+    # the chains with their faces, written down directly, present the set
+    # the LevelModel strip reads off every composable string: the same
+    # generators and faces, JSON bytes and level table
+    for name, c in _nerve_sources().items():
+        for cap in range(6):
+            res = nerve(c, dim_cap=cap)
+            table = res.sset.table()
+            model = res.model
+            assert res.sset == model.sset, (name, cap)
+            assert io.dumps(io.sset_to_json(res.sset)) == io.dumps(io.sset_to_json(model.sset))
+            assert table.levels == model.sset.table().levels
+            assert (table.faces, table.degs) == (model.faces, model.degs), (name, cap)
+            res.sset.validate()
+            assert len(table.levels[cap]) == len(model.levels[cap])
+
+
+def test_a_nerve_builds_no_level_model_unless_it_is_read(monkeypatch):
+    built = []
+    init = LevelModel.__init__
+
+    def record(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LevelModel, "__init__", record)
+    results = [nerve(c, dim_cap=4) for c in _nerve_sources().values()]
+    for res in results:
+        res.sset.table()
+    assert built == []
+    model = results[-1].model
+    assert built == [model] and results[-1].model is model
+
+
+def test_nerve_checks_a_category_once(monkeypatch):
+    calls = []
+    validate = FiniteCategory.validate
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(FiniteCategory, "validate", counted)
+    # a checked category and a group's one-object category were checked
+    # when built; the nerve does not check them again
+    c = poset_category(2)
+    g = cyclic_group(3)
+    calls.clear()
+    nerve(c, dim_cap=3)
+    nerve(g.one_object_category(), dim_cap=3)
+    assert calls == []
+    # a category built unchecked is checked by its nerve, once
+    units = {("1", "1"): "1", ("1", "z"): "z", ("z", "1"): "z"}
+    good = FiniteCategory(("a",), {"1": ("a", "a"), "z": ("a", "a")}, {"a": "1"},
+                          {**units, ("z", "z"): "z"}, check=False)
+    nerve(good, dim_cap=2)
+    nerve(good, dim_cap=3)
+    assert calls == [good]
+    broken = FiniteCategory(("a",), {"1": ("a", "a"), "z": ("a", "a")}, {"a": "1"},
+                            {**units, ("z", "z"): "z", ("z", "1"): "1"}, check=False)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="^right unit fails at 'z'$"):
+            nerve(broken)
+    missing = FiniteCategory(("a",), {"1": ("a", "a"), "z": ("a", "a")}, {"a": "1"},
+                             units, check=False)
+    with pytest.raises(ValidationError, match="missing entry"):
+        nerve(missing)
 
 
 def test_enumerate_functors_counts():

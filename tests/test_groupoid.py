@@ -252,6 +252,31 @@ def test_skeleton_and_equivalence_check():
     assert not equivalence_check(g, groupoid_of_groups({"x": cyclic_group(2)})).equivalent
 
 
+def test_automorphism_groups_and_their_nerves_are_built_once(monkeypatch):
+    gpd = groupoid_of_groups({"a": cyclic_group(2), "b": symmetric_group(3), "c": GROUPS["v4"]})
+    for x in gpd.objects:
+        g = gpd.automorphism_group(x)
+        assert g is gpd.automorphism_group(x)
+        els = gpd.hom(x, x)
+        assert (g.elements, g.mul) == (els, {(b, a): gpd.compose(b, a) for b in els for a in els})
+    # repeated equivalence checks of the same groupoids reuse the nerves
+    # that group isomorphism builds on the kept groups
+    built = []
+    monkeypatch.setattr(hornfill.cat, "nerve", lambda c, dim_cap: built.append(c) or nerve(c, dim_cap))
+    other = groupoid_of_groups({"x": GROUPS["v4"], "y": cyclic_group(2), "z": symmetric_group(3)})
+    for _ in range(3):
+        assert equivalence_check(gpd, other).equivalent
+        assert skeleton(gpd).groups == {x: gpd.automorphism_group(x) for x in gpd.objects}
+    assert 0 < len(built) == len(set(map(id, built))) <= 6
+    # a groupoid that fails its inverse check is not taken as checked
+    broken = FiniteGroupoid(("a",), {"1": ("a", "a"), "z": ("a", "a")}, {"a": "1"},
+                            {("1", "1"): "1", ("1", "z"): "z", ("z", "1"): "z", ("z", "z"): "z"},
+                            check=False)
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="^morphism 'z' has no inverse$"):
+            nerve(broken)
+
+
 def _backtracking_equivalence(g1, g2):
     """The old equivalence check, matching components by backtracking."""
     s1, s2 = skeleton(g1), skeleton(g2)

@@ -18,6 +18,7 @@ from collections import Counter
 
 import pytest
 
+from hornfill import cat
 from hornfill.cat import (
     Finite2Category,
     FiniteCategory,
@@ -29,6 +30,7 @@ from hornfill.corpus import (
     all_categories,
     all_small_groups,
     all_two_categories,
+    bg_category,
     cover_of_shape,
 )
 from hornfill.descent import descent_groupoid, torsor_presheaf
@@ -582,6 +584,42 @@ def test_generator_check_matches_the_row_scan_on_categories_that_are_not_groupoi
             kinds[_kind(_against_the_row_scan(m))] += 1
     assert kinds == {
         "entries": 606, "right unit": 36, "left unit": 17, "associativity": 145, None: 36,
+    }
+
+
+def test_both_associativity_paths_agree_on_each_side_of_the_scan_size(monkeypatch):
+    # validate runs the row scan alone on tables of at most SCAN_TRIPLES
+    # composable triples per morphism, and chooses generators above that
+    # size; forcing either path gives every mutant the same verdict
+    chose = []
+    generators = _Rows.generators
+    monkeypatch.setattr(_Rows, "generators", lambda rows, identity: chose.append(rows)
+                        or generators(rows, identity))
+    groups = all_small_groups()
+    cases = [  # (category, triples per morphism, tables)
+        (bg_category(groups["c4"]), 16, _within_hom), (bg_category(groups["v4"]), 16, _within_hom),
+        (all_categories()["pair3"], 9, _within_hom), (bg_category(groups["c5"]), 25, _within_hom),
+        (bg_category(groups["s3"]), 36, lambda c: ()),
+    ]
+    verdicts, scan = Counter(), cat.SCAN_TRIPLES
+    for c, per_morphism, mutants in cases:
+        rows = _Rows(c)
+        triples = sum(len(rows.into[s]) * len(rows.out[t]) for s, t in c.mor.values())
+        assert triples == per_morphism * len(c.mor)
+        chose.clear()
+        c.validate()
+        assert bool(chose) == (per_morphism > scan)
+        values = sorted(c.mor)
+        for table in [c.compose_table, *_mutations(c.compose_table, values), *mutants(c)]:
+            m = FiniteCategory(c.objects, c.mor, c.identity, table, check=False)
+            found = {}
+            for size in (0, len(c.mor) ** 3, scan):
+                monkeypatch.setattr(cat, "SCAN_TRIPLES", size)
+                found[size] = _failure(m.validate)
+            assert len(set(found.values())) == 1, found
+            verdicts[_kind(found[0])] += 1
+    assert verdicts == {
+        "entries": 336, "right unit": 2700, "left unit": 1903, "associativity": 2929, None: 5,
     }
 
 

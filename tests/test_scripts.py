@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -29,10 +30,24 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs_and_prints_a_known_row(script, args, line):
+    assert line in _run(script, args).splitlines()
+
+
+def _run(script, args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert line in proc.stdout.splitlines(), proc.stdout
+    return proc.stdout
+
+
+def test_nerve_scaling_prints_counts_time_and_peak():
+    # the time and peak vary from run to run; the counts do not
+    rows = _run("nerve_scaling.py", ["--dim-cap", "3"]).splitlines()
+    assert len(rows) == 22
+    assert re.fullmatch(r"bs3 +levels \[1, 6, 36, 216\]  generators \[1, 5, 25, 125\]"
+                        r"  \d+\.\d{4} s  \d+\.\d MB", rows[14]), rows
+    [row] = _run("nerve_scaling.py", ["--dim-cap", "4", "--category", "poset3"]).splitlines()
+    assert row.startswith("poset3  levels [4, 10, 20, 35, 56]  generators [4, 6, 4, 1, 0]  ")
