@@ -10,6 +10,7 @@ simplicial objects whose failure points are known in advance.
 """
 
 import functools
+import itertools
 
 from .cat import (
     FiniteCategory,
@@ -376,20 +377,11 @@ def cover_shapes(max_points=5, max_parts=None):
     `max_points` total points: one representative per surjection up to
     isomorphism over base and total space.  18 profiles at the default."""
     profiles = []
-
-    def exact(remaining, largest, acc):
-        if remaining == 0:
-            profiles.append(tuple(acc))
-            return
-        if max_parts is not None and len(acc) >= max_parts:
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            acc.append(part)
-            exact(remaining - part, part, acc)
-            acc.pop()
-
     for total in range(1, max_points + 1):
-        exact(total, total, [])
+        most = total if max_parts is None else min(total, max_parts)
+        profiles += sorted((p for m in range(1, most + 1)
+                            for p in itertools.combinations_with_replacement(range(total, 0, -1), m)
+                            if sum(p) == total), reverse=True)
     return profiles
 
 

@@ -19,7 +19,8 @@ The fibre powers are the levels of one Cech nerve of pi, and the site
 maps are its integer rows.  Elements and morphisms are tuples over a
 level's positions, restricted by one gather through a row.  Values on
 large fibre powers are never enumerated: the gluing over E x_B E is
-searched entry by entry, and beyond that only single elements are built.
+searched entry by entry (sset._backtrack), and beyond that only single
+elements are built.
 For the presheaf of G-valued cochains the descent groupoid is handled
 in skeletal form, fibre by fibre: the cochain group G^E and the set of
 cocycles are products over the fibres of pi, so each fibre gets its
@@ -45,6 +46,7 @@ from .config import DEFAULT_BUDGET
 from .errors import CapacityError, ConsistencyError, InputError
 from .cat import UnionFind
 from .groupoid import FiniteGroupoid, FinMap, cech_nerve
+from .sset import _backtrack
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +574,13 @@ class DescentResult:
 
 def _descent_objects(presheaf, cover, budget):
     """The gluings (a, phi) that satisfy normalization and the cocycle
-    condition, phi searched entry by entry in the order its hom set lists
-    functions, so gluings come out in that order.  Normalization fixes
+    condition, and the trials spent.  For each object a, the free entries
+    of phi are the choices of `_backtrack`, each tried over the values its
+    hom set lists, so gluings come out in that order.  Normalization fixes
     the entries the diagonal reads, and a cocycle triple (phi[d0 t],
     phi[d1 t], phi[d2 t] for t over E^3) is checked once all three are
-    set.  Each value tried is one trial; the budget is checked as each
-    value's branch ends."""
+    set.  Each value tried is one trial, and one budget covers every a:
+    past it a CapacityError carries the gluings found as partial."""
     nerve, mul = cover.nerve, presheaf.mul
     e, e2 = cover.sites[0], cover.sites[1]
     diag = presheaf.mor_row(nerve.degs[0][0], e2)
@@ -600,24 +603,20 @@ def _descent_objects(presheaf, cover, budget):
         for t in triples:
             checks[max(depth.get(p, 0) for p in t)].append(t)
 
-        def extend(k):
-            nonlocal trials
-            if not all(mul[phi[f0]][phi[f2]] == phi[f1] for f0, f1, f2 in checks[k]):
-                return
-            if k == len(order):
-                out.append((a, tuple(phi)))
-                return
-            for v in homs.values:
-                trials += 1
-                phi[order[k]] = v
-                extend(k + 1)
-                if trials > budget:
-                    raise CapacityError(
-                        f"descent object search passed {budget} trials", partial=len(out)
-                    )
+        def cocycle(k, chosen):
+            # phi with its first k free entries chosen meets checks[k]
+            if k:
+                phi[order[k - 1]] = chosen[-1]
+            for f0, f1, f2 in checks[k]:
+                if mul[phi[f0]][phi[f2]] != phi[f1]:
+                    return False
+            return True
 
-        extend(0)
-    return out
+        out, trials = _backtrack(
+            len(order), lambda k, chosen: homs.values if cocycle(k, chosen) else (),
+            lambda chosen: (a, tuple(phi)) if cocycle(len(order), chosen) else None,
+            budget, "descent object search", trials, out)
+    return out, trials
 
 
 def _quadruple_conditions(presheaf, e2, e4, projections, phi):
@@ -636,28 +635,26 @@ def _quadruple_conditions(presheaf, e2, e4, projections, phi):
     return all(r == direct for r in routes)
 
 
-def _descent_morphisms(presheaf, cover, objects, budget):
+def _descent_morphisms(presheaf, cover, objects, budget, spent=0):
     """The triples (i, j, h), named h_k in the order found, for which
     h: a_i -> a_j over E commutes with the gluings: (d0*h) o phi_i equals
-    phi_j o (d1*h).  Each side is computed once per (i, h) and per (j, h);
-    each candidate h is one step of the budget."""
+    phi_j o (d1*h).  Each side is computed once per (i, h) and per (j, h).
+    Each candidate h is one trial, `spent` already used; past `budget` a
+    CapacityError carries the triples found as partial."""
     e, e2 = cover.sites[0], cover.sites[1]
     d0, d1 = cover.nerve.faces[1][0], cover.nerve.faces[1][1]
     morphism_data = {}
     # left[(i, a2)][k] and right[(j, a)][k] belong to the k-th h of homs(a, a2)
     left, right = {}, {}
-    steps = 0
     for i, (a, phi) in enumerate(objects):
         for j, (a2, phi2) in enumerate(objects):
             lrow = left.setdefault((i, a2), [])
             rrow = right.setdefault((j, a), [])
             for k, h in enumerate(presheaf.homs(e, a, a2)):
-                steps += 1
-                if steps > budget:
-                    raise CapacityError(
-                        f"descent morphism search passed {budget} candidates",
-                        partial=len(morphism_data),
-                    )
+                spent += 1
+                if spent > budget:
+                    raise CapacityError(f"descent morphism search exceeded budget {budget}",
+                                        partial=len(morphism_data))
                 if k == len(lrow):
                     lrow.append(presheaf.compose(e2, presheaf.restrict_mor(d0, e, h), phi))
                 if k == len(rrow):
@@ -680,14 +677,14 @@ def descent_groupoid(presheaf, cover, budget=DEFAULT_BUDGET):
     truncation_agreement_groupoids checks that on the gluings.  Every
     morphism of F(E) between two objects is a candidate (6,561 for the C3
     torsor presheaf on (3,2)), so this is for small covers;
-    cech_descent_skeleton serves the cochain presheaf at scale.  The budget
-    caps the gluing search's trials and the morphism search's candidates;
-    a CapacityError carries the objects (in the morphism search, the
-    morphisms) found so far as partial.
+    cech_descent_skeleton serves the cochain presheaf at scale.  One
+    budget covers the call, the gluing search's trials and then the
+    morphism search's candidates; a CapacityError carries the gluings (in
+    the morphism search, the morphisms) found so far as partial.
     """
     e = cover.sites[0]
-    objects = _descent_objects(presheaf, cover, budget)
-    morphism_data = _descent_morphisms(presheaf, cover, objects, budget)
+    objects, spent = _descent_objects(presheaf, cover, budget)
+    morphism_data = _descent_morphisms(presheaf, cover, objects, budget, spent)
     triples = set(morphism_data.values())
     for i, (a, _) in enumerate(objects):
         if (i, i, presheaf.identity(e, a)) not in triples:
@@ -1305,7 +1302,7 @@ def truncation_agreement_groupoids(presheaf, cover, budget=DEFAULT_BUDGET):
     the objects at each depth, and the truncations agree when none is
     dropped.  No morphism is searched and no composition table is built.
     """
-    objects = _descent_objects(presheaf, cover, budget)
+    objects = _descent_objects(presheaf, cover, budget)[0]
     e2, e4 = cover.sites[1], cover.sites[3]
     projections = {
         (p, q): cover.nerve.restriction_table(3, (p, q))

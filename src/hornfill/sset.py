@@ -15,7 +15,9 @@ positions in it.  A checked set builds the levels below its top generator dimens
 while `validate` checks it on them, and keeps them.  Maps, isomorphisms
 and (through nerves) functors are found by one search, `_map_search`,
 that gives each source generator a target simplex by one face-index
-lookup on those positions.
+lookup on those positions.  It, the join of compatible face tuples and
+descent's gluing search backtrack through one core, `_backtrack`, on an
+explicit stack, with one meaning of budget.
 
 All sets are truncated at `dim_cap`.  Everything here is exact enumeration
 over finite data; there is no tolerance parameter anywhere.
@@ -619,6 +621,50 @@ def _search_order(src, cap):
     return order
 
 
+def _backtrack(depth, candidates, accept, budget, what, spent=0, out=None, first=False):
+    """The one backtracking search, over choices c_0 ... c_{depth-1} on an
+    explicit stack, so the depth is not bounded by Python's recursion limit.
+    candidates(k, chosen) lists those for c_k once chosen holds c_0 ...
+    c_{k-1} (an empty list prunes), and accept(chosen) gives the hit of a
+    complete choice or None.  Hits are appended to `out` in the order
+    found; `first` stops at the first.  Each candidate tried is one trial,
+    `spent` already used, and the budget is checked before the candidate is
+    used: past it a CapacityError naming `what` carries the number of hits
+    as partial, or with `first` the number of choices made.  Returns `out`
+    and the trials spent."""
+    out = [] if out is None else out
+    if not depth:
+        hit = accept([])
+        if hit is not None:
+            out.append(hit)
+        return out, spent
+    # its[k] iterates the untried candidates for c_k
+    last, chosen, k = depth - 1, [], 0
+    its = [iter(candidates(0, chosen))] + [None] * last
+    while True:
+        for c in its[k]:
+            spent += 1
+            if spent > budget:
+                raise CapacityError(f"{what} exceeded budget {budget}",
+                                    partial=k if first else len(out))
+            chosen.append(c)
+            if k < last:
+                k += 1
+                its[k] = iter(candidates(k, chosen))
+                break
+            hit = accept(chosen)
+            chosen.pop()
+            if hit is not None:
+                out.append(hit)
+                if first:
+                    return out, spent
+        else:
+            if not k:
+                return out, spent
+            k -= 1
+            chosen.pop()
+
+
 def _map_search(src, tgt, cap, budget, fixed=None, bijective=False):
     """The one map search: assignments of the source generators through
     `cap` to simplices of tgt, commuting with faces.
@@ -628,11 +674,10 @@ def _map_search(src, tgt, cap, budget, fixed=None, bijective=False):
     images; a degenerate face's image is read from the degeneracy table.
     `fixed` pins are one-candidate sets.  The bijective case takes unused
     non-degenerate simplices only (they come first in each level) and
-    stops at the first hit.  Every candidate tried is one trial; past
-    `budget` a CapacityError carries the assignments found as partial, or
-    in the bijective case the generators matched.  The backtracking keeps
-    an explicit stack of candidate iterators, one per generator, so the
-    depth of a source is not bounded by Python's recursion limit.
+    stops at the first hit.  The generators are the choices of
+    `_backtrack`: past `budget` trials a CapacityError carries the
+    assignments found as partial, or in the bijective case the generators
+    matched.
     """
     order = _search_order(src, cap)
     table = tgt.table(cap)
@@ -649,10 +694,14 @@ def _map_search(src, tgt, cap, budget, fixed=None, bijective=False):
     indexes = {d: table.face_index(d) for d in set(dims) if d}
     pins = {slot[g]: table.position[src.gen_dim[g]][ref] for g, ref in (fixed or {}).items()}
     free = [len(tgt.generators(d)) for d in range(cap + 1)]
-    pos = [None] * len(order)
-    used, hits, trials = set(), [], 0
+    # bijective: marked[j] is the image of generator j < i, each in `used`
+    marked, used = [], set()
 
-    def candidates(i):
+    def candidates(i, pos):
+        if bijective and i:  # generator i - 1 has a new image
+            used.difference_update(marked[i - 1:])
+            marked[i - 1:] = [(dims[i - 1], pos[-1])]
+            used.add(marked[-1])
         d = dims[i]
         if not d:
             found = range(len(table.levels[0]))
@@ -670,35 +719,10 @@ def _map_search(src, tgt, cap, budget, fixed=None, bijective=False):
             return [p for p in found if p < free[d] and (d, p) not in used]
         return found
 
-    if not order:
-        return [{}]
-    # its[i] iterates the untried candidates of generator i, and the
-    # images of the generators before i are in `used`
-    last, i = len(order) - 1, 0
-    its = [iter(candidates(0))] + [None] * last
-    while True:
-        for p in its[i]:
-            trials += 1
-            if trials > budget:
-                raise CapacityError(
-                    f"{'isomorphism' if bijective else 'map'} search exceeded budget {budget}",
-                    partial=i if bijective else len(hits),
-                )
-            pos[i] = p
-            if i == last:
-                hits.append({g: table.levels[d][q] for g, d, q in zip(order, dims, pos)})
-                if bijective:
-                    return hits
-                continue
-            used.add((dims[i], p))
-            i += 1
-            its[i] = iter(candidates(i))
-            break
-        else:
-            if not i:
-                return hits
-            i -= 1
-            used.discard((dims[i], pos[i]))
+    return _backtrack(
+        len(order), candidates,
+        lambda pos: {g: table.levels[d][q] for g, d, q in zip(order, dims, pos)},
+        budget, f"{'isomorphism' if bijective else 'map'} search", first=bijective)[0]
 
 
 def enumerate_maps(src, tgt, dim_cap=None, budget=DEFAULT_BUDGET, fixed=None):
@@ -963,34 +987,21 @@ class SimplicialObject:
         trials spent: tuples (y_i), i in `slots` (increasing, in [n]), with
         d_i y_j = d_{j-1} y_i for i < j (May, Simplicial Objects in
         Algebraic Topology, Def. 1.3).  Slots i != k give the maps of the
-        (n, k)-horn, all of [n] those of the boundary.  y_j is looked up by
-        the faces it shares with the entries chosen; `keep` filters complete
-        tuples.  Each candidate tried is one trial, `spent` already used;
-        past `budget` a CapacityError carries the tuples kept as partial.
+        (n, k)-horn, all of [n] those of the boundary.  The entries are the
+        choices of `_backtrack`: y_j is looked up by the faces it shares
+        with the entries chosen, and `keep` filters complete tuples.  Each
+        candidate tried is one trial, `spent` already used; past `budget` a
+        CapacityError carries the tuples kept as partial.
         """
         slots = tuple(slots)
-        last = len(slots) - 1
         indexes = [self.face_index(n - 1, slots[:s]) for s in range(len(slots))]
         # y_j's key: d_{j-1} of each entry already chosen (none for the first)
         rows = [None] + [self.faces[n - 1][j - 1].__getitem__ for j in slots[1:]]
-        out = []
-        chosen = []
-
-        def extend(s):
-            nonlocal spent
-            for y in indexes[s].get(tuple(map(rows[s], chosen)), ()):
-                spent += 1
-                if spent > budget:
-                    raise CapacityError(f"join exceeded budget {budget}", partial=len(out))
-                if s < last:
-                    chosen.append(y)
-                    extend(s + 1)
-                    chosen.pop()
-                elif keep is None or keep((*chosen, y)):
-                    out.append((*chosen, y))
-
-        extend(0)
-        return out, spent
+        accept = tuple if keep is None else lambda chosen: (
+            t if keep(t := tuple(chosen)) else None)
+        return _backtrack(
+            len(slots), lambda s, chosen: indexes[s].get(tuple(map(rows[s], chosen)), ()),
+            accept, budget, "join", spent)
 
 
 class _RefOf(Mapping):

@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from hornfill.corpus import all_small_groups, cover_of_shape, cover_shapes, refine_cover
+from hornfill.corpus import (
+    all_small_groups,
+    bg_category,
+    cover_of_shape,
+    cover_shapes,
+    refine_cover,
+)
 from hornfill.descent import (
     CechSkeletonReport,
     ConstantBGPresheaf,
@@ -37,13 +43,16 @@ from hornfill.descent import (
     truncation_agreement_groupoids,
     truncation_agreement_sets,
     _CechCensus,
+    _descent_objects,
     _Fibre,
     _products_condition,
 )
-from hornfill.cat import _Rows
+from hornfill.cat import _Rows, enumerate_functors
 from hornfill.config import DEFAULT_BUDGET
 from hornfill.errors import CapacityError, ConsistencyError, EngineError, InputError
-from hornfill.groupoid import FiniteGroup, groupoid_cardinality, symmetric_group
+from hornfill.groupoid import FinMap, FiniteGroup, groupoid_cardinality, symmetric_group
+
+from test_groupoid import _relation_groupoid
 
 GROUPS = all_small_groups()
 
@@ -1103,27 +1112,38 @@ def test_descent_object_search_refuses_before_building_its_candidates():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert info.value.partial == 1  # the first candidate, all identities, is a cocycle
+    # the budget is checked before a value is used, so the second trial
+    # refuses before the first gluing is complete
+    assert info.value.partial == 0
     assert elapsed < 0.5, elapsed
     assert peak < 1_000_000, peak
+    # the first gluing, all identities, sets the 6 free entries of the
+    # 3-point fibre in 6 trials; the 7th refuses
+    with pytest.raises(CapacityError) as info:
+        descent_groupoid(torsor_presheaf(GROUPS["c3"]), cover_of_shape((3, 1)), budget=6)
+    assert "object search" in str(info.value) and info.value.partial == 1
 
 
 def test_every_descent_capacity_error_reports_partial_progress():
     c2, cover = GROUPS["c2"], cover_of_shape((2, 1))
     # C2 over (2,1): normalization fixes the three diagonal entries of phi,
     # and phi[e0_0, e0_1], phi[e0_1, e0_0] are tried in that order.  Trials:
-    # c0, c0 (the first cocycle, 2 trials), c1 (fails, 3), then c1, c0
-    # (fails, 5 > 3): budget 3 stops the gluing search after one gluing
+    # c0, c0 (the first cocycle, 2 trials), c1 (fails, 3), then c1 would be
+    # trial 4 > 3: budget 3 stops the gluing search after one gluing
     with pytest.raises(CapacityError) as info:
         descent_groupoid(torsor_presheaf(c2), cover, budget=3)
     assert "object search" in str(info.value) and info.value.partial == 1
-    # the whole gluing search takes 6 trials (then c1, c1, the second
-    # cocycle), so budget 10 stops the morphism search instead: of the 8
-    # cochains h: z0 -> z0, the 4 constant on {e0_0, e0_1} are morphisms,
-    # and candidates 9 and 10, the first two h: z0 -> z1, are not
-    with pytest.raises(CapacityError) as info:
-        descent_groupoid(torsor_presheaf(c2), cover, budget=10)
-    assert "morphism search" in str(info.value) and info.value.partial == 4
+    # the whole gluing search takes 6 trials (then c1, c0 fails at 5, and
+    # c1, c1 is the second cocycle at 6), and the morphism search goes on
+    # from there.  The 8 cochains h: z0 -> z0 come first, e1_0's value
+    # fastest; the 4 constant on {e0_0, e0_1} are morphisms.  Budget 6
+    # leaves it no candidate; budget 10 four, (0,0,0) and (0,0,1) are
+    # morphisms and (0,1,0), (0,1,1) are not; budget 16 all 8 h: z0 -> z0
+    # and the first two h: z0 -> z1, which are not morphisms
+    for budget, partial in ((6, 0), (10, 2), (16, 4)):
+        with pytest.raises(CapacityError) as info:
+            descent_groupoid(torsor_presheaf(c2), cover, budget=budget)
+        assert "morphism search" in str(info.value) and info.value.partial == partial, budget
     assert len(descent_groupoid(_TwoObjectBG(c2), cover).morphism_data) == 8
     with pytest.raises(CapacityError) as info:
         descent_groupoid(_TwoObjectBG(c2), cover, budget=6)
@@ -1134,6 +1154,31 @@ def test_every_descent_capacity_error_reports_partial_progress():
         check_stack_groupoids(constant_bg_presheaf(c2), cover_of_shape((2, 2), split=True),
                               budget=1)
     assert info.value.partial == 0
+
+
+def test_torsor_gluings_are_the_functors_from_the_relation_groupoid():
+    # a gluing of the torsor presheaf is a functor [E/R] -> BG: phi at the
+    # pair (x, y) of E x_B E is the image of the morphism x > y of R
+    for gname in ("c2", "c3", "s3"):
+        g = GROUPS[gname]
+        for prof in cover_shapes(4):
+            cover = cover_of_shape(prof)
+            gluings = {
+                frozenset((f"{x}>{y}", g.elements[v]) for (x, y), v in zip(cover.sites[1], phi))
+                for _, phi in _descent_objects(torsor_presheaf(g), cover, DEFAULT_BUDGET)[0]
+            }
+            pi = FinMap(cover.e, cover.b, dict(cover.pi))
+            functors = {frozenset(F.on_morphisms.items())
+                        for F in enumerate_functors(_relation_groupoid(pi), bg_category(g))}
+            assert gluings == functors, (gname, prof)
+
+
+def test_gluing_search_past_the_recursion_limit():
+    # one fibre of 33 points has 33 * 32 = 1,056 free gluing entries, more
+    # than Python's default recursion limit; the search keeps its own stack
+    presheaf, cover = torsor_presheaf(GROUPS["c1"]), cover_of_shape((33,))
+    assert check_stack_groupoids(presheaf, cover).is_stack
+    assert truncation_agreement_groupoids(presheaf, cover).sizes == {2: 1, 3: 1}
 
 
 def _traced(call):

@@ -88,10 +88,14 @@ def test_only_the_frozen_producers_append_unchecked_levels():
 
 
 def _function(module, name):
-    """The top-level def `name` of hornfill/`module`.py, parsed."""
+    """The top-level def `name` of hornfill/`module`.py, parsed; a dotted
+    name `Class.method` is a method of a top-level class."""
     path = pathlib.Path(hornfill.__file__).parent / f"{module}.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    node = ast.parse(path.read_text(), filename=str(path))
+    for part in name.split("."):
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part)
+    return node
 
 
 def _called_names(node):
@@ -102,14 +106,21 @@ def _called_names(node):
 
 
 def test_the_map_search_does_not_recurse():
-    # a source with more generators than Python's recursion limit must
-    # not crash the search: it backtracks on an explicit stack
-    search = _function("sset", "_map_search")
-    recursive = [
-        f.name for f in ast.walk(search)
-        if isinstance(f, ast.FunctionDef) and f.name in _called_names(f)
-    ]
-    assert recursive == []
+    # a source with more generators than Python's recursion limit, or a
+    # gluing with more free entries, must not crash a search: the map
+    # search, the join and the gluing search each backtrack on the
+    # explicit stack of the one core, and none defines a recursion of its own
+    searches = (("sset", "_map_search"), ("sset", "SimplicialObject.join"),
+                ("descent", "_descent_objects"), ("sset", "_backtrack"))
+    for module, name in searches:
+        search = _function(module, name)
+        recursive = [
+            f.name for f in ast.walk(search)
+            if isinstance(f, ast.FunctionDef) and f.name in _called_names(f)
+        ]
+        assert recursive == [], name
+        if name != "_backtrack":
+            assert "_backtrack" in _called_names(search), name
 
 
 def test_homomorphism_and_isomorphism_searches_reach_the_one_map_search():
