@@ -441,10 +441,10 @@ class NerveResult:
     `model` is the route that presentation replaced, kept as its oracle:
     every composable string through the cap, in the order of
     `_nerve_rows`, handed to a LevelModel that strips the degenerate ones
-    and renumbers each level into the set's order, so that level n of the
-    model is the strings of `sset.simplices(n)`.  It is built on first
-    read; on a category the rows are in range and satisfy the simplicial
-    identities (see `_nerve_rows`), so the model skips their check."""
+    and keeps that order; `model.ref_of` reads each string's normal form.
+    It is built on first read; on a category the rows are in range and
+    satisfy the simplicial identities (see `_nerve_rows`), so the model
+    skips their check."""
 
     sset: SimplicialSet
     category: FiniteCategory
@@ -467,15 +467,38 @@ class NerveResult:
                           namer=lambda n, x: str(x) if n == 0 else "|".join(x), check=False)
 
 
+def _composable_strings(src, tgt, objects, cap):
+    """The composable strings of arrows 0 .. len(src) - 1 between objects
+    0 .. objects - 1, of lengths 1 through cap, numbered level by level:
+    level 1 lists the arrows and level n >= 2 each string of level n - 1
+    followed by each arrow out of its target, in the order of src.
+    Returns (parent, last, first, ranks), indexed by level n >= 1: string
+    p of level n is string parent[n][p] of level n - 1 (at level 1, its
+    source object) followed by arrow last[n][p], and the string q
+    followed by arrow g sits at first[n][q] + ranks[n][g]; ranks[n][g] is
+    the place of g among the arrows out of its source (at level 1, g)."""
+    out, rank = [[] for _ in range(objects)], []
+    for g, x in enumerate(src):
+        rank.append(len(out[x]))
+        out[x].append(g)
+    arrows = list(range(len(src)))
+    parent, last, first, ranks = [None, src], [None, arrows], [None, [0] * objects], [None, arrows]
+    for n in range(2, cap + 1):
+        ends = [out[tgt[g]] for g in last[n - 1]]
+        first.append(list(itertools.accumulate(map(len, ends), initial=0)))
+        ranks.append(rank)
+        parent.append([q for q, gs in enumerate(ends) for _ in gs])
+        last.append([g for gs in ends for g in gs])
+    return parent, last, first, ranks
+
+
 def _nerve_rows(src, tgt, ident, compose, cap):
     """The rows of the nerve of a category on positions, through level cap.
 
     Arrows are 0 .. len(src) - 1 and objects 0 .. len(ident) - 1; src, tgt
     and ident hold positions and compose(g, f) is g o f.  Level 0 lists the
-    objects and level 1 the arrows; level n >= 2 lists each string of level
-    n - 1 followed by each arrow out of its target, so a string is its
-    parent (d_n) and its last arrow, and child g of q sits at first[n][q] +
-    rank[g], rank[g] the place of g among the arrows out of its source.
+    objects and level n >= 1 the strings of `_composable_strings`, so a
+    string is its parent (d_n) and its last arrow.
     d_i, i < n - 1, is the child of d_i of the parent; d_{n-1} composes the
     last two arrows; s_i inserts an identity.  Returns (faces, degs, parent,
     last), parent[n] and last[n] giving each element of level n >= 1 as its
@@ -488,21 +511,14 @@ def _nerve_rows(src, tgt, ident, compose, cap):
     associativity where two composites meet and the others by the unit
     laws (d_j s_j = d_{j+1} s_j = id).
     """
-    out, rank = [[] for _ in ident], []
-    for g, x in enumerate(src):
-        rank.append(len(out[x]))
-        out[x].append(g)
-    # a level-1 string's parent is its source; first[1] is never read
-    parent, first, last = [None, src], [None, None], [None, list(range(len(src)))]
-    for n in range(2, cap + 1):
-        arrows = [out[tgt[g]] for g in last[n - 1]]
-        first.append(list(itertools.accumulate(map(len, arrows), initial=0)))
-        parent.append([q for q, gs in enumerate(arrows) for _ in gs])
-        last.append([g for gs in arrows for g in gs])
+    parent, last, first, ranks = _composable_strings(src, tgt, len(ident), cap)
 
     def child(n, qs, gs):
         """Positions in level n of the strings with parents qs and last arrows gs."""
-        return list(gs) if n == 1 else [first[n][q] + rank[g] for q, g in zip(qs, gs)]
+        if n == 1:
+            return list(gs)
+        f, r = first[n], ranks[n]
+        return [f[q] + r[g] for q, g in zip(qs, gs)]
 
     faces, degs = [(), [tgt, src]], [[ident]]
     for n in range(2, cap + 1):
@@ -552,40 +568,28 @@ def nerve(c, dim_cap=DEFAULT_DIM_CAP):
     # g o f on arrow positions, None where it is an identity
     comp = {(at[g], at[f]): at.get(h) for (g, f), h in c.compose_table.items()
             if g in at and f in at}
-    out, rank = [[] for _ in objects], []
-    for g, x in enumerate(src):
-        rank.append(len(out[x]))
-        out[x].append(g)
-    # string z of level m, then arrow g: string first[m][z] + ranks[m][g] of level m + 1
-    first, ranks = [[0] * len(objects)], [range(len(arrows))]
+    parent, last, first, ranks = _composable_strings(src, tgt, len(objects), dim_cap)
 
     def extend(m, codes, gs):
         """The face codes of the strings whose parents have the face codes
         `codes`, at level m, and whose last arrows are gs.  Code p >= 0 is
         string p of level m, and -1 - z is the degeneracy the face names
-        of string z of level m - 1; the arrow extends either."""
-        f, r = first[m], ranks[m]
-        if not m:
-            return [f[z] + r[g] for z, g in zip(codes, gs)]
-        f1, r1 = first[m - 1], ranks[m - 1]
+        of string z of level m - 1 (never at m = 0); the arrow extends
+        either."""
+        f, r, f1, r1 = first[m + 1], ranks[m + 1], first[m], ranks[m]
         return [f[z] + r[g] if z >= 0 else -1 - f1[-1 - z] - r1[g] for z, g in zip(codes, gs)]
 
-    names, parent, last = [[str(x) for x in objects]], [None, src], [None, range(len(arrows))]
+    names = [[str(x) for x in objects]]
     refs, rows, gen_faces = list(map(SimplexRef, names[0])), [tgt, src], {}
     for n in range(1, dim_cap + 1):
         if n == 1:
             names.append(arrows)
         else:
-            ends = [out[tgt[g]] for g in last[n - 1]]
-            first.append(list(itertools.accumulate(map(len, ends), initial=0)))
-            ranks.append(rank)
-            par = [q for q, gs in enumerate(ends) for _ in gs]
-            parent.append(par)
-            last.append([g for gs in ends for g in gs])
+            par = parent[n]
             grand = [parent[n - 1][q] for q in par]
             composites = [comp[g, last[n - 1][q]] for q, g in zip(par, last[n])]
             rows = [extend(n - 2, [row[q] for q in par], last[n]) for row in rows[:n - 1]]
-            f, r = first[n - 2], ranks[n - 2]
+            f, r = first[n - 1], ranks[n - 1]
             rows.append([-1 - z if h is None else f[z] + r[h] for z, h in zip(grand, composites)])
             rows.append(par)
             names.append([names[n - 1][q] + "|" + arrows[g] for q, g in zip(par, last[n])])
@@ -1270,7 +1274,9 @@ def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
     `pin` optionally fixes images of chosen vertices of x (uniformly across
     the cylinder), e.g. to carve out path components of the space of maps.
     Faces and degeneracies precompose with the evident cylinder inclusions
-    and collapses.  Returns a LevelModel; elements are SimplicialMap values.
+    and collapses.  Returns a LevelModel, whose level n holds the maps in
+    the order `enumerate_maps` finds them, as SimplicialMap values; the
+    rows are checked as a caller's are (`check`).
     The target's dim_cap must be at least the source's: maps are only
     enumerated up to y.dim_cap, so the faces of a cylinder map could not
     be found otherwise.

@@ -393,7 +393,7 @@ def nerve_object_of_category(c, level_cap=3):
     """The nerve of a category as a set-valued simplicial object: the
     model of `cat.nerve` (`NerveResult.model`), whose level n is every
     composable string of n morphisms in diagram order (earliest arrow
-    first), in the order of the nerve's simplices(n)."""
+    first), in the order of `cat._nerve_rows`."""
     return nerve(c, dim_cap=level_cap).model
 
 

@@ -9,8 +9,7 @@ Internally each set keeps one integer level table, `SimplicialSet.table()`,
 whose level n is `simplices(n)`: a `SimplicialObject`, built from rows of
 positions (`faces[n][i][p]`, `degs[n][i][p]`), never from callables.  The
 calculus below emits its rows once, a block of degeneracy words at a time,
-or, for a set that a `LevelModel` presents (a Duskin nerve, a product, a
-mapping space), the model shares its own rows; everything else reads
+for every set, one that a `LevelModel` presents too; everything else reads
 positions in it.  A checked set builds the levels below its top generator dimension
 while `validate` checks it on them, and keeps them.  Maps, isomorphisms
 and (through nerves) functors are found by one search, `_map_search`,
@@ -882,19 +881,6 @@ class SimplicialObject:
         self.faces.append(faces)
         self.level_cap = n
 
-    def _renamed(self, levels):
-        """A SimplicialObject whose level n is `levels[n]`, in the order of
-        this one's, sharing its tables and caches."""
-        other = SimplicialObject.__new__(SimplicialObject)
-        other.level_cap, other.faces, other.degs = self.level_cap, self.faces, self.degs
-        other._restrictions, other._indexes = self._restrictions, self._indexes
-        other.levels = [tuple(level) for level in levels]
-        # the same int objects as this object's positions
-        other.position = [
-            dict(zip(level, at.values())) for level, at in zip(other.levels, self.position)
-        ]
-        return other
-
     def _agree(self, n, got, want, identity):
         if got != want:
             p = next(p for p, (a, b) in enumerate(zip(got, want)) if a != b)
@@ -1006,17 +992,17 @@ class SimplicialObject:
 
 class _RefOf(Mapping):
     """The normal form of each element of a level model, keyed (n, x):
-    the simplex at x's position in the set's level n."""
+    the strip's normal form at x's position in level n."""
 
-    def __init__(self, position, simplices):
-        self._position, self._simplices = position, simplices
+    def __init__(self, position, refs):
+        self._position, self._refs = position, refs
 
     def __getitem__(self, key):
         n, x = key
         p = self._position[n].get(x) if 0 <= n < len(self._position) else None
         if p is None:
             raise KeyError(key)
-        return self._simplices[n][p]
+        return self._refs[n][p]
 
     def __iter__(self):
         return ((n, x) for n, at in enumerate(self._position) for x in at)
@@ -1029,21 +1015,22 @@ class LevelModel(SimplicialObject):
     """A simplicial set presented by a levelwise simplicial object.
 
     The levels and rows are given as to SimplicialObject, in any order, and
-    `check` checks them as it does.  An element is degenerate when it is
-    s_i of its own d_i; the largest such i is the outermost letter of its
-    normal form, read off the rows level by level.  The other elements are
-    the generators, named by `namer(n, x)`; a name given twice is an
-    InputError.  `sset` is the SimplicialSet they present.  Each level is
-    then renumbered into `sset.simplices(n)` order, one permutation per
-    level, and the set's level table shares the model's rows: element p of
-    level n is the simplex `sset.simplices(n)[p]`.  `ref_of[(n, x)]` is the
-    normal form of an element and `elem_of_gen` the element of a generator.
+    `check` checks them as it does; the model keeps them in that order.  An
+    element is degenerate when it is s_i of its own d_i; the largest such i
+    is the outermost letter of its normal form, read off the rows level by
+    level.  The other elements are the generators, named by `namer(n, x)`;
+    a name given twice is an InputError.  `sset` is the SimplicialSet they
+    present, whose level table its calculus builds when it is read.
+    `ref_of[(n, x)]` is the normal form of an element and `elem_of_gen` the
+    element of a generator.
     """
 
     def __init__(self, dim_cap, levels, faces, degs, namer, check=True):
         super().__init__(dim_cap, levels, faces, degs, check=check)
         generators, gen_faces, refs = {}, {}, []
         self.elem_of_gen = {}
+        # the first level where a stripped word is not strictly decreasing
+        broken = dim_cap + 1
         for n, level in enumerate(self.levels):
             # strip[p]: the largest i with element p = s_i d_i p, if any
             strip = [None] * len(level)
@@ -1059,6 +1046,8 @@ class LevelModel(SimplicialObject):
                 i = strip[p]
                 if i is not None:
                     base = face_refs[p][i]
+                    if base.degs and base.degs[0] >= i:
+                        broken = min(broken, n)
                     row.append(SimplexRef(base.gen, (i,) + base.degs))
                     continue
                 name = namer(n, x)
@@ -1075,25 +1064,15 @@ class LevelModel(SimplicialObject):
         # Tables that satisfy the identities present exactly the set their strip
         # reads off (Eilenberg-Zilber; Goerss-Jardine, Simplicial Homotopy Theory, I.1).
         self.sset = SimplicialSet(dim_cap, generators, gen_faces, check=False)
-        simplices = []
+        # A level whose words all decrease holds normal forms of dimension n,
+        # and distinct ones: generator names are distinct, and x = s_i d_i x
+        # and y = s_i d_i y differ only if d_i x and d_i y do, which by
+        # induction have distinct refs.  As many as the set's, they are all
+        # of them, once each.
         for n, row in enumerate(refs):
-            at = dict(zip(row, range(len(row))))
-            level = self.sset._normal_forms(n)
-            order = [at.get(t) for t in level]
-            if None in order or len(order) != len(row):
+            if n >= broken or len(row) != self.sset.count(n):
                 raise ConsistencyError(f"level {n} is not in bijection with its normal forms")
-            # order[k]: the position given of the simplex k; new: its inverse
-            ints = list(range(len(order)))
-            new = sorted(ints, key=order.__getitem__)
-            if n:
-                self.degs[n - 1] = [[new[s_i[p]] for p in prev] for s_i in self.degs[n - 1]]
-                self.faces[n] = [[old[d_i[p]] for p in order] for d_i in self.faces[n]]
-            self.levels[n] = tuple(self.levels[n][p] for p in order)
-            self.position[n] = dict(zip(self.levels[n], ints))
-            simplices.append(level)
-            old, prev = new, order
-        self.sset._level_table = self._renamed(simplices)
-        self.ref_of = _RefOf(self.position, self.sset._level_table.levels)
+        self.ref_of = _RefOf(self.position, refs)
 
 
 # -- products -----------------------------------------------------------------
@@ -1111,7 +1090,15 @@ class ProductStructure:
 
 
 def product_structure(x, y, dim_cap=None):
-    """Levelwise product with componentwise structure, plus pairing data."""
+    """Levelwise product with componentwise structure, plus pairing data.
+
+    Level n is the pairs of n-simplices, and d_i and s_i act on each
+    factor, so every row is a pair of rows of the factors' tables.  Those
+    are in range, and they satisfy the simplicial identities on factors
+    that present simplicial sets (checked, or built unchecked on a proof);
+    an identity holds on pairs when it holds on each factor, so the
+    LevelModel skips their check.
+    """
     cap = min(x.dim_cap, y.dim_cap)
     if dim_cap is not None:
         cap = min(cap, dim_cap)
@@ -1127,7 +1114,8 @@ def product_structure(x, y, dim_cap=None):
         pairs(tx.faces[n], ty.faces[n], len(ty.levels[n - 1])) for n in range(1, cap + 1)
     ]
     degs = [pairs(tx.degs[n], ty.degs[n], len(ty.levels[n + 1])) for n in range(cap)]
-    model = LevelModel(cap, levels, faces, degs, namer=lambda n, p: f"<{p[0]}|{p[1]}>")
+    model = LevelModel(cap, levels, faces, degs, namer=lambda n, p: f"<{p[0]}|{p[1]}>",
+                       check=False)
     return ProductStructure(model.sset, x, y, model)
 
 

@@ -80,8 +80,8 @@ def callables_of(levels, faces, degs):
 
 def in_order_of(model, obj):
     """obj's (levels, faces, degs), renumbered into the level order of
-    `model`, which holds the same elements: a LevelModel renumbers the
-    rows it is given into its set's order."""
+    `model`, which holds the same elements: a bar object lists its levels
+    in the order of its action groupoid's nerve."""
     perm = [[model.position[n][x] for x in level] for n, level in enumerate(obj.levels)]
 
     def moved(row, into, n):
@@ -95,6 +95,14 @@ def in_order_of(model, obj):
                     for n in range(1, len(levels))]
     degs = [[moved(row, perm[n + 1], n) for row in obj.degs[n]] for n in range(len(levels) - 1)]
     return levels, faces, degs
+
+
+def in_set_order(model):
+    """A LevelModel's (levels, faces, degs), each element read as its
+    normal form `ref_of` and renumbered into the order of its set's table."""
+    refs = [[model.ref_of[(n, x)] for x in level] for n, level in enumerate(model.levels)]
+    obj = SimplicialObject(model.level_cap, refs, model.faces, model.degs, check=False)
+    return in_order_of(model.sset.table(), obj)
 
 
 # -- the producers' callables ---------------------------------------------------

@@ -44,7 +44,7 @@ from hornfill.sset import (
     subcomplex_of_simplex,
 )
 
-from frozen_callables import duskin_callables, in_order_of, simplicial_object
+from frozen_callables import duskin_callables, in_set_order, simplicial_object
 
 
 def test_category_validation_rejects_partial_composition():
@@ -240,16 +240,19 @@ def _nerve_sources():
 def test_nerve_presents_the_level_model_it_replaced():
     # the chains with their faces, written down directly, present the set
     # the LevelModel strip reads off every composable string: the same
-    # generators and faces, JSON bytes and level table
+    # generators and faces, JSON bytes and level table, which is the
+    # model's own rows read through its normal forms
     for name, c in _nerve_sources().items():
         for cap in range(6):
             res = nerve(c, dim_cap=cap)
             table = res.sset.table()
             model = res.model
+            assert model.sset._level_table is None, (name, cap)
             assert res.sset == model.sset, (name, cap)
             assert io.dumps(io.sset_to_json(res.sset)) == io.dumps(io.sset_to_json(model.sset))
-            assert table.levels == model.sset.table().levels
-            assert (table.faces, table.degs) == (model.faces, model.degs), (name, cap)
+            own = model.sset.table()
+            assert (table.levels, table.faces, table.degs) == (own.levels, own.faces, own.degs)
+            assert (table.levels, table.faces, table.degs) == in_set_order(model), (name, cap)
             res.sset.validate()
             assert len(table.levels[cap]) == len(model.levels[cap])
 
@@ -526,10 +529,11 @@ def test_duskin_tables_match_the_per_element_reindex():
     cases += [(one_object_two_group(cyclic_group(2)), 5), (walking_invertible_two_cell(), 5)]
     for c2, cap in cases:
         oracle = simplicial_object(cap, *duskin_callables(c2, cap)[:3], check=False)
-        # the join's own rows, in level order, and the model's, renumbered
+        # the join's own rows, in level order, and the model's, as given
         table, values = _duskin_table(c2, cap, DEFAULT_BUDGET)
         assert [list(level) for level in values] == [list(level) for level in oracle.levels], c2
         assert (table.faces, table.degs) == (oracle.faces, oracle.degs), c2
         model = duskin_nerve(c2, dim_cap=cap).model
-        assert (model.levels, model.faces, model.degs) == in_order_of(model, oracle), c2
+        assert (model.levels, model.faces, model.degs) == (oracle.levels, oracle.faces,
+                                                             oracle.degs), c2
     assert len(model.sset.generators(5)) == 538

@@ -766,18 +766,13 @@ def test_a_copied_top_element_is_not_injective():
     assert _report(is_groupoid_object(obj)) == _oracle_is_groupoid_object(*oracle) == want
 
 
-def _reordered(name, obj):
-    """Whether `obj` holds its oracle's elements in another order."""
-    return isinstance(obj, sset.LevelModel) or name.startswith("bar ")
-
-
 def test_face_degeneracy_and_restriction_are_table_lookups():
     for name, build, oracle in _gluing_objects():
         obj, (level_cap, levels, face, deg) = build(), oracle()
         obj_face, obj_deg = callables_of(obj.levels, obj.faces, obj.degs)
-        # a nerve's level model holds its levels in its set's order, and a
-        # bar object in its nerve's order: the same elements, renumbered
-        if _reordered(name, obj):
+        # a bar object holds its levels in its nerve's order: the same
+        # elements, renumbered
+        if name.startswith("bar "):
             want = simplicial_object(level_cap, levels, face, deg, check=False)
             assert obj.levels == in_order_of(obj, want)[0], name
         else:
@@ -797,14 +792,13 @@ def test_face_degeneracy_and_restriction_are_table_lookups():
 
 def test_rows_match_the_frozen_callables():
     # the rows each producer emits, against op_table run on the callables
-    # it used to hand over; a nerve's model renumbers its rows and a bar
-    # object lists its levels in nerve order, so the oracle's rows are
-    # renumbered the same way
+    # it used to hand over; a bar object lists its levels in nerve order,
+    # so the oracle's rows are renumbered the same way
     count = 0
     for name, build, oracle in _gluing_objects():
         obj, (level_cap, levels, face, deg) = build(), oracle()
         want = simplicial_object(level_cap, levels, face, deg, check=False)
-        if _reordered(name, obj):
+        if name.startswith("bar "):
             assert (obj.levels, obj.faces, obj.degs) == in_order_of(obj, want), name
         else:
             assert (obj.levels, obj.faces, obj.degs) == (want.levels, want.faces, want.degs), name

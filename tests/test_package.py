@@ -38,16 +38,16 @@ def test_every_name_the_benchmark_wraps_resolves():
     assert missing == []
 
 
-def _calls(node, owner=()):
-    """(dotted names of the enclosing classes and functions, call) for each
-    call under node."""
+def _nodes(node, kind, owner=()):
+    """(dotted names of the enclosing classes and functions, child) for
+    each child of type `kind` under node."""
     for child in ast.iter_child_nodes(node):
         inner = owner
         if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = owner + (child.name,)
-        elif isinstance(child, ast.Call):
+        elif isinstance(child, kind):
             yield ".".join(owner), child
-        yield from _calls(child, inner)
+        yield from _nodes(child, kind, inner)
 
 
 def test_unchecked_level_tables_are_frozen():
@@ -59,7 +59,7 @@ def test_unchecked_level_tables_are_frozen():
     package = pathlib.Path(hornfill.__file__).parent
     unchecked = set()
     for path in sorted(package.glob("*.py")):
-        for owner, call in _calls(ast.parse(path.read_text(), filename=str(path))):
+        for owner, call in _nodes(ast.parse(path.read_text(), filename=str(path)), ast.Call):
             name = getattr(call.func, "id", getattr(call.func, "attr", None))
             if name not in before_check:
                 continue
@@ -69,8 +69,22 @@ def test_unchecked_level_tables_are_frozen():
                 unchecked.add(f"{path.name}:{owner}")
     assert unchecked == {"sset.py:SimplicialSet._level_zero", "sset.py:LevelModel.__init__",
                          "cat.py:_duskin_table", "cat.py:nerve", "cat.py:NerveResult.model",
-                         "cat.py:duskin_nerve", "groupoid.py:cech_nerve",
+                         "cat.py:duskin_nerve", "sset.py:product_structure",
+                         "groupoid.py:cech_nerve",
                          "groupoid.py:action_bar_object"}
+
+
+def test_only_a_simplicial_set_writes_its_level_table():
+    # a set's level table comes from its own calculus alone; no producer
+    # installs rows of its own as a set's table
+    package = pathlib.Path(hornfill.__file__).parent
+    writers = set()
+    for path in sorted(package.glob("*.py")):
+        for owner, attr in _nodes(ast.parse(path.read_text(), filename=str(path)), ast.Attribute):
+            if attr.attr == "_level_table" and isinstance(attr.ctx, ast.Store):
+                writers.add(f"{path.name}:{owner}")
+    assert writers == {"sset.py:SimplicialSet.__init__", "sset.py:SimplicialSet.table",
+                       "sset.py:SimplicialSet.validate"}
 
 
 def test_only_the_frozen_producers_append_unchecked_levels():
@@ -80,7 +94,7 @@ def test_only_the_frozen_producers_append_unchecked_levels():
     package = pathlib.Path(hornfill.__file__).parent
     callers = set()
     for path in sorted(package.glob("*.py")):
-        for owner, call in _calls(ast.parse(path.read_text(), filename=str(path))):
+        for owner, call in _nodes(ast.parse(path.read_text(), filename=str(path)), ast.Call):
             if getattr(call.func, "attr", getattr(call.func, "id", None)) == "add_level":
                 callers.add(f"{path.name}:{owner}")
     assert callers == {"sset.py:SimplicialObject.__init__", "sset.py:SimplicialSet.table",

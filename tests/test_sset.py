@@ -38,7 +38,7 @@ from hornfill.sset import (
 from frozen_callables import (
     callables_of,
     duskin_callables,
-    in_order_of,
+    in_set_order,
     level_model,
     mapping_space_callables,
     mapping_space_cylinders,
@@ -458,8 +458,8 @@ def test_level_model_rows_match_the_frozen_callables():
             want = simplicial_object(*oracle, check=False)
             got = SimplicialObject(cap, levels, faces, degs, check=False)
             assert (got.levels, got.faces, got.degs) == (want.levels, want.faces, want.degs)
-            # and the model holds them renumbered into its set's order
-            assert (model.levels, model.faces, model.degs) == in_order_of(model, want)
+            # and the model holds them in the order given
+            assert (model.levels, model.faces, model.degs) == (want.levels, want.faces, want.degs)
             count += 1
     assert count == 53
 
@@ -480,6 +480,25 @@ def test_nerve_and_duskin_rows_pass_the_checks_they_skip():
         checked = SimplicialObject(cap, levels, faces, degs, check=True)
         assert checked.levels == levels
     assert len(builds) == 5 * (22 + 7)
+
+
+def test_product_rows_pass_the_checks_they_skip():
+    # product_structure builds its LevelModel unchecked, on the proof in
+    # its docstring: on corpus nerves and standard simplices, the rows it
+    # hands over pass the row checks and the simplicial identities, and
+    # the checked route presents the same set the same way
+    simplices = [standard_simplex(n, dim_cap=3) for n in range(4)]
+    factors = [nerve(c, dim_cap=3).sset for c in all_categories().values()] + simplices
+    pairs = [(x, y) for x in factors for y in simplices]
+    pairs += [(y, x) for x in factors[:-len(simplices)] for y in simplices]
+    for (x, y), cap in itertools.product(pairs, range(4)):
+        with _recorded_level_models() as built:
+            structure = product_structure(x, y, dim_cap=cap)
+        [(model, (_, levels, *_, namer), (faces, degs))] = built
+        checked = LevelModel(cap, levels, faces, degs, namer, check=True)
+        assert structure.sset == checked.sset, (x, y, cap)
+        assert (model.ref_of, model.elem_of_gen) == (checked.ref_of, checked.elem_of_gen)
+    assert len(pairs) == 26 * 4 + 22 * 4
 
 
 # -- SimplexRef against the frozen dataclass it was ------------------------------
@@ -829,10 +848,42 @@ def test_level_model_refuses_a_broken_strip_order():
         build(True)
 
 
+def test_level_model_refuses_a_broken_word_among_as_many_simplices():
+    # as above, A = s_0 u strips to the word (0, 0), no normal form; but A'
+    # is no degeneracy here, as its faces are w's, so level 2 holds four
+    # distinct refs for the set's four 2-simplices, and s_1 s_0 v has none
+    faces = {"u": "vv", "w": "vv", "A": "uuu", "A'": "www", "B": "www", "C": "www"}
+    degs = {"v": ["u"], "u": ["A", "A'"], "w": ["B", "C"]}
+    levels = [["v"], ["u", "w"], ["A", "A'", "B", "C"]]
+    build = lambda check: level_model(
+        2, levels, lambda n, i, x: faces[x][i], lambda n, i, x: degs[x][i],
+        lambda n, x: x, check=check,
+    )
+    with pytest.raises(ConsistencyError, match="^level 2 is not in bijection"):
+        build(False)
+    with pytest.raises(ValidationError, match="^s_0 s_0 = s_1 s_0 fails at level 0 on 'v'$"):
+        build(True)
+
+
+def test_level_model_refuses_a_simplex_with_no_element():
+    # s_0 w is sent to u = s_0 v, so level 1 strips to s_0 v alone and the
+    # normal form s_0 w has no element
+    build = lambda check: level_model(
+        1, [["v", "w"], ["u"]], lambda n, i, x: "v", lambda n, i, x: "u",
+        lambda n, x: x, check=check,
+    )
+    with pytest.raises(ConsistencyError, match="^level 1 is not in bijection"):
+        build(False)
+    with pytest.raises(ValidationError, match="^d_0 s_0 = id fails at level 0 on 'w'$"):
+        build(True)
+
+
 def test_level_models_hand_their_set_the_calculus_table():
-    # the set's table is the model's own, renumbered; the calculus builds
-    # the same table afresh from the set's JSON.  No calculus and no
-    # generator validation runs on a model's set, built or read.
+    # a model's set has no table until one is read; the calculus then
+    # builds it, and it is the model's own rows read through their normal
+    # forms, and the table built afresh from the set's JSON.  No face or
+    # degeneracy of the calculus and no generator validation runs on a
+    # model's set, built or read.
     calls = []
     names = ("_face", "degeneracy", "validate")
     plain = {name: getattr(SimplicialSet, name) for name in names}
@@ -850,12 +901,15 @@ def test_level_models_hand_their_set_the_calculus_table():
                 setattr(SimplicialSet, name, counted(name))
             try:
                 build()
+                unbuilt = [model.sset._level_table is None for model, _, _ in built]
                 tables = [model.sset.table() for model, _, _ in built]
             finally:
                 for name in names:
                     setattr(SimplicialSet, name, plain[name])
+        assert all(unbuilt)
         for (model, _, _), got in zip(built, tables):
             assert not any(y is model.sset for y in calls), model.sset
+            assert (got.levels, got.faces, got.degs) == in_set_order(model)
             want = io.sset_from_json(io.sset_to_json(model.sset)).table()
             assert (got.levels, got.faces, got.degs) == (want.levels, want.faces, want.degs)
             count += 1
