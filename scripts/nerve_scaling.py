@@ -5,8 +5,10 @@ For every corpus category, then the Duskin nerve of every corpus
 the cap and print its level counts, its generator counts (the
 non-degenerate simplices), the build time in seconds and the process's
 peak resident set size (`ru_maxrss`, read as kilobytes, as Linux reports
-it) after the build, in MB.  The peak only grows within a process, so
-name one category to read its own peak.
+it) after the build, in MB.  Then the size in bytes of the set's JSON, as
+`cat nerve` and `cat duskin` write it with `io.sset_dumps`, and the time
+that write took.  The peak only grows within a process, so name one
+category to read its own peak.
 
     python3 scripts/nerve_scaling.py --dim-cap 5
     python3 scripts/nerve_scaling.py --dim-cap 7 --category bs3
@@ -18,6 +20,7 @@ import functools
 import resource
 import time
 
+from hornfill import io
 from hornfill.cat import duskin_nerve, nerve
 from hornfill.corpus import all_categories, all_two_categories
 
@@ -41,8 +44,11 @@ def main():
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         counts = [x.count(n) for n in range(args.dim_cap + 1)]
         gens = [len(x.generators(n)) for n in range(args.dim_cap + 1)]
+        start = time.perf_counter()
+        size = len(io.sset_dumps(x))
+        write = time.perf_counter() - start
         print(f"{name:{width}}  levels {counts}  generators {gens}"
-              f"  {seconds:.4f} s  {peak:.1f} MB")
+              f"  {seconds:.4f} s  {peak:.1f} MB  json {size} B  {write:.4f} s")
 
 
 if __name__ == "__main__":

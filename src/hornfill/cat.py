@@ -1031,6 +1031,12 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
     `path_budget` or the bound outgrows `max_length` first - e.g. a loop
     with no relations has no finite quotient at all.  Its partial is the
     longest word length whose universe was built.
+
+    The rules are indexed once, each side of a rule to the (vertex, other
+    side) pairs it rewrites to, so a word is rewritten by looking up each
+    of its slices of a side's length; the empty side applies only at its
+    rule's vertex.  The classes do not depend on the order of the unions,
+    as each root is its class's least member.
     """
     verts = list(x.generators(0))
     edges = list(x.generators(1))
@@ -1071,23 +1077,26 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
         v, es = w
         return v if p == 0 else etgt[es[p - 1]]
 
+    rewrites = {}
+    for v, lhs, rhs in rules:
+        rewrites.setdefault(lhs, []).append((v, rhs))
+        rewrites.setdefault(rhs, []).append((v, lhs))
+    side_lengths = sorted({len(a) for a in rewrites})
+
     def congruence(universe):
         index = {w: i for i, w in enumerate(universe)}
         classes = UnionFind(range(len(universe)))
-        for w in universe:
+        for i, w in enumerate(universe):
             v0, es = w
-            for (v, lhs, rhs) in rules:
-                for (a, b) in ((lhs, rhs), (rhs, lhs)):
-                    la = len(a)
-                    for p in range(len(es) - la + 1):
-                        if es[p : p + la] != a:
-                            continue
+            for la in side_lengths:
+                for p in range(len(es) - la + 1):
+                    for v, b in rewrites.get(es[p : p + la], ()):
+                        # the empty side stands for the identity at v only
                         if la == 0 and vertex_at(w, p) != v:
                             continue
-                        w2 = (v0, es[:p] + b + es[p + la :])
-                        j = index.get(w2)
+                        j = index.get((v0, es[:p] + b + es[p + la :]))
                         if j is not None:
-                            classes.union(index[w], j)
+                            classes.union(i, j)
         return index, classes.find, classes.classes
 
     length = 2

@@ -61,8 +61,14 @@ def _budget(args, default=DEFAULT_BUDGET):
     return budget_from_env(default)
 
 
-def _emit(args, data, lines):
-    text = io.dumps(data) if args.format == "json" else "\n".join(lines) + "\n"
+def _emit(args, data, lines, to_json=None):
+    """Write to_json(data), io.dumps(data) by default, or with --format text
+    the lines, to stdout or --output.  io.dumps is looked up at the call,
+    so a wrapper put on it later sees every write."""
+    if args.format == "json":
+        text = (to_json or io.dumps)(data)
+    else:
+        text = "\n".join(lines) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -135,22 +141,20 @@ def cmd_sset_fillers(args):
 def cmd_cat_nerve(args):
     c = io.category_from_json(io.load_path(args.category))
     result = nerve(c, dim_cap=args.dim_cap)
-    data = io.sset_to_json(result.sset)
     lines = [
         f"level {n}: {result.sset.count(n)}" for n in range(args.dim_cap + 1)
     ]
-    _emit(args, data, lines)
+    _emit(args, result.sset, lines, io.sset_dumps)
     return 0
 
 
 def cmd_cat_duskin(args):
     c2 = io.two_category_from_json(io.load_path(args.two_category))
     result = duskin_nerve(c2, dim_cap=args.dim_cap, budget=_budget(args))
-    data = io.sset_to_json(result.sset)
     lines = [
         f"level {n}: {result.sset.count(n)}" for n in range(args.dim_cap + 1)
     ]
-    _emit(args, data, lines)
+    _emit(args, result.sset, lines, io.sset_dumps)
     return 0
 
 

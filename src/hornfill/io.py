@@ -6,9 +6,11 @@ trailing newline.  `dumps` writes the bytes of
 Python 3.11 the standard library uses its C encoder only without
 `indent` and runs a chain of Python generators with it.  Strings are
 still escaped by the standard library's C escaper, and the `json.dumps`
-call is the writer's oracle in the tests.  Loaders validate shape up
-front so malformed input fails as InputError before any construction
-work starts.
+call is the writer's oracle in the tests.  `sset_dumps` writes the bytes
+of `dumps(sset_to_json(x))` for a simplicial set, with the text of each
+distinct face ref built once; `dumps(sset_to_json(x))` is its oracle in
+the tests.  Loaders validate shape up front so malformed input fails as
+InputError before any construction work starts.
 """
 
 import json
@@ -121,13 +123,55 @@ def _ids(value, what):
 # simplicial sets
 
 
+def _generators_json(x):
+    return {str(d): list(x.generators(d)) for d in range(x.dim_cap + 1) if x.generators(d)}
+
+
 def sset_to_json(x):
-    gens = {str(d): list(x.generators(d)) for d in range(x.dim_cap + 1) if x.generators(d)}
+    gens = _generators_json(x)
     faces = {
         g: [ref.to_json() for ref in x.gen_faces[g]]
         for g in sorted(x.gen_faces)
     }
     return {"dim_cap": x.dim_cap, "generators": gens, "faces": faces}
+
+
+def sset_dumps(x):
+    """dumps(sset_to_json(x)), byte for byte and error for error, with the
+    text of each face ref built once.
+
+    A nerve's face lists name the same few simplices of the level below
+    over and over, so each ref is written by `_write` at the face-list
+    indent the first time it occurs and its text is reused after that.
+    The texts are keyed by the ref's identity, not its value: SimplexRef
+    equality is the tuple's, so a letter False equals a letter 0 and
+    would share its text, while `dumps` writes `false`.  A nerve, a Duskin
+    nerve and a loaded set hold one object per distinct ref."""
+    gens = _generators_json(x)
+    out = ['{\n  "dim_cap": ']
+    _write(x.dim_cap, "\n  ", out)
+    out.append(',\n  "faces": ')
+    texts = {}
+    sep = "{\n    "
+    for g in sorted(x.gen_faces):
+        if type(g) is not str:
+            raise TypeError(f"JSON keys must be str, not {type(g).__name__}")
+        items = []
+        for ref in x.gen_faces[g]:
+            text = texts.get(id(ref))
+            if text is None:
+                buf = []
+                _write(ref.to_json(), "\n      ", buf)
+                text = texts[id(ref)] = "".join(buf)
+            items.append(text)
+        body = "[\n      " + ",\n      ".join(items) + "\n    ]" if items else "[]"
+        out.append(sep + _escape(g) + ": " + body)
+        sep = ",\n    "
+    out.append("\n  }" if x.gen_faces else "{}")
+    out.append(',\n  "generators": ')
+    _write(gens, "\n  ", out)
+    out.append("\n}\n")
+    return "".join(out)
 
 
 def _dimension(key):

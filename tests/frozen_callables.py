@@ -8,16 +8,27 @@ names, as the oracles for the rows the producers now emit.  Each
 `*_callables` function returns (levels, face, deg), or (levels, face,
 deg, namer) for a level model.
 
-At the end are the searches that group isomorphism and the corpus's
-group actions ran beside the one map search, kept verbatim apart from
-their names as its oracles: generator images expanded along words.
+Then come the searches that group isomorphism and the corpus's group
+actions ran beside the one map search, kept verbatim apart from their
+names as its oracles: generator images expanded along words.  Last is
+`fundamental_category` as it was when its congruence scanned every rule
+at every position of every word, kept verbatim apart from its name as
+the oracle of the rule lookup that replaced the scan.
 """
 
 import itertools
 
-from hornfill.cat import _cells_in_order, _tetra_holds
-from hornfill.config import DEFAULT_BUDGET
-from hornfill.errors import CapacityError, ValidationError
+from hornfill.cat import (
+    FiniteCategory,
+    PathCategoryResult,
+    UnionFind,
+    _cells_in_order,
+    _edge_word,
+    _tetra_holds,
+    _vertex_of,
+)
+from hornfill.config import DEFAULT_BUDGET, DEFAULT_PATH_BUDGET
+from hornfill.errors import CapacityError, ConsistencyError, ValidationError
 from hornfill.groupoid import GroupAction, symmetric_group
 from hornfill.sset import (
     LevelModel,
@@ -531,3 +542,153 @@ def oracle_all_actions(group, n_points):
                 act[(a, x)] = points[int(perm[i])]
         out.append(GroupAction(group, points, act))
     return out
+
+
+# -- the path category's rule scan ------------------------------------------------
+
+def oracle_fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
+    """Free category on the edges of x modulo its triangle relations.
+
+    Works over the finite universe of composable edge words up to a length
+    bound, with the congruence generated by the triangle relations applied
+    in every position.  Accepts the answer only when (a) the quotient is
+    closed under concatenation inside the universe with a representative-
+    independent result and (b) the classes are unchanged when the bound
+    grows by one.  Raises CapacityError when the universe outgrows
+    `path_budget` or the bound outgrows `max_length` first - e.g. a loop
+    with no relations has no finite quotient at all.  Its partial is the
+    longest word length whose universe was built.
+    """
+    verts = list(x.generators(0))
+    edges = list(x.generators(1))
+    esrc = {e: x.gen_faces[e][1].gen for e in edges}
+    etgt = {e: x.gen_faces[e][0].gen for e in edges}
+    rules = []
+    for g in x.generators(2):
+        f0, f1, f2 = (x.gen_faces[g][i] for i in range(3))
+        lhs = _edge_word(f2) + _edge_word(f0)
+        rhs = _edge_word(f1)
+        if lhs != rhs:
+            rules.append((_vertex_of(x, f2), lhs, rhs))
+
+    def word_tgt(w):
+        v, es = w
+        return v if not es else etgt[es[-1]]
+
+    def grow(upto):
+        words = [[(v, ()) for v in verts]]
+        total = len(verts)
+        for _ in range(upto):
+            nxt = []
+            for w in words[-1]:
+                for e in edges:
+                    if esrc[e] == word_tgt(w):
+                        nxt.append((w[0], w[1] + (e,)))
+            total += len(nxt)
+            if total > path_budget:
+                raise CapacityError(
+                    f"path universe exceeded budget {path_budget};"
+                    " the quotient category may be infinite",
+                    partial=len(words) - 1,
+                )
+            words.append(nxt)
+        return [w for level in words for w in level]
+
+    def vertex_at(w, p):
+        v, es = w
+        return v if p == 0 else etgt[es[p - 1]]
+
+    def congruence(universe):
+        index = {w: i for i, w in enumerate(universe)}
+        classes = UnionFind(range(len(universe)))
+        for w in universe:
+            v0, es = w
+            for (v, lhs, rhs) in rules:
+                for (a, b) in ((lhs, rhs), (rhs, lhs)):
+                    la = len(a)
+                    for p in range(len(es) - la + 1):
+                        if es[p : p + la] != a:
+                            continue
+                        if la == 0 and vertex_at(w, p) != v:
+                            continue
+                        w2 = (v0, es[:p] + b + es[p + la :])
+                        j = index.get(w2)
+                        if j is not None:
+                            classes.union(index[w], j)
+        return index, classes.find, classes.classes
+
+    length = 2
+    while True:
+        if length > max_length:
+            raise CapacityError(
+                f"path quotient not stable within length bound {max_length};"
+                " the quotient category may be infinite",
+                partial=length,
+            )
+        universe = grow(length)
+        index, find, classes_of = congruence(universe)
+        probe = grow(length + 1)
+        pindex, pfind, _ = congruence(probe)
+        stable = True
+        seen = {}
+        for w in universe:
+            r = pfind(pindex[w])
+            s = find(index[w])
+            if r in seen and seen[r] != s:
+                stable = False
+                break
+            seen[r] = s
+        if stable:
+            for w in probe:
+                if len(w[1]) == length + 1 and pfind(pindex[w]) not in seen:
+                    stable = False
+                    break
+        composites = {}
+        if stable:
+            # universe[i] is the word of index i
+            classes = {r: [universe[i] for i in ws] for r, ws in classes_of().items()}
+            ok = True
+            for r1, ws1 in classes.items():
+                for r2, ws2 in classes.items():
+                    if word_tgt(min(ws1)) != min(ws2)[0]:
+                        continue
+                    found = set()
+                    for w1 in ws1:
+                        for w2 in ws2:
+                            if word_tgt(w1) != w2[0]:
+                                continue
+                            glued = (w1[0], w1[1] + w2[1])
+                            if glued in index:
+                                found.add(find(index[glued]))
+                    # a class pair with no in-universe gluing, or with a
+                    # representative-dependent one, just needs a longer bound
+                    if len(found) != 1:
+                        ok = False
+                        break
+                    composites[(r1, r2)] = next(iter(found))
+                if not ok:
+                    break
+            if ok:
+                break
+        length += 1
+
+    # the loop leaves only through a stable universe, with its classes
+    reps = {r: min(ws, key=lambda w: (len(w[1]), w[1], w[0])) for r, ws in classes.items()}
+
+    def name(r):
+        v, es = reps[r]
+        return f"id_{v}" if not es else "[" + ".".join(es) + "]"
+
+    names = {r: name(r) for r in classes}
+    if len(set(names.values())) != len(names):
+        raise ConsistencyError("path class naming collided")
+    mor = {names[r]: (reps[r][0], word_tgt(reps[r])) for r in classes}
+    identity = {}
+    for v in verts:
+        identity[v] = names[find(index[(v, ())])]
+    table = {}
+    for (r1, r2), r in composites.items():
+        table[(names[r2], names[r1])] = names[r]
+    cat = FiniteCategory(verts, mor, identity, table)
+    mor_of_edge = {e: names[find(index[(esrc[e], (e,))])] for e in edges}
+    return PathCategoryResult(cat, {v: v for v in verts}, mor_of_edge, length)

@@ -40,11 +40,17 @@ from hornfill.sset import (
     SimplexRef,
     SimplicialSet,
     is_isomorphic,
+    product,
     standard_simplex,
     subcomplex_of_simplex,
 )
 
-from frozen_callables import duskin_callables, in_set_order, simplicial_object
+from frozen_callables import (
+    duskin_callables,
+    in_set_order,
+    oracle_fundamental_category,
+    simplicial_object,
+)
 
 
 def test_category_validation_rejects_partial_composition():
@@ -438,6 +444,35 @@ def test_fundamental_category_of_inner_horn_is_free_on_the_path():
     # free category on p -> q -> r: three identities plus pq, qr, and qr.pq
     assert len(tau.category.objects) == 3
     assert len(tau.category.mor) == 6
+
+
+def _path_category_or_partial(tau, x, **bounds):
+    try:
+        res = tau(x, **bounds)
+    except CapacityError as exc:
+        return "capacity", str(exc), exc.partial
+    category = io.dumps(io.category_to_json(res.category))
+    return category, res.object_of_vertex, res.morphism_of_edge, res.universe_length
+
+
+def test_fundamental_category_matches_the_rule_scan_it_replaced():
+    simplices = [standard_simplex(n) for n in range(5)]
+    horns = [subcomplex_of_simplex(n, "horn", k=k) for n in range(1, 5) for k in range(n + 1)]
+    sets = [nerve(c, dim_cap=4).sset for c in all_categories().values()]
+    sets += [duskin_nerve(c2, dim_cap=3).sset for c2 in all_two_categories().values()]
+    sets += simplices + horns
+    sets += [product(x, standard_simplex(1)) for x in simplices[:3] + horns[:6]]
+    sets.append(SimplicialSet(
+        1, {0: ["v"], 1: ["a", "b"]},
+        {"a": (SimplexRef("v"), SimplexRef("v")), "b": (SimplexRef("v"), SimplexRef("v"))},
+    ))
+    outcomes = set()
+    for x in sets:
+        for bounds in ({}, {"path_budget": 30}, {"max_length": 2}):
+            want = _path_category_or_partial(oracle_fundamental_category, x, **bounds)
+            assert _path_category_or_partial(fundamental_category, x, **bounds) == want
+            outcomes.add(want[0] == "capacity")
+    assert outcomes == {True, False}
 
 
 def test_homotopy_category_of_nerve_recovers_the_category():

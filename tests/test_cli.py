@@ -11,7 +11,7 @@ import pytest
 
 import hornfill
 from hornfill import io
-from hornfill.cat import nerve, two_category_from_category
+from hornfill.cat import duskin_nerve, nerve, two_category_from_category
 from hornfill.cli import main
 from hornfill.corpus import (
     all_categories,
@@ -141,6 +141,30 @@ def test_duskin_counts(files, capsys):
     data, _ = _json_out(capsys)
     x = io.sset_from_json(data)
     assert [x.count(n) for n in range(4)] == [1, 1, 2, 8]
+
+
+def test_nerve_and_duskin_write_the_bytes_of_the_generic_writer(capsys, tmp_path, monkeypatch):
+    cats, two_cats = all_categories(), all_two_categories()
+    cases = []
+    for sub, c, to_json, build in (
+        [("nerve", cats[name], io.category_to_json, nerve) for name in ("bc2", "bs3", "poset3")]
+        + [("duskin", two_cats[name], io.two_category_to_json, duskin_nerve)
+           for name in ("two_group_c2", "two_group_c3")]
+    ):
+        x = build(c, dim_cap=3).sset
+        path = _write(tmp_path, f"{sub}-{len(cases)}.json", to_json(c))
+        cases.append((["cat", sub, path, "--dim-cap", "3"], x, io.dumps(io.sset_to_json(x))))
+    spied = []
+    monkeypatch.setattr(io, "sset_to_json", spied.append)
+    out = str(tmp_path / "out.json")
+    for argv, x, want in cases:
+        assert main(argv + ["--output", out]) == 0
+        assert open(out).read() == want
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        assert main(argv + ["--format", "text"]) == 0
+        assert capsys.readouterr().out == "".join(f"level {n}: {x.count(n)}\n" for n in range(4))
+    assert spied == []
 
 
 def test_tau_and_hcat_recover_the_group(files, capsys):

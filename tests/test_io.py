@@ -19,7 +19,13 @@ from hornfill.corpus import (
 )
 from hornfill.errors import InputError
 from hornfill.groupoid import GroupAction
-from hornfill.sset import SimplexRef, SimplicialSet, standard_simplex, subcomplex_of_simplex
+from hornfill.sset import (
+    SimplexRef,
+    SimplicialSet,
+    product,
+    standard_simplex,
+    subcomplex_of_simplex,
+)
 
 
 def _cycle(to_json, from_json, value):
@@ -70,6 +76,63 @@ def test_dumps_refuses_what_it_does_not_write():
     for value in ({1: "a"}, {"a": {(0, 1): 2}}, Fraction(1, 2), [1.5], {"a": SimplexRef("x")}):
         with pytest.raises(TypeError):
             io.dumps(value)
+
+
+def _check_sset_dumps(x):
+    """Check that sset_dumps writes the oracle's bytes or raises its error;
+    the bytes, or None where the oracle raises."""
+    try:
+        want = io.dumps(io.sset_to_json(x))
+    except TypeError as exc:
+        with pytest.raises(TypeError) as got:
+            io.sset_dumps(x)
+        assert str(got.value) == str(exc)
+        return None
+    assert io.sset_dumps(x) == want
+    return want
+
+
+def test_sset_dumps_writes_the_bytes_of_the_generic_writer():
+    sets = [nerve(c, dim_cap=cap).sset for c in all_categories().values() for cap in range(6)]
+    sets += [duskin_nerve(c2, dim_cap=cap).sset
+             for c2 in all_two_categories().values() for cap in range(5)]
+    simplices = [standard_simplex(n) for n in range(5)]
+    horns = [subcomplex_of_simplex(n, "horn", k=k) for n in range(1, 5) for k in range(n + 1)]
+    sets += simplices + horns
+    sets += [product(x, standard_simplex(1)) for x in simplices[:4] + horns[:6]]
+    for x in sets:
+        assert _check_sset_dumps(x) is not None
+    assert any(ref.degs for x in sets for fs in x.gen_faces.values() for ref in fs)
+
+
+def test_sset_dumps_keeps_the_generic_writer_on_odd_sets():
+    ref = SimplexRef
+    vertices = ['q"\\', "\u00e9\u2603\x00\ud800"]
+    texts = set()
+    for x in (
+        # a bool letter, written false; then one equal to the letter 0 beside it
+        SimplicialSet(2, {0: ["v"], 2: ["t"]}, {"t": [ref("v", (False,))] * 3}),
+        SimplicialSet(2, {0: ["v"], 2: ["t", "u"]},
+                      {"t": [ref("v", (False,))] * 3, "u": [ref("v", (0,))] * 3}),
+        # integer generator ids
+        SimplicialSet(2, {0: [0, 1], 1: ["e"], 2: ["t"]},
+                      {"e": [ref(1), ref(0)], "t": [ref(1, (0,)), ref("e"), ref("e")]}),
+        # escapes and non-ASCII characters in names
+        SimplicialSet(1, {0: vertices, 1: ['e"\\\u00ff']},
+                      {'e"\\\u00ff': [ref(vertices[0]), ref(vertices[1])]}),
+        # no faces, no generators, an empty face list
+        SimplicialSet(0, {0: ["v"]}, {}),
+        SimplicialSet(3, {}, {}),
+        SimplicialSet(0, {0: ["v"]}, {"v": []}, check=False),
+    ):
+        texts.add(_check_sset_dumps(x))
+    assert '"deg": [\n          false\n        ]' in "".join(texts)
+    for x in (
+        SimplicialSet(1, {0: ["v"], 1: [7]}, {7: [ref("v"), ref("v")]}),
+        SimplicialSet(2, {0: ["v"], 1: [7], 2: ["t"]},
+                      {7: [ref("v"), ref("v")], "t": [ref(7), ref(7), ref(7)]}),
+    ):
+        assert _check_sset_dumps(x) is None
 
 
 def test_sset_round_trips_byte_identical():

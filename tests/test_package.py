@@ -149,7 +149,8 @@ def test_homomorphism_and_isomorphism_searches_reach_the_one_map_search():
 
 
 def test_every_json_text_goes_through_io_dumps():
-    # io.dumps is the one writer; json.dumps is its oracle in tests/test_io.py
+    # io._write is the one writer, under io.dumps and io.sset_dumps; json.dumps
+    # is their oracle in tests/test_io.py
     writers = {"dump", "dumps"}
     found = []
     for path in sorted(pathlib.Path(hornfill.__file__).parent.rglob("*.py")):

@@ -44,14 +44,14 @@ def _run(script, args):
 
 
 def test_nerve_scaling_prints_counts_time_and_peak():
-    # the time and peak vary from run to run; the counts do not
+    # the times and peak vary from run to run; the counts and JSON sizes do not
     rows = _run("nerve_scaling.py", ["--dim-cap", "3"]).splitlines()
     assert len(rows) == 22 + 7
     assert re.fullmatch(r"bs3 +levels \[1, 6, 36, 216\]  generators \[1, 5, 25, 125\]"
-                        r"  \d+\.\d{4} s  \d+\.\d MB", rows[14]), rows
+                        r"  \d+\.\d{4} s  \d+\.\d MB  json 20247 B  \d+\.\d{4} s", rows[14]), rows
     # the Duskin nerves of the 2-categories follow the categories' nerves
     assert re.fullmatch(r"two_group_c3 +levels \[1, 1, 3, 27\]  generators \[1, 0, 2, 20\]"
-                        r"  \d+\.\d{4} s  \d+\.\d MB", rows[25]), rows
+                        r"  \d+\.\d{4} s  \d+\.\d MB  json 5392 B  \d+\.\d{4} s", rows[25]), rows
     [row] = _run("nerve_scaling.py", ["--dim-cap", "4", "--category", "poset3"]).splitlines()
     assert row.startswith("poset3  levels [4, 10, 20, 35, 56]  generators [4, 6, 4, 1, 0]  ")
     [row] = _run("nerve_scaling.py", ["--dim-cap", "3", "--category", "two_group_c3"]).splitlines()
