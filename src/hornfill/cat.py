@@ -1032,74 +1032,87 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
     with no relations has no finite quotient at all.  Its partial is the
     longest word length whose universe was built.
 
-    The rules are indexed once, each side of a rule to the (vertex, other
-    side) pairs it rewrites to, so a word is rewritten by looking up each
-    of its slices of a side's length; the empty side applies only at its
-    rule's vertex.  The classes do not depend on the order of the unions,
-    as each root is its class's least member.
+    The classes are pi_0 of the quotient groupoid of the universe by the
+    congruence, which is symmetric, so each generating pair is listed
+    once: each rule is indexed from a non-empty side to its other side,
+    and a word is rewritten by looking up each of its slices of a side's
+    length.  A pair whose one side is empty is found from the word holding
+    the other side, and only composable words are in the universe, so no
+    vertex check is needed.  The other side has at most one edge, so a
+    rewritten word is never longer and stays in the universe.  The universe grows one length at a time: the
+    words of each length are built once, and the probe at L + 1, with its
+    classes, becomes the next universe.  The classes do not depend on the
+    order of the unions, as each root is its class's least member.
     """
     verts = list(x.generators(0))
     edges = list(x.generators(1))
     esrc = {e: x.gen_faces[e][1].gen for e in edges}
     etgt = {e: x.gen_faces[e][0].gen for e in edges}
-    rules = []
+    rewrites = {}
     for g in x.generators(2):
         f0, f1, f2 = (x.gen_faces[g][i] for i in range(3))
         lhs = _edge_word(f2) + _edge_word(f0)
         rhs = _edge_word(f1)
         if lhs != rhs:
-            rules.append((_vertex_of(x, f2), lhs, rhs))
+            a, b = (lhs, rhs) if lhs else (rhs, lhs)
+            rewrites.setdefault(a, []).append(b)
+    side_lengths = sorted({len(a) for a in rewrites})
 
     def word_tgt(w):
         v, es = w
         return v if not es else etgt[es[-1]]
 
-    def grow(upto):
-        words = [[(v, ()) for v in verts]]
-        total = len(verts)
-        for _ in range(upto):
-            nxt = []
-            for w in words[-1]:
-                for e in edges:
-                    if esrc[e] == word_tgt(w):
-                        nxt.append((w[0], w[1] + (e,)))
-            total += len(nxt)
-            if total > path_budget:
-                raise CapacityError(
-                    f"path universe exceeded budget {path_budget};"
-                    " the quotient category may be infinite",
-                    partial=len(words) - 1,
-                )
-            words.append(nxt)
-        return [w for level in words for w in level]
+    # words in order of length, each length in order of growth; sizes[k]
+    # counts the words of length at most k
+    words = [(v, ()) for v in verts]
+    index = {w: i for i, w in enumerate(words)}
+    sizes = [len(words)]
 
-    def vertex_at(w, p):
-        v, es = w
-        return v if p == 0 else etgt[es[p - 1]]
+    def grow():
+        k = len(sizes)
+        last = words[sizes[-2] if k > 1 else 0 :]
+        nxt = [(w[0], w[1] + (e,)) for w in last for e in edges if esrc[e] == word_tgt(w)]
+        if len(words) + len(nxt) > path_budget:
+            raise CapacityError(
+                f"path universe exceeded budget {path_budget};"
+                " the quotient category may be infinite",
+                partial=k - 1,
+            )
+        for w in nxt:
+            index[w] = len(words)
+            words.append(w)
+        sizes.append(len(words))
 
-    rewrites = {}
-    for v, lhs, rhs in rules:
-        rewrites.setdefault(lhs, []).append((v, rhs))
-        rewrites.setdefault(rhs, []).append((v, lhs))
-    side_lengths = sorted({len(a) for a in rewrites})
-
-    def congruence(universe):
-        index = {w: i for i, w in enumerate(universe)}
-        classes = UnionFind(range(len(universe)))
-        for i, w in enumerate(universe):
-            v0, es = w
+    def congruence(n):
+        classes = UnionFind(range(n))
+        for i in range(n):
+            v0, es = words[i]
             for la in side_lengths:
                 for p in range(len(es) - la + 1):
-                    for v, b in rewrites.get(es[p : p + la], ()):
-                        # the empty side stands for the identity at v only
-                        if la == 0 and vertex_at(w, p) != v:
-                            continue
+                    for b in rewrites.get(es[p : p + la], ()):
                         j = index.get((v0, es[:p] + b + es[p + la :]))
                         if j is not None:
                             classes.union(i, j)
-        return index, classes.find, classes.classes
+        return classes
 
-    length = 2
+    def composites_of(classes, find, n):
+        """{(r1, r2): class of the gluings} over composable class pairs, or
+        None when a pair has no in-universe gluing, or one that depends on
+        the representatives: that just needs a longer bound."""
+        composites = {}
+        for r1, ws1 in classes.items():
+            for r2, ws2 in classes.items():
+                if word_tgt(min(ws1)) != min(ws2)[0]:
+                    continue
+                glued = (index.get((w1[0], w1[1] + w2[1]), n)
+                         for w1 in ws1 for w2 in ws2 if word_tgt(w1) == w2[0])
+                found = {find(j) for j in glued if j < n}
+                if len(found) != 1:
+                    return None
+                composites[(r1, r2)] = found.pop()
+        return composites
+
+    length, probe = 2, None
     while True:
         if length > max_length:
             raise CapacityError(
@@ -1107,50 +1120,21 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
                 " the quotient category may be infinite",
                 partial=length,
             )
-        universe = grow(length)
-        index, find, classes_of = congruence(universe)
-        probe = grow(length + 1)
-        pindex, pfind, _ = congruence(probe)
-        stable = True
+        while len(sizes) < length + 2:
+            grow()
+        n = sizes[length]
+        universe = congruence(n) if probe is None else probe
+        probe = congruence(sizes[length + 1])
+        find, pfind = universe.find, probe.find
+        # stable: no probe class joins two universe classes, and each word
+        # of length + 1 is in a probe class that meets the universe
         seen = {}
-        for w in universe:
-            r = pfind(pindex[w])
-            s = find(index[w])
-            if r in seen and seen[r] != s:
-                stable = False
-                break
-            seen[r] = s
-        if stable:
-            for w in probe:
-                if len(w[1]) == length + 1 and pfind(pindex[w]) not in seen:
-                    stable = False
-                    break
-        composites = {}
-        if stable:
-            # universe[i] is the word of index i
-            classes = {r: [universe[i] for i in ws] for r, ws in classes_of().items()}
-            ok = True
-            for r1, ws1 in classes.items():
-                for r2, ws2 in classes.items():
-                    if word_tgt(min(ws1)) != min(ws2)[0]:
-                        continue
-                    found = set()
-                    for w1 in ws1:
-                        for w2 in ws2:
-                            if word_tgt(w1) != w2[0]:
-                                continue
-                            glued = (w1[0], w1[1] + w2[1])
-                            if glued in index:
-                                found.add(find(index[glued]))
-                    # a class pair with no in-universe gluing, or with a
-                    # representative-dependent one, just needs a longer bound
-                    if len(found) != 1:
-                        ok = False
-                        break
-                    composites[(r1, r2)] = next(iter(found))
-                if not ok:
-                    break
-            if ok:
+        if all(seen.setdefault(pfind(i), find(i)) == find(i) for i in range(n)) and all(
+            pfind(i) in seen for i in range(n, sizes[length + 1])
+        ):
+            classes = {r: [words[i] for i in ws] for r, ws in universe.classes().items()}
+            composites = composites_of(classes, find, n)
+            if composites is not None:
                 break
         length += 1
 
@@ -1165,22 +1149,11 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
     if len(set(names.values())) != len(names):
         raise ConsistencyError("path class naming collided")
     mor = {names[r]: (reps[r][0], word_tgt(reps[r])) for r in classes}
-    identity = {}
-    for v in verts:
-        identity[v] = names[find(index[(v, ())])]
-    table = {}
-    for (r1, r2), r in composites.items():
-        table[(names[r2], names[r1])] = names[r]
+    identity = {v: names[find(index[(v, ())])] for v in verts}
+    table = {(names[r2], names[r1]): names[r] for (r1, r2), r in composites.items()}
     cat = FiniteCategory(verts, mor, identity, table)
     mor_of_edge = {e: names[find(index[(esrc[e], (e,))])] for e in edges}
     return PathCategoryResult(cat, {v: v for v in verts}, mor_of_edge, length)
-
-
-def _vertex_of(x, ref):
-    """Source vertex of a possibly-degenerate edge reference."""
-    if ref.degs:
-        return ref.gen
-    return x.gen_faces[ref.gen][1].gen
 
 
 # -- homotopy category of a weak Kan complex ------------------------------------
@@ -1284,11 +1257,19 @@ def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
     the cylinder), e.g. to carve out path components of the space of maps.
     Faces and degeneracies precompose with the evident cylinder inclusions
     and collapses.  Returns a LevelModel, whose level n holds the maps in
-    the order `enumerate_maps` finds them, as SimplicialMap values; the
-    rows are checked as a caller's are (`check`).
+    the order `enumerate_maps` finds them, as SimplicialMap values.
     The target's dim_cap must be at least the source's: maps are only
     enumerated up to y.dim_cap, so the faces of a cylinder map could not
     be found otherwise.
+
+    The LevelModel skips the row checks.  Each row sends f to f o (id * alpha)
+    for a coface or codegeneracy alpha, which is a map of the cylinder of
+    the level below or above, and level n holds every map of its cylinder:
+    the pins hold too, as id * alpha sends a pinned vertex (v, j) to the
+    pinned vertex (v, alpha(j)).  So every entry is in range.
+    Precomposition is functorial, f o (id * alpha) o (id * beta) =
+    f o (id * alpha beta), so the cosimplicial identities of the alphas
+    give the simplicial identities of the rows.
     """
     if y.dim_cap < x.dim_cap:
         raise InputError(
@@ -1368,4 +1349,4 @@ def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
         )
         return f"map{n}[{sig}]"
 
-    return LevelModel(dim_cap, levels, faces, degs, namer=namer)
+    return LevelModel(dim_cap, levels, faces, degs, namer=namer, check=False)

@@ -16,11 +16,12 @@ and the comparison functor from F(B) to the groupoid of descent data
 cocycle and normalization conditions) is an equivalence.
 
 The fibre powers are the levels of one Cech nerve of pi, and the site
-maps are its integer rows.  Elements and morphisms are tuples over a
-level's positions, restricted by one gather through a row.  Values on
-large fibre powers are never enumerated: the gluing over E x_B E is
-searched entry by entry (sset._backtrack), and beyond that only single
-elements are built.
+maps are its integer rows.  The nerve is built through E^3 for the
+sheaf, descent and stack checks, and through E^4 only for the truncation
+checks.  Elements and morphisms are tuples over a level's positions,
+restricted by one gather through a row.  Values on large fibre powers
+are never enumerated: the gluing over E x_B E is searched entry by entry
+(sset._backtrack), and beyond that only single elements are built.
 For the presheaf of G-valued cochains the descent groupoid is handled
 in skeletal form, fibre by fibre: the cochain group G^E and the set of
 cocycles are products over the fibres of pi, so each fibre gets its
@@ -104,33 +105,49 @@ class Cover:
             out[self.pi[x]].append(x)
         return {v: tuple(xs) for v, xs in out.items()}
 
-    @cached_property
-    def nerve(self):
-        """The Cech nerve of pi through level 3, E^4, built on first use."""
-        return cech_nerve(FinMap(self.e, self.b, self.pi), level_cap=3)
+    def _nerve(self, level):
+        """The Cech nerve of pi through `level`, built on first use; one
+        built deeper before serves, as the levels below agree."""
+        nerve = self.__dict__.get("_cech")
+        if nerve is None or nerve.level_cap < level:
+            nerve = cech_nerve(FinMap(self.e, self.b, self.pi), level_cap=level)
+            self.__dict__["_cech"] = nerve
+        return nerve
 
-    @cached_property
-    def sites(self):
+    @property
+    def nerve(self):
+        """The Cech nerve of pi through level 3, E^4.  The descent searches
+        read only E, E^2 and E^3, and build it through level 2."""
+        return self._nerve(3)
+
+    def _site(self, n):
         """E^(n+1) as a site object at n <= 3: level n of the nerve, with
         points bare on E.  Functions on E are listed in the order of self.e,
         on E^(n+1) in the sorted order of the (n+1)-tuples."""
-        levels = self.nerve.levels
-        e = tuple(x for (x,) in levels[0])
-        at = dict(zip(e, range(len(e))))
-        sites = [_Site(e, [at[x] for x in self.e])]
-        for level in levels[1:]:
-            sites.append(_Site(level, sorted(range(len(level)), key=level.__getitem__)))
-        return sites
+        sites = self.__dict__.setdefault("_sites", {})
+        if n not in sites:
+            level = self._nerve(max(n, 2)).levels[n]
+            if n:
+                sites[n] = _Site(level, sorted(range(len(level)), key=level.__getitem__))
+            else:
+                at = {x: p for p, (x,) in enumerate(level)}
+                sites[n] = _Site(tuple(x for (x,) in level), [at[x] for x in self.e])
+        return sites[n]
+
+    @property
+    def sites(self):
+        """The site objects E^(n+1) at n <= 3."""
+        return [self._site(n) for n in range(4)]
 
     def anchor(self):
         """Site map E -> B, as (row, cod)."""
         at = dict(zip(self.b, range(len(self.b))))
-        return [at[self.pi[x]] for x in self.sites[0]], _Base(self.b)
+        return [at[self.pi[x]] for x in self._site(0)], _Base(self.b)
 
     def part_maps(self):
         """Each part, or E alone when the cover is not split, as a site
         object with its inclusion row into E."""
-        e = self.sites[0]
+        e = self._site(0)
         at = dict(zip(e, range(len(e))))
         parts = (e,) if self.parts is None else self.parts
         return [(_Site(part), [at[x] for x in part]) for part in parts]
@@ -295,7 +312,7 @@ class SheafReport:
 
 def check_sheaf_sets(presheaf, cover):
     """Both sheaf conditions for a set-valued presheaf on a cover."""
-    e = cover.sites[0]
+    e = cover._site(0)
     fe = presheaf.value(e)
     witness = ""
 
@@ -321,7 +338,7 @@ def check_sheaf_sets(presheaf, cover):
                 f"parts: {len(seen)} of {expected} part-families are glued"
             )
 
-    pr1, pr2 = (cover.nerve.restriction_table(1, (v,)) for v in (0, 1))
+    pr1, pr2 = (cover._nerve(2).restriction_table(1, (v,)) for v in (0, 1))
     eq = [
         a for a in fe if presheaf.restrict(pr1, e, a) == presheaf.restrict(pr2, e, a)
     ]
@@ -376,12 +393,12 @@ def truncation_agreement_sets(presheaf, cover):
     agree.  Levels beyond the first are redundant for set-valued presheaves;
     this makes that concrete instead of assuming it.
     """
-    e = cover.sites[0]
+    e = cover._site(0)
     sizes = {}
     survivors = list(presheaf.value(e))
     for level in (1, 2, 3):
         # E^(level+1) -> E onto each coordinate
-        rows = [cover.nerve.restriction_table(level, (v,)) for v in range(level + 1)]
+        rows = [cover._nerve(3).restriction_table(level, (v,)) for v in range(level + 1)]
         survivors = [
             a for a in survivors
             if len({presheaf.restrict(row, e, a) for row in rows}) == 1
@@ -581,8 +598,8 @@ def _descent_objects(presheaf, cover, budget):
     phi[d1 t], phi[d2 t] for t over E^3) is checked once all three are
     set.  Each value tried is one trial, and one budget covers every a:
     past it a CapacityError carries the gluings found as partial."""
-    nerve, mul = cover.nerve, presheaf.mul
-    e, e2 = cover.sites[0], cover.sites[1]
+    nerve, mul = cover._nerve(2), presheaf.mul
+    e, e2 = cover._site(0), cover._site(1)
     diag = presheaf.mor_row(nerve.degs[0][0], e2)
     triples = dict.fromkeys(zip(*(presheaf.mor_row(row, e2) for row in nerve.faces[2])))
     out = []
@@ -641,8 +658,8 @@ def _descent_morphisms(presheaf, cover, objects, budget, spent=0):
     phi_j o (d1*h).  Each side is computed once per (i, h) and per (j, h).
     Each candidate h is one trial, `spent` already used; past `budget` a
     CapacityError carries the triples found as partial."""
-    e, e2 = cover.sites[0], cover.sites[1]
-    d0, d1 = cover.nerve.faces[1][0], cover.nerve.faces[1][1]
+    e, e2 = cover._site(0), cover._site(1)
+    d0, d1 = cover._nerve(2).faces[1][:2]
     morphism_data = {}
     # left[(i, a2)][k] and right[(j, a)][k] belong to the k-th h of homs(a, a2)
     left, right = {}, {}
@@ -682,7 +699,7 @@ def descent_groupoid(presheaf, cover, budget=DEFAULT_BUDGET):
     morphism search's candidates; a CapacityError carries the gluings (in
     the morphism search, the morphisms) found so far as partial.
     """
-    e = cover.sites[0]
+    e = cover._site(0)
     objects, spent = _descent_objects(presheaf, cover, budget)
     morphism_data = _descent_morphisms(presheaf, cover, objects, budget, spent)
     triples = set(morphism_data.values())
@@ -723,7 +740,7 @@ class StackReport:
 
 def _products_condition(presheaf, cover, budget):
     """Is F(E) -> prod over parts an equivalence (for groupoid values)?"""
-    e = cover.sites[0]
+    e = cover._site(0)
     part_maps = cover.part_maps()
     parts = [p for p, _ in part_maps]
     objs_e = presheaf.objects(e)
@@ -799,9 +816,9 @@ def check_stack_groupoids(presheaf, cover, budget=DEFAULT_BUDGET):
     """
     products_ok, witness = _products_condition(presheaf, cover, budget)
     desc = descent_groupoid(presheaf, cover, budget)
-    e2 = cover.sites[1]
+    e2 = cover._site(1)
     anchor, b = cover.anchor()
-    anchor2 = [anchor[p] for p in cover.nerve.restriction_table(1, (0,))]
+    anchor2 = [anchor[p] for p in cover._nerve(2).restriction_table(1, (0,))]
     base_objs = presheaf.objects(b)
     obj_index = {pair: i for i, pair in enumerate(desc.object_data)}
     images = []
@@ -1033,14 +1050,14 @@ class _CechCensus:
     _Fibre is the one the group keeps for that fibre size.  The budget caps
     the candidates enumerated, that is fibre cocycles, stabilizer
     candidates (|G| per stabilizer) and any product list built on top, and
-    is charged as if each _Fibre were built anew; CapacityError.partial is
-    the number of fibres done.
+    is charged as if each _Fibre were built anew, `spent` already used;
+    CapacityError.partial is the number of fibres done.
     """
 
-    def __init__(self, group, cover, budget):
+    def __init__(self, group, cover, budget, spent=0):
         self.ig = ig = _int_group(group)
         self.budget = budget
-        self.spent = 0
+        self.spent = spent
         self.fibres = []
         self.points = list(cover.fibers().values())
         for points in self.points:
@@ -1236,7 +1253,9 @@ def refinement_invariance(group, cover, refined, r, budget=DEFAULT_BUDGET):
     surjective (on coboundary orbits) and fully faithful (on stabilizers
     of the trivial cocycle), and the two skeletal censuses are compared.
     r sends each refined fibre into the original fibre over the same base
-    point, so both checks run fibre by fibre on the two censuses.
+    point, so both checks run fibre by fibre on the two censuses.  One
+    budget covers the call: the refined census continues from the
+    candidates the first one spent.
     """
     if tuple(refined.b) != tuple(cover.b):
         raise InputError("refinement must keep the base")
@@ -1248,7 +1267,7 @@ def refinement_invariance(group, cover, refined, r, budget=DEFAULT_BUDGET):
         if cover.pi[r[x]] != refined.pi[x]:
             raise InputError(f"r does not commute with the projections at {x}")
     census = _CechCensus(group, cover, budget)
-    census2 = _CechCensus(group, refined, budget)
+    census2 = _CechCensus(group, refined, budget, census.spent)
     ess = ff = True
     for fi, (f, f2) in enumerate(zip(census.fibres, census2.fibres)):
         at = {x: i for i, x in enumerate(census.points[fi])}
@@ -1303,9 +1322,9 @@ def truncation_agreement_groupoids(presheaf, cover, budget=DEFAULT_BUDGET):
     dropped.  No morphism is searched and no composition table is built.
     """
     objects = _descent_objects(presheaf, cover, budget)[0]
-    e2, e4 = cover.sites[1], cover.sites[3]
+    e2, e4 = cover._site(1), cover._site(3)
     projections = {
-        (p, q): cover.nerve.restriction_table(3, (p, q))
+        (p, q): cover._nerve(3).restriction_table(3, (p, q))
         for p in range(4) for q in range(p + 1, 4)
     }
     kept = sum(

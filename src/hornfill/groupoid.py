@@ -112,13 +112,6 @@ class FiniteGroup:
     def order(self):
         return len(self.elements)
 
-    def element_order(self, a):
-        e, x, n = self.identity(), a, 1
-        while x != e:
-            x = self.mul[(x, a)]
-            n += 1
-        return n
-
     def generated_by(self, seed):
         out = {self.identity()}
         frontier = list(out)

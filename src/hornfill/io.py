@@ -144,9 +144,11 @@ def sset_dumps(x):
     over and over, so each ref is written by `_write` at the face-list
     indent the first time it occurs and its text is reused after that.
     The texts are keyed by the ref's identity, not its value: SimplexRef
-    equality is the tuple's, so a letter False equals a letter 0 and
-    would share its text, while `dumps` writes `false`.  A nerve, a Duskin
-    nerve and a loaded set hold one object per distinct ref."""
+    equality is the tuple's, so a ref to a generator True equals a ref to
+    a generator 1 and would share its text, while `dumps` writes `true`.
+    (A degeneracy letter False is written 0 by `SimplexRef.to_json`, so
+    it loads back.)  A nerve, a Duskin nerve and a loaded set hold one
+    object per distinct ref."""
     gens = _generators_json(x)
     out = ['{\n  "dim_cap": ']
     _write(x.dim_cap, "\n  ", out)

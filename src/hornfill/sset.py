@@ -46,7 +46,8 @@ class SimplexRef(namedtuple("SimplexRef", ("gen", "degs"), defaults=((),))):
     """A simplex in normal form: degeneracy word over a generator.
 
     A plain tuple (gen, degs) underneath, so equality, hashing and order
-    are the tuple's and run in C.
+    are the tuple's and run in C.  A letter False equals the letter 0, so
+    letters are written and printed as ints.
     """
 
     __slots__ = ()
@@ -54,12 +55,12 @@ class SimplexRef(namedtuple("SimplexRef", ("gen", "degs"), defaults=((),))):
     def __str__(self):
         if not self.degs:
             return self.gen
-        return self.gen + "".join(f".s{j}" for j in self.degs)
+        return self.gen + "".join(f".s{j:d}" for j in self.degs)
 
     def to_json(self):
         if not self.degs:
             return self.gen
-        return {"gen": self.gen, "deg": list(self.degs)}
+        return {"gen": self.gen, "deg": list(map(int, self.degs))}
 
     @staticmethod
     def from_json(obj):

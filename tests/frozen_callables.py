@@ -10,10 +10,13 @@ deg, namer) for a level model.
 
 Then come the searches that group isomorphism and the corpus's group
 actions ran beside the one map search, kept verbatim apart from their
-names as its oracles: generator images expanded along words.  Last is
-`fundamental_category` as it was when its congruence scanned every rule
-at every position of every word, kept verbatim apart from its name as
-the oracle of the rule lookup that replaced the scan.
+names as its oracles: generator images expanded along words, pruned by
+`element_order`, which lives here as only these oracles and the tests
+call it.  Last is `fundamental_category` as it was when its congruence
+scanned every rule, both ways, at every position of every word, with the
+`_vertex_of` it read the empty side's vertex through; it is kept verbatim
+apart from its name as the oracle of the one-sided rule index that
+replaced the scan.
 """
 
 import itertools
@@ -25,7 +28,6 @@ from hornfill.cat import (
     _cells_in_order,
     _edge_word,
     _tetra_holds,
-    _vertex_of,
 )
 from hornfill.config import DEFAULT_BUDGET, DEFAULT_PATH_BUDGET
 from hornfill.errors import CapacityError, ConsistencyError, ValidationError
@@ -475,6 +477,15 @@ def evaluate_word(group, images, word):
     return val
 
 
+def element_order(group, a):
+    """The least n >= 1 with a^n the identity."""
+    e, x, n = group.identity(), a, 1
+    while x != e:
+        x = group.mul[(x, a)]
+        n += 1
+    return n
+
+
 def oracle_groups_isomorphic(g, h, budget=DEFAULT_BUDGET):
     """An isomorphism as a dict, or None.  Exhaustive over generator images,
     pruned by element orders; every candidate is verified on the full table.
@@ -482,7 +493,8 @@ def oracle_groups_isomorphic(g, h, budget=DEFAULT_BUDGET):
     budget ran out as partial."""
     if g.order() != h.order():
         return None
-    if sorted(map(g.element_order, g.elements)) != sorted(map(h.element_order, h.elements)):
+    if sorted(element_order(g, a) for a in g.elements) != sorted(
+            element_order(h, b) for b in h.elements):
         return None
     gens, expr = word_table(g)
     nodes = 0
@@ -501,9 +513,9 @@ def oracle_groups_isomorphic(g, h, budget=DEFAULT_BUDGET):
         nonlocal nodes
         if i == len(gens):
             return build(images)
-        want = g.element_order(gens[i])
+        want = element_order(g, gens[i])
         for y in h.elements:
-            if h.element_order(y) != want:
+            if element_order(h, y) != want:
                 continue
             nodes += 1
             if nodes > budget:
@@ -545,6 +557,13 @@ def oracle_all_actions(group, n_points):
 
 
 # -- the path category's rule scan ------------------------------------------------
+
+def _vertex_of(x, ref):
+    """Source vertex of a possibly-degenerate edge reference."""
+    if ref.degs:
+        return ref.gen
+    return x.gen_faces[ref.gen][1].gen
+
 
 def oracle_fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
     """Free category on the edges of x modulo its triangle relations.

@@ -468,7 +468,11 @@ def test_fundamental_category_matches_the_rule_scan_it_replaced():
     ))
     outcomes = set()
     for x in sets:
-        for bounds in ({}, {"path_budget": 30}, {"max_length": 2}):
+        for bounds in (
+            {}, {"path_budget": 30}, {"max_length": 2},
+            # the length bound is refused before any word is built
+            {"max_length": 1}, {"max_length": 1, "path_budget": 1}, {"path_budget": 2},
+        ):
             want = _path_category_or_partial(oracle_fundamental_category, x, **bounds)
             assert _path_category_or_partial(fundamental_category, x, **bounds) == want
             outcomes.add(want[0] == "capacity")

@@ -14,6 +14,7 @@ from hornfill.corpus import (
     cover_shapes,
     refine_cover,
 )
+from hornfill import descent
 from hornfill.descent import (
     CechSkeletonReport,
     ConstantBGPresheaf,
@@ -656,6 +657,18 @@ def test_census_budget_counts_candidates_and_reports_fibres_done():
     assert len(cech_cocycles(g, cover, budget=66 + 216)[0]) == 216
 
 
+def test_refinement_invariance_spends_one_budget_over_both_censuses():
+    # C3 on (2,): 3 cocycles + 3 * 2 stabilizer candidates; refined to (3,):
+    # 9 + 3 * 2, so the call spends 9 + 15 = 24
+    g, cover = GROUPS["c3"], cover_of_shape((2,))
+    refined, r = refine_cover(cover, {"b0": 1})
+    with pytest.raises(CapacityError, match="budget 23 at stabilizer candidates") as info:
+        refinement_invariance(g, cover, refined, r, budget=23)
+    assert info.value.partial == 0
+    rep = refinement_invariance(g, cover, refined, r, budget=24)
+    assert rep.restriction_is_equivalence and rep.skeletons_agree
+
+
 def _fresh(group):
     """A copy of the group rebuilt from its elements and table, with no
     fibre census kept yet."""
@@ -1179,6 +1192,35 @@ def test_gluing_search_past_the_recursion_limit():
     presheaf, cover = torsor_presheaf(GROUPS["c1"]), cover_of_shape((33,))
     assert check_stack_groupoids(presheaf, cover).is_stack
     assert truncation_agreement_groupoids(presheaf, cover).sizes == {2: 1, 3: 1}
+
+
+def test_the_stack_check_builds_the_cech_nerve_through_e3_only(monkeypatch):
+    # E^4 of one 33-point fibre has 33^4 = 1,185,921 tuples, and neither the
+    # gluing search nor the morphism search reads them
+    caps = []
+    build = descent.cech_nerve
+
+    def recording(pi, level_cap):
+        caps.append(level_cap)
+        return build(pi, level_cap=level_cap)
+
+    monkeypatch.setattr(descent, "cech_nerve", recording)
+    presheaf, cover = torsor_presheaf(GROUPS["c1"]), cover_of_shape((33,))
+    assert check_stack_groupoids(presheaf, cover) == StackReport(
+        products_ok=True, essentially_surjective=True, fully_faithful=True, is_stack=True,
+        base_objects=1, descent_objects=1, descent_components=1, witness="",
+    )
+    assert caps == [2]
+    # the truncation check reads E^4: on a cover the stack check used, it
+    # builds the nerve again one level deeper, and agrees with a fresh cover
+    presheaf, cover = torsor_presheaf(GROUPS["c3"]), cover_of_shape((3, 2))
+    want = truncation_agreement_groupoids(presheaf, cover_of_shape((3, 2)))
+    caps.clear()
+    check_stack_groupoids(presheaf, cover)
+    assert truncation_agreement_groupoids(presheaf, cover) == want
+    assert caps == [2, 3]
+    assert [len(site) for site in cover.sites] == [5, 13, 35, 97]
+    assert caps == [2, 3]
 
 
 def _traced(call):

@@ -59,6 +59,7 @@ from frozen_callables import (
     bar_callables,
     callables_of,
     cech_callables,
+    element_order,
     in_order_of,
     nerve_callables,
     oracle_all_actions,
@@ -82,8 +83,8 @@ def test_symmetric_group_composes_right_to_left():
     s3 = symmetric_group(3)
     # permutations as digit strings: value at position i is the image of i
     assert s3.mul[("120", "021")] == "102"  # first swap 1,2 then rotate
-    assert s3.element_order("120") == 3
-    assert s3.element_order("021") == 2
+    assert element_order(s3, "120") == 3
+    assert element_order(s3, "021") == 2
 
 
 def test_group_isomorphism_classifier():

@@ -110,7 +110,7 @@ def test_sset_dumps_keeps_the_generic_writer_on_odd_sets():
     vertices = ['q"\\', "\u00e9\u2603\x00\ud800"]
     texts = set()
     for x in (
-        # a bool letter, written false; then one equal to the letter 0 beside it
+        # a bool letter, written 0; then one equal to the letter 0 beside it
         SimplicialSet(2, {0: ["v"], 2: ["t"]}, {"t": [ref("v", (False,))] * 3}),
         SimplicialSet(2, {0: ["v"], 2: ["t", "u"]},
                       {"t": [ref("v", (False,))] * 3, "u": [ref("v", (0,))] * 3}),
@@ -126,13 +126,23 @@ def test_sset_dumps_keeps_the_generic_writer_on_odd_sets():
         SimplicialSet(0, {0: ["v"]}, {"v": []}, check=False),
     ):
         texts.add(_check_sset_dumps(x))
-    assert '"deg": [\n          false\n        ]' in "".join(texts)
+    assert '"deg": [\n          0\n        ]' in "".join(texts)
+    assert "false" not in "".join(texts)
     for x in (
         SimplicialSet(1, {0: ["v"], 1: [7]}, {7: [ref("v"), ref("v")]}),
         SimplicialSet(2, {0: ["v"], 1: [7], 2: ["t"]},
                       {7: [ref("v"), ref("v")], "t": [ref(7), ref(7), ref(7)]}),
     ):
         assert _check_sset_dumps(x) is None
+
+
+def test_a_bool_degeneracy_letter_is_written_and_printed_as_an_int():
+    x = SimplicialSet(2, {0: ["v"], 2: ["t"]}, {"t": [SimplexRef("v", (False,))] * 3})
+    again = io.sset_from_json(json.loads(io.sset_dumps(x)))
+    assert again == x
+    assert [type(j) for ref in again.gen_faces["t"] for j in ref.degs] == [int] * 3
+    assert io.sset_dumps(again) == io.sset_dumps(x)
+    assert str(x.gen_faces["t"][0]) == "v.s0"
 
 
 def test_sset_round_trips_byte_identical():

@@ -69,7 +69,8 @@ def test_unchecked_level_tables_are_frozen():
                 unchecked.add(f"{path.name}:{owner}")
     assert unchecked == {"sset.py:SimplicialSet._level_zero", "sset.py:LevelModel.__init__",
                          "cat.py:_duskin_table", "cat.py:nerve", "cat.py:NerveResult.model",
-                         "cat.py:duskin_nerve", "sset.py:product_structure",
+                         "cat.py:duskin_nerve", "cat.py:mapping_space",
+                         "sset.py:product_structure",
                          "groupoid.py:cech_nerve",
                          "groupoid.py:action_bar_object"}
 

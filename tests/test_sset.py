@@ -501,6 +501,36 @@ def test_product_rows_pass_the_checks_they_skip():
     assert len(pairs) == 26 * 4 + 22 * 4
 
 
+def test_mapping_space_rows_pass_the_checks_they_skip():
+    # mapping_space builds its LevelModel unchecked, on the proof in its
+    # docstring: for standard simplices and a horn mapped into the corpus
+    # nerves and Duskin nerves, pinned or not, the rows it hands over pass
+    # the row checks and the simplicial identities, and the checked route
+    # presents the same set the same way.  Cases whose map search passes
+    # 2,000 trials are left out to keep the sweep short.
+    sources = [standard_simplex(n, dim_cap=n) for n in range(3)]
+    sources.append(subcomplex_of_simplex(2, "horn", k=1, dim_cap=2))
+    targets = [nerve(c, dim_cap=2).sset for c in all_categories().values()]
+    targets += [duskin_nerve(c2, dim_cap=2).sset for c2 in all_two_categories().values()]
+    compared = refused = 0
+    for x, y, cap in itertools.product(sources, targets, range(3)):
+        for pin in (None, {"0": SimplexRef(next(iter(y.generators(0))))}):
+            with _recorded_level_models() as built:
+                try:
+                    model = mapping_space(x, y, dim_cap=cap, pin=pin, budget=2_000)
+                except CapacityError:
+                    refused += 1
+                    continue
+            [(recorded, (_, levels, *_, namer), (faces, degs))] = built[-1:]
+            assert recorded is model
+            checked = LevelModel(cap, levels, faces, degs, namer, check=True)
+            assert (model.faces, model.degs) == (checked.faces, checked.degs)
+            assert model.sset == checked.sset, (x, y, cap, pin)
+            assert (model.ref_of, model.elem_of_gen) == (checked.ref_of, checked.elem_of_gen)
+            compared += 1
+    assert (compared, refused) == (540, 156)
+
+
 # -- SimplexRef against the frozen dataclass it was ------------------------------
 
 
