@@ -10,7 +10,8 @@ and 2-cells carry vertical and horizontal composition satisfying the
 middle-four interchange.  Their nerve remembers composition up to a
 chosen 2-cell witness per triangle and is 3-coskeletal (Duskin, TAC
 2002), so levels >= 3 come from the boundary join that the horn census
-also runs (`SimplicialObject.join`).
+also runs (`SimplicialObject.join`), over the table of the set built one
+level below; the tuples that are not s_j of an entry are the generators.
 
 `FiniteCategory.validate` is the one checker of composition laws:
 identities (one per object, keyed by objects only), a table entry for
@@ -48,15 +49,14 @@ instance by instance rather than assumed).
 
 import functools
 import itertools
-import operator
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .config import DEFAULT_BUDGET, DEFAULT_DIM_CAP, DEFAULT_PATH_BUDGET
 from .errors import CapacityError, ConsistencyError, InputError, ValidationError
 from .sset import (
     LevelModel,
     SimplexRef,
-    SimplicialObject,
     SimplicialSet,
     check_level_cap,
     enumerate_maps,
@@ -602,28 +602,30 @@ def nerve(c, dim_cap=DEFAULT_DIM_CAP):
             columns.append(map(lookup.__getitem__, row))
         gen_faces.update(zip(names[n], zip(*columns)))
         refs = list(map(SimplexRef, names[n]))
-    if len(set(itertools.chain.from_iterable(names))) < sum(map(len, names)):
-        _refuse_collision(objects, arrows, names, parent, last)
-    generators = dict(enumerate(names))
-    return NerveResult(SimplicialSet(dim_cap, generators, gen_faces, check=False), c)
-
-
-def _refuse_collision(objects, arrows, names, parent, last):
-    """Raise for the first name of a nerve simplex, in level order, that
-    an earlier one has, naming both simplices as the LevelModel did."""
 
     def string(n, p):
         if n == 0:
             return objects[p]
         return (string(n - 1, parent[n][p]) if n > 1 else ()) + (arrows[last[n][p]],)
 
+    _refuse_collision(names, string)
+    generators = dict(enumerate(names))
+    return NerveResult(SimplicialSet(dim_cap, generators, gen_faces, check=False), c)
+
+
+def _refuse_collision(names, element):
+    """Raise for the first name of a simplex, in level order, that an
+    earlier one has, if any, naming both simplices as the LevelModel did:
+    element(n, p) is the simplex named names[n][p]."""
+    if len(set(itertools.chain.from_iterable(names))) == sum(map(len, names)):
+        return
     seen = {}
     for n, level in enumerate(names):
         for p, name in enumerate(level):
             if name in seen:
                 m, q = seen[name]
-                raise InputError(f"level namer collision at {name!r}: {string(m, q)!r}"
-                                 f" at level {m} and {string(n, p)!r} at level {n}")
+                raise InputError(f"level namer collision at {name!r}: {element(m, q)!r}"
+                                 f" at level {m} and {element(n, p)!r} at level {n}")
             seen[name] = n, p
 
 
@@ -650,6 +652,7 @@ class Finite2Category:
         self.vcompose = dict(vcompose)
         self.hcompose = dict(hcompose)
         self._two_hom = {}
+        self._checked = False  # a validate passed; the data are not changed after
         if check:
             self.validate()
 
@@ -706,6 +709,7 @@ class Finite2Category:
                     raise ValidationError(
                         f"interchange fails at ({b2!r},{b1!r}) * ({a2!r},{a1!r})"
                     )
+        self._checked = True
 
     def __repr__(self):
         return (
@@ -731,6 +735,8 @@ def two_category_from_category(c):
 
 def one_object_two_group(a_group):
     """One object, one 1-cell, 2-cells an abelian group under both compositions."""
+    if not a_group.one_object_category()._checked:
+        a_group.validate()
     two = {f"a{x}": ("1", "1") for x in a_group.elements}
     comp = {
         (f"a{y}", f"a{x}"): f"a{a_group.mul[(y, x)]}"
@@ -749,6 +755,9 @@ def split_two_group(g_group, a_group):
     Horizontal composition multiplies both coordinates; the action of G on
     A is trivial, so interchange reduces to commutativity of A.
     """
+    for group in (g_group, a_group):
+        if not group.one_object_category()._checked:
+            group.validate()
     ones = {f"g{x}": ("*", "*") for x in g_group.elements}
     comp = {
         (f"g{y}", f"g{x}"): f"g{g_group.mul[(y, x)]}"
@@ -839,168 +848,156 @@ def walking_two_cell():
 
 @dataclass
 class DuskinResult:
+    """The Duskin nerve of `two_category`, `sset` as `duskin_nerve` presents it.
+
+    `model`, built on first read, is a LevelModel over the set's own table
+    whose elements are their cells (`_table_cells`); the table satisfies
+    the simplicial identities, so the model skips their check."""
+
     sset: SimplicialSet
     two_category: Finite2Category
-    model: LevelModel = field(repr=False)
+
+    @functools.cached_property
+    def model(self):
+        table = self.sset.table()
+        return LevelModel(self.sset.dim_cap, _table_cells(self.two_category, table), table.faces,
+                          table.degs, namer=_duskin_name, check=False)
 
 
-def _cells_in_order(n):
-    """Edges and triangles of the n-simplex, each triangle after its edges."""
+def _duskin_name(n, x):
+    """The name of the Duskin n-simplex with cells x."""
+    if n < 2:
+        return str(x)
+    e, t = x
+    return "{" + ",".join(e) + "|" + ",".join(t) + "}"
+
+
+def _triangles(c2):
+    """Every triangle ((f, e, g), (t,)) of 1-cells with a 2-cell t: g o f => e."""
+    one, hom, compose = c2.one, c2.cat.hom, c2.cat.compose_table
+    return [((f, e, g), (t,)) for f in sorted(one) for c in c2.objects
+            for g in hom(one[f][1], c) for e in hom(one[f][0], c)
+            for t in c2.two_hom(compose[(g, f)], e)]
+
+
+def _table_cells(c2, table):
+    """The cells of each element of `table`, a Duskin nerve's, level by
+    level: an object, a 1-cell, or (edges, 2-cells) in lex order.  The edge
+    s_0 x is the identity of x, the triangle s_j y carries the identity
+    2-cell of y = d_1, and a higher simplex has its faces' cells."""
+    ident, id2 = c2.cat.identity, c2.two_identity
+    named = {str(v): v for v in itertools.chain(c2.objects, c2.one)}
+    named.update((_duskin_name(2, x), x[1][0]) for x in _triangles(c2))
     cells = []
-    for k in range(1, n + 1):
-        for i in range(k):
-            cells.append((i, k))
-        for j in range(k):
-            for i in range(j):
-                cells.append((i, j, k))
+    for n, level in enumerate(table.levels):
+        if n < 2:
+            cells.append([ident[named[r.gen]] if r.degs else named[r.gen] for r in level])
+        elif n == 2:
+            one = cells[1]
+            two = [id2[one[q]] if r.degs else named[r.gen]
+                   for r, q in zip(level, table.faces[2][1])]
+            cells.append([((one[f], one[e], one[g]), (t,))
+                          for g, e, f, t in zip(*table.faces[2], two)])
+        else:
+            cells.append(_simplex_cells(table, n, list(zip(*table.faces[n])), one, two))
     return cells
 
 
-def _tetra_holds(c2, edges, tris, quad):
-    i, j, k, l = quad
-    route1 = c2.vcompose[(
-        tris[(i, k, l)],
-        c2.hcompose[(c2.two_identity[edges[(k, l)]], tris[(i, j, k)])],
-    )]
-    route2 = c2.vcompose[(
-        tris[(i, j, l)],
-        c2.hcompose[(tris[(j, k, l)], c2.two_identity[edges[(i, j)]])],
-    )]
-    return route1 == route2
-
-
-def _duskin_table(c2, dim_cap, budget):
-    """The Duskin nerve through `dim_cap`: a SimplicialObject and the value
-    of every element, both in level order.
-
-    Levels 0-2 and their rows are read off the 2-category; each level
-    n >= 3 is the boundary join over level n - 1 (level 3 filtered by
-    `_tetra_holds`), whose elements are their own face tuples and so their
-    own face rows; s_j x is looked up by its faces.
-    A value (edges, 2-cells) is read through `restriction_table` off a face
-    holding each cell; a level is sorted by vertices, then labels in
-    `_cells_in_order(n)` order.  One budget of trials covers the build, and
-    a CapacityError carries the simplices found at the level that ran out.
-    """
-    one, ident, id2 = c2.one, c2.cat.identity, c2.two_identity
-    message = f"Duskin nerve exceeded budget {budget}"
-    trials = 0
-    triangles = []
-    for f in sorted(one) if dim_cap >= 2 else ():
-        a, b = one[f]
-        for c in c2.objects:
-            for g in c2.cat.hom(b, c):
-                composite = c2.cat.compose_table[(g, f)]
-                for e in c2.cat.hom(a, c):
-                    for t in c2.two_hom(composite, e):
-                        trials += 1
-                        if trials > budget:
-                            raise CapacityError(message, partial=len(triangles))
-                        triangles.append(((f, e, g), (t,)))
-    triangles.sort(key=lambda x: (one[x[0][0]] + (one[x[0][2]][1],), x[0], x[1]))
-    # d_0 of an edge is its target; d_i of a triangle (f, e, g) is g, e, f;
-    # s_0 of a vertex is its identity and s_j of an edge a unit triangle
-    cells = sorted(one)
-    at0 = {x: v for v, x in enumerate(c2.objects)}
-    at1 = {f: k for k, f in enumerate(cells)}
-    at2 = {x: p for p, x in enumerate(triangles)}
-    cap = min(dim_cap, 2)
-    faces = [(), [[at0[one[f][1 - i]] for f in cells] for i in range(2)],
-             [[at1[x[0][2 - i]] for x in triangles] for i in range(3)]]
-    degs = [[[at1[ident[x]] for x in c2.objects]],
-            [[at2.get(((ident[one[f][0]], f, f), (id2[f],))) for f in cells],
-             [at2.get(((f, f, ident[one[f][1]]), (id2[f],))) for f in cells]]]
-    table = SimplicialObject(
-        cap, [c2.objects, cells, triangles], faces[:cap + 1], degs[:cap], check=False
-    )
-    values = list(table.levels)
-    names = values[:2] + [[t for _, (t,) in triangles]]
-
-    def tetrahedron(ys):
-        (e0, (t0,)), (_, (t1,)), (_, (t2,)), (e3, (t3,)) = (triangles[y] for y in ys)
-        edges = {(0, 1): e3[0], (2, 3): e0[2]}
-        tris = {(1, 2, 3): t0, (0, 2, 3): t1, (0, 1, 3): t2, (0, 1, 2): t3}
-        return _tetra_holds(c2, edges, tris, (0, 1, 2, 3))
-
-    for n in range(3, dim_cap + 1):
-        try:
-            tuples, trials = table.join(
-                n, range(n + 1), budget, trials, tetrahedron if n == 3 else None
-            )
-        except CapacityError as exc:
-            raise CapacityError(message, partial=exc.partial) from None
-        # one key column per vertex, then per cell in `_cells_in_order`
-        cells = [(v,) for v in range(n + 1)] + _cells_in_order(n)
-        columns = []
-        for cell in cells:
-            m = next(v for v in range(n + 1) if v not in cell)
-            row = table.restriction_table(n - 1, [v - (v > m) for v in cell])
-            name = names[len(cell) - 1]
-            columns.append([name[row[t[m]]] for t in tuples])
-        keys = sorted(zip(*columns, tuples))
-        level = [k[-1] for k in keys]
-        # an element is its own face tuple, and s_j x is found by its faces
-        at = dict(zip(level, range(len(level))))
-        fs, ss, below = table.faces[n - 1], table.degs[n - 2], range(len(table.levels[n - 1]))
-        deg_rows = [
-            [at.get(t) for t in zip(*(
-                [ss[j - 1][q] for q in fs[i]] if i < j
-                else below if i <= j + 1 else [ss[j][q] for q in fs[i - 1]]
-                for i in range(n + 1)
-            ))]
-            for j in range(n)
-        ]
-        table.add_level(level, [list(map(operator.itemgetter(i), level)) for i in range(n + 1)],
-                        deg_rows)
-        edges = operator.itemgetter(
-            *(cells.index(c) for c in itertools.combinations(range(n + 1), 2)))
-        tris = operator.itemgetter(
-            *(cells.index(c) for c in itertools.combinations(range(n + 1), 3)))
-        values.append([(edges(k), tris(k)) for k in keys])
-    return table, values
+def _simplex_cells(table, n, tuples, one, two):
+    """The cells of the n-simplices (n >= 3) with the face tuples `tuples`
+    over level n - 1 of `table`: the 1-cell of each edge and the 2-cell of
+    each triangle of [n] in lex order, read off the first face holding it
+    and `one` and `two`, the cells of the edges and triangles of `table`."""
+    columns = []
+    for k, cells in ((2, one), (3, two)):
+        for face in itertools.combinations(range(n + 1), k):
+            m = next(v for v in range(n + 1) if v not in face)
+            row = table.restriction_table(n - 1, [v - (v > m) for v in face])
+            columns.append([cells[row[t[m]]] for t in tuples])
+    edges = math.comb(n + 1, 2)
+    return list(zip(zip(*columns[:edges]), zip(*columns[edges:])))
 
 
 def duskin_nerve(c2, dim_cap=DEFAULT_DIM_CAP, budget=DEFAULT_BUDGET):
-    """Nerve of a strict 2-category; 3-coskeletal.
+    """Nerve of a strict 2-category, 3-coskeletal (Duskin, TAC 2002),
+    presented by its non-degenerate simplices.
 
-    Level 2 collects one 2-cell witness per triangle of 1-cells; level 3
-    keeps the compatible quadruples of triangles whose two contraction
-    routes agree; each higher level is every compatible tuple of faces,
-    found by the boundary join (`_duskin_table`).  An n-simplex, n >= 2,
-    is its edge and triangle labels in lex order.  The budget counts the
-    candidate triangles and join trials of the whole build.
+    Level 0 is the objects; level 1 the 1-cells but identities, with faces
+    target and source; level 2 the triangles (f, e, g; t), t: g o f => e,
+    but (id, f, f; id2 f) and (f, f, id; id2 f), with faces g, e, f.  Each
+    level n >= 3 is the boundary join over level n - 1 of the set built
+    through n - 1 (at n = 3 kept by `tetrahedron`), less each tuple that
+    is the face tuple of s_j of its j-th entry; its faces are its entries.
+    A simplex is named by its cells (`_duskin_name`); two simplices with
+    one name are an InputError.  The budget counts the candidate triangles
+    and the join trials of the whole build; a CapacityError carries the
+    simplices found at the level that ran out.
 
-    A Finite2Category may be built unchecked, so `c2.validate()` runs
-    first.  On a strict 2-category the rows are in range and satisfy the
-    simplicial identities, so the LevelModel skips their check:
-
-    - levels 0-2 are read off the 2-category: a triangle (f, e, g; t) has
-      t: g o f => e, so its three edges meet at three vertices, and by the
-      unit laws (id, f, f; id2 f) and (f, f, id; id2 f), its degeneracies
-      s_0 f and s_1 f, are triangles;
-    - level 3 keeps the compatible quadruples that pass `_tetra_holds`, and
-      a degenerate one passes: on s_j of (f, e, g; t) both routes reduce to
-      t by the vertical and horizontal unit laws and id2 g * id2 f =
-      id2(g o f);
-    - each level n >= 3 is the join's output, whose elements are their own
-      face tuples, so the face identities are the join's compatibility
-      condition.  s_j x is looked up by the faces d_i s_j x that the
-      identities prescribe; they are compatible by the identities below,
-      so the tuple is in level n (at n = 3 by the point above), and it is
-      unique, as an element is its faces.  s_i s_j = s_{j+1} s_i holds as
-      both sides have the same faces.
+    The 2-category is validated first unless a validate of it has passed,
+    and the set is built unchecked, on this proof.  Levels 0-2 are the
+    nerve's non-degenerate simplices: by the unit laws the two triangles
+    left out are s_0 f and s_1 f, and no other is s_j of an edge.  By
+    induction the set through n - 1 is the nerve through n - 1; as the
+    nerve is 3-coskeletal and a 3-simplex is its four triangles if they
+    meet the tetrahedron condition, an n-simplex (n >= 3) is its face
+    tuple, and the join lists each once.  It is degenerate exactly when it
+    is s_j d_j of itself for some j (Eilenberg-Zilber; Goerss and Jardine,
+    Simplicial Homotopy Theory, I.1), that is when its tuple is that of s_j
+    of its j-th entry, read off the rows by d_i s_j = s_{j-1} d_i, id,
+    s_j d_{i-1}.  So the tuples kept are the generators, with faces in
+    normal form.
     """
-    c2.validate()
-    table, values = _duskin_table(c2, dim_cap, budget)
+    if not c2._checked:
+        c2.validate()
+    check_level_cap(dim_cap)
+    one, id2 = c2.one, c2.two_identity
+    message = f"Duskin nerve exceeded budget {budget}"
+    triangles = _triangles(c2) if dim_cap >= 2 else []
+    trials = len(triangles)  # one per candidate triangle
+    if trials > budget:
+        raise CapacityError(message, partial=budget)
+    unit = {f: x for x, f in c2.cat.identity.items()}
+    edge = lambda f: SimplexRef(str(unit[f]), (0,)) if f in unit else SimplexRef(str(f))
+    arrows = [f for f in sorted(one) if f not in unit]
+    triangles = [((f, e, g), (t,)) for (f, e, g), (t,) in triangles
+                 if not (t == id2[e] and (f in unit and g == e or g in unit and f == e))]
+    levels = [(c2.objects, ()),
+              (arrows, [(SimplexRef(str(one[f][1])), SimplexRef(str(one[f][0]))) for f in arrows]),
+              (triangles, [tuple(map(edge, x[0][::-1])) for x in triangles])][:dim_cap + 1]
+    names, gen_faces = [], {}
+    for n in range(dim_cap + 1):
+        if n >= 3:
+            table = SimplicialSet(n - 1, dict(enumerate(names)), gen_faces, check=False).table()
+            if n == 3:
+                cells = _table_cells(c2, table)
+                two = [t for _, (t,) in cells[2]]
 
-    def namer(n, x):
-        if n < 2:
-            return str(x)
-        e, t = x
-        return "{" + ",".join(e) + "|" + ",".join(t) + "}"
+                def tetrahedron(ys):
+                    """The two 2-cells 23 o 12 o 01 => 03 the faces compose agree."""
+                    (e0, (t0,)), (_, (t1,)), (_, (t2,)), (e3, (t3,)) = (cells[2][y] for y in ys)
+                    v, h = c2.vcompose, c2.hcompose
+                    return v[(t1, h[(id2[e0[2]], t3)])] == v[(t2, h[(t0, id2[e3[0]])])]
 
-    model = LevelModel(dim_cap, values, table.faces, table.degs, namer=namer, check=False)
-    return DuskinResult(model.sset, c2, model)
+            try:
+                tuples, trials = table.join(n, range(n + 1), budget, trials,
+                                            tetrahedron if n == 3 else None)
+            except CapacityError as exc:
+                raise CapacityError(message, partial=exc.partial) from None
+            # the face tuple of s_j y for each y of level n - 1
+            fs, ss, below = table.faces[n - 1], table.degs[n - 2], range(len(table.levels[n - 1]))
+            degenerate = [list(zip(*(
+                [ss[j - 1][q] for q in fs[i]] if i < j
+                else below if i <= j + 1 else [ss[j][q] for q in fs[i - 1]]
+                for i in range(n + 1)
+            ))) for j in range(n)]
+            kept = [t for t in tuples if all(t != d[t[j]] for j, d in enumerate(degenerate))]
+            refs = table.levels[n - 1]
+            levels.append((_simplex_cells(table, n, kept, cells[1], two),
+                           [tuple(map(refs.__getitem__, t)) for t in kept]))
+        names.append([_duskin_name(n, x) for x in levels[n][0]])
+        _refuse_collision(names, lambda m, p: levels[m][0][p])
+        gen_faces.update(zip(names[n], levels[n][1]))
+    return DuskinResult(SimplicialSet(dim_cap, dict(enumerate(names)), gen_faces, check=False), c2)
 
 
 # -- path category of a simplicial set, exactly ---------------------------------

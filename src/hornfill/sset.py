@@ -10,8 +10,11 @@ whose level n is `simplices(n)`: a `SimplicialObject`, built from rows of
 positions (`faces[n][i][p]`, `degs[n][i][p]`), never from callables.  The
 calculus below emits its rows once, a block of degeneracy words at a time,
 for every set, one that a `LevelModel` presents too; everything else reads
-positions in it.  A checked set builds the levels below its top generator dimension
-while `validate` checks it on them, and keeps them.  Maps, isomorphisms
+positions in it.  A nerve and a Duskin nerve are presented by their
+generators, so that table is their only one; the Duskin nerve runs its
+boundary join on the table of the set built one level below.  A checked
+set builds the levels below its top generator dimension while `validate`
+checks it on them, and keeps them.  Maps, isomorphisms
 and (through nerves) functors are found by one search, `_map_search`,
 that gives each source generator a target simplex by one face-index
 lookup on those positions.  It, the join of compatible face tuples and
@@ -862,14 +865,12 @@ class SimplicialObject:
 
         The rows are appended unchecked, so the caller proves them in
         range.  The callers are the constructor, which checks them when
-        asked, and two producers.  `SimplicialSet.table` and `validate`
-        append the calculus rows: the block of the generators of dimension
+        asked, and the calculus: `SimplicialSet.table` and `validate`
+        append its rows.  There the block of the generators of dimension
         n holds positions found in level n - 1, with any face that has none
         refused first (by `table`, or by `_refuse_faces` in `validate`), and
         every other block indexes a word block inside level n - 1 or level
-        n, whose sizes the words fix.  `cat._duskin_table` appends each
-        level >= 3 of a Duskin nerve, rows whose proof is in
-        `duskin_nerve`'s docstring.
+        n, whose sizes the words fix.
         """
         n = self.level_cap + 1
         level = tuple(level)

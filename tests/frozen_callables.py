@@ -8,6 +8,14 @@ names, as the oracles for the rows the producers now emit.  Each
 `*_callables` function returns (levels, face, deg), or (levels, face,
 deg, namer) for a level model.
 
+After the Duskin callables comes the Duskin nerve as it was built before
+it was presented by its generators: `oracle_duskin_table` joined each
+level over a private table, sorted it and appended it, and
+`oracle_duskin_nerve` handed that table to a LevelModel to strip.  Both
+are kept verbatim apart from their names, with `_cells_in_order`, the
+sort's column order, and `_tetra_holds`, the tetrahedron condition of
+both Duskin oracles, as the oracles of `cat.duskin_nerve`.
+
 Then come the searches that group isomorphism and the corpus's group
 actions ran beside the one map search, kept verbatim apart from their
 names as its oracles: generator images expanded along words, pruned by
@@ -20,16 +28,16 @@ replaced the scan.
 """
 
 import itertools
+import operator
+from collections import namedtuple
 
 from hornfill.cat import (
     FiniteCategory,
     PathCategoryResult,
     UnionFind,
-    _cells_in_order,
     _edge_word,
-    _tetra_holds,
 )
-from hornfill.config import DEFAULT_BUDGET, DEFAULT_PATH_BUDGET
+from hornfill.config import DEFAULT_BUDGET, DEFAULT_DIM_CAP, DEFAULT_PATH_BUDGET
 from hornfill.errors import CapacityError, ConsistencyError, ValidationError
 from hornfill.groupoid import GroupAction, symmetric_group
 from hornfill.sset import (
@@ -289,6 +297,31 @@ def mapping_space_callables(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
 # -- Duskin levels: the per-cell level search and per-element reindex -----------
 
 
+def _cells_in_order(n):
+    """Edges and triangles of the n-simplex, each triangle after its edges."""
+    cells = []
+    for k in range(1, n + 1):
+        for i in range(k):
+            cells.append((i, k))
+        for j in range(k):
+            for i in range(j):
+                cells.append((i, j, k))
+    return cells
+
+
+def _tetra_holds(c2, edges, tris, quad):
+    i, j, k, l = quad
+    route1 = c2.vcompose[(
+        tris[(i, k, l)],
+        c2.hcompose[(c2.two_identity[edges[(k, l)]], tris[(i, j, k)])],
+    )]
+    route2 = c2.vcompose[(
+        tris[(i, j, l)],
+        c2.hcompose[(tris[(j, k, l)], c2.two_identity[edges[(i, j)]])],
+    )]
+    return route1 == route2
+
+
 def _enumerate_duskin_level(c2, n, budget):
     """All n-simplices (n >= 2): vertex tuples, edge and triangle labelings
     satisfying every tetrahedron condition.  A CapacityError carries the
@@ -446,6 +479,147 @@ def duskin_callables(c2, dim_cap):
         return "{" + ",".join(e) + "|" + ",".join(t) + "}"
 
     return levels[:dim_cap + 1], face, deg, namer
+
+
+# -- the Duskin nerve as a sorted join table stripped by a LevelModel ---------
+
+
+# an oracle Duskin nerve: its set, its 2-category and the LevelModel that presents the set
+DuskinModel = namedtuple("DuskinModel", "sset two_category model")
+
+
+def oracle_duskin_table(c2, dim_cap, budget):
+    """The Duskin nerve through `dim_cap`: a SimplicialObject and the value
+    of every element, both in level order.
+
+    Levels 0-2 and their rows are read off the 2-category; each level
+    n >= 3 is the boundary join over level n - 1 (level 3 filtered by
+    `_tetra_holds`), whose elements are their own face tuples and so their
+    own face rows; s_j x is looked up by its faces.
+    A value (edges, 2-cells) is read through `restriction_table` off a face
+    holding each cell; a level is sorted by vertices, then labels in
+    `_cells_in_order(n)` order.  One budget of trials covers the build, and
+    a CapacityError carries the simplices found at the level that ran out.
+    """
+    one, ident, id2 = c2.one, c2.cat.identity, c2.two_identity
+    message = f"Duskin nerve exceeded budget {budget}"
+    trials = 0
+    triangles = []
+    for f in sorted(one) if dim_cap >= 2 else ():
+        a, b = one[f]
+        for c in c2.objects:
+            for g in c2.cat.hom(b, c):
+                composite = c2.cat.compose_table[(g, f)]
+                for e in c2.cat.hom(a, c):
+                    for t in c2.two_hom(composite, e):
+                        trials += 1
+                        if trials > budget:
+                            raise CapacityError(message, partial=len(triangles))
+                        triangles.append(((f, e, g), (t,)))
+    triangles.sort(key=lambda x: (one[x[0][0]] + (one[x[0][2]][1],), x[0], x[1]))
+    # d_0 of an edge is its target; d_i of a triangle (f, e, g) is g, e, f;
+    # s_0 of a vertex is its identity and s_j of an edge a unit triangle
+    cells = sorted(one)
+    at0 = {x: v for v, x in enumerate(c2.objects)}
+    at1 = {f: k for k, f in enumerate(cells)}
+    at2 = {x: p for p, x in enumerate(triangles)}
+    cap = min(dim_cap, 2)
+    faces = [(), [[at0[one[f][1 - i]] for f in cells] for i in range(2)],
+             [[at1[x[0][2 - i]] for x in triangles] for i in range(3)]]
+    degs = [[[at1[ident[x]] for x in c2.objects]],
+            [[at2.get(((ident[one[f][0]], f, f), (id2[f],))) for f in cells],
+             [at2.get(((f, f, ident[one[f][1]]), (id2[f],))) for f in cells]]]
+    table = SimplicialObject(
+        cap, [c2.objects, cells, triangles], faces[:cap + 1], degs[:cap], check=False
+    )
+    values = list(table.levels)
+    names = values[:2] + [[t for _, (t,) in triangles]]
+
+    def tetrahedron(ys):
+        (e0, (t0,)), (_, (t1,)), (_, (t2,)), (e3, (t3,)) = (triangles[y] for y in ys)
+        edges = {(0, 1): e3[0], (2, 3): e0[2]}
+        tris = {(1, 2, 3): t0, (0, 2, 3): t1, (0, 1, 3): t2, (0, 1, 2): t3}
+        return _tetra_holds(c2, edges, tris, (0, 1, 2, 3))
+
+    for n in range(3, dim_cap + 1):
+        try:
+            tuples, trials = table.join(
+                n, range(n + 1), budget, trials, tetrahedron if n == 3 else None
+            )
+        except CapacityError as exc:
+            raise CapacityError(message, partial=exc.partial) from None
+        # one key column per vertex, then per cell in `_cells_in_order`
+        cells = [(v,) for v in range(n + 1)] + _cells_in_order(n)
+        columns = []
+        for cell in cells:
+            m = next(v for v in range(n + 1) if v not in cell)
+            row = table.restriction_table(n - 1, [v - (v > m) for v in cell])
+            name = names[len(cell) - 1]
+            columns.append([name[row[t[m]]] for t in tuples])
+        keys = sorted(zip(*columns, tuples))
+        level = [k[-1] for k in keys]
+        # an element is its own face tuple, and s_j x is found by its faces
+        at = dict(zip(level, range(len(level))))
+        fs, ss, below = table.faces[n - 1], table.degs[n - 2], range(len(table.levels[n - 1]))
+        deg_rows = [
+            [at.get(t) for t in zip(*(
+                [ss[j - 1][q] for q in fs[i]] if i < j
+                else below if i <= j + 1 else [ss[j][q] for q in fs[i - 1]]
+                for i in range(n + 1)
+            ))]
+            for j in range(n)
+        ]
+        table.add_level(level, [list(map(operator.itemgetter(i), level)) for i in range(n + 1)],
+                        deg_rows)
+        edges = operator.itemgetter(
+            *(cells.index(c) for c in itertools.combinations(range(n + 1), 2)))
+        tris = operator.itemgetter(
+            *(cells.index(c) for c in itertools.combinations(range(n + 1), 3)))
+        values.append([(edges(k), tris(k)) for k in keys])
+    return table, values
+
+
+def oracle_duskin_nerve(c2, dim_cap=DEFAULT_DIM_CAP, budget=DEFAULT_BUDGET):
+    """Nerve of a strict 2-category; 3-coskeletal.
+
+    Level 2 collects one 2-cell witness per triangle of 1-cells; level 3
+    keeps the compatible quadruples of triangles whose two contraction
+    routes agree; each higher level is every compatible tuple of faces,
+    found by the boundary join (`oracle_duskin_table`).  An n-simplex, n >= 2,
+    is its edge and triangle labels in lex order.  The budget counts the
+    candidate triangles and join trials of the whole build.
+
+    A Finite2Category may be built unchecked, so `c2.validate()` runs
+    first.  On a strict 2-category the rows are in range and satisfy the
+    simplicial identities, so the LevelModel skips their check:
+
+    - levels 0-2 are read off the 2-category: a triangle (f, e, g; t) has
+      t: g o f => e, so its three edges meet at three vertices, and by the
+      unit laws (id, f, f; id2 f) and (f, f, id; id2 f), its degeneracies
+      s_0 f and s_1 f, are triangles;
+    - level 3 keeps the compatible quadruples that pass `_tetra_holds`, and
+      a degenerate one passes: on s_j of (f, e, g; t) both routes reduce to
+      t by the vertical and horizontal unit laws and id2 g * id2 f =
+      id2(g o f);
+    - each level n >= 3 is the join's output, whose elements are their own
+      face tuples, so the face identities are the join's compatibility
+      condition.  s_j x is looked up by the faces d_i s_j x that the
+      identities prescribe; they are compatible by the identities below,
+      so the tuple is in level n (at n = 3 by the point above), and it is
+      unique, as an element is its faces.  s_i s_j = s_{j+1} s_i holds as
+      both sides have the same faces.
+    """
+    c2.validate()
+    table, values = oracle_duskin_table(c2, dim_cap, budget)
+
+    def namer(n, x):
+        if n < 2:
+            return str(x)
+        e, t = x
+        return "{" + ",".join(e) + "|" + ",".join(t) + "}"
+
+    model = LevelModel(dim_cap, values, table.faces, table.degs, namer=namer, check=False)
+    return DuskinModel(model.sset, c2, model)
 
 
 def word_table(group):

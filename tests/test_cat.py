@@ -10,7 +10,6 @@ from hornfill.cat import (
     FiniteCategory,
     Functor,
     NerveResult,
-    _duskin_table,
     categories_isomorphic,
     duskin_nerve,
     enumerate_functors,
@@ -34,10 +33,11 @@ from hornfill.corpus import (
 )
 from hornfill.config import DEFAULT_BUDGET
 from hornfill.errors import CapacityError, InputError, ValidationError
-from hornfill.groupoid import cyclic_group, symmetric_group
+from hornfill.groupoid import FiniteGroup, cyclic_group, symmetric_group
 from hornfill.sset import (
     LevelModel,
     SimplexRef,
+    SimplicialObject,
     SimplicialSet,
     is_isomorphic,
     product,
@@ -47,7 +47,10 @@ from hornfill.sset import (
 
 from frozen_callables import (
     duskin_callables,
+    in_order_of,
     in_set_order,
+    oracle_duskin_nerve,
+    oracle_duskin_table,
     oracle_fundamental_category,
     simplicial_object,
 )
@@ -134,6 +137,23 @@ def test_duskin_nerve_of_an_unchecked_two_category_is_a_validation_error():
         for cap in (0, 3):
             with pytest.raises(ValidationError, match=message):
                 duskin_nerve(broken, dim_cap=cap)
+
+
+def test_two_group_builders_check_an_unchecked_group():
+    # a group built unchecked is checked before its table is read, so a
+    # missing product is a ValidationError and not a bare KeyError
+    c3 = cyclic_group(3)
+    mul = dict(c3.mul)
+    del mul[("c1", "c2")]
+    broken = FiniteGroup(c3.elements, mul, check=False)
+    message = r"^group table: composition table wrong at \('c1', 'c2'\): missing entry$"
+    for build in (lambda: one_object_two_group(broken), lambda: split_two_group(broken, c3),
+                  lambda: split_two_group(c3, broken)):
+        with pytest.raises(ValidationError, match=message):
+            build()
+    # an unchecked group whose table is whole is checked and used
+    good = FiniteGroup(c3.elements, c3.mul, check=False)
+    assert one_object_two_group(good).all_two_invertible()
 
 
 def test_category_validation_rejects_broken_identity():
@@ -273,11 +293,14 @@ def test_a_nerve_builds_no_level_model_unless_it_is_read(monkeypatch):
 
     monkeypatch.setattr(LevelModel, "__init__", record)
     results = [nerve(c, dim_cap=4) for c in _nerve_sources().values()]
+    results += [duskin_nerve(c2, dim_cap=4) for c2 in all_two_categories().values()]
     for res in results:
         res.sset.table()
     assert built == []
-    model = results[-1].model
-    assert built == [model] and results[-1].model is model
+    for res in (results[0], results[-1]):
+        model = res.model
+        assert built[-1:] == [model] and res.model is model
+    assert len(built) == 2
 
 
 def test_nerve_checks_a_category_once(monkeypatch):
@@ -569,10 +592,54 @@ def test_duskin_tables_match_the_per_element_reindex():
     for c2, cap in cases:
         oracle = simplicial_object(cap, *duskin_callables(c2, cap)[:3], check=False)
         # the join's own rows, in level order, and the model's, as given
-        table, values = _duskin_table(c2, cap, DEFAULT_BUDGET)
+        table, values = oracle_duskin_table(c2, cap, DEFAULT_BUDGET)
         assert [list(level) for level in values] == [list(level) for level in oracle.levels], c2
         assert (table.faces, table.degs) == (oracle.faces, oracle.degs), c2
-        model = duskin_nerve(c2, dim_cap=cap).model
+        model = oracle_duskin_nerve(c2, dim_cap=cap).model
         assert (model.levels, model.faces, model.degs) == (oracle.levels, oracle.faces,
                                                              oracle.degs), c2
     assert len(model.sset.generators(5)) == 538
+
+
+# -- the Duskin nerve against the sorted join table it replaced -----------------
+
+
+def test_duskin_nerve_presents_the_set_of_the_oracle():
+    # the generators and faces written down level by level present the set
+    # that the oracle's LevelModel strips off its sorted join table; the
+    # lazy model holds the oracle model's elements and rows, in the order of
+    # the set's table, and its rows pass the checks it skips
+    cases = [(c2, cap) for c2 in all_two_categories().values() for cap in range(5)]
+    cases += [(one_object_two_group(cyclic_group(2)), 5), (walking_invertible_two_cell(), 5)]
+    for c2, cap in cases:
+        res, oracle = duskin_nerve(c2, dim_cap=cap), oracle_duskin_nerve(c2, dim_cap=cap)
+        assert res.sset == oracle.sset, (c2, cap)
+        res.sset.validate()
+        model, want = res.model, oracle.model
+        assert (model.elem_of_gen, model.ref_of) == (want.elem_of_gen, want.ref_of), (c2, cap)
+        levels, faces, degs = in_order_of(model, want)
+        assert (list(levels), faces[1:], degs) == (model.levels, model.faces[1:], model.degs)
+        table = res.sset.table()
+        assert (model.faces, model.degs) == (table.faces, table.degs)
+        SimplicialObject(cap, model.levels, model.faces, model.degs, check=True)
+    assert len(cases) == 7 * 5 + 2
+
+
+def test_duskin_nerve_refuses_at_the_budgets_of_the_oracle():
+    # the same trials are counted, so a budget refuses both or neither, with
+    # one message; the join walks another order, so partial may differ
+    budgets = list(range(61)) + [80, 100, 150, 200, 300, 500, 700, 1000, 1500, 2000, 3000,
+                                 5000, 7000, 10_000, 15_000, 20_000]
+    refused = 0
+    for c2 in all_two_categories().values():
+        for cap in (3, 4):
+            for budget in budgets:
+                outcomes = []
+                for build in (duskin_nerve, oracle_duskin_nerve):
+                    try:
+                        outcomes.append(build(c2, dim_cap=cap, budget=budget).sset)
+                    except CapacityError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (c2, cap, budget)
+                refused += isinstance(outcomes[0], str)
+    assert 0 < refused < 7 * 2 * len(budgets)

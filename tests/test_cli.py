@@ -11,7 +11,7 @@ import pytest
 
 import hornfill
 from hornfill import io
-from hornfill.cat import duskin_nerve, nerve, two_category_from_category
+from hornfill.cat import Finite2Category, duskin_nerve, nerve, two_category_from_category
 from hornfill.cli import main
 from hornfill.corpus import (
     all_categories,
@@ -141,6 +141,26 @@ def test_duskin_counts(files, capsys):
     data, _ = _json_out(capsys)
     x = io.sset_from_json(data)
     assert [x.count(n) for n in range(4)] == [1, 1, 2, 8]
+
+
+def test_cat_duskin_checks_each_loaded_two_category_once(capsys, tmp_path, monkeypatch):
+    # the loader checks a 2-category, which marks it, so the Duskin nerve
+    # does not check it again
+    paths = [_write(tmp_path, f"{name}.json", io.two_category_to_json(c2))
+             for name, c2 in all_two_categories().items()]
+    calls = []
+    validate = Finite2Category.validate
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Finite2Category, "validate", counted)
+    for path in paths:
+        assert main(["cat", "duskin", path, "--dim-cap", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == len(paths) == 7
+    assert len(set(map(id, calls))) == 7
 
 
 def test_nerve_and_duskin_write_the_bytes_of_the_generic_writer(capsys, tmp_path, monkeypatch):

@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 import hornfill
 from hornfill import sset
 
-from hornfill.cat import enumerate_functors, nerve
+from hornfill.cat import duskin_nerve, enumerate_functors, nerve
 from hornfill.corpus import (
     all_actions,
     all_small_groups,
+    all_two_categories,
     bg_category,
     cover_of_shape,
     cover_shapes,
@@ -904,6 +905,10 @@ def test_bad_level_caps_are_input_errors():
             action_bar_object(swap_action(), level_cap=cap)
         with pytest.raises(InputError, match="level_cap must be a non-negative integer"):
             SimplicialObject(cap, [], [], [])
+        with pytest.raises(InputError, match="level_cap must be a non-negative integer"):
+            nerve(poset_category(1), dim_cap=cap)
+        with pytest.raises(InputError, match="level_cap must be a non-negative integer"):
+            duskin_nerve(all_two_categories()["two_group_c2"], dim_cap=cap)
     two = cech_nerve(pi, level_cap=3)
     for cap in (-1, 2.0, "3", True):
         with pytest.raises(InputError, match="level_cap must be a non-negative integer"):

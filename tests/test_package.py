@@ -68,8 +68,8 @@ def test_unchecked_level_tables_are_frozen():
             if any(not (isinstance(v, ast.Constant) and v.value is True) for v in check):
                 unchecked.add(f"{path.name}:{owner}")
     assert unchecked == {"sset.py:SimplicialSet._level_zero", "sset.py:LevelModel.__init__",
-                         "cat.py:_duskin_table", "cat.py:nerve", "cat.py:NerveResult.model",
-                         "cat.py:duskin_nerve", "cat.py:mapping_space",
+                         "cat.py:nerve", "cat.py:NerveResult.model",
+                         "cat.py:duskin_nerve", "cat.py:DuskinResult.model", "cat.py:mapping_space",
                          "sset.py:product_structure",
                          "groupoid.py:cech_nerve",
                          "groupoid.py:action_bar_object"}
@@ -99,7 +99,7 @@ def test_only_the_frozen_producers_append_unchecked_levels():
             if getattr(call.func, "attr", getattr(call.func, "id", None)) == "add_level":
                 callers.add(f"{path.name}:{owner}")
     assert callers == {"sset.py:SimplicialObject.__init__", "sset.py:SimplicialSet.table",
-                       "sset.py:SimplicialSet.validate", "cat.py:_duskin_table"}
+                       "sset.py:SimplicialSet.validate"}
 
 
 def _function(module, name):

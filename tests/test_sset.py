@@ -43,6 +43,7 @@ from frozen_callables import (
     mapping_space_callables,
     mapping_space_cylinders,
     nerve_callables,
+    oracle_duskin_nerve,
     product_callables,
     simplicial_object,
 )
@@ -394,8 +395,9 @@ def _level_model_sources():
     # a nerve builds its LevelModel, the oracle route, only when it is read
     for c in all_categories().values():
         yield lambda c=c: nerve(c, dim_cap=4).model
+    # the Duskin nerve's LevelModel route, kept as its oracle
     for c2 in all_two_categories().values():
-        yield lambda c2=c2: duskin_nerve(c2, dim_cap=4)
+        yield lambda c2=c2: oracle_duskin_nerve(c2, dim_cap=4)
     for a in range(3):
         for b in range(3):
             yield lambda a=a, b=b: product_structure(
@@ -465,13 +467,13 @@ def test_level_model_rows_match_the_frozen_callables():
 
 
 def test_nerve_and_duskin_rows_pass_the_checks_they_skip():
-    # a nerve's model (its oracle route) and duskin_nerve build their
-    # LevelModel unchecked on a checked (2-)category, on the proofs in
-    # their docstrings: the rows they hand over pass the row checks and
-    # the simplicial identities
+    # a nerve's model and the Duskin nerve's oracle (the routes the nerves'
+    # presentations replaced) build their LevelModel unchecked on a checked
+    # (2-)category, on the proofs in their docstrings: the rows they hand
+    # over pass the row checks and the simplicial identities
     builds = [lambda c=c, cap=cap: nerve(c, dim_cap=cap).model
               for c in all_categories().values() for cap in range(5)]
-    builds += [lambda c2=c2, cap=cap: duskin_nerve(c2, dim_cap=cap)
+    builds += [lambda c2=c2, cap=cap: oracle_duskin_nerve(c2, dim_cap=cap)
                for c2 in all_two_categories().values() for cap in range(5)]
     for build in builds:
         with _recorded_level_models() as built:
