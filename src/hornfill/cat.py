@@ -25,13 +25,15 @@ the row of (h o g) o f.  Identities are good by the unit laws, and a
 composite of two good morphisms is good (four uses of the law), so every
 morphism is good once the generators are and their closure reaches every
 morphism.  Only when a generator fails does the row scan over every
-composable pair (h, g) run, to name the first failing triple.
-`Finite2Category.validate` runs it on the category of 0- and 1-cells,
-the vertical category (1-cells and `vcompose`) and the horizontal
-category (0-cells and `hcompose`), runs `Functor.validate` on source,
-target and `two_identity`, and checks interchange; each failure after
-the first category's names its structure.  `FiniteGroup` (in
-`groupoid`) checks its table as a one-object category.
+composable pair (h, g) run, to name the first failing triple.  Every
+category, 2-category, group and groupoid is checked when it is built,
+as [X/R] is a groupoid because R is an equivalence relation.  A
+`Finite2Category` builds the category of 0- and 1-cells, the vertical
+category (1-cells and `vcompose`) and the horizontal category (0-cells
+and `hcompose`), runs `Functor.validate` on source, target and
+`two_identity`, and checks interchange; each failure after the first
+category's names its structure.  `FiniteGroup` (in `groupoid`) builds
+its table as a one-object category.
 
 Functors c -> d are the simplicial maps of the 2-truncated nerves
 N(c) -> N(d), since the nerve is fully faithful and 2-coskeletal, so
@@ -99,10 +101,10 @@ class UnionFind:
         return out
 
 
-def _within(structure, check):
-    """Run `check`, naming `structure` in any ValidationError it raises."""
+def _within(structure, build):
+    """Return `build()`, naming `structure` in any ValidationError it raises."""
     try:
-        check()
+        return build()
     except ValidationError as exc:
         raise ValidationError(f"{structure}: {exc}") from None
 
@@ -244,16 +246,14 @@ class _Rows:
 class FiniteCategory:
     """Objects, morphisms with endpoints, identities, full composition table."""
 
-    def __init__(self, objects, morphisms, identity, compose, check=True):
+    def __init__(self, objects, morphisms, identity, compose):
         self.objects = tuple(sorted(objects))
         self.mor = {m: (s, t) for m, (s, t) in morphisms.items()}
         self.identity = dict(identity)
         self.compose_table = dict(compose)
         self._hom = {}
         self._nerve2 = None  # the 2-truncated nerve, built by _nerve2
-        self._checked = False  # a validate passed; the data are not changed after
-        if check:
-            self.validate()
+        self.validate()
 
     def src(self, f):
         return self.mor[f][0]
@@ -277,8 +277,8 @@ class FiniteCategory:
         then associativity by Light's test (see the module docstring), or
         on a table of at most SCAN_TRIPLES composable triples per morphism
         by the row scan alone, which costs less there than choosing the
-        generators.  Once it has passed, the category carries that fact,
-        so `nerve` checks it once."""
+        generators.  The constructor runs it, so every category in hand
+        has passed it."""
         if len(set(self.objects)) != len(self.objects):
             raise ValidationError("duplicate object ids")
         for m, (s, t) in self.mor.items():
@@ -306,7 +306,6 @@ class FiniteCategory:
             failure = rows.first_failure()
             if failure is not None:
                 raise ValidationError("associativity fails at (%r,%r,%r)" % failure)
-        self._checked = True
 
     def inverse(self, f):
         s, t = self.mor[f]
@@ -343,9 +342,8 @@ class Functor:
 
     def validate(self):
         """Images in tgt with the right endpoints, identities to identities
-        and composites to composites.  Either category may be built
-        unchecked, so a morphism, identity or composite that one of them
-        lacks is named in a ValidationError."""
+        and composites to composites.  Both categories were checked when
+        built, so once the endpoints are right no lookup below can miss."""
         src, tgt, obj, mor = self.src, self.tgt, self.on_objects, self.on_morphisms
         for x in src.objects:
             if obj.get(x) not in tgt.objects:
@@ -354,23 +352,13 @@ class Functor:
             fm = mor.get(m)
             if fm not in tgt.mor:
                 raise ValidationError(f"morphism {m!r} has no valid image")
-            if s not in obj or t not in obj or tgt.mor[fm] != (obj[s], obj[t]):
+            if tgt.mor[fm] != (obj[s], obj[t]):
                 raise ValidationError(f"image of {m!r} has wrong endpoints")
         for x in src.objects:
-            i, j = src.identity.get(x), tgt.identity.get(obj[x])
-            if i not in src.mor:
-                raise ValidationError(f"source has no identity at {x!r}")
-            if j is None:
-                raise ValidationError(f"target has no identity at {obj[x]!r}")
-            if mor[i] != j:
+            if mor[src.identity[x]] != tgt.identity[obj[x]]:
                 raise ValidationError(f"identity at {x!r} not preserved")
         for (g, f), gf in src.compose_table.items():
-            if not (g in src.mor and f in src.mor and gf in src.mor):
-                raise ValidationError(f"source composition ({g!r},{f!r}) names an unknown morphism")
-            pair = (mor[g], mor[f])
-            if pair not in tgt.compose_table:
-                raise ValidationError(f"target has no composite at {pair!r}, image of {(g, f)!r}")
-            if tgt.compose_table[pair] != mor[gf]:
+            if tgt.compose_table[(mor[g], mor[f])] != mor[gf]:
                 raise ValidationError(f"composition ({g!r},{f!r}) not preserved")
 
 
@@ -546,8 +534,8 @@ def nerve(c, dim_cap=DEFAULT_DIM_CAP):
     arrows, or s_0 x when none is left.  Two simplices with one name are
     an InputError.
 
-    The category is validated first unless a validate of it has passed,
-    and the set is built unchecked, on this proof.  With the maps of
+    The category was checked when built, and the set is built unchecked,
+    on this proof.  With the maps of
     `_nerve_rows` the composable strings form the nerve, and s_i inserts
     an identity as f_{i+1}, so the strings with no identity are its
     non-degenerate simplices and present it.  Each face above is the
@@ -556,8 +544,6 @@ def nerve(c, dim_cap=DEFAULT_DIM_CAP):
     of such a string two levels down, or s_0 x.  `NerveResult.model` is
     the oracle.
     """
-    if not c._checked:
-        c.validate()
     check_level_cap(dim_cap)
     objects, units = c.objects, set(c.identity.values())
     arrows = [m for m in sorted(c.mor) if m not in units]
@@ -643,8 +629,8 @@ class Finite2Category:
     """
 
     def __init__(self, objects, one_cells, identity, compose, two_cells,
-                 two_identity, vcompose, hcompose, check=True):
-        self.cat = FiniteCategory(objects, one_cells, identity, compose, check=False)
+                 two_identity, vcompose, hcompose):
+        self.cat = FiniteCategory(objects, one_cells, identity, compose)
         self.objects = self.cat.objects
         self.one = self.cat.mor
         self.two = dict(two_cells)
@@ -652,9 +638,7 @@ class Finite2Category:
         self.vcompose = dict(vcompose)
         self.hcompose = dict(hcompose)
         self._two_hom = {}
-        self._checked = False  # a validate passed; the data are not changed after
-        if check:
-            self.validate()
+        self.validate()
 
     def two_hom(self, f, g):
         """2-cells f => g (f, g parallel 1-cells)."""
@@ -677,21 +661,14 @@ class Finite2Category:
         return all(self.two_inverse(a) is not None for a in self.two)
 
     def validate(self):
-        """The category of 0- and 1-cells, then the vertical and horizontal
-        categories, three functors and interchange (see the module
-        docstring); each failure past the first names its structure."""
-        self.cat.validate()
+        """The vertical and horizontal categories, three functors and
+        interchange (see the module docstring), each failure naming its
+        structure; the category of 0- and 1-cells was checked when built."""
         one, two, v, h = self.one, self.two, self.vcompose, self.hcompose
-        vertical = FiniteCategory(one, two, self.two_identity, v, check=False)
-        _within("vertical", vertical.validate)
-        horizontal = FiniteCategory(
-            self.objects,
-            {a: one[f] for a, (f, g) in two.items()},
-            {x: self.two_identity[i] for x, i in self.cat.identity.items()},
-            h,
-            check=False,
-        )
-        _within("horizontal", horizontal.validate)
+        _within("vertical", lambda: FiniteCategory(one, two, self.two_identity, v))
+        horizontal = _within("horizontal", lambda: FiniteCategory(
+            self.objects, {a: one[f] for a, (f, g) in two.items()},
+            {x: self.two_identity[i] for x, i in self.cat.identity.items()}, h))
         objects = {x: x for x in self.objects}
         for name, functor in (
             ("source functor", Functor(horizontal, self.cat, objects,
@@ -709,7 +686,6 @@ class Finite2Category:
                     raise ValidationError(
                         f"interchange fails at ({b2!r},{b1!r}) * ({a2!r},{a1!r})"
                     )
-        self._checked = True
 
     def __repr__(self):
         return (
@@ -735,8 +711,6 @@ def two_category_from_category(c):
 
 def one_object_two_group(a_group):
     """One object, one 1-cell, 2-cells an abelian group under both compositions."""
-    if not a_group.one_object_category()._checked:
-        a_group.validate()
     two = {f"a{x}": ("1", "1") for x in a_group.elements}
     comp = {
         (f"a{y}", f"a{x}"): f"a{a_group.mul[(y, x)]}"
@@ -755,9 +729,6 @@ def split_two_group(g_group, a_group):
     Horizontal composition multiplies both coordinates; the action of G on
     A is trivial, so interchange reduces to commutativity of A.
     """
-    for group in (g_group, a_group):
-        if not group.one_object_category()._checked:
-            group.validate()
     ones = {f"g{x}": ("*", "*") for x in g_group.elements}
     comp = {
         (f"g{y}", f"g{x}"): f"g{g_group.mul[(y, x)]}"
@@ -933,8 +904,8 @@ def duskin_nerve(c2, dim_cap=DEFAULT_DIM_CAP, budget=DEFAULT_BUDGET):
     and the join trials of the whole build; a CapacityError carries the
     simplices found at the level that ran out.
 
-    The 2-category is validated first unless a validate of it has passed,
-    and the set is built unchecked, on this proof.  Levels 0-2 are the
+    The 2-category was checked when built, and the set is built unchecked,
+    on this proof.  Levels 0-2 are the
     nerve's non-degenerate simplices: by the unit laws the two triangles
     left out are s_0 f and s_1 f, and no other is s_j of an edge.  By
     induction the set through n - 1 is the nerve through n - 1; as the
@@ -947,8 +918,6 @@ def duskin_nerve(c2, dim_cap=DEFAULT_DIM_CAP, budget=DEFAULT_BUDGET):
     s_j d_{i-1}.  So the tuples kept are the generators, with faces in
     normal form.
     """
-    if not c2._checked:
-        c2.validate()
     check_level_cap(dim_cap)
     one, id2 = c2.one, c2.two_identity
     message = f"Duskin nerve exceeded budget {budget}"

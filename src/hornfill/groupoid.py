@@ -55,58 +55,45 @@ class FinMap:
 
 
 class FiniteGroup:
-    def __init__(self, elements, mul, check=True):
+    def __init__(self, elements, mul):
         self.elements = tuple(sorted(elements))
         self.mul = dict(mul)
-        self._identity = None
-        self._inverse = {}
         self._cech = None  # descent's integer table, with its fibre censuses
-        self._category = None  # the one-object category, with its cached nerve
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         """Distinct elements, an identity, the table as a one-object
-        category (closure, units, associativity), then inverses."""
-        es = self.elements
+        category (closure, units, associativity), then inverses; the
+        identity, the category (with its nerve) and the inverses are kept."""
+        es, mul = self.elements, self.mul
         if len(set(es)) != len(es):
             raise ValidationError("duplicate group elements")
-        _within("group table", self.one_object_category().validate)
+        for e in es:
+            if all(mul.get((e, x)) == x == mul.get((x, e)) for x in es):
+                break
+        else:
+            raise ValidationError("no identity element")
+        self._identity = e
+        self._category = _within("group table", lambda: FiniteCategory(
+            ("*",), {a: ("*", "*") for a in es}, {"*": e}, mul))
+        self._inverse = {}
         for a in es:
-            self.inverse(a)
-
-    def one_object_category(self):
-        """The group as a category on one object "*", built once and kept,
-        so that its nerve is built once too (`cat._nerve2`)."""
-        if self._category is None:
-            self._category = FiniteCategory(
-                ("*",), {a: ("*", "*") for a in self.elements}, {"*": self.identity()},
-                self.mul, check=False,
-            )
-        return self._category
-
-    def identity(self):
-        if self._identity is None:
-            for e in self.elements:
-                if all(
-                    self.mul.get((e, x)) == x and self.mul.get((x, e)) == x
-                    for x in self.elements
-                ):
-                    self._identity = e
-                    break
-            else:
-                raise ValidationError("no identity element")
-        return self._identity
-
-    def inverse(self, a):
-        if a not in self._inverse:
-            e = self.identity()
-            for b in self.elements:
-                if self.mul[(a, b)] == e and self.mul[(b, a)] == e:
+            for b in es:
+                if mul[(a, b)] == e == mul[(b, a)]:
                     self._inverse[a] = b
                     break
             else:
                 raise ValidationError(f"no inverse for {a!r}")
+
+    def one_object_category(self):
+        """The group as a category on one object "*", built when the group
+        is, so that its nerve is built once too (`cat._nerve2`)."""
+        return self._category
+
+    def identity(self):
+        return self._identity
+
+    def inverse(self, a):
         return self._inverse[a]
 
     def order(self):
@@ -264,7 +251,6 @@ class FiniteGroupoid(FiniteCategory):
         super().validate()
         for f in self.mor:
             if self.inverse(f) is None:
-                self._checked = False
                 raise ValidationError(f"morphism {f!r} has no inverse")
 
     def automorphism_group(self, x):
@@ -411,9 +397,8 @@ def action_bar_object(action, level_cap=DEFAULT_LEVEL_CAP):
     by (g_1, x, g_2, ..., g_n).  The simplicial identities are not checked
     (`validate` is the test oracle): a category's nerve satisfies them
     (`_nerve_rows`), and [X/G] is a category because the group table is a
-    group, as FiniteGroup checks unless built with check=False, and
-    GroupAction checks that e fixes every point and that acting by h after
-    g is acting by hg.
+    group, as FiniteGroup checks when it is built, and GroupAction checks
+    that e fixes every point and that acting by h after g is acting by hg.
     """
     check_level_cap(level_cap)
     g, carrier = action.group, action.carrier

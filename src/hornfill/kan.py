@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_BUDGET
 from .errors import CapacityError, ConsistencyError, InputError
-from .sset import SimplicialMap, subcomplex_of_simplex
+from .sset import SimplicialMap, check_int, subcomplex_of_simplex
 
 
 @functools.cache
@@ -80,9 +80,10 @@ def _horn_join(x, n, k, budget, spent=0, shapes_done=0):
     level n - 1, and the trials spent (`SimplicialObject.join`); past
     `budget` a CapacityError reports `shapes_done` horn shapes completed.
     """
-    if n > x.dim_cap:
+    if check_int(n, "horn dimension") > x.dim_cap:
         raise InputError(f"horn dimension {n} above target cap {x.dim_cap}")
-    horn_generators(n, k)  # rejects a bad n or k
+    # n and k are ints before the cached lookup, which takes True for 1
+    horn_generators(n, check_int(k, "horn index"))  # rejects a bad n or k
     table = x.table(n)
     try:
         return table.join(n, [i for i in range(n + 1) if i != k], budget, spent)
@@ -201,7 +202,7 @@ def classify(x, dim_cap=None, budget=DEFAULT_BUDGET):
     example maps are the least unfilled and the least ambiguous horn map
     in the order of `horn_maps`.
     """
-    cap = x.dim_cap if dim_cap is None else min(dim_cap, x.dim_cap)
+    cap = x.dim_cap if dim_cap is None else min(check_int(dim_cap), x.dim_cap)
     if cap < 2:
         raise InputError("horn classification needs dimension cap >= 2")
     verdicts = []

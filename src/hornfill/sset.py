@@ -278,9 +278,9 @@ class SimplicialSet:
     def table(self, through=None):
         """The one SimplicialObject whose level n is simplices(n), built
         level by level through `through` (dim_cap by default) on first
-        need, its rows emitted by the calculus (`_rows`).  A set built
-        unchecked may name a face with no position in the level below,
-        which is refused here, as the first bad row entry."""
+        need, its rows emitted by the calculus (`_rows`).  Of a set built
+        unchecked, a face list missing or of the wrong length is refused as
+        `validate` refuses it, a face not in the level below as a row entry."""
         top = self.dim_cap if through is None else through
         if not 0 <= top <= self.dim_cap:
             raise InputError(f"dimension {top} outside [0, {self.dim_cap}]")
@@ -290,6 +290,8 @@ class SimplicialSet:
         while table.level_cap < top:
             n = table.level_cap + 1
             level, own = self._normal_forms(n), self._own_rows(table, n)
+            if own is None:
+                self._refuse_faces(table.position[n - 1], n)
             for i, row in enumerate(own):
                 if None in row:
                     x = level[row.index(None)]
@@ -303,9 +305,11 @@ class SimplicialSet:
     def _own_rows(self, table, n):
         """The rows of d_i on the generators of dimension n: each face's
         position in level n - 1 of `table`, None where it names no
-        (n - 1)-simplex."""
+        (n - 1)-simplex; or None if a face list is missing or not n + 1 long."""
+        faces = [self.gen_faces.get(g, ()) for g in self.gens.get(n, ())]
+        if any(len(fs) != n + 1 for fs in faces):
+            return None
         at = table.position[n - 1]
-        faces = [self.gen_faces[g] for g in self.gens.get(n, ())]
         return [[at.get(fs[i]) for fs in faces] for i in range(n + 1)]
 
     def _rows(self, table, n, own):
@@ -376,10 +380,7 @@ class SimplicialSet:
         table, broken = self._level_zero(), None
         top = max(self.gens, default=0)
         for n in range(1, top + 1):
-            gens = self.gens.get(n, ())
-            own = None
-            if all(len(self.gen_faces.get(g, ())) == n + 1 for g in gens):
-                own = self._own_rows(table, n)
+            own = self._own_rows(table, n)
             if own is None or any(None in row for row in own):
                 self._refuse_faces(table.position[n - 1], n)
             if broken is None and n >= 2:
@@ -452,13 +453,13 @@ def _subset_id(s):
 
 def standard_simplex(n, dim_cap=None):
     """The n-simplex: generators are the strictly increasing subsets of {0..n}."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise InputError(f"simplex dimension must be a non-negative integer, got {n!r}")
     if n > MAX_STANDARD_DIM:
         raise CapacityError(f"standard simplex capped at dimension {MAX_STANDARD_DIM}, got {n}")
     if dim_cap is None:
         dim_cap = max(n, DEFAULT_DIM_CAP)
-    if dim_cap < n:
+    if check_int(dim_cap) < n:
         raise InputError(f"dim_cap {dim_cap} below simplex dimension {n}")
     return _simplex_subcomplex(n, dim_cap, lambda s: True)
 
@@ -469,7 +470,7 @@ def subcomplex_of_simplex(n, kind, k=None, dim_cap=None):
     kind = "boundary": all proper faces.
     kind = "horn": all faces except the k-th; 0 <= k <= n (inner iff 0<k<n).
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InputError(f"boundary/horn needs n >= 1, got {n!r}")
     if n > MAX_STANDARD_DIM:
         raise CapacityError(f"standard simplex capped at dimension {MAX_STANDARD_DIM}, got {n}")
@@ -481,13 +482,13 @@ def subcomplex_of_simplex(n, kind, k=None, dim_cap=None):
             raise InputError("boundary takes no horn index")
         keep = lambda s: s != full
     elif kind == "horn":
-        if k is None or not 0 <= k <= n:
+        if type(k) is not int or not 0 <= k <= n:
             raise InputError(f"horn index must satisfy 0 <= k <= {n}, got {k!r}")
         missing = tuple(v for v in full if v != k)
         keep = lambda s: s != full and s != missing
     else:
         raise InputError(f"unknown subcomplex kind {kind!r}")
-    return _simplex_subcomplex(n, dim_cap, keep)
+    return _simplex_subcomplex(n, check_int(dim_cap), keep)
 
 
 def _simplex_subcomplex(n, dim_cap, keep):
@@ -738,7 +739,7 @@ def enumerate_maps(src, tgt, dim_cap=None, budget=DEFAULT_BUDGET, fixed=None):
     """
     cap = min(src.dim_cap, tgt.dim_cap)
     if dim_cap is not None:
-        if dim_cap < 0:
+        if check_int(dim_cap) < 0:
             raise InputError(f"bad dim_cap {dim_cap}")
         cap = min(cap, dim_cap)
     for g, ref in (fixed or {}).items():
@@ -822,6 +823,14 @@ def check_level_cap(level_cap):
     """A level cap is a non-negative integer; anything else is an InputError."""
     if type(level_cap) is not int or level_cap < 0:
         raise InputError(f"level_cap must be a non-negative integer, got {level_cap!r}")
+
+
+def check_int(value, name="dim_cap"):
+    """`value`, if it is an int and not a bool, as `check_level_cap` tests;
+    anything else is an InputError.  Its range is the caller's to check."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
 
 
 class SimplicialObject:
@@ -1103,7 +1112,7 @@ def product_structure(x, y, dim_cap=None):
     """
     cap = min(x.dim_cap, y.dim_cap)
     if dim_cap is not None:
-        cap = min(cap, dim_cap)
+        cap = min(cap, check_int(dim_cap))
     tx, ty = x.table(cap), y.table(cap)
     levels = [[(a, b) for a in tx.levels[n] for b in ty.levels[n]] for n in range(cap + 1)]
 

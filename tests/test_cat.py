@@ -72,15 +72,15 @@ def test_category_validation_rejects_partial_composition():
 
 
 def test_nerve_of_an_unchecked_category_names_a_missing_or_unknown_composite():
+    # no category is built unchecked: the table whose nerve was refused is
+    # refused when the category is built, with the message the nerve gave
     units = {("i", "i"): "i", ("i", "f"): "f", ("f", "i"): "f"}
     for compose, message in (
         (units, r"^composition table wrong at \('f', 'f'\): missing entry$"),
         ({**units, ("f", "f"): "g"}, r"^\('f', 'f'\) composes to unknown 'g'$"),
     ):
-        c = FiniteCategory(("x",), {"i": ("x", "x"), "f": ("x", "x")}, {"x": "i"}, compose,
-                           check=False)
         with pytest.raises(ValidationError, match=message):
-            nerve(c, dim_cap=2)
+            FiniteCategory(("x",), {"i": ("x", "x"), "f": ("x", "x")}, {"x": "i"}, compose)
 
 
 def test_nerve_of_an_unchecked_category_names_a_bad_endpoint_or_identity():
@@ -91,39 +91,40 @@ def test_nerve_of_an_unchecked_category_names_a_bad_endpoint_or_identity():
         ({"i": ("x", "x")}, {}, r"^bad identity at 'x'$"),
         ({"i": ("x", "x")}, {"x": "j"}, r"^bad identity at 'x'$"),
     ):
-        c = FiniteCategory(("x",), mor, identity, units, check=False)
-        for cap in (0, 2):
-            with pytest.raises(ValidationError, match=message):
-                nerve(c, dim_cap=cap)
+        with pytest.raises(ValidationError, match=message):
+            FiniteCategory(("x",), mor, identity, units)
 
 
 def test_functor_validate_names_what_an_unchecked_category_lacks():
+    # a category that lacks an identity, a composite or a morphism is
+    # refused when it is built, so a functor never meets one
     two = {"i": ("x", "x"), "f": ("x", "x")}
     units = {("i", "i"): "i", ("i", "f"): "f", ("f", "i"): "f"}
     c = FiniteCategory(("x",), two, {"x": "i"}, {**units, ("f", "f"): "i"})
-    # the target's table lacks the image of a pair the source composes
-    d = FiniteCategory(("x",), two, {"x": "i"}, units, check=False)
-    with pytest.raises(ValidationError,
-                       match=r"^target has no composite at \('f', 'f'\), image of \('f', 'f'\)$"):
-        Functor(c, d, {"x": "x"}, {"i": "i", "f": "f"}).validate()
-    # the source has no identity at an object
-    b = FiniteCategory(("x",), {"f": ("x", "x")}, {}, {("f", "f"): "f"}, check=False)
-    with pytest.raises(ValidationError, match=r"^source has no identity at 'x'$"):
-        Functor(b, c, {"x": "x"}, {"f": "i"}).validate()
-    # the other lookups an unchecked category can fail
-    for src, tgt, message in (
-        (c, FiniteCategory(("x",), two, {}, units, check=False),
-         r"^target has no identity at 'x'$"),
-        (FiniteCategory(("x",), two, {"x": "i"}, {**units, ("f", "f"): "g"}, check=False), c,
-         r"^source composition \('f','f'\) names an unknown morphism$"),
-        (FiniteCategory(("x",), {**two, "e": ("x", "y")}, {"x": "i"}, units, check=False), c,
-         r"^image of 'e' has wrong endpoints$"),
+    for mor, identity, compose, message in (
+        (two, {"x": "i"}, units, r"^composition table wrong at \('f', 'f'\): missing entry$"),
+        ({"f": ("x", "x")}, {}, {("f", "f"): "f"}, r"^bad identity at 'x'$"),
+        (two, {}, units, r"^bad identity at 'x'$"),
+        (two, {"x": "i"}, {**units, ("f", "f"): "g"}, r"^\('f', 'f'\) composes to unknown 'g'$"),
+        ({**two, "e": ("x", "y")}, {"x": "i"}, units,
+         r"^morphism 'e' has endpoint outside objects$"),
     ):
         with pytest.raises(ValidationError, match=message):
-            Functor(src, tgt, {"x": "x"}, {"i": "i", "f": "f", "e": "f"}).validate()
+            FiniteCategory(("x",), mor, identity, compose)
+    # between categories that were built, the functor laws are what is left
+    arrow = poset_category(1)
+    for tgt, on_objects, on_morphisms, message in (
+        (arrow, {"x": "0"}, {"i": "00", "f": "01"}, r"^image of 'f' has wrong endpoints$"),
+        (c, {"x": "x"}, {"i": "f", "f": "i"}, r"^identity at 'x' not preserved$"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            Functor(c, tgt, on_objects, on_morphisms).validate()
+    Functor(c, c, {"x": "x"}, {"i": "i", "f": "f"}).validate()
 
 
 def test_duskin_nerve_of_an_unchecked_two_category_is_a_validation_error():
+    # no 2-category is built unchecked: the tables whose Duskin nerve was
+    # refused are refused when the 2-category is built, with the same message
     good = one_object_two_group(cyclic_group(2))
     parts = [good.objects, good.one, good.cat.identity, good.cat.compose_table, good.two,
              good.two_identity, good.vcompose, good.hcompose]
@@ -133,26 +134,24 @@ def test_duskin_nerve_of_an_unchecked_two_category_is_a_validation_error():
         (7, {**good.hcompose, ("ac1", "ac1"): "ac1"},
          r"^interchange fails at \('ac0','ac1'\) \* \('ac1','ac0'\)$"),
     ):
-        broken = Finite2Category(*parts[:at], table, *parts[at + 1:], check=False)
-        for cap in (0, 3):
-            with pytest.raises(ValidationError, match=message):
-                duskin_nerve(broken, dim_cap=cap)
+        with pytest.raises(ValidationError, match=message):
+            Finite2Category(*parts[:at], table, *parts[at + 1:])
+    assert duskin_nerve(Finite2Category(*parts), dim_cap=3).sset == duskin_nerve(good, 3).sset
 
 
 def test_two_group_builders_check_an_unchecked_group():
-    # a group built unchecked is checked before its table is read, so a
-    # missing product is a ValidationError and not a bare KeyError
+    # a group is checked when it is built, so a missing product is a
+    # ValidationError before any builder can read the table
     c3 = cyclic_group(3)
     mul = dict(c3.mul)
     del mul[("c1", "c2")]
-    broken = FiniteGroup(c3.elements, mul, check=False)
     message = r"^group table: composition table wrong at \('c1', 'c2'\): missing entry$"
-    for build in (lambda: one_object_two_group(broken), lambda: split_two_group(broken, c3),
-                  lambda: split_two_group(c3, broken)):
+    for build in (lambda g: one_object_two_group(g), lambda g: split_two_group(g, c3),
+                  lambda g: split_two_group(c3, g)):
         with pytest.raises(ValidationError, match=message):
-            build()
-    # an unchecked group whose table is whole is checked and used
-    good = FiniteGroup(c3.elements, c3.mul, check=False)
+            build(FiniteGroup(c3.elements, mul))
+    # a group whose table is whole is built and used
+    good = FiniteGroup(c3.elements, c3.mul)
     assert one_object_two_group(good).all_two_invertible()
 
 
@@ -320,22 +319,53 @@ def test_nerve_checks_a_category_once(monkeypatch):
     nerve(c, dim_cap=3)
     nerve(g.one_object_category(), dim_cap=3)
     assert calls == []
-    # a category built unchecked is checked by its nerve, once
+    # a category is checked once, when it is built, and not by its nerve
     units = {("1", "1"): "1", ("1", "z"): "z", ("z", "1"): "z"}
     good = FiniteCategory(("a",), {"1": ("a", "a"), "z": ("a", "a")}, {"a": "1"},
-                          {**units, ("z", "z"): "z"}, check=False)
+                          {**units, ("z", "z"): "z"})
     nerve(good, dim_cap=2)
     nerve(good, dim_cap=3)
     assert calls == [good]
-    broken = FiniteCategory(("a",), {"1": ("a", "a"), "z": ("a", "a")}, {"a": "1"},
-                            {**units, ("z", "z"): "z", ("z", "1"): "1"}, check=False)
     for _ in range(2):
         with pytest.raises(ValidationError, match="^right unit fails at 'z'$"):
-            nerve(broken)
-    missing = FiniteCategory(("a",), {"1": ("a", "a"), "z": ("a", "a")}, {"a": "1"},
-                             units, check=False)
+            FiniteCategory(("a",), {"1": ("a", "a"), "z": ("a", "a")}, {"a": "1"},
+                           {**units, ("z", "z"): "z", ("z", "1"): "1"})
     with pytest.raises(ValidationError, match="missing entry"):
-        nerve(missing)
+        FiniteCategory(("a",), {"1": ("a", "a"), "z": ("a", "a")}, {"a": "1"}, units)
+
+
+def test_each_structure_is_checked_once_when_it_is_built(monkeypatch):
+    # one law check per loaded category and group, three per 2-category (its
+    # 1-cells, its vertical and its horizontal category), and none from the
+    # nerves or the 2-group builders beyond the 2-categories they build
+    loads = [
+        (io.category_from_json, list(map(io.category_to_json, all_categories().values())), 1),
+        (io.group_from_json, list(map(io.group_to_json, all_small_groups().values())), 1),
+        (io.two_category_from_json,
+         list(map(io.two_category_to_json, all_two_categories().values())), 3),
+    ]
+    calls = []
+    validate = FiniteCategory.validate
+    monkeypatch.setattr(FiniteCategory, "validate", lambda self: calls.append(self) or validate(self))
+    loaded = []
+    for load, files, per in loads:
+        calls.clear()
+        loaded.append([load(data) for data in files])
+        assert len(calls) == per * len(files) > 0
+    cats, groups, two_cats = loaded
+    calls.clear()
+    for c in cats:
+        nerve(c, dim_cap=3)
+    for g in groups:
+        nerve(g.one_object_category(), dim_cap=3)
+    for c2 in two_cats:
+        duskin_nerve(c2, dim_cap=3)
+    assert calls == []
+    abelian = [g for g in groups if all(g.mul[(a, b)] == g.mul[(b, a)] for a, b in g.mul)]
+    for a in abelian:
+        one_object_two_group(a)
+        split_two_group(groups[0], a)
+    assert len(calls) == 3 * 2 * len(abelian) > 0
 
 
 def test_enumerate_functors_counts():
@@ -396,7 +426,6 @@ def _opposite(c):
         {m: (t, s) for m, (s, t) in c.mor.items()},
         c.identity,
         {(f, g): h for (g, f), h in c.compose_table.items()},
-        check=False,
     )
 
 

@@ -144,8 +144,8 @@ def test_duskin_counts(files, capsys):
 
 
 def test_cat_duskin_checks_each_loaded_two_category_once(capsys, tmp_path, monkeypatch):
-    # the loader checks a 2-category, which marks it, so the Duskin nerve
-    # does not check it again
+    # a 2-category is checked when the loader builds it, and the Duskin
+    # nerve does not check it again
     paths = [_write(tmp_path, f"{name}.json", io.two_category_to_json(c2))
              for name, c2 in all_two_categories().items()]
     calls = []

@@ -270,13 +270,58 @@ def test_automorphism_groups_and_their_nerves_are_built_once(monkeypatch):
         assert equivalence_check(gpd, other).equivalent
         assert skeleton(gpd).groups == {x: gpd.automorphism_group(x) for x in gpd.objects}
     assert 0 < len(built) == len(set(map(id, built))) <= 6
-    # a groupoid that fails its inverse check is not taken as checked
-    broken = FiniteGroupoid(("a",), {"1": ("a", "a"), "z": ("a", "a")}, {"a": "1"},
-                            {("1", "1"): "1", ("1", "z"): "z", ("z", "1"): "z", ("z", "z"): "z"},
-                            check=False)
+    # a groupoid that fails its inverse check is refused each time it is built
     for _ in range(2):
         with pytest.raises(ValidationError, match="^morphism 'z' has no inverse$"):
-            nerve(broken)
+            FiniteGroupoid(("a",), {"1": ("a", "a"), "z": ("a", "a")}, {"a": "1"},
+                           {("1", "1"): "1", ("1", "z"): "z", ("z", "1"): "z", ("z", "z"): "z"})
+
+
+def test_no_public_call_meets_a_group_or_groupoid_that_breaks_its_laws():
+    # with a check=False knob, each call below raised a bare KeyError on C3
+    # with one product removed or on BS3 with one composite removed, and a
+    # monoid passed the 2-group builder on its second try.  Each input is
+    # now refused when it is built, every time, and never reaches the call.
+    from hornfill.cat import one_object_two_group
+    from hornfill.descent import (cech_descent_skeleton, cech_stack_report,
+                                  check_stack_groupoids, constant_bg_presheaf,
+                                  descent_groupoid, torsor_presheaf,
+                                  truncation_agreement_cech)
+    c3, cover = cyclic_group(3), cover_of_shape((2,))
+    group_calls = [
+        lambda g: direct_product(g, c3),
+        lambda g: descent_groupoid(torsor_presheaf(g), cover),
+        lambda g: check_stack_groupoids(torsor_presheaf(g), cover),
+        lambda g: check_stack_groupoids(constant_bg_presheaf(g), cover),
+        lambda g: cech_stack_report(g, cover),
+        lambda g: cech_descent_skeleton(g, cover),
+        lambda g: truncation_agreement_cech(g, cover),
+        lambda g: quotient_groupoid(GroupAction(g, c3.elements, c3.mul)),
+        lambda g: duskin_nerve(one_object_two_group(g), dim_cap=3),
+    ]
+    mul = {k: v for k, v in c3.mul.items() if k != ("c1", "c2")}
+    with pytest.raises(TypeError, match="check"):
+        FiniteGroup(c3.elements, mul, check=False)
+    for call in group_calls:
+        call(c3)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=r"^group table: composition table "
+                                                      r"wrong at \('c1', 'c2'\): missing entry$"):
+                call(FiniteGroup(c3.elements, mul))
+    bs3 = bg_category(symmetric_group(3))
+    gpd = FiniteGroupoid(bs3.objects, bs3.mor, bs3.identity, bs3.compose_table)
+    pair = min(bs3.compose_table)
+    table = {k: v for k, v in bs3.compose_table.items() if k != pair}
+    for call in (skeleton, groupoid_cardinality, lambda g: equivalence_check(g, gpd)):
+        call(gpd)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"composition table wrong at {pair!r}: missing entry")):
+                call(FiniteGroupoid(bs3.objects, bs3.mor, bs3.identity, table))
+    monoid = {("e", "e"): "e", ("e", "z"): "z", ("z", "e"): "z", ("z", "z"): "z"}
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="^no inverse for 'z'$"):
+            one_object_two_group(FiniteGroup(("e", "z"), monoid))
 
 
 def _backtracking_equivalence(g1, g2):
@@ -914,6 +959,35 @@ def test_bad_level_caps_are_input_errors():
         with pytest.raises(InputError, match="level_cap must be a non-negative integer"):
             is_groupoid_object(two, level_cap=cap)
     assert cech_nerve(pi, level_cap=0).levels == [(("a",), ("b",))]
+    # a dim_cap, or a horn's n or k, that is not an int is refused as such,
+    # a bool among them; None is no cap, and a negative value keeps the
+    # message of the range check it meets
+    from hornfill.kan import classify, horn_tuples
+    x = nerve(poset_category(1), dim_cap=3).sset
+    horn_tuples(x, 2, 1)  # caches the (2, 1)-horn, which k = True must not reach
+    calls = {
+        "dim_cap": [
+            (lambda c: classify(x, c), "horn classification needs dimension cap >= 2"),
+            (lambda c: sset.enumerate_maps(x, x, dim_cap=c), "bad dim_cap -1"),
+            (lambda c: sset.product(x, x, c), r"dimension -1 outside \[0, 3\]"),
+            (lambda c: sset.product_structure(x, x, c), r"dimension -1 outside \[0, 3\]"),
+            (lambda c: sset.standard_simplex(2, dim_cap=c), "dim_cap -1 below simplex dimension 2"),
+            (lambda c: sset.subcomplex_of_simplex(2, "horn", 1, dim_cap=c),
+             "dim_cap must be a non-negative integer, got -1"),
+        ],
+        "horn dimension": [(lambda n: horn_tuples(x, n, 1), "boundary/horn needs n >= 1, got -1")],
+        "horn index": [(lambda k: horn_tuples(x, 2, k), r"horn index must satisfy 0 <= k <= 2")],
+    }
+    for name, cases in calls.items():
+        for call, negative in cases:
+            for cap in (2.0, "3", True) + ((None,) if name != "dim_cap" else ()):
+                with pytest.raises(InputError, match=f"^{name} must be a non-negative integer, "
+                                                     f"got {re.escape(repr(cap))}$"):
+                    call(cap)
+            with pytest.raises(InputError, match=f"^{negative}"):
+                call(-1)
+            if name == "dim_cap":
+                call(None)
 
 
 def _redirect(obj, kind, n, i, x, y):

@@ -4,10 +4,14 @@
 directly, 2-categories as their vertical and horizontal categories (plus
 three functors and interchange), groups as one-object categories.  The
 per-structure checkers they replaced are kept below as oracles, verbatim
-apart from `self` becoming an argument, and both are run on every corpus
-category, 2-category and small group, on every single-entry mutation of
-their tables, and on each 2-category with its horizontal composition
-collapsed to identity 2-cells.  On a descent groupoid with two objects,
+apart from `self` becoming an argument.  Since every structure is checked
+when it is built, the oracles read a plain record of the constructor's
+fields (`_fields`, `_two_fields`), with the old group's identity and
+inverse lookups copied beside its checker, while the new checker is run
+by building the structure.  Both are run on every corpus category,
+2-category and small group, on every single-entry mutation of their
+tables, and on each 2-category with its horizontal composition collapsed
+to identity 2-cells.  On a descent groupoid with two objects,
 where associativity is checked row by row across hom sets, the two
 category checkers must also give the same message on every mutation.
 """
@@ -15,6 +19,7 @@ category checkers must also give the same message on every mutation.
 import itertools
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -170,14 +175,29 @@ def old_group_validate(g):
         for b in es:
             if (a, b) not in g.mul or g.mul[(a, b)] not in set(es):
                 raise ValidationError(f"multiplication not closed at ({a!r},{b!r})")
-    g.identity()
+    old_identity(g)
     for a in es:
         for b in es:
             for c in es:
                 if g.mul[(g.mul[(a, b)], c)] != g.mul[(a, g.mul[(b, c)])]:
                     raise ValidationError(f"associativity fails at ({a!r},{b!r},{c!r})")
     for a in es:
-        g.inverse(a)
+        old_inverse(g, a)
+
+
+def old_identity(g):
+    for e in g.elements:
+        if all(g.mul.get((e, x)) == x and g.mul.get((x, e)) == x for x in g.elements):
+            return e
+    raise ValidationError("no identity element")
+
+
+def old_inverse(g, a):
+    e = old_identity(g)
+    for b in g.elements:
+        if g.mul[(a, b)] == e and g.mul[(b, a)] == e:
+            return b
+    raise ValidationError(f"no inverse for {a!r}")
 
 
 # -- helpers -------------------------------------------------------------------
@@ -203,8 +223,38 @@ def _mutations(table, values):
                 yield {**table, key: v}
 
 
+def _fields(objects, morphisms, identity, compose):
+    """A category's fields as its constructor keeps them, unchecked: the
+    record that the old checker and `_Rows` read."""
+    return SimpleNamespace(objects=tuple(sorted(objects)), mor=dict(morphisms),
+                           identity=dict(identity), compose_table=dict(compose))
+
+
+def _category(c):
+    """The category on the fields of c, checked as it is built."""
+    return FiniteCategory(c.objects, c.mor, c.identity, c.compose_table)
+
+
+def _inverse(c, f):
+    """An inverse of f in the fields of c, or None."""
+    s, t = c.mor[f]
+    return next((g for g in sorted(c.mor) if c.mor[g] == (t, s)
+                 and c.compose_table[(g, f)] == c.identity[s]
+                 and c.compose_table[(f, g)] == c.identity[t]), None)
+
+
+def _two_fields(objects, one_cells, identity, compose, two_cells, two_identity, vcompose,
+                hcompose):
+    """A 2-category's fields as its constructor keeps them, unchecked."""
+    return SimpleNamespace(
+        cat=_fields(objects, one_cells, identity, compose), objects=tuple(sorted(objects)),
+        one=dict(one_cells), two=dict(two_cells), two_identity=dict(two_identity),
+        vcompose=dict(vcompose), hcompose=dict(hcompose),
+    )
+
+
 def _two_category(c2, **tables):
-    """c2 with some of its tables replaced, unchecked."""
+    """The fields of c2 with some of its tables replaced, unchecked."""
     parts = {
         "compose": c2.cat.compose_table,
         "two_identity": c2.two_identity,
@@ -212,14 +262,20 @@ def _two_category(c2, **tables):
         "hcompose": c2.hcompose,
     }
     parts.update(tables)
-    return Finite2Category(
+    return _two_fields(
         c2.objects, c2.one, c2.cat.identity, parts["compose"], c2.two,
-        parts["two_identity"], parts["vcompose"], parts["hcompose"], check=False,
+        parts["two_identity"], parts["vcompose"], parts["hcompose"],
     )
 
 
+def _build_two(c2):
+    """The 2-category on the fields of c2, checked as it is built."""
+    return Finite2Category(c2.objects, c2.one, c2.cat.identity, c2.cat.compose_table, c2.two,
+                           c2.two_identity, c2.vcompose, c2.hcompose)
+
+
 def _new_two_failure(c2):
-    return _failure(lambda: (c2.cat.validate(), c2.validate()))
+    return _failure(lambda: _build_two(c2))
 
 
 def _old_two_failure(c2):
@@ -262,8 +318,8 @@ def test_category_checker_agrees_with_the_old_one_on_every_mutation():
     for name, c in all_categories().items():
         assert _failure(c.validate) is None and _failure(lambda: old_category_validate(c)) is None
         for table in _mutations(c.compose_table, sorted(c.mor)):
-            m = FiniteCategory(c.objects, c.mor, c.identity, table, check=False)
-            new = _failure(m.validate)
+            m = _fields(c.objects, c.mor, c.identity, table)
+            new = _failure(lambda: _category(m))
             old = _failure(lambda: old_category_validate(m))
             assert (new is None) == (old is None), (name, new, old)
             mutants += 1
@@ -297,8 +353,8 @@ def test_category_checker_gives_the_old_message_on_every_mutation_of_a_descent_g
                 if other == value:
                     continue
                 table = {**c.compose_table, key: other}
-                m = FiniteCategory(c.objects, c.mor, c.identity, table, check=False)
-                new = _failure(m.validate)
+                m = _fields(c.objects, c.mor, c.identity, table)
+                new = _failure(lambda: _category(m))
                 assert new == _failure(lambda: old_category_validate(m)), (key, other)
                 kinds[new and new.split(" fails at ")[0]] += 1
         assert kinds == {"associativity": 294, "right unit": 48, "left unit": 42}
@@ -309,8 +365,9 @@ def test_group_checker_agrees_with_the_old_one_on_every_mutation():
     for name, g in all_small_groups().items():
         assert _failure(g.validate) is None
         for table in _mutations(g.mul, g.elements):
-            new = _failure(FiniteGroup(g.elements, table, check=False).validate)
-            old = _failure(lambda: old_group_validate(FiniteGroup(g.elements, table, check=False)))
+            new = _failure(lambda: FiniteGroup(g.elements, table))
+            old = _failure(lambda: old_group_validate(SimpleNamespace(elements=g.elements,
+                                                                      mul=table)))
             assert (new is None) == (old is None), (name, new, old)
             rejected += new is not None
     assert rejected > 500
@@ -337,9 +394,7 @@ def test_two_category_checker_agrees_with_the_old_one_but_adds_horizontal_units(
 
 def _one_object_category(table, unit="1"):
     elements = sorted({g for g, f in table})
-    return FiniteCategory(
-        ("*",), {x: ("*", "*") for x in elements}, {"*": unit}, table, check=False
-    )
+    return _fields(("*",), {x: ("*", "*") for x in elements}, {"*": unit}, table)
 
 
 # {1, z, w}: 1 is a two-sided unit, but w (w w) = w z = w while (w w) w = z w = z
@@ -370,23 +425,22 @@ _LEFT_ZERO_MONOID = {
 def test_category_checker_names_each_broken_law(table, message):
     c = _one_object_category(table)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        c.validate()
+        _category(c)
 
 
 def test_category_checker_names_wrong_endpoints():
     mor = {"ix": ("x", "x"), "iy": ("y", "y"), "a": ("x", "y")}
     table = {("ix", "ix"): "ix", ("iy", "iy"): "iy", ("a", "ix"): "iy", ("iy", "a"): "a"}
-    c = FiniteCategory(("x", "y"), mor, {"x": "ix", "y": "iy"}, table, check=False)
     with pytest.raises(ValidationError, match=r"^\('a', 'ix'\) composes with wrong endpoints$"):
-        c.validate()
+        FiniteCategory(("x", "y"), mor, {"x": "ix", "y": "iy"}, table)
 
 
 def _one_one_cell(vertical, horizontal, unit="1"):
     """One object, one 1-cell, 2-cells the elements of two tables on one set."""
     cells = sorted({x for pair in vertical for x in pair})
-    return Finite2Category(
+    return _two_fields(
         ("*",), {"i": ("*", "*")}, {"*": "i"}, {("i", "i"): "i"},
-        {a: ("i", "i") for a in cells}, {"i": unit}, vertical, horizontal, check=False,
+        {a: ("i", "i") for a in cells}, {"i": unit}, vertical, horizontal,
     )
 
 
@@ -406,9 +460,9 @@ def _idempotent_labels(twisted):
                 for x in ones:
                     twist = "p" if twisted and x == y == "g" else "e"
                     hcomp[(y + s, x + t)] = comp[(y, x)] + label(s, t, twist)
-    return Finite2Category(
+    return _two_fields(
         ("*",), ones, {"*": "1"}, comp, {x + s: (x, x) for x in ones for s in "ep"},
-        {x: x + "e" for x in ones}, vcomp, hcomp, check=False,
+        {x: x + "e" for x in ones}, vcomp, hcomp,
     )
 
 
@@ -423,9 +477,9 @@ def _non_parallel_cell():
     w = walking_two_cell()
     vcomp = {k: v for k, v in w.vcompose.items() if k != ("=v", "m")}
     vcomp[("=iy", "m")] = "m"
-    return Finite2Category(
+    return _two_fields(
         w.objects, w.one, w.cat.identity, w.cat.compose_table, {**w.two, "m": ("u", "iy")},
-        w.two_identity, vcomp, w.hcompose, check=False,
+        w.two_identity, vcomp, w.hcompose,
     )
 
 
@@ -463,14 +517,14 @@ def _broken_two_categories():
 
 @pytest.mark.parametrize("message, c2", _broken_two_categories())
 def test_two_category_checker_names_each_broken_structure(message, c2):
-    c2.cat.validate()
+    _category(c2.cat)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        c2.validate()
+        _build_two(c2)
 
 
 def test_law_family_examples_break_nothing_else():
     # untwisted, the labelled 2-category satisfies every law
-    _idempotent_labels(twisted=False).validate()
+    _build_two(_idempotent_labels(twisted=False))
     # the old checker accepts the constant horizontal composition, which
     # breaks only the horizontal unit laws, and finds the same single faults
     # in the other two
@@ -507,24 +561,23 @@ def test_identities_keyed_by_unknown_objects_are_refused():
     c = _one_object_category({("1", "1"): "1"})
     c.identity["ghost"] = "1"
     with pytest.raises(ValidationError, match="^identity keyed by unknown object 'ghost'$"):
-        c.validate()
+        _category(c)
     c2 = one_object_two_group(cyclic_group(2))
-    c2.two_identity["ghost"] = "ac0"
     with pytest.raises(
         ValidationError, match="^vertical: identity keyed by unknown object 'ghost'$"
     ):
-        c2.validate()
+        _build_two(_two_category(c2, two_identity={**c2.two_identity, "ghost": "ac0"}))
 
 
 # -- Light's test against the row scan -------------------------------------------
 
 
 def _against_the_row_scan(c):
-    """validate's message on c, checked against the old checker and, once
+    """The message of building c, checked against the old checker and, once
     the entries and unit laws hold, against the row scan: the generators
     are all good exactly when the row scan finds no failing triple, and
     validate names that triple."""
-    message = _failure(c.validate)
+    message = _failure(lambda: _category(c))
     assert message == _failure(lambda: old_category_validate(c))
     if message is None or message.startswith("associativity fails at "):
         rows = _Rows(c)
@@ -565,7 +618,7 @@ def test_generator_check_matches_the_row_scan_on_categories_that_are_not_groupoi
             assert len(gens) > len(c.objects) - 1, name
         tables = [c.compose_table, *_mutations(c.compose_table, sorted(c.mor)), *_within_hom(c)]
         for table in tables:
-            m = FiniteCategory(c.objects, c.mor, c.identity, table, check=False)
+            m = _fields(c.objects, c.mor, c.identity, table)
             kinds[_kind(_against_the_row_scan(m))] += 1
     # every unital magma on {1, z, w}, alone and as the endomorphisms of b
     # under an arrow s: a -> b that they all fix; there the spanning tree
@@ -573,11 +626,10 @@ def test_generator_check_matches_the_row_scan_on_categories_that_are_not_groupoi
     for values in itertools.product("1zw", repeat=4):
         table = {**{(x, "1"): x for x in "1zw"}, ("1", "z"): "z", ("1", "w"): "w",
                  **dict(zip(itertools.product("zw", repeat=2), values))}
-        under = FiniteCategory(
+        under = _fields(
             ("a", "b"), {"ia": ("a", "a"), "s": ("a", "b"), **{x: ("b", "b") for x in "1zw"}},
             {"a": "ia", "b": "1"},
             {**table, ("ia", "ia"): "ia", ("s", "ia"): "s", **{(x, "s"): "s" for x in "1zw"}},
-            check=False,
         )
         assert _Rows(under).generators(under.identity)[0] == "s"
         for m in (_one_object_category(table), under):
@@ -611,11 +663,11 @@ def test_both_associativity_paths_agree_on_each_side_of_the_scan_size(monkeypatc
         assert bool(chose) == (per_morphism > scan)
         values = sorted(c.mor)
         for table in [c.compose_table, *_mutations(c.compose_table, values), *mutants(c)]:
-            m = FiniteCategory(c.objects, c.mor, c.identity, table, check=False)
+            m = _fields(c.objects, c.mor, c.identity, table)
             found = {}
             for size in (0, len(c.mor) ** 3, scan):
                 monkeypatch.setattr(cat, "SCAN_TRIPLES", size)
-                found[size] = _failure(m.validate)
+                found[size] = _failure(lambda: _category(m))
             assert len(set(found.values())) == 1, found
             verdicts[_kind(found[0])] += 1
     assert verdicts == {
@@ -632,7 +684,7 @@ def _without_one_inverse(gpd, arrows):
         for other in gpd.hom(x, x):
             if other != gpd.identity[x]:
                 table = {**gpd.compose_table, (u, t): other}
-                yield t, FiniteCategory(gpd.objects, gpd.mor, gpd.identity, table, check=False)
+                yield t, _fields(gpd.objects, gpd.mor, gpd.identity, table)
 
 
 def test_generator_check_matches_the_row_scan_on_descent_groupoids_without_an_inverse():
@@ -650,7 +702,7 @@ def test_generator_check_matches_the_row_scan_on_descent_groupoids_without_an_in
         tree = gens[:2 * (len(gpd.objects) - 1)]  # each tree arrow, then its inverse
         kinds = Counter()
         for t, m in _without_one_inverse(gpd, sorted(gpd.mor) if name == "c2" else gens):
-            assert m.inverse(t) is None
+            assert _inverse(m, t) is None
             if t in tree:
                 assert _Rows(m).generators(m.identity) != gens
             kinds[_kind(_against_the_row_scan(m))] += 1

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import hornfill
@@ -48,6 +49,24 @@ def _nodes(node, kind, owner=()):
         elif isinstance(child, kind):
             yield ".".join(owner), child
         yield from _nodes(child, kind, inner)
+
+
+def test_categories_groups_and_two_categories_are_checked_when_built():
+    # no constructor of these takes a check knob, and no module marks a
+    # structure as checked: every one in hand has passed its laws
+    from hornfill.cat import Finite2Category, FiniteCategory
+    from hornfill.groupoid import FiniteGroup, FiniteGroupoid
+    for cls in (FiniteCategory, FiniteGroupoid, FiniteGroup, Finite2Category):
+        assert "check" not in inspect.signature(cls).parameters, cls
+    package = pathlib.Path(hornfill.__file__).parent
+    marks = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "_checked"
+        or isinstance(node, ast.Constant) and node.value == "_checked"
+    ]
+    assert marks == []
 
 
 def test_unchecked_level_tables_are_frozen():

@@ -240,6 +240,21 @@ def test_an_unchecked_set_refuses_a_face_it_cannot_place_when_its_table_grows():
                                                   r"leaves level 0$"):
             broken.simplices(2)
         assert broken.table(0).level_cap == 0
+    # a missing or short face list is refused as validate refuses it, by
+    # table() and by the calls that build the table first
+    a, e = SimplexRef("a"), SimplexRef("e")
+    for faces, message in (
+        ({"t": (e, e, e)}, "^generator 'e' has no face list$"),
+        ({"e": (a,), "t": (e, e, e)}, "^'e' has 1 faces, expected 2$"),
+        ({"e": (a, a), "t": (e, e)}, "^'t' has 2 faces, expected 3$"),
+    ):
+        short = SimplicialSet(2, {0: ["a"], 1: ["e"], 2: ["t"]}, faces, check=False)
+        with pytest.raises(ValidationError, match=message):
+            SimplicialSet(2, {0: ["a"], 1: ["e"], 2: ["t"]}, faces)
+        for call in (short.table, lambda: short.simplices(2), lambda: classify(short),
+                     lambda: homotopy_category(short)):
+            with pytest.raises(ValidationError, match=message):
+                call()
 
 
 def test_simplicial_map_validation_checks_faces():
