@@ -902,7 +902,9 @@ def duskin_nerve(c2, dim_cap=DEFAULT_DIM_CAP, budget=DEFAULT_BUDGET):
     A simplex is named by its cells (`_duskin_name`); two simplices with
     one name are an InputError.  The budget counts the candidate triangles
     and the join trials of the whole build; a CapacityError carries the
-    simplices found at the level that ran out.
+    budget when the triangles run out, else the partial of the join that
+    ran out (`SimplicialObject.join`): the tuples it kept among those the
+    budget reaches in its last slot, or 0 in an earlier one.
 
     The 2-category was checked when built, and the set is built unchecked,
     on this proof.  Levels 0-2 are the
@@ -1008,8 +1010,11 @@ def fundamental_category(x, path_budget=DEFAULT_PATH_BUDGET, max_length=32):
     rewritten word is never longer and stays in the universe.  The universe grows one length at a time: the
     words of each length are built once, and the probe at L + 1, with its
     classes, becomes the next universe.  The classes do not depend on the
-    order of the unions, as each root is its class's least member.
+    order of the unions, as each root is its class's least member.  The
+    table is built through level 2 first, so that a bad face list of a set
+    built unchecked is refused as `SimplicialSet.table` refuses it.
     """
+    x.table(min(x.dim_cap, 2))
     verts = list(x.generators(0))
     edges = list(x.generators(1))
     esrc = {e: x.gen_faces[e][1].gen for e in edges}

@@ -6,9 +6,10 @@ i < j (May, Simplicial Objects in Algebraic Topology, Def. 1.3): y_i is
 the image of the horn face d_i, and the equations glue the faces along
 their common (n-2)-faces.  Such compatible face tuples are enumerated by
 `SimplicialObject.join` over the slots i != k of x's (n-1)-simplices,
-choosing y_i in increasing i and looking each one up by the faces it
-shares with the entries already chosen; the Duskin nerve builds its
-levels >= 3 with the same join over every slot.  The
+one slot at a time in increasing i: the candidates for y_i of every
+partial tuple are looked up at once by the faces they share with its
+entries, and all partial tuples are extended together.  The Duskin
+nerve builds its levels >= 3 with the same join over every slot.  The
 fillers of a horn map are the n-simplices whose face tuple with d_k
 dropped is the map's tuple, read off an index of x's n-simplices that x
 caches per (n, k).  The join and both indexes work on positions in x's

@@ -17,9 +17,11 @@ set builds the levels below its top generator dimension while `validate`
 checks it on them, and keeps them.  Maps, isomorphisms
 and (through nerves) functors are found by one search, `_map_search`,
 that gives each source generator a target simplex by one face-index
-lookup on those positions.  It, the join of compatible face tuples and
-descent's gluing search backtrack through one core, `_backtrack`, on an
-explicit stack, with one meaning of budget.
+lookup on those positions.  It and descent's gluing search backtrack
+through one core, `_backtrack`, on an explicit stack; the join of
+compatible face tuples is levelwise, extending all its partial tuples one
+slot at a time.  All three count one trial per candidate and check the
+budget before a candidate is used.
 
 All sets are truncated at `dim_cap`.  Everything here is exact enumeration
 over finite data; there is no tolerance parameter anywhere.
@@ -197,12 +199,15 @@ class SimplicialSet:
     # -- the operator calculus ---------------------------------------------
 
     def face(self, ref, i):
-        """d_i in normal form, for any represented simplex."""
+        """d_i in normal form, for any represented simplex.  The table is
+        built through the dimension of its generator first, so a bad face
+        list of a set built unchecked is refused as `table` refuses it."""
         n = self.dim_of(ref)
         if n == 0:
             raise InputError("a vertex has no faces")
         if not 0 <= i <= n:
             raise InputError(f"face index {i} out of range for dimension {n}")
+        self.table(self.gen_dim[ref.gen])
         return self._face(ref, i)
 
     def _face(self, ref, i):
@@ -628,6 +633,10 @@ def _search_order(src, cap):
 def _backtrack(depth, candidates, accept, budget, what, spent=0, out=None, first=False):
     """The one backtracking search, over choices c_0 ... c_{depth-1} on an
     explicit stack, so the depth is not bounded by Python's recursion limit.
+    The map search and descent's gluing search run on it; the join of face
+    tuples spends its trials by the same rule, slot by slot
+    (`SimplicialObject.join`).
+
     candidates(k, chosen) lists those for c_k once chosen holds c_0 ...
     c_{k-1} (an empty list prunes), and accept(chosen) gives the hit of a
     complete choice or None.  Hits are appended to `out` in the order
@@ -681,8 +690,13 @@ def _map_search(src, tgt, cap, budget, fixed=None, bijective=False):
     stops at the first hit.  The generators are the choices of
     `_backtrack`: past `budget` trials a CapacityError carries the
     assignments found as partial, or in the bijective case the generators
-    matched.
+    matched.  A missing or short face list of a source built unchecked is
+    refused first: building the source's table through its dimension
+    refuses it, with the message of `SimplicialSet.table`.
     """
+    for d in range(1, cap + 1):
+        if any(len(src.gen_faces.get(g, ())) != d + 1 for g in src.generators(d)):
+            src.table(d)
     order = _search_order(src, cap)
     table = tgt.table(cap)
     slot = {g: i for i, g in enumerate(order)}
@@ -984,21 +998,39 @@ class SimplicialObject:
         trials spent: tuples (y_i), i in `slots` (increasing, in [n]), with
         d_i y_j = d_{j-1} y_i for i < j (May, Simplicial Objects in
         Algebraic Topology, Def. 1.3).  Slots i != k give the maps of the
-        (n, k)-horn, all of [n] those of the boundary.  The entries are the
-        choices of `_backtrack`: y_j is looked up by the faces it shares
-        with the entries chosen, and `keep` filters complete tuples.  Each
-        candidate tried is one trial, `spent` already used; past `budget` a
-        CapacityError carries the tuples kept as partial.
+        (n, k)-horn, all of [n] those of the boundary.
+
+        The join is levelwise, one slot at a time.  At slot s, with j the
+        s-th slot, the candidates for y_j of every partial tuple are looked
+        up at once, on d_{j-1} of its entries, in the face index keyed by
+        the slots before s; then all partial tuples are extended together.
+        So the tuples come in lexicographic order of their positions, the
+        order of a depth-first search, and `keep` filters the complete ones.
+        Each candidate is one trial, `spent` already used, and a slot's
+        candidates are counted before any is used: past `budget` a
+        CapacityError carries as partial, when the last slot runs out, the
+        number of complete tuples kept among those the budget reaches, in
+        order, and 0 when an earlier slot runs out.
         """
-        slots = tuple(slots)
-        indexes = [self.face_index(n - 1, slots[:s]) for s in range(len(slots))]
-        # y_j's key: d_{j-1} of each entry already chosen (none for the first)
-        rows = [None] + [self.faces[n - 1][j - 1].__getitem__ for j in slots[1:]]
-        accept = tuple if keep is None else lambda chosen: (
-            t if keep(t := tuple(chosen)) else None)
-        return _backtrack(
-            len(slots), lambda s, chosen: indexes[s].get(tuple(map(rows[s], chosen)), ()),
-            accept, budget, "join", spent)
+        slots, tuples = tuple(slots), [()]
+        for s, j in enumerate(slots):
+            index = self.face_index(n - 1, slots[:s])
+            if s:
+                # the key of y_j: d_{j-1} of each entry so far
+                row = self.faces[n - 1][j - 1].__getitem__
+                found = [index.get(tuple(map(row, t)), ()) for t in tuples]
+            else:
+                found = [index.get((), ())]
+            trials = sum(map(len, found))
+            if spent + trials > budget:
+                complete = (t + (y,) for t, ys in zip(tuples, found) for y in ys)
+                last = s == len(slots) - 1
+                reached = itertools.islice(complete, max(budget - spent, 0)) if last else ()
+                raise CapacityError(f"join exceeded budget {budget}",
+                                    partial=sum(1 for t in reached if keep is None or keep(t)))
+            spent += trials
+            tuples = [t + (y,) for t, ys in zip(tuples, found) for y in ys]
+        return (tuples if keep is None else list(filter(keep, tuples))), spent
 
 
 class _RefOf(Mapping):

@@ -8,13 +8,19 @@ names, as the oracles for the rows the producers now emit.  Each
 `*_callables` function returns (levels, face, deg), or (levels, face,
 deg, namer) for a level model.
 
-After the Duskin callables comes the Duskin nerve as it was built before
-it was presented by its generators: `oracle_duskin_table` joined each
-level over a private table, sorted it and appended it, and
-`oracle_duskin_nerve` handed that table to a LevelModel to strip.  Both
-are kept verbatim apart from their names, with `_cells_in_order`, the
-sort's column order, and `_tetra_holds`, the tetrahedron condition of
-both Duskin oracles, as the oracles of `cat.duskin_nerve`.
+After the Duskin callables comes `oracle_join`, the join of compatible
+face tuples as it was before it went levelwise: a depth-first search
+that chose one candidate at a time through `sset._backtrack`.  It is
+kept verbatim apart from its name and its table argument, as the oracle
+of `SimplicialObject.join` and as the join of the Duskin oracles.  Then
+comes the Duskin nerve as it was built before it was presented by its
+generators: `oracle_duskin_table` joined each level over a private
+table, sorted it and appended it, and `oracle_duskin_nerve` handed that
+table to a LevelModel to strip.  Both are kept verbatim apart from
+their names and the join they call (`oracle_join`, so that the build is
+compared with the depth-first join), with `_cells_in_order`, the sort's
+column order, and `_tetra_holds`, the tetrahedron condition of both
+Duskin oracles, as the oracles of `cat.duskin_nerve`.
 
 Then come the searches that group isomorphism and the corpus's group
 actions ran beside the one map search, kept verbatim apart from their
@@ -45,6 +51,7 @@ from hornfill.sset import (
     SimplexRef,
     SimplicialMap,
     SimplicialObject,
+    _backtrack,
     enumerate_maps,
     product_structure,
     standard_ref_of_vertices,
@@ -481,6 +488,31 @@ def duskin_callables(c2, dim_cap):
     return levels[:dim_cap + 1], face, deg, namer
 
 
+# -- the depth-first join of compatible face tuples ------------------------------
+
+
+def oracle_join(table, n, slots, budget, spent=0, keep=None):
+    """Compatible face tuples over level n - 1 of `table`, as positions, and
+    the trials spent: tuples (y_i), i in `slots` (increasing, in [n]), with
+    d_i y_j = d_{j-1} y_i for i < j (May, Simplicial Objects in
+    Algebraic Topology, Def. 1.3).  Slots i != k give the maps of the
+    (n, k)-horn, all of [n] those of the boundary.  The entries are the
+    choices of `_backtrack`: y_j is looked up by the faces it shares
+    with the entries chosen, and `keep` filters complete tuples.  Each
+    candidate tried is one trial, `spent` already used; past `budget` a
+    CapacityError carries the tuples kept as partial.
+    """
+    slots = tuple(slots)
+    indexes = [table.face_index(n - 1, slots[:s]) for s in range(len(slots))]
+    # y_j's key: d_{j-1} of each entry already chosen (none for the first)
+    rows = [None] + [table.faces[n - 1][j - 1].__getitem__ for j in slots[1:]]
+    accept = tuple if keep is None else lambda chosen: (
+        t if keep(t := tuple(chosen)) else None)
+    return _backtrack(
+        len(slots), lambda s, chosen: indexes[s].get(tuple(map(rows[s], chosen)), ()),
+        accept, budget, "join", spent)
+
+
 # -- the Duskin nerve as a sorted join table stripped by a LevelModel ---------
 
 
@@ -543,8 +575,8 @@ def oracle_duskin_table(c2, dim_cap, budget):
 
     for n in range(3, dim_cap + 1):
         try:
-            tuples, trials = table.join(
-                n, range(n + 1), budget, trials, tetrahedron if n == 3 else None
+            tuples, trials = oracle_join(
+                table, n, range(n + 1), budget, trials, tetrahedron if n == 3 else None
             )
         except CapacityError as exc:
             raise CapacityError(message, partial=exc.partial) from None

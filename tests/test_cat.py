@@ -590,8 +590,9 @@ def test_search_capacity_errors_report_partial_progress():
         assert info.value.partial == found
     c2 = one_object_two_group(cyclic_group(2))
     # level 2 spends two trials, one per triangle; the boundary join for
-    # level 3 completes its first tetrahedron at trial 6
-    for budget, found in ((5, 0), (6, 1)):
+    # level 3 spends 14 on its first three slots, and its last slot's first
+    # candidate, trial 17, is a tetrahedron
+    for budget, found in ((16, 0), (17, 1)):
         with pytest.raises(CapacityError) as info:
             duskin_nerve(c2, dim_cap=3, budget=budget)
         assert info.value.partial == found

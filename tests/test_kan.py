@@ -31,6 +31,8 @@ from hornfill.sset import (
     subcomplex_of_simplex,
 )
 
+from frozen_callables import oracle_join
+
 
 def test_horn_generators_come_in_dimension_order():
     horn, gen_ids = horn_generators(3, 1)
@@ -563,6 +565,47 @@ def _corpus_nerves(cap):
         yield name, nerve(c, dim_cap=cap).sset
     for name, c2 in all_two_categories().items():
         yield name, duskin_nerve(c2, dim_cap=cap).sset
+
+
+def _join_or_refusal(join, *args):
+    try:
+        return join(*args)
+    except CapacityError as exc:
+        return str(exc), exc.partial
+
+
+def test_the_levelwise_join_matches_the_depth_first_oracle():
+    # every horn and the boundary at n = 2-4 on the corpus nerves at cap 4:
+    # the same tuples in the same order for the same trials, with and
+    # without a filter; around each shape's total, at a third and a half
+    # of it and at 0 and 1, the same budgets refuse with the same message
+    keep = lambda t: t[0] % 2 == 0
+    shapes = refusals = 0
+    for name, x in _corpus_nerves(4):
+        table = x.table(4)
+        for n in (2, 3, 4):
+            for slots in [[i for i in range(n + 1) if i != k] for k in range(n + 1)] + [
+                    list(range(n + 1))]:
+                want, total = oracle_join(table, n, slots, 10**9)
+                assert table.join(n, slots, 10**9) == (want, total), (name, slots)
+                assert table.join(n, slots, 10**9, 7, keep) == oracle_join(
+                    table, n, slots, 10**9, 7, keep), (name, slots)
+                # the trials of all slots but the last; the last slot runs
+                # out past them, an earlier slot before them
+                before = oracle_join(table, n, slots[:-1], 10**9)[1]
+                for budget in {0, 1, total // 3, total // 2, total - 1, total, total + 1}:
+                    got = _join_or_refusal(table.join, n, slots, budget, 0, keep)
+                    oracle = _join_or_refusal(oracle_join, table, n, slots, budget, 0, keep)
+                    if isinstance(got[0], list):
+                        assert got == oracle, (name, slots, budget)
+                        continue
+                    refusals += 1
+                    assert got[0] == oracle[0] == f"join exceeded budget {budget}"
+                    # partial: the kept complete tuples among those the budget reaches
+                    reached = want[:budget - before] if budget >= before else []
+                    assert got[1] == sum(map(keep, reached)), (name, slots, budget)
+                shapes += 1
+    assert shapes == 29 * 15 and refusals > 1000
 
 
 def test_position_route_matches_the_simplex_ref_route_on_the_corpus():

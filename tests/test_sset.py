@@ -12,14 +12,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hornfill import io
-from hornfill.cat import duskin_nerve, homotopy_category, mapping_space, nerve
+from hornfill.cat import (
+    duskin_nerve,
+    fundamental_category,
+    homotopy_category,
+    mapping_space,
+    nerve,
+)
 from hornfill.corpus import all_categories, all_two_categories, bg_category, poset_category
-from hornfill.errors import CapacityError, ConsistencyError, InputError, ValidationError
+from hornfill.errors import (
+    CapacityError,
+    ConsistencyError,
+    EngineError,
+    InputError,
+    ValidationError,
+)
 from hornfill.groupoid import cyclic_group
 from hornfill.kan import classify, horn_fillers, horn_maps, horn_tuples, is_isomorphism_edge
 from hornfill.sset import (
     LevelModel,
     SimplexRef,
+    SimplicialMap,
     SimplicialObject,
     SimplicialSet,
     decreasing_words,
@@ -255,6 +268,49 @@ def test_an_unchecked_set_refuses_a_face_it_cannot_place_when_its_table_grows():
                      lambda: homotopy_category(short)):
             with pytest.raises(ValidationError, match=message):
                 call()
+
+
+def test_public_calls_on_an_unchecked_set_return_or_raise_engine_errors():
+    # a missing face list, a short one and a face naming no generator: every
+    # public call that takes the set returns or raises an EngineError, and
+    # those that read the face lists before any table raise what table() does
+    a, b, e, t, zz = map(SimplexRef, ("a", "b", "e", "t", "zz"))
+    horn_map = horn_maps(standard_simplex(2, dim_cap=2), 2, 1)[0]
+    calls = {
+        "normalize": lambda x: normalize(x, "t", ["d0"]),
+        "enumerate_maps": lambda x: enumerate_maps(x, x),
+        "enumerate_maps into": lambda x: enumerate_maps(standard_simplex(2, dim_cap=2), x),
+        "is_isomorphic": lambda x: is_isomorphic(x, x),
+        "fundamental_category": fundamental_category,
+        "homotopy_category": homotopy_category,
+        "mapping_space": lambda x: mapping_space(x, x),
+        "product": lambda x: product(x, x),
+        "classify": classify,
+        "horn_maps": lambda x: horn_maps(x, 2, 1),
+        "horn_tuples": lambda x: horn_tuples(x, 2, 1),
+        "horn_fillers": lambda x: horn_fillers(x, 2, 1, horn_map),
+        "is_isomorphism_edge": lambda x: is_isomorphism_edge(x, e),
+        "SimplicialMap": lambda x: SimplicialMap(x, x, {"a": a, "b": b, "e": e, "t": t}),
+        "restrict": lambda x: x.restrict(t, (0, 1)),
+    }
+    for faces, message, named in (
+        ({"e": (b, a)}, "generator 't' has no face list",
+         {"normalize", "enumerate_maps", "is_isomorphic", "fundamental_category"}),
+        ({"e": (b, a), "t": (e,)}, "'t' has 1 faces, expected 3",
+         {"normalize", "fundamental_category"}),
+        ({"e": (b, zz), "t": (e, e, e)}, "d_1 of SimplexRef(gen='e', degs=()) leaves level 0",
+         {"normalize", "fundamental_category"}),
+    ):
+        for name, call in calls.items():
+            x = SimplicialSet(2, {0: ["a", "b"], 1: ["e"], 2: ["t"]}, faces, check=False)
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                x.table()
+            try:
+                call(x)
+            except EngineError as exc:
+                assert name not in named or (type(exc), str(exc)) == (ValidationError, message), name
+            else:
+                assert name not in named, name
 
 
 def test_simplicial_map_validation_checks_faces():
