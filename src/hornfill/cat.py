@@ -1224,74 +1224,53 @@ def homotopy_category(x):
 def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
     """The simplicial set with level n the maps x * standard n-simplex -> y.
 
-    `pin` optionally fixes images of chosen vertices of x (uniformly across
-    the cylinder), e.g. to carve out path components of the space of maps.
-    Faces and degeneracies precompose with the evident cylinder inclusions
-    and collapses.  Returns a LevelModel, whose level n holds the maps in
-    the order `enumerate_maps` finds them, as SimplicialMap values.
-    The target's dim_cap must be at least the source's: maps are only
-    enumerated up to y.dim_cap, so the faces of a cylinder map could not
-    be found otherwise.
+    `pin` fixes the images of chosen vertices v of x, so of the vertices <v|j>
+    of every cylinder, e.g. to carve out path components of the space of
+    maps.  Faces and degeneracies precompose with the evident cylinder
+    inclusions and collapses.  Returns a LevelModel whose level n holds the
+    maps, as SimplicialMap values, in the order `enumerate_maps` finds them.
+    The target's dim_cap must be at least the source's: maps are enumerated
+    only up to y.dim_cap, so no face of a cylinder map could be found otherwise.
 
     The LevelModel skips the row checks.  Each row sends f to f o (id * alpha)
     for a coface or codegeneracy alpha, which is a map of the cylinder of
     the level below or above, and level n holds every map of its cylinder:
     the pins hold too, as id * alpha sends a pinned vertex (v, j) to the
-    pinned vertex (v, alpha(j)).  So every entry is in range.
-    Precomposition is functorial, f o (id * alpha) o (id * beta) =
-    f o (id * alpha beta), so the cosimplicial identities of the alphas
-    give the simplicial identities of the rows.
+    pinned vertex (v, alpha(j)).  So every entry is in range.  Precomposition
+    is functorial, f o (id * alpha) o (id * beta) = f o (id * alpha beta), so
+    the cosimplicial identities of the alphas give those of the rows.
     """
     if y.dim_cap < x.dim_cap:
-        raise InputError(
-            f"mapping_space needs the target's dim_cap {y.dim_cap} to be at least"
-            f" the source's dim_cap {x.dim_cap}"
-        )
-    prods = [
-        product_structure(x, standard_simplex(n, dim_cap=max(x.dim_cap, n)))
-        for n in range(dim_cap + 1)
-    ]
-
-    def fixed_for(n):
-        if not pin:
-            return None
-        p = prods[n]
-        fixed = {}
-        for xv, img in pin.items():
-            for j in range(n + 1):
-                g = p.model.ref_of[(0, (SimplexRef(xv), SimplexRef(str(j))))].gen
-                fixed[g] = img
-        return fixed
-
-    levels = [
-        enumerate_maps(prods[n].sset, y, budget=budget, fixed=fixed_for(n))
-        for n in range(dim_cap + 1)
-    ]
+        raise InputError(f"mapping_space needs the target's dim_cap {y.dim_cap} to be at"
+                         f" least the source's dim_cap {x.dim_cap}")
+    check_level_cap(dim_cap, "dim_cap")
+    for xv in pin or ():
+        if x.gen_dim.get(xv) != 0:
+            raise InputError(f"pin {xv!r} is not a vertex of the source")
+    prods = [product_structure(x, standard_simplex(n, dim_cap=max(x.dim_cap, n)))
+             for n in range(dim_cap + 1)]
+    levels = [enumerate_maps(prods[n].sset, y, budget=budget, fixed=pin and {
+        f"<{xv}|{j}>": img for xv, img in pin.items() for j in range(n + 1)})
+        for n in range(dim_cap + 1)]
     # each map as the positions in y's table of the images of its generators
     table = y.table(x.dim_cap)
     gens = [list(p.sset.all_generators()) for p in prods]
-    keys = [
-        [tuple(table.position[p.sset.gen_dim[g]][f.assignment[g]] for g in gs) for f in level]
-        for p, gs, level in zip(prods, gens, levels)
-    ]
+    keys = [[tuple(table.position[p.sset.gen_dim[g]][f.assignment[g]] for g in gs) for f in level]
+            for p, gs, level in zip(prods, gens, levels)]
 
     def rows(n_from, n_to, alpha):
         """The position in level n_from of f o (id * alpha), for each f of
-        level n_to.  A generator of the cylinder of n_from goes to a simplex
-        of the cylinder of n_to, a generator under a degeneracy word, so its
-        image is read off f's key and the degeneracy rows of y's table."""
+        level n_to: a generator of the n_from cylinder goes to one of the n_to
+        cylinder under a word, read off f's key and y's degeneracy rows."""
         p_from, p_to = prods[n_from], prods[n_to]
         slot = {g: k for k, g in enumerate(gens[n_to])}
         recipe = []
         for g in gens[n_from]:
             rx, ra = p_from.pair_of_gen(g)
             verts = vertices_of_standard_ref(p_from.right, ra)
-            moved = standard_ref_of_vertices(tuple(alpha[v] for v in verts))
-            dim = p_from.sset.gen_dim[g]
-            ref = p_to.model.ref_of[(dim, (rx, moved))]
-            m = dim - len(ref.degs)
-            recipe.append((slot[ref.gen], [table.degs[m + k][j]
-                                           for k, j in enumerate(reversed(ref.degs))]))
+            ref = p_to.ref_of(rx, standard_ref_of_vertices(tuple(alpha[v] for v in verts)))
+            m = p_to.sset.gen_dim[ref.gen]
+            recipe.append((slot[ref.gen], [table.degs[m + k][j] for k, j in enumerate(reversed(ref.degs))]))
         at = dict(zip(keys[n_from], range(len(keys[n_from]))))
         out = []
         for key in keys[n_to]:
@@ -1304,20 +1283,12 @@ def mapping_space(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
             out.append(at.get(tuple(image)))
         return out
 
-    faces = [()] + [
-        [rows(n - 1, n, tuple(v for v in range(n + 1) if v != i)) for i in range(n + 1)]
-        for n in range(1, dim_cap + 1)
-    ]
-    degs = [
-        [rows(n + 1, n, tuple(min(v, i) if v <= i + 1 else v - 1 for v in range(n + 2)))
-         for i in range(n + 1)]
-        for n in range(dim_cap)
-    ]
+    faces = [()] + [[rows(n - 1, n, tuple(v for v in range(n + 1) if v != i)) for i in range(n + 1)]
+                    for n in range(1, dim_cap + 1)]
+    degs = [[rows(n + 1, n, tuple(min(v, i) if v <= i + 1 else v - 1 for v in range(n + 2)))
+             for i in range(n + 1)] for n in range(dim_cap)]
 
     def namer(n, f):
-        sig = ",".join(
-            f"{g}>{f.assignment[g]}" for g in sorted(f.assignment)
-        )
-        return f"map{n}[{sig}]"
+        return f"map{n}[{','.join(f'{g}>{f.assignment[g]}' for g in sorted(f.assignment))}]"
 
     return LevelModel(dim_cap, levels, faces, degs, namer=namer, check=False)

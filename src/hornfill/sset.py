@@ -8,18 +8,15 @@ degeneracy word applied to a non-degenerate generator (Eilenberg-Zilber).
 Internally each set keeps one integer level table, `SimplicialSet.table()`,
 whose level n is `simplices(n)`: a `SimplicialObject`, built from rows of
 positions (`faces[n][i][p]`, `degs[n][i][p]`), never from callables.  The
-calculus below emits its rows once, a block of degeneracy words at a time,
-for every set, one that a `LevelModel` presents too; everything else reads
-positions in it.  A nerve and a Duskin nerve are presented by their
-generators, so that table is their only one; the Duskin nerve runs its
-boundary join on the table of the set built one level below.  A checked
-set builds the levels below its top generator dimension while `validate`
-checks it on them, and keeps them.  Maps, isomorphisms
-and (through nerves) functors are found by one search, `_map_search`,
-that gives each source generator a target simplex by one face-index
-lookup on those positions.  It and descent's gluing search backtrack
-through one core, `_backtrack`, on an explicit stack; the join of
-compatible face tuples is levelwise, extending all its partial tuples one
+calculus below emits its rows once, a block of degeneracy words at a time;
+everything else reads positions in it.  Nerves, Duskin nerves and products
+(by their Eilenberg-Zilber pairs) are presented by their generators.  A
+checked set builds the levels below its top generator dimension while
+`validate` checks it on them, and keeps them.  Maps, isomorphisms and
+(through nerves) functors are found by one search, `_map_search`, that
+gives each source generator a target simplex by one face-index lookup on
+those positions.  It and descent's gluing search backtrack through one
+core, `_backtrack`; the join of compatible face tuples is levelwise, one
 slot at a time.  All three count one trial per candidate and check the
 budget before a candidate is used.
 
@@ -678,6 +675,13 @@ def _backtrack(depth, candidates, accept, budget, what, spent=0, out=None, first
             chosen.pop()
 
 
+def _fits(src, ref, n):
+    """Whether `ref` names no generator of src, or an n-simplex of it in normal form."""
+    m, w = src.gen_dim.get(ref.gen), ref.degs
+    # n > w_1 > ... > w_k > -1
+    return m is None or m + len(w) == n and all(map(operator.gt, (n,) + w, w + (-1,)))
+
+
 def _map_search(src, tgt, cap, budget, fixed=None, bijective=False):
     """The one map search: assignments of the source generators through
     `cap` to simplices of tgt, commuting with faces.
@@ -690,12 +694,14 @@ def _map_search(src, tgt, cap, budget, fixed=None, bijective=False):
     stops at the first hit.  The generators are the choices of
     `_backtrack`: past `budget` trials a CapacityError carries the
     assignments found as partial, or in the bijective case the generators
-    matched.  A missing or short face list of a source built unchecked is
-    refused first: building the source's table through its dimension
-    refuses it, with the message of `SimplicialSet.table`.
+    matched.  A source face list that `SimplicialSet.table` refuses (short,
+    or with a face that `_fits` refuses) is refused first, by building that
+    table; a face naming no generator is left to `_search_order`.
     """
     for d in range(1, cap + 1):
-        if any(len(src.gen_faces.get(g, ())) != d + 1 for g in src.generators(d)):
+        lists = [src.gen_faces.get(g, ()) for g in src.generators(d)]
+        if any(len(fs) != d + 1 for fs in lists) or not all(
+                _fits(src, f, d - 1) for f in set(itertools.chain.from_iterable(lists))):
             src.table(d)
     order = _search_order(src, cap)
     table = tgt.table(cap)
@@ -833,10 +839,10 @@ def _positions(n, level):
     return position
 
 
-def check_level_cap(level_cap):
+def check_level_cap(level_cap, name="level_cap"):
     """A level cap is a non-negative integer; anything else is an InputError."""
     if type(level_cap) is not int or level_cap < 0:
-        raise InputError(f"level_cap must be a non-negative integer, got {level_cap!r}")
+        raise InputError(f"{name} must be a non-negative integer, got {level_cap!r}")
 
 
 def check_int(value, name="dim_cap"):
@@ -887,13 +893,11 @@ class SimplicialObject:
         that repeats an element is refused before anything is appended.
 
         The rows are appended unchecked, so the caller proves them in
-        range.  The callers are the constructor, which checks them when
-        asked, and the calculus: `SimplicialSet.table` and `validate`
-        append its rows.  There the block of the generators of dimension
-        n holds positions found in level n - 1, with any face that has none
-        refused first (by `table`, or by `_refuse_faces` in `validate`), and
-        every other block indexes a word block inside level n - 1 or level
-        n, whose sizes the words fix.
+        range: the constructor checks them when asked, and in the rows of
+        the calculus (`SimplicialSet.table`, `validate`) the block of the
+        generators of dimension n holds positions found in level n - 1, any
+        face with none refused first (by `table`, or `_refuse_faces` in
+        `validate`), and every other block a word block of fixed size.
         """
         n = self.level_cap + 1
         level = tuple(level)
@@ -1121,45 +1125,70 @@ class LevelModel(SimplicialObject):
 # -- products -----------------------------------------------------------------
 
 
+def _pair_ref(names, a, b):
+    """s_C <a'|b'>, the normal form of (a, b) (`product_structure`), by `names`."""
+    common = tuple(sorted(set(a.degs).intersection(b.degs), reverse=True))
+    for c in common:
+        a, b = (SimplexRef(r.gen, _face_of_word(r.degs, c)[0]) for r in (a, b))
+    return SimplexRef(names[a, b], common)
+
+
 @dataclass
 class ProductStructure:
+    """A product `sset` of `left` and `right`: the factor pair of each generator
+    (`pairs`, `pair_of_gen`), the reverse (`names`), any pair's normal form (`ref_of`)."""
+
     sset: SimplicialSet
     left: SimplicialSet
     right: SimplicialSet
-    model: LevelModel = field(repr=False)
+    pairs: dict = field(repr=False)
+    names: dict = field(repr=False)
 
     def pair_of_gen(self, g):
-        return self.model.elem_of_gen[g]
+        return self.pairs[g]
+
+    def ref_of(self, a, b):
+        n = self.left.dim_of(a)
+        if not (n == self.right.dim_of(b) <= self.sset.dim_cap and _fits(self.left, a, n)
+                and _fits(self.right, b, n)):
+            raise InputError(f"({a}, {b}) is not a simplex of {self.sset!r}")
+        return _pair_ref(self.names, a, b)
 
 
 def product_structure(x, y, dim_cap=None):
-    """Levelwise product with componentwise structure, plus pairing data.
+    """x * y through the smaller cap, presented by its generators.
 
-    Level n is the pairs of n-simplices, and d_i and s_i act on each
-    factor, so every row is a pair of rows of the factors' tables.  Those
-    are in range, and they satisfy the simplicial identities on factors
-    that present simplicial sets (checked, or built unchecked on a proof);
-    an identity holds on pairs when it holds on each factor, so the
-    LevelModel skips their check.
+    An n-simplex is a pair (a, b) of n-simplices, acted on factor by factor,
+    and s_w g is s_j of its d_j exactly for the letters j of w.  So the
+    generators, named `<a|b>`, are the pairs whose words share no letter,
+    and a pair whose words share C is s_C of one (`_pair_ref`): d_c drops c
+    from a word and lowers its larger letters, so the smaller shared ones
+    stay shared (Eilenberg-Zilber; Goerss-Jardine, Simplicial Homotopy
+    Theory, I.1).  d_i of a generator is the normal form of (d_i a, d_i b),
+    read off the factors' tables.  So the set is built unchecked, on this
+    proof; its tests compare it with the LevelModel route and `validate`
+    it.  Names given twice (factors named with "|") are refused by the set.
     """
     cap = min(x.dim_cap, y.dim_cap)
     if dim_cap is not None:
         cap = min(cap, check_int(dim_cap))
     tx, ty = x.table(cap), y.table(cap)
-    levels = [[(a, b) for a in tx.levels[n] for b in ty.levels[n]] for n in range(cap + 1)]
-
-    # the pair of positions (pa, pb) is at pa * |Y_n| + pb, and every d_i
-    # and s_i acts on each factor
-    def pairs(rows_x, rows_y, size):
-        return [[qa * size + qb for qa in ra for qb in rb] for ra, rb in zip(rows_x, rows_y)]
-
-    faces = [()] + [
-        pairs(tx.faces[n], ty.faces[n], len(ty.levels[n - 1])) for n in range(1, cap + 1)
-    ]
-    degs = [pairs(tx.degs[n], ty.degs[n], len(ty.levels[n + 1])) for n in range(cap)]
-    model = LevelModel(cap, levels, faces, degs, namer=lambda n, p: f"<{p[0]}|{p[1]}>",
-                       check=False)
-    return ProductStructure(model.sset, x, y, model)
+    generators, faces, names = {}, {}, {}
+    for n in range(cap + 1):
+        xs, ys = tx.levels[n], ty.levels[n]
+        mx, my = ([sum(1 << j for j in r.degs) for r in level] for level in (xs, ys))
+        found = [(pa, pb) for pa, wa in enumerate(mx) for pb, wb in enumerate(my) if not wa & wb]
+        sx, sy = list(map(str, xs)), list(map(str, ys))
+        generators[n] = [f"<{sx[pa]}|{sy[pb]}>" for pa, pb in found]
+        names.update(zip(((xs[pa], ys[pb]) for pa, pb in found), generators[n]))
+        if n:
+            # each face as positions in level n - 1; each distinct pair normalized once
+            keys = [[(fx[pa], fy[pb]) for pa, pb in found] for fx, fy in zip(tx.faces[n], ty.faces[n])]
+            xs, ys = tx.levels[n - 1], ty.levels[n - 1]
+            forms = {k: _pair_ref(names, xs[k[0]], ys[k[1]]) for k in set(itertools.chain(*keys))}
+            faces.update(zip(generators[n], zip(*(map(forms.__getitem__, col) for col in keys))))
+    return ProductStructure(SimplicialSet(cap, generators, faces, check=False), x, y,
+                            dict(zip(names.values(), names)), names)
 
 
 def product(x, y, dim_cap=None):

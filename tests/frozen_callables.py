@@ -6,7 +6,12 @@ into positions by `op_table`.  That helper and the callables every
 producer used to hand over are kept here verbatim, apart from their
 names, as the oracles for the rows the producers now emit.  Each
 `*_callables` function returns (levels, face, deg), or (levels, face,
-deg, namer) for a level model.
+deg, namer) for a level model.  Among them sits `oracle_product_structure`,
+the product as it was built before it was presented by its
+Eilenberg-Zilber pairs: every pair of simplices of the factors, handed
+to a LevelModel to strip.  It is kept verbatim apart from its name and
+that of its result class, as the oracle of `product_structure` and as
+the product that `mapping_space_callables` builds.
 
 After the Duskin callables comes `oracle_join`, the join of compatible
 face tuples as it was before it went levelwise: a depth-first search
@@ -36,6 +41,7 @@ replaced the scan.
 import itertools
 import operator
 from collections import namedtuple
+from dataclasses import dataclass, field
 
 from hornfill.cat import (
     FiniteCategory,
@@ -51,9 +57,10 @@ from hornfill.sset import (
     SimplexRef,
     SimplicialMap,
     SimplicialObject,
+    SimplicialSet,
     _backtrack,
+    check_int,
     enumerate_maps,
-    product_structure,
     standard_ref_of_vertices,
     standard_simplex,
     vertices_of_standard_ref,
@@ -237,6 +244,50 @@ def product_callables(x, y, dim_cap=None):
     return levels, face, deg, lambda n, p: f"<{p[0]}|{p[1]}>"
 
 
+# -- the product as every pair of simplices, stripped by a LevelModel ------------
+
+
+@dataclass
+class OracleProductStructure:
+    sset: SimplicialSet
+    left: SimplicialSet
+    right: SimplicialSet
+    model: LevelModel = field(repr=False)
+
+    def pair_of_gen(self, g):
+        return self.model.elem_of_gen[g]
+
+
+def oracle_product_structure(x, y, dim_cap=None):
+    """Levelwise product with componentwise structure, plus pairing data.
+
+    Level n is the pairs of n-simplices, and d_i and s_i act on each
+    factor, so every row is a pair of rows of the factors' tables.  Those
+    are in range, and they satisfy the simplicial identities on factors
+    that present simplicial sets (checked, or built unchecked on a proof);
+    an identity holds on pairs when it holds on each factor, so the
+    LevelModel skips their check.
+    """
+    cap = min(x.dim_cap, y.dim_cap)
+    if dim_cap is not None:
+        cap = min(cap, check_int(dim_cap))
+    tx, ty = x.table(cap), y.table(cap)
+    levels = [[(a, b) for a in tx.levels[n] for b in ty.levels[n]] for n in range(cap + 1)]
+
+    # the pair of positions (pa, pb) is at pa * |Y_n| + pb, and every d_i
+    # and s_i acts on each factor
+    def pairs(rows_x, rows_y, size):
+        return [[qa * size + qb for qa in ra for qb in rb] for ra, rb in zip(rows_x, rows_y)]
+
+    faces = [()] + [
+        pairs(tx.faces[n], ty.faces[n], len(ty.levels[n - 1])) for n in range(1, cap + 1)
+    ]
+    degs = [pairs(tx.degs[n], ty.degs[n], len(ty.levels[n + 1])) for n in range(cap)]
+    model = LevelModel(cap, levels, faces, degs, namer=lambda n, p: f"<{p[0]}|{p[1]}>",
+                       check=False)
+    return OracleProductStructure(model.sset, x, y, model)
+
+
 def image_of(assignment, tgt, ref):
     """The image of the source simplex `ref` under a map given on
     generators by `assignment`: its generator's image, then its
@@ -253,7 +304,7 @@ def mapping_space_cylinders(x, dim_cap):
 
 
 def mapping_space_callables(x, y, dim_cap=2, pin=None, budget=DEFAULT_BUDGET):
-    prods = [product_structure(a, b) for a, b in mapping_space_cylinders(x, dim_cap)]
+    prods = [oracle_product_structure(a, b) for a, b in mapping_space_cylinders(x, dim_cap)]
 
     def induced(n_from, n_to, alpha, f):
         """Precompose f: x * D^{n_to} -> y with id * alpha."""

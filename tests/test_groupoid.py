@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import hornfill
 from hornfill import sset
 
-from hornfill.cat import duskin_nerve, enumerate_functors, nerve
+from hornfill.cat import duskin_nerve, enumerate_functors, mapping_space, nerve
 from hornfill.corpus import (
     all_actions,
     all_small_groups,
@@ -988,6 +988,16 @@ def test_bad_level_caps_are_input_errors():
                 call(-1)
             if name == "dim_cap":
                 call(None)
+    # mapping_space has no "no cap": a bad dim_cap is refused as a dim_cap,
+    # and a pin that is no vertex of the source by the pin's name
+    d1 = sset.standard_simplex(1, dim_cap=3)
+    for cap in (-1, 2.0, "3", True):
+        with pytest.raises(InputError, match=f"^dim_cap must be a non-negative integer, "
+                                             f"got {re.escape(repr(cap))}$"):
+            mapping_space(d1, x, dim_cap=cap)
+    for vertex in ("zz", "01"):
+        with pytest.raises(InputError, match=f"^pin '{vertex}' is not a vertex of the source$"):
+            mapping_space(d1, x, dim_cap=1, pin={vertex: x.simplices(0)[0]})
 
 
 def _redirect(obj, kind, n, i, x, y):

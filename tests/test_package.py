@@ -107,6 +107,20 @@ def test_only_a_simplicial_set_writes_its_level_table():
                        "sset.py:SimplicialSet.validate"}
 
 
+def test_only_a_mapping_space_and_the_nerve_oracles_build_a_level_model():
+    # every other set is presented by its generators; a LevelModel strips
+    # the degenerate elements off a whole level table, and is built only
+    # by the mapping space and the oracle routes of the two nerves
+    package = pathlib.Path(hornfill.__file__).parent
+    builders = set()
+    for path in sorted(package.glob("*.py")):
+        for owner, call in _nodes(ast.parse(path.read_text(), filename=str(path)), ast.Call):
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) == "LevelModel":
+                builders.add(f"{path.name}:{owner}")
+    assert builders == {"cat.py:NerveResult.model", "cat.py:DuskinResult.model",
+                        "cat.py:mapping_space"}
+
+
 def test_only_the_frozen_producers_append_unchecked_levels():
     # add_level appends rows without checking them; the constructor checks
     # a caller's rows, and each producer here proves its own in a

@@ -54,9 +54,9 @@ from frozen_callables import (
     in_set_order,
     level_model,
     mapping_space_callables,
-    mapping_space_cylinders,
     nerve_callables,
     oracle_duskin_nerve,
+    oracle_product_structure,
     product_callables,
     simplicial_object,
 )
@@ -270,15 +270,16 @@ def test_an_unchecked_set_refuses_a_face_it_cannot_place_when_its_table_grows():
                 call()
 
 
-def test_public_calls_on_an_unchecked_set_return_or_raise_engine_errors():
-    # a missing face list, a short one and a face naming no generator: every
-    # public call that takes the set returns or raises an EngineError, and
-    # those that read the face lists before any table raise what table() does
-    a, b, e, t, zz = map(SimplexRef, ("a", "b", "e", "t", "zz"))
+def _calls_on_a_set():
+    """Every public call that takes a set, as a function of the set, on its
+    first generator of top dimension (`top`) or its first edge (`edge`)."""
+    top = lambda x: SimplexRef(x.generators(max(x.gens))[0])
+    edge = lambda x: SimplexRef(next(iter(x.generators(1)), "e"))
     horn_map = horn_maps(standard_simplex(2, dim_cap=2), 2, 1)[0]
-    calls = {
-        "normalize": lambda x: normalize(x, "t", ["d0"]),
+    return {
+        "normalize": lambda x: normalize(x, top(x).gen, ["d0"]),
         "enumerate_maps": lambda x: enumerate_maps(x, x),
+        "enumerate_maps out": lambda x: enumerate_maps(x, standard_simplex(2, dim_cap=2)),
         "enumerate_maps into": lambda x: enumerate_maps(standard_simplex(2, dim_cap=2), x),
         "is_isomorphic": lambda x: is_isomorphic(x, x),
         "fundamental_category": fundamental_category,
@@ -289,17 +290,31 @@ def test_public_calls_on_an_unchecked_set_return_or_raise_engine_errors():
         "horn_maps": lambda x: horn_maps(x, 2, 1),
         "horn_tuples": lambda x: horn_tuples(x, 2, 1),
         "horn_fillers": lambda x: horn_fillers(x, 2, 1, horn_map),
-        "is_isomorphism_edge": lambda x: is_isomorphism_edge(x, e),
-        "SimplicialMap": lambda x: SimplicialMap(x, x, {"a": a, "b": b, "e": e, "t": t}),
-        "restrict": lambda x: x.restrict(t, (0, 1)),
+        "is_isomorphism_edge": lambda x: is_isomorphism_edge(x, edge(x)),
+        "SimplicialMap": lambda x: SimplicialMap(x, x, {g: SimplexRef(g) for g in x.gen_dim}),
+        "restrict": lambda x: x.restrict(top(x), (0, 1)),
     }
+
+
+def test_public_calls_on_an_unchecked_set_return_or_raise_engine_errors():
+    # a missing face list, a short one, a face naming no generator and a
+    # face with an out-of-range degeneracy letter: every public call that
+    # takes the set returns or raises an EngineError, and those that read
+    # the face lists before any table raise what table() does
+    a, b, e, zz = map(SimplexRef, ("a", "b", "e", "zz"))
+    calls = _calls_on_a_set()
     for faces, message, named in (
         ({"e": (b, a)}, "generator 't' has no face list",
-         {"normalize", "enumerate_maps", "is_isomorphic", "fundamental_category"}),
+         {"normalize", "enumerate_maps", "enumerate_maps out", "is_isomorphic",
+          "fundamental_category"}),
         ({"e": (b, a), "t": (e,)}, "'t' has 1 faces, expected 3",
          {"normalize", "fundamental_category"}),
         ({"e": (b, zz), "t": (e, e, e)}, "d_1 of SimplexRef(gen='e', degs=()) leaves level 0",
          {"normalize", "fundamental_category"}),
+        ({"e": (b, a), "t": (e, e, a._replace(degs=(5,)))},
+         "d_2 of SimplexRef(gen='t', degs=()) leaves level 1",
+         {"normalize", "enumerate_maps", "enumerate_maps out", "is_isomorphic",
+          "fundamental_category"}),
     ):
         for name, call in calls.items():
             x = SimplicialSet(2, {0: ["a", "b"], 1: ["e"], 2: ["t"]}, faces, check=False)
@@ -311,6 +326,58 @@ def test_public_calls_on_an_unchecked_set_return_or_raise_engine_errors():
                 assert name not in named or (type(exc), str(exc)) == (ValidationError, message), name
             else:
                 assert name not in named, name
+    # a face word in range but not strictly decreasing: s_0 s_1 a reads row
+    # s_1 of level 0, which has none, so the map search refuses it first
+    a01 = a._replace(degs=(0, 1))
+    x = SimplicialSet(3, {0: ["a"], 3: ["q"]}, {"q": (a01,) * 4}, check=False)
+    for call in (x.table, lambda: enumerate_maps(x, standard_simplex(3, dim_cap=3))):
+        with pytest.raises(ValidationError, match=r"^d_0 of SimplexRef\(gen='q', degs=\(\)\) "
+                                                  r"leaves level 2$"):
+            call()
+
+
+def _small_sets():
+    """Small corpus sets at caps up to 3, each with an edge: standard
+    simplices, horns, boundaries and small nerves."""
+    sets = [standard_simplex(n, dim_cap=cap) for n in range(1, 4) for cap in range(n, 4)]
+    sets += [subcomplex_of_simplex(n, "horn", k=k, dim_cap=3) for n in (2, 3) for k in range(n + 1)]
+    sets += [subcomplex_of_simplex(n, "boundary", dim_cap=2) for n in (2, 3)]
+    sets += [nerve(c, dim_cap=cap).sset for c in (poset_category(1), bg_category(cyclic_group(2)))
+             for cap in (2, 3)]
+    return sets
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_small_sets()),
+       st.sampled_from(("missing", "short", "unknown", "letter", "dimension")), st.data())
+def test_public_calls_on_a_mutated_unchecked_set_return_or_raise_engine_errors(x, kind, data):
+    # one face list of a corpus set, rebuilt unchecked, missing, cut short,
+    # or with a face naming no generator, holding a degeneracy letter out of
+    # range, or of the wrong dimension: every public call that takes the
+    # set returns or raises an EngineError
+    faces = dict(x.gen_faces)
+    g = data.draw(st.sampled_from(sorted(faces)))
+    n, fs = x.gen_dim[g], list(faces[g])
+    i = data.draw(st.integers(0, n))
+    if kind == "missing":
+        del faces[g]
+    elif kind == "short":
+        faces[g] = fs[:data.draw(st.integers(0, n))]
+    else:
+        if kind == "unknown":
+            fs[i] = SimplexRef("zz")
+        elif kind == "letter":
+            fs[i] = fs[i]._replace(degs=(n - 1 + data.draw(st.integers(0, 3)),) + fs[i].degs[1:])
+        else:
+            fs[i] = SimplexRef(data.draw(st.sampled_from(
+                [h for h, m in x.gen_dim.items() if m + len(fs[i].degs) != n - 1])), fs[i].degs)
+        faces[g] = fs
+    broken = SimplicialSet(x.dim_cap, x.gens, faces, check=False)
+    for name, call in _calls_on_a_set().items():
+        try:
+            call(broken)
+        except EngineError:
+            pass
 
 
 def test_simplicial_map_validation_checks_faces():
@@ -337,7 +404,17 @@ def test_product_of_intervals_has_the_square_census():
     for g in prod.all_generators():
         rx, ry = structure.pair_of_gen(g)
         n = prod.gen_dim[g]
-        assert structure.model.ref_of[(n, (rx, ry))] == SimplexRef(g)
+        assert d1.dim_of(rx) == d1.dim_of(ry) == n
+        assert structure.ref_of(rx, ry) == SimplexRef(g)
+    # a pair is s_C of a generator, C the letters its two words share
+    e, v = SimplexRef("01"), SimplexRef("0")
+    assert structure.ref_of(e._replace(degs=(0,)), e._replace(degs=(0,))) == SimplexRef("<01|01>", (0,))
+    assert structure.ref_of(v._replace(degs=(1, 0)), e._replace(degs=(1,))) == SimplexRef(
+        "<0.s0|01>", (1,))
+    bad, good = e._replace(degs=(2,)), e._replace(degs=(1,))
+    for a, b in ((e, v), (bad, bad), (bad, good), (good, bad), (SimplexRef("zz"), v)):
+        with pytest.raises(InputError):
+            structure.ref_of(a, b)
 
 
 def test_product_counts_match_on_mixed_factors():
@@ -469,12 +546,14 @@ def _level_model_sources():
     # the Duskin nerve's LevelModel route, kept as its oracle
     for c2 in all_two_categories().values():
         yield lambda c2=c2: oracle_duskin_nerve(c2, dim_cap=4)
+    # the product's LevelModel route, kept as its oracle
     for a in range(3):
         for b in range(3):
-            yield lambda a=a, b=b: product_structure(
+            yield lambda a=a, b=b: oracle_product_structure(
                 standard_simplex(a, dim_cap=3), standard_simplex(b, dim_cap=3)
             )
-    yield lambda: product(subcomplex_of_simplex(2, "horn", k=1, dim_cap=2), standard_simplex(1))
+    yield lambda: oracle_product_structure(subcomplex_of_simplex(2, "horn", k=1, dim_cap=2),
+                                           standard_simplex(1))
     d1 = standard_simplex(1, dim_cap=2)
     for y in (nerve(bg_category(cyclic_group(2)), dim_cap=2).sset,
               nerve(poset_category(1), dim_cap=2).sset):
@@ -493,8 +572,8 @@ def test_level_models_match_the_callable_strip():
             assert model.ref_of == ref_of
             assert model.elem_of_gen == elem_of_gen
             count += 1
-    # 22 nerves, 7 Duskin nerves, 10 products, 4 mapping spaces and their 10 cylinders
-    assert count == 53
+    # 22 nerves, 7 Duskin nerves, 10 products and 4 mapping spaces
+    assert count == 43
 
 
 def _level_model_oracles():
@@ -514,9 +593,7 @@ def _level_model_oracles():
     for y in (nerve(bg_category(cyclic_group(2)), dim_cap=2).sset,
               nerve(poset_category(1), dim_cap=2).sset):
         for cap, pin in ((2, None), (1, {"0": y.simplices(0)[0]})):
-            cylinders = [(2, *product_callables(a, b)[:3])
-                         for a, b in mapping_space_cylinders(d1, cap)]
-            yield cylinders + [(cap, *mapping_space_callables(d1, y, dim_cap=cap, pin=pin)[:3])]
+            yield [(cap, *mapping_space_callables(d1, y, dim_cap=cap, pin=pin)[:3])]
 
 
 def test_level_model_rows_match_the_frozen_callables():
@@ -534,7 +611,7 @@ def test_level_model_rows_match_the_frozen_callables():
             # and the model holds them in the order given
             assert (model.levels, model.faces, model.degs) == (want.levels, want.faces, want.degs)
             count += 1
-    assert count == 53
+    assert count == 43
 
 
 def test_nerve_and_duskin_rows_pass_the_checks_they_skip():
@@ -556,22 +633,32 @@ def test_nerve_and_duskin_rows_pass_the_checks_they_skip():
 
 
 def test_product_rows_pass_the_checks_they_skip():
-    # product_structure builds its LevelModel unchecked, on the proof in
-    # its docstring: on corpus nerves and standard simplices, the rows it
-    # hands over pass the row checks and the simplicial identities, and
-    # the checked route presents the same set the same way
+    # product_structure builds its set unchecked, from its Eilenberg-Zilber
+    # pairs, on the proof in its docstring, and builds no table: on corpus
+    # nerves, standard simplices, horns and boundaries, it is the set that
+    # the LevelModel route strips off every pair of simplices, with the same
+    # pairing and normal forms, and it passes validate
     simplices = [standard_simplex(n, dim_cap=3) for n in range(4)]
-    factors = [nerve(c, dim_cap=3).sset for c in all_categories().values()] + simplices
-    pairs = [(x, y) for x in factors for y in simplices]
-    pairs += [(y, x) for x in factors[:-len(simplices)] for y in simplices]
+    subcomplexes = [subcomplex_of_simplex(n, "horn", k=k, dim_cap=3)
+                    for n in range(1, 4) for k in range(n + 1)]
+    subcomplexes += [subcomplex_of_simplex(n, "boundary", dim_cap=3) for n in range(1, 4)]
+    factors = [nerve(c, dim_cap=3).sset for c in all_categories().values()] + subcomplexes
+    pairs = [(x, y) for x in factors + simplices for y in simplices]
+    pairs += [(y, x) for x in factors for y in simplices]
+    refs = 0
     for (x, y), cap in itertools.product(pairs, range(4)):
-        with _recorded_level_models() as built:
-            structure = product_structure(x, y, dim_cap=cap)
-        [(model, (_, levels, *_, namer), (faces, degs))] = built
-        checked = LevelModel(cap, levels, faces, degs, namer, check=True)
-        assert structure.sset == checked.sset, (x, y, cap)
-        assert (model.ref_of, model.elem_of_gen) == (checked.ref_of, checked.elem_of_gen)
-    assert len(pairs) == 26 * 4 + 22 * 4
+        structure = product_structure(x, y, dim_cap=cap)
+        oracle = oracle_product_structure(x, y, dim_cap=cap)
+        assert structure.sset._level_table is None
+        assert structure.sset == oracle.sset, (x, y, cap)
+        for g in oracle.sset.all_generators():
+            assert structure.pair_of_gen(g) == oracle.pair_of_gen(g)
+        for (n, (a, b)), ref in oracle.model.ref_of.items():
+            assert structure.ref_of(a, b) == ref, (x, y, cap, a, b)
+            refs += 1
+        structure.sset.validate()
+    assert len(pairs) == 38 * 4 + 34 * 4
+    assert refs == 198_838
 
 
 def test_mapping_space_rows_pass_the_checks_they_skip():
@@ -1017,7 +1104,7 @@ def test_level_models_hand_their_set_the_calculus_table():
             assert (got.levels, got.faces, got.degs) == (want.levels, want.faces, want.degs)
             count += 1
         calls.clear()
-    assert count == 53
+    assert count == 43
 
 
 def test_each_face_is_derived_once():
